@@ -9,11 +9,22 @@ Two modes, both propagating y' = f(s, y) across s in [0, 1]:
 The right-hand sides here are smooth and cheap, so a hand-rolled pair keeps
 per-transport overhead far below a generic solver while staying fully
 deterministic.
+
+The stages run on lists of Python floats, not numpy arrays.  A univariate
+state has 2 to 5 entries and a bivariate one (table plus both axis states) 5
+to 21, so an array operation would cost its call overhead and almost nothing
+else, and a step needs dozens of them.  Each stage is written out as one
+expression per component, with the operations in the order of the array
+form ``y + h * sum(a_i * k_i)``, so the results agree with that form to the
+last bit (tests/test_ode.py keeps it as the reference).  ``f`` receives a
+list and may return any sequence of floats; an ndarray is converted to a
+list once per evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,24 +44,34 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
-StepCallback = Optional[Callable[[float, np.ndarray], None]]
+Rhs = Callable[[float, list], Sequence[float]]
+StepCallback = Optional[Callable[[float, list], None]]
+
+
+def _floats(v: Sequence[float]) -> Sequence[float]:
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def rk4_fixed(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
+    f: Rhs,
+    y0: Sequence[float],
     n_steps: int,
     callback: StepCallback = None,
-) -> np.ndarray:
-    y = np.array(y0, dtype=float)
+) -> list[float]:
+    y = np.asarray(y0, dtype=float).tolist()
     h = 1.0 / n_steps
+    half = 0.5 * h
+    sixth = h / 6.0
     s = 0.0
     for _ in range(n_steps):
-        k1 = f(s, y)
-        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _floats(f(s, y))
+        k2 = _floats(f(s + 0.5 * h, [u + half * p for u, p in zip(y, k1)]))
+        k3 = _floats(f(s + 0.5 * h, [u + half * p for u, p in zip(y, k2)]))
+        k4 = _floats(f(s + h, [u + h * p for u, p in zip(y, k3)]))
+        y = [
+            u + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+        ]
         s += h
         if callback is not None:
             callback(s, y)
@@ -58,66 +79,106 @@ def rk4_fixed(
 
 
 def rk4_with_estimate(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
+    f: Rhs,
+    y0: Sequence[float],
     n_steps: int,
     callback: StepCallback = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[float], float]:
     """Fixed RK4 plus a Richardson error estimate from a half-step-count run."""
     fine = rk4_fixed(f, y0, n_steps, callback)
     coarse = rk4_fixed(f, y0, max(1, n_steps // 2))
-    scale = max(float(np.max(np.abs(fine))), 1e-300)
-    est = float(np.max(np.abs(fine - coarse))) / (15.0 * scale)
+    fine_arr = np.array(fine)
+    scale = max(float(np.max(np.abs(fine_arr))), 1e-300)
+    est = float(np.max(np.abs(fine_arr - np.array(coarse)))) / (15.0 * scale)
     return fine, est
 
 
 def dopri45(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
+    f: Rhs,
+    y0: Sequence[float],
     rtol: float,
     max_steps: int = 200_000,
     callback: StepCallback = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[float], float]:
     """Adaptive Dormand-Prince over [0, 1]; returns (y(1), error accumulator).
 
     Error control is relative to the larger state components with a floored
     denominator, so a component passing through zero cannot stall the solver.
-    The accumulator sums accepted per-step relative error estimates.
+    The accumulator sums accepted per-step relative error estimates.  A step
+    whose fifth-order solution is not finite is retried at a fifth of its
+    size; a NaN error ratio rejects the step like a large one.
     """
-    y = np.array(y0, dtype=float)
+    _, c2, c3, c4, c5, c6, c7 = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
+        a61, a62, a63, a64, a65
+    ), (a71, a72, a73, a74, a75, a76) = _A[1:]
+    b1, b2, b3, b4, b5, b6, b7 = _B5
+    e1, e2, e3, e4, e5, e6, e7 = _B4
+    y = np.asarray(y0, dtype=float).tolist()
     s = 0.0
     h = 0.01
     accum = 0.0
-    k1 = f(s, y)
+    k1 = _floats(f(s, y))
     for _ in range(max_steps):
         if s >= 1.0:
             return y, accum
         h = min(h, 1.0 - s)
         if h < 1e-14:
             raise OdeDivergence("step size underflow in adaptive transport")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ks = [k1]
-            for i in range(1, 7):
-                yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-                ks.append(f(s + _C[i] * h, yi))
-            y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
-            y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
-        if not np.all(np.isfinite(y5)):
+        # each "0.0 +" reproduces the zero start of the array sums these replace
+        z = [u + h * (0.0 + a21 * p1) for u, p1 in zip(y, k1)]
+        k2 = _floats(f(s + c2 * h, z))
+        z = [u + h * (0.0 + a31 * p1 + a32 * p2) for u, p1, p2 in zip(y, k1, k2)]
+        k3 = _floats(f(s + c3 * h, z))
+        z = [
+            u + h * (0.0 + a41 * p1 + a42 * p2 + a43 * p3)
+            for u, p1, p2, p3 in zip(y, k1, k2, k3)
+        ]
+        k4 = _floats(f(s + c4 * h, z))
+        z = [
+            u + h * (0.0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+            for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+        ]
+        k5 = _floats(f(s + c5 * h, z))
+        z = [
+            u + h * (0.0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+            for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+        ]
+        k6 = _floats(f(s + c6 * h, z))
+        z = [
+            u + h * (0.0 + a71 * p1 + a72 * p2 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
+            for u, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)
+        ]
+        k7 = _floats(f(s + c7 * h, z))
+        stages = list(zip(y, k1, k2, k3, k4, k5, k6, k7))
+        y5 = [
+            u + h * (0.0 + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6 + b7 * p7)
+            for u, p1, p2, p3, p4, p5, p6, p7 in stages
+        ]
+        if not all(map(math.isfinite, y5)):
             h *= 0.2
-            k1 = ks[0]
             continue
-        err = np.abs(y5 - y4)
-        ymag = max(float(np.max(np.abs(y))), float(np.max(np.abs(y5))), 1e-300)
-        denom = rtol * np.maximum(np.maximum(np.abs(y), np.abs(y5)), 1e-3 * ymag)
-        ratio = float(np.max(err / denom))
+        y4 = [
+            u + h * (0.0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+            for u, p1, p2, p3, p4, p5, p6, p7 in stages
+        ]
+        err = [abs(p - q) for p, q in zip(y5, y4)]
+        ymag = max(max(map(abs, y)), max(map(abs, y5)), 1e-300)
+        floor = 1e-3 * ymag
+        # largest err/denom, where any NaN wins (as in np.max); a denominator
+        # that underflows to zero gives inf or NaN, as array division does
+        ratio = 0.0
+        for e, u, v in zip(err, y, y5):
+            denom = rtol * max(abs(u), abs(v), floor)
+            r = e / denom if denom else (math.inf if e else math.nan)
+            if r > ratio or r != r:
+                ratio = r
         if ratio <= 1.0:
             s += h
             y = y5
-            k1 = ks[6]  # first-same-as-last
-            accum += float(np.max(err)) / ymag
+            k1 = k7  # first-same-as-last
+            accum += max(err) / ymag
             if callback is not None:
                 callback(s, y)
-        else:
-            k1 = ks[0]
         h *= min(5.0, max(0.2, 0.9 * (max(ratio, 1e-10)) ** -0.2))
     raise OdeDivergence(f"adaptive transport exceeded {max_steps} steps")

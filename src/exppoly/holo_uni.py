@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -151,14 +152,14 @@ def _extend(coeffs: Sequence[float], support: Support, base: Sequence[float], M:
     vals = [0.0] * (M + 1)
     n_base = min(d - 1, M + 1)
     vals[:n_base] = [float(v) for v in base[:n_base]]
+    # (k-1, k*theta_k) for the nonzero lower coefficients
+    terms = [(k - 1, k * ck) for k, ck in enumerate(coeffs[: d - 1], 1) if ck != 0.0]
     for m in range(M - d + 2):
         acc = inhom if m == 0 else 0.0
         if m >= 1:
             acc += m * vals[m - 1]
-        for k in range(1, d):
-            ck = coeffs[k - 1]
-            if ck != 0.0:
-                acc += k * ck * vals[k - 1 + m]
+        for i, kc in terms:
+            acc += kc * vals[i + m]
         vals[d - 1 + m] = -acc / lead
     return vals
 
@@ -200,19 +201,13 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
     d = src.d
     L = state_length(d)
     support = src.support
-    src_coeffs = np.array(src.coeffs)
+    src_coeffs = src.coeffs
     M = L - 1 + d
     h_list = h.tolist()
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        coeffs = (src_coeffs + s * h).tolist()
-        vals = _extend(coeffs, support, y, M)
-        return np.array(
-            [
-                sum(h_list[j - 1] * vals[m + j] for j in range(1, d + 1))
-                for m in range(L)
-            ]
-        )
+    def rhs(s: float, y: list[float]) -> list[float]:
+        vals = _extend([c + s * hk for c, hk in zip(src_coeffs, h_list)], support, y, M)
+        return [sum(map(mul, h_list, vals[m : m + d])) for m in range(1, L + 1)]
 
     if opts.method == "rk4":
         n_steps = max(2, math.ceil(opts.step_density * seg_len))

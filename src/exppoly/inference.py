@@ -35,6 +35,7 @@ from .domain import (
 )
 from .errors import (
     InputError,
+    NotConverged,
     OdeDivergence,
     PathCrossesSingularity,
     SingularInformation,
@@ -270,13 +271,7 @@ def fisher_info(theta: Theta, provider=None) -> np.ndarray:
         return out
     if provider is None:
         provider = UniHoloProvider(theta.support)
-    d = theta.d
-    mom = _uni_moments(provider.derivs(theta, 2 * d))
-    out = np.empty((d, d))
-    for l in range(1, d + 1):
-        for m in range(l, d + 1):
-            out[l - 1, m - 1] = out[m - 1, l - 1] = mom[l + m] - mom[l] * mom[m]
-    return out
+    return _fisher_from_moments(_uni_moments(provider.derivs(theta, 2 * theta.d)), theta.d)
 
 
 def _fisher_from_moments(mom: np.ndarray, d: int) -> np.ndarray:
@@ -397,7 +392,7 @@ def fit_mle(
     info = fisher_info(theta, provider)
     grad_norm = float(np.max(np.abs(grad)))
     if converged:
-        converged = grad_norm <= 10 * opts.grad_tol or grad_norm <= opts.grad_tol
+        converged = grad_norm <= 10 * opts.grad_tol
     elif not hit_boundary:
         # distinguish slow interior progress from an ascent pressing into the
         # boundary, where the supremum is not attained: the full scoring step
@@ -456,13 +451,23 @@ def _fit_null_with_recursion(
 ) -> tuple[FitResult, int]:
     """Fit the null model, dropping the order while the fit lands on its own
     boundary (the lower-order MLE may itself sit at a vanishing top
-    coefficient)."""
+    coefficient).
+
+    Raises NotConverged when the fit stopped in the interior without
+    converging: a score evaluated there is not a score test statistic.
+    """
     k = order
     while True:
         result = fit_mle(stats, k, opts)
         if not result.hit_boundary or k - step < min_order:
-            return result, k
+            break
         k -= step
+    if not (result.converged or result.hit_boundary):
+        raise NotConverged(
+            f"order-{k} null fit stopped after {result.iterations} iterations "
+            f"with score max-norm {result.grad_norm:.3e}"
+        )
+    return result, k
 
 
 def _embed(coeffs: Sequence[float], d: int) -> tuple[float, ...]:

@@ -246,7 +246,8 @@ def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -
 
     Raises OnDiscriminant when theta_top lies on the discriminant zero set
     within ``tol * scale`` (scale grows like coeff^(2d-2), matching the
-    degree of the discriminant polynomial).
+    degree of the discriminant polynomial), or when the Sturm chain finds a
+    repeated root there.
     """
     top = [float(v) for v in theta_top]
     d = len(top) - 1
@@ -258,8 +259,15 @@ def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -
     scale = max(1.0, max(abs(v) for v in top)) ** (2 * d - 2)
     if abs(disc) <= tol * scale:
         raise OnDiscriminant(f"discriminant {disc:.3e} within tolerance of zero")
-    n_pos = count_real_roots(top, 0.0, math.inf)
-    n_neg = count_real_roots(top, -math.inf, 0.0)
+    try:
+        n_pos = count_real_roots(top, 0.0, math.inf)
+        n_neg = count_real_roots(top, -math.inf, 0.0)
+    except NonSquarefree as exc:
+        # a discriminant just above the tolerance can still hide a double
+        # root that the Sturm chain resolves as degenerate
+        raise OnDiscriminant(
+            f"discriminant {disc:.3e} is off zero but the root count sees a repeated root"
+        ) from exc
     if top[-1] == 0.0:
         # A root at exactly zero is counted by the (-inf, 0] interval.
         n_neg -= 1

@@ -275,6 +275,24 @@ def test_chambers_grid(capsys, tmp_path):
         )
 
 
+def test_chambers_grid_readme_defaults(capsys, tmp_path):
+    # the grid passes (1, 1), where the top form has a double root but D
+    # computes to 1.6e-12, just above the on-wall tolerance
+    code, out, _ = run(
+        capsys,
+        [
+            "chambers",
+            "--grid",
+            "--grid-range", "-6", "6",
+            "--grid-step", "0.1",
+            "--out", str(tmp_path / "ch"),
+        ],
+    )
+    assert code == 0
+    assert out["grid"]["points"] == 121 * 121
+    assert out["grid"]["chamber_counts"]["boundary"] >= 1
+
+
 def test_chambers_requires_work(capsys):
     code, _, err = run(capsys, ["chambers"])
     assert code == 2 and err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exppoly.domain import Support, SuffStats, ThetaBi, ThetaUni, suff_stats
-from exppoly.errors import UnsupportedOrder
+from exppoly.errors import NotConverged, UnsupportedOrder
 from exppoly.holo_bi import extend_table, table_from_oracle
 from exppoly.inference import (
     fisher_info,
@@ -224,6 +224,23 @@ def test_score_test_validation():
 
     with pytest.raises(InputError):
         score_test_halfline(st, 2, alpha=0.7)
+
+
+def test_score_test_refuses_unconverged_null_fit():
+    # the order-4 null fit on this sample stops after one Fisher step in the
+    # interior; the score there gave T = -69.3 before the fit was checked
+    x = sample_uni(
+        ThetaUni((-1.0, 3.0, -2.0)),
+        1000,
+        np.random.SeedSequence(entropy=6, spawn_key=(202,)),
+    )
+    st = suff_stats(x, 5)
+    fit = fit_mle(st, 4)
+    assert not fit.converged and not fit.hit_boundary
+    with pytest.raises(NotConverged):
+        score_test_halfline(st, 5)
+    with pytest.raises(NotConverged):
+        select_order(st, 5)
 
 
 def test_select_order_exponential_data():
