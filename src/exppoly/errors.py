@@ -106,9 +106,5 @@ class ToleranceNotMet(ExpPolyError):
     """A numerical routine could not reach its requested accuracy."""
 
 
-class BoundaryEscape(ExpPolyError):
-    """Optimizer step-halving collapsed at the domain boundary."""
-
-
 class NotConverged(ExpPolyError):
     """Iteration budget exhausted before meeting the convergence test."""

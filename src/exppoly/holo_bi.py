@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _ode, polyalg
+from . import _ode, holo_uni, polyalg
 from .domain import Membership, Support, ThetaBi, ThetaUni, classify_theta_uni, monomials_bi
 from .errors import (
     AxisOutsideDomain,
@@ -33,7 +33,11 @@ from .errors import (
     SingularSystem,
     UnsupportedOrder,
 )
-from .holo_uni import OdeOptions, _extend, initial_state, state_length, transport
+from .holo_uni import HoloStateUni, OdeOptions, _extend, extend_derivatives, state_length
+
+# Axis constants go through `holo_uni.state_at` alone; this binding is kept
+# only because bench/tracing.py wraps `holo_bi.transport` by name.
+from .holo_uni import transport  # noqa: F401
 from .oracle import QuadOptions, quad_A_bi
 
 _DETP_RTOL = 1e-12
@@ -169,18 +173,12 @@ def boundary_consts(
 
     A_x integrates the density restricted to y = 0 and depends only on the
     x-axis coefficients theta_i0, so it is a univariate problem of the same
-    degree; symmetrically for A_y.
+    degree; symmetrically for A_y.  Both follow the `state_at` retry and
+    refusal policy.
     """
-    out = []
-    for coeffs in (theta.x_axis_coeffs(), theta.y_axis_coeffs()):
-        axis = ThetaUni(coeffs, Support.HALF_LINE)
-        if classify_theta_uni(axis).membership is not Membership.INTERIOR:
-            raise AxisOutsideDomain(
-                f"axis restriction {coeffs} is not an interior univariate parameter"
-            )
-        state = transport(initial_state(axis.d, abs(coeffs[-1])), axis, opts)
-        out.append(np.array(_extend(axis.coeffs, Support.HALF_LINE, state.F, M)))
-    return out[0], out[1]
+    ax = extend_derivatives(_axis_state(theta.x_axis_coeffs(), opts), M)
+    ay = extend_derivatives(_axis_state(theta.y_axis_coeffs(), opts), M)
+    return ax, ay
 
 
 def _level_system(
@@ -383,8 +381,8 @@ def transport_bi(
     h_x = [h_vec[i] for i in x_idx]
     h_y = [h_vec[i] for i in y_idx]
 
-    fx0 = _axis_state(src.x_axis_coeffs(), opts)
-    fy0 = _axis_state(src.y_axis_coeffs(), opts)
+    fx0 = _axis_state(src.x_axis_coeffs(), opts).F
+    fy0 = _axis_state(src.y_axis_coeffs(), opts).F
     y0 = np.concatenate([[table.values[st] for st in base], fx0, fy0])
 
     src_top = np.array(src.top_coeffs())
@@ -454,11 +452,10 @@ def transport_bi(
     return moved
 
 
-def _axis_state(coeffs: Sequence[float], opts: OdeOptions | None) -> np.ndarray:
+def _axis_state(coeffs: Sequence[float], opts: OdeOptions | None) -> HoloStateUni:
     axis = ThetaUni(coeffs, Support.HALF_LINE)
     if classify_theta_uni(axis).membership is not Membership.INTERIOR:
         raise AxisOutsideDomain(
             f"axis restriction {tuple(coeffs)} is not an interior univariate parameter"
         )
-    state = transport(initial_state(axis.d, abs(coeffs[-1])), axis, opts)
-    return np.array(state.F)
+    return holo_uni.state_at(axis, opts)

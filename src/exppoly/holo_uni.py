@@ -257,14 +257,18 @@ def state_at(
     theta: ThetaUni | Sequence[float],
     opts: OdeOptions | None = None,
     support: Support = Support.HALF_LINE,
+    start: HoloStateUni | None = None,
 ) -> HoloStateUni:
     """Transported state at theta with an amplification-aware error estimate.
 
     Boundary parameters are reduced to their effective order first, so the
-    returned state lives at the reduced parameter.  When the homogeneous
-    solutions of the system dwarf A the transport is retried at tight
-    tolerance, and parameters whose condition exceeds what double precision
-    can cancel are refused rather than answered with noise.
+    returned state lives at the reduced parameter.  Transport starts from
+    `start` when it has the same order and support (a request at its own
+    parameter returns it unchanged), else from the gamma point.  When the
+    result is not finite, or the homogeneous solutions of the system dwarf A,
+    the transport is retried from the gamma point at tight tolerance, and
+    parameters whose condition exceeds what double precision can cancel are
+    refused rather than answered with noise.
     """
     if not isinstance(theta, ThetaUni):
         theta = ThetaUni(theta, support)
@@ -272,18 +276,18 @@ def state_at(
     if cls.membership is Membership.OUTSIDE:
         raise DivergentIntegral(f"integral diverges at {theta.coeffs}")
     eff = effective_theta(theta)
-    start = initial_state(eff.d, abs(eff.coeffs[-1]), eff.support)
+    if start is not None and start.theta == eff:
+        return start
+    gamma = initial_state(eff.d, abs(eff.coeffs[-1]), eff.support)
+    if start is None or start.d != eff.d or start.support is not eff.support:
+        start = gamma
+    if opts is None:
+        opts = OdeOptions()
     moved = transport(start, eff, opts)
-    cond = transport_condition(eff.coeffs, moved.norm_const)
-    if cond > _COND_DIRECT and (opts is None or opts.method == "adaptive"):
-        base_tol = opts.rel_tol if opts is not None else OdeOptions().rel_tol
-        if _RETRY_TOL < base_tol:
-            retry = OdeOptions(
-                rel_tol=_RETRY_TOL,
-                max_steps=opts.max_steps if opts is not None else OdeOptions().max_steps,
-            )
-            moved = transport(start, eff, retry)
-            cond = transport_condition(eff.coeffs, moved.norm_const)
+    cond = _condition(moved)
+    if cond > _COND_DIRECT and opts.method == "adaptive" and _RETRY_TOL < opts.rel_tol:
+        moved = transport(gamma, eff, OdeOptions(rel_tol=_RETRY_TOL, max_steps=opts.max_steps))
+        cond = _condition(moved)
     if cond > _COND_LIMIT:
         detail = (
             "the transported value lost all significant digits"
@@ -297,6 +301,13 @@ def state_at(
         )
     est = (moved.last_transport_error + _EPS) * cond
     return HoloStateUni(moved.theta, moved.F, est)
+
+
+def _condition(state: HoloStateUni) -> float:
+    """`transport_condition` of a transported state; infinite unless finite."""
+    if not np.all(np.isfinite(state.F)):
+        return math.inf
+    return transport_condition(state.theta.coeffs, state.norm_const)
 
 
 def norm_const_and_derivs(

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import stats as sps
 
+from . import holo_uni
 from .domain import (
     Membership,
     SuffStats,
@@ -39,18 +40,15 @@ from .errors import (
     OdeDivergence,
     PathCrossesSingularity,
     SingularInformation,
+    ToleranceNotMet,
     UnsupportedOrder,
 )
 from .holo_bi import DerivTableBi, extend_table, initial_state_bi, transport_bi
-from .holo_uni import (
-    HoloStateUni,
-    OdeOptions,
-    extend_derivatives,
-    initial_state,
-    norm_const_and_derivs,
-    transport,
-)
-from .oracle import QuadOptions, quad_moment_uni
+from .holo_uni import HoloStateUni, OdeOptions, extend_derivatives, norm_const_and_derivs
+
+# Transport goes through `holo_uni.state_at` alone; this binding is kept only
+# because bench/tracing.py wraps `inference.transport` by name.
+from .holo_uni import transport  # noqa: F401
 
 Theta = Union[ThetaUni, ThetaBi]
 
@@ -70,12 +68,15 @@ class FitOptions:
 
 
 class UniHoloProvider:
-    """Derivative vectors by incremental holonomic transport.
+    """Derivative vectors at successive parameters, by incremental transport.
 
-    Keeps the engine state at the last requested parameter so optimizer
-    iterates pay only for the short segment from the previous point;
-    `refresh` discards the accumulated path and re-transports from the
-    closed-form initial point (used once at convergence).
+    Each request moves the last committed state to the new parameter through
+    `holo_uni.state_at`, so optimizer iterates pay only for the short segment
+    from the previous point and follow the same retry and refusal policy as a
+    direct evaluation.  A refused move raises `ToleranceNotMet` and leaves the
+    last good state committed; a request at the committed parameter costs no
+    transport.  `refresh` replaces the state by a fresh transport from the
+    gamma point, discarding the accumulated path.
     """
 
     def __init__(self, support: Support = Support.HALF_LINE, opts: OdeOptions | None = None):
@@ -83,49 +84,12 @@ class UniHoloProvider:
         self.opts = opts if opts is not None else OdeOptions()
         self._state: Optional[HoloStateUni] = None
 
-    def _move(self, theta: ThetaUni) -> HoloStateUni:
-        if (
-            self._state is None
-            or self._state.d != theta.d
-            or self._state.support is not theta.support
-        ):
-            state = initial_state(theta.d, abs(theta.coeffs[-1]), theta.support)
-            state = transport(state, theta, self.opts)
-        else:
-            state = transport(self._state, theta, self.opts)
-        # commit only credible states: a stiff near-boundary segment can
-        # finish with a nonsensical vector, and keeping it would poison
-        # every later incremental move
-        if not (np.all(np.isfinite(state.F)) and state.F[0] > 0.0):
-            raise OdeDivergence(
-                f"transport to {theta.coeffs} lost accuracy (A = {state.F[0]!r})"
-            )
-        self._state = state
-        return state
-
     def derivs(self, theta: ThetaUni, M: int) -> np.ndarray:
-        return extend_derivatives(self._move(theta), M)
+        self._state = holo_uni.state_at(theta, self.opts, start=self._state)
+        return extend_derivatives(self._state, M)
 
     def refresh(self, theta: ThetaUni) -> None:
-        state, self._state = self._state, None
-        try:
-            self._move(theta)
-        except OdeDivergence:
-            # fresh path is worse than the incremental one; keep what we have
-            self._state = state
-
-
-class UniQuadProvider:
-    """Derivative vectors by direct quadrature; slow, for cross-checking."""
-
-    def __init__(self, opts: QuadOptions | None = None):
-        self.opts = opts if opts is not None else QuadOptions()
-
-    def derivs(self, theta: ThetaUni, M: int) -> np.ndarray:
-        return np.array([quad_moment_uni(theta, m, self.opts) for m in range(M + 1)])
-
-    def refresh(self, theta: ThetaUni) -> None:
-        pass
+        self._state = holo_uni.state_at(theta, self.opts)
 
 
 class BiHoloProvider:
@@ -372,7 +336,7 @@ def fit_mle(
                 continue
             try:
                 l_new, g_new = loglik_and_grad(cand, stats, provider)
-            except (PathCrossesSingularity, OdeDivergence):
+            except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet):
                 boundary_limited = True
                 lam *= 0.5
                 continue
@@ -448,17 +412,19 @@ def _fit_null_with_recursion(
     step: int,
     min_order: int,
     opts: FitOptions,
-) -> tuple[FitResult, int]:
+) -> tuple[FitResult, int, UniHoloProvider]:
     """Fit the null model, dropping the order while the fit lands on its own
     boundary (the lower-order MLE may itself sit at a vanishing top
     coefficient).
 
-    Raises NotConverged when the fit stopped in the interior without
-    converging: a score evaluated there is not a score test statistic.
+    Also returns the fit's provider, whose state is the refreshed one at the
+    null estimate.  Raises NotConverged when the fit stopped in the interior
+    without converging: a score evaluated there is not a score test statistic.
     """
+    provider = _default_provider(stats.support, False, opts.ode)
     k = order
     while True:
-        result = fit_mle(stats, k, opts)
+        result = fit_mle(stats, k, opts, provider)
         if not result.hit_boundary or k - step < min_order:
             break
         k -= step
@@ -467,7 +433,7 @@ def _fit_null_with_recursion(
             f"order-{k} null fit stopped after {result.iterations} iterations "
             f"with score max-norm {result.grad_norm:.3e}"
         )
-    return result, k
+    return result, k, provider
 
 
 def _embed(coeffs: Sequence[float], d: int) -> tuple[float, ...]:
@@ -497,11 +463,10 @@ def score_test_halfline(
         raise InputError("alpha must be in (0, 1/2)")
     if stats.order < d:
         raise InputError(f"need statistics of order >= {d}")
-    null_fit, k = _fit_null_with_recursion(stats, d - 1, 1, 1, opts)
+    null_fit, k, provider = _fit_null_with_recursion(stats, d - 1, 1, 1, opts)
     theta_null: ThetaUni = null_fit.theta_hat  # type: ignore[assignment]
 
-    derivs = norm_const_and_derivs(theta_null, 2 * d, opts.ode)
-    mom = _uni_moments(derivs)
+    mom = _uni_moments(provider.derivs(theta_null, 2 * d))
     info = _fisher_from_moments(mom, d)
     score_d = stats.moment(d) - mom[d]
     head, cross, corner = info[: d - 1, : d - 1], info[: d - 1, d - 1], info[d - 1, d - 1]
@@ -549,11 +514,10 @@ def score_test_realline(
         raise InputError(f"need statistics of order >= {d_full}")
     if stats.support is not Support.REAL_LINE:
         raise InputError("whole-line test needs whole-line statistics")
-    null_fit, k = _fit_null_with_recursion(stats, d_full - 2, 2, 2, opts)
+    null_fit, k, provider = _fit_null_with_recursion(stats, d_full - 2, 2, 2, opts)
     theta_null: ThetaUni = null_fit.theta_hat  # type: ignore[assignment]
 
-    derivs = norm_const_and_derivs(theta_null, 2 * d_full, opts.ode)
-    mom = _uni_moments(derivs)
+    mom = _uni_moments(provider.derivs(theta_null, 2 * d_full))
     info = _fisher_from_moments(mom, d_full)
     scores = np.array(
         [

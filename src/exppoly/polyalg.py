@@ -52,16 +52,6 @@ def poly_eval(coeffs: Sequence[float], x: float) -> float:
     return acc
 
 
-def cauchy_root_bound(coeffs: Sequence[float]) -> float:
-    """Upper bound on the magnitude of every root (Cauchy bound)."""
-    c = _trim_exact(coeffs)
-    if not c:
-        raise ZeroPolynomial("zero polynomial has no root bound")
-    if len(c) == 1:
-        return 0.0
-    return 1.0 + max(abs(v) for v in c[1:]) / abs(c[0])
-
-
 def sylvester_matrix(f: Sequence[float], g: Sequence[float]) -> np.ndarray:
     """Sylvester matrix: deg(g) shifted rows of f above deg(f) rows of g."""
     f = _trim_exact(f)

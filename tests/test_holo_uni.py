@@ -280,3 +280,22 @@ def test_state_at_matches_plain_transport_when_well_conditioned():
     st = state_at(theta)
     moved = transport(initial_state(3, 2.0), theta)
     np.testing.assert_allclose(st.F, moved.F, rtol=1e-12)
+
+
+def test_state_at_moves_from_start():
+    near = state_at((-1.0, 3.0, -2.0))
+    assert state_at((-1.0, 3.0, -2.0), start=near) is near
+    # boundary requests reduce to the effective order before the comparison
+    assert state_at((-1.0, 3.0, -2.0, 0.0), start=near) is near
+    target = ThetaUni((-0.9, 2.8, -2.1))
+    np.testing.assert_allclose(state_at(target, start=near).F, state_at(target).F, rtol=1e-9)
+    # a start of another order or support is ignored
+    other = state_at((0.0, -1.0), support=Support.REAL_LINE)
+    np.testing.assert_array_equal(state_at(target, start=other).F, state_at(target).F)
+
+
+def test_state_at_retries_from_gamma_point_when_start_given():
+    near = state_at((-0.6, 1.9, -1.7, -0.7))
+    st = state_at(HARD_QUARTIC, start=near)
+    np.testing.assert_array_equal(st.F, state_at(HARD_QUARTIC).F)
+    assert abs(st.norm_const / HARD_QUARTIC_A - 1) <= 1e-7

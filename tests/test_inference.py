@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from exppoly.domain import Support, SuffStats, ThetaBi, ThetaUni, suff_stats
-from exppoly.errors import NotConverged, UnsupportedOrder
+from exppoly.errors import NotConverged, ToleranceNotMet, UnsupportedOrder
 from exppoly.holo_bi import extend_table, table_from_oracle
 from exppoly.inference import (
+    FitOptions,
+    UniHoloProvider,
     fisher_info,
     fit_mle,
     loglik_and_grad,
@@ -227,8 +229,9 @@ def test_score_test_validation():
 
 
 def test_score_test_refuses_unconverged_null_fit():
-    # the order-4 null fit on this sample stops after one Fisher step in the
-    # interior; the score there gave T = -69.3 before the fit was checked
+    # calibration sample on which the order-4 fit once stopped after one
+    # iteration: its full Fisher step landed on an ill-conditioned point
+    # whose transported state was kept and poisoned every shorter step
     x = sample_uni(
         ThetaUni((-1.0, 3.0, -2.0)),
         1000,
@@ -236,11 +239,52 @@ def test_score_test_refuses_unconverged_null_fit():
     )
     st = suff_stats(x, 5)
     fit = fit_mle(st, 4)
-    assert not fit.converged and not fit.hit_boundary
+    assert fit.iterations == 11 and fit.hit_boundary and not fit.converged
+    assert fit.loglik_bar == pytest.approx(-0.4443, abs=1e-4)  # start: -0.4579
+    # a null fit cut short in the interior is still refused
+    opts = FitOptions(max_iter=1)
     with pytest.raises(NotConverged):
-        score_test_halfline(st, 5)
+        score_test_halfline(st, 5, opts=opts)
     with pytest.raises(NotConverged):
-        select_order(st, 5)
+        select_order(st, 5, opts=opts)
+
+
+# Order-6 parameters from `random_theta_uni` (seed 20260816, draws 11, 122,
+# 131, 380, 527, 938, 1025, 1124, 1163 of d = 4 + i % 3) that `state_at`
+# refuses.  The incremental provider used to answer five of them with A off
+# by 0.49 up to 2.4e42 and the other four with OdeDivergence.
+REFUSED_SEXTICS = [
+    (-1.3365499458177332, 1.5634131065465269, 1.1145324638558542, 1.5615115509210087, -1.3026483805368931, -0.6700352299157893),
+    (0.5568827215324768, 0.883941482631522, -0.4866351845249577, 1.910756716312909, -0.8288831905887228, -0.4201947981714352),
+    (1.3767226329824607, 0.2481395081274873, 0.7114071867808347, 1.5512473160970721, -1.8034333731605199, -0.6127280271215927),
+    (1.3729839356884521, 1.5860526361821297, -0.5108770569227357, 0.4909452601229054, -1.3035628847008276, -0.5242791722733577),
+    (0.45861162104083064, -0.8328574780454323, -1.6007102430750768, 0.5562154076194297, -1.973819989917879, -0.6871101837321816),
+    (1.5760134838343278, 1.918056020079506, -0.710742275251369, 1.2364507336588662, -1.8920177643207428, -0.8881086977497583),
+    (0.7517492571823214, 1.9818098200837064, -1.7802192557628302, 1.9600447099190759, -1.478222272370577, -0.62741869967351),
+    (1.8742420951596617, -0.2867913887499287, 0.7365679655465045, 1.79729643062347, -1.3284946542304157, -0.4930649573490289),
+    (0.9048100229075207, -0.04420534828782552, 0.21702441849500165, 1.9403425137862662, -1.232578061768165, -0.5461928688656992),
+]
+
+
+@pytest.mark.parametrize("coeffs", REFUSED_SEXTICS)
+def test_provider_refuses_ill_conditioned_points(coeffs):
+    theta = ThetaUni(coeffs)
+    st = stats_from_moments([1.0] * 6)
+    with pytest.raises(ToleranceNotMet):
+        UniHoloProvider().derivs(theta, 6)
+    with pytest.raises(ToleranceNotMet):
+        loglik_and_grad(theta, st)
+    with pytest.raises(ToleranceNotMet):
+        fisher_info(theta)
+
+
+def test_provider_keeps_last_good_state_after_refusal():
+    provider = UniHoloProvider()
+    good = ThetaUni((-0.5, 1.0, 0.5, 1.0, -1.0, -0.5))
+    before = provider.derivs(good, 6)
+    with pytest.raises(ToleranceNotMet):
+        provider.derivs(ThetaUni(REFUSED_SEXTICS[0]), 6)
+    np.testing.assert_array_equal(provider.derivs(good, 6), before)
 
 
 def test_select_order_exponential_data():
