@@ -37,6 +37,7 @@ from .errors import (
     NotConverged,
     OnDiscriminant,
     PolynomialError,
+    SingularInformation,
     ToleranceNotMet,
     TransportError,
 )
@@ -236,6 +237,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         stats = suff_stats(sample, args.d, _SUPPORTS[args.mode])
     result = fit_mle(stats, args.d)
+    try:
+        standard_errors = _float_list(result.standard_errors(stats.n))
+    except SingularInformation:
+        standard_errors = None  # the Fisher matrix at the estimate is not positive definite
     out = {
         "mode": args.mode,
         "d": args.d,
@@ -244,7 +249,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "loglik_bar": result.loglik_bar,
         "grad_norm": result.grad_norm,
         "fisher": [_float_list(row) for row in result.fisher],
-        "standard_errors": _float_list(result.standard_errors(stats.n)),
+        "standard_errors": standard_errors,
         "iterations": result.iterations,
         "converged": result.converged,
         "hit_boundary": result.hit_boundary,

@@ -148,7 +148,20 @@ class FitResult:
     hit_boundary: bool
 
     def standard_errors(self, n: int) -> np.ndarray:
-        """Asymptotic standard errors diag(I^-1 / n)^(1/2)."""
+        """Asymptotic standard errors diag(I^-1 / n)^(1/2).
+
+        Raises `SingularInformation` when the Fisher matrix is not positive
+        definite, where the asymptotic variances do not exist.
+        """
+        try:
+            factor = np.linalg.cholesky(self.fisher)
+        except np.linalg.LinAlgError:
+            factor = None
+        if factor is None or not np.all(np.isfinite(factor)):
+            raise SingularInformation(
+                "Fisher information at the estimate is not positive definite; "
+                "standard errors are undefined"
+            )
         inv = np.linalg.inv(self.fisher)
         return np.sqrt(np.diag(inv) / n)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -96,10 +97,20 @@ def test_fit_empty_csv(capsys, tmp_path):
 def test_fit_boundary_data_exit_code(capsys, tmp_path):
     # overdispersed sample: quadratic MLE sits on the boundary
     csv = write_sample(tmp_path, [0.05, 0.2, 2.75])
-    code, out, _ = run(capsys, ["fit", csv, "--d", "2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["fit", csv, "--d", "2"])
+    # strict JSON: NaN or Infinity in the output is an error
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == 3
     assert out["converged"] is False
     assert out["hit_boundary"] is True
+    # the Fisher matrix there is not positive definite
+    assert out["standard_errors"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in CLI output")
 
 
 def test_order_selects_cubic(capsys, tmp_path):

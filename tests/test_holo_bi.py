@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exppoly.domain import ThetaBi
+from exppoly import _ode, holo_uni
+from exppoly.domain import Support, ThetaBi, ThetaUni, monomials_bi
 from exppoly.errors import (
     AxisOutsideDomain,
+    InconsistentExtension,
     InputError,
     NonPositiveScale,
     PathCrossesSingularity,
@@ -15,6 +19,7 @@ from exppoly.errors import (
 )
 from exppoly.holo_bi import (
     DerivTableBi,
+    _level_matrix,
     assemble_system,
     base_indices,
     boundary_consts,
@@ -24,8 +29,10 @@ from exppoly.holo_bi import (
     table_from_oracle,
     transport_bi,
 )
+from exppoly.holo_uni import OdeOptions, _extend, state_length
 from exppoly.oracle import quad_A_bi
 from exppoly.polyalg import discriminant
+from exppoly.verify import random_theta_bi_proper
 
 SQRT_PI = math.sqrt(math.pi)
 G13 = math.gamma(1.0 / 3.0) / 3.0
@@ -272,3 +279,234 @@ def test_table_validation():
     tab = DerivTableBi(th, full)
     with pytest.raises(AttributeError):
         tab.max_order = 5
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pfaffian_matrix_determinant_symbolic(d):
+    # det P = d^(d-2) D as polynomials in the top coefficients, with D the
+    # library's discriminant R(p, p')/lead(p); backs pfaffian_det and the
+    # transport RHS, which build P with the same closed form
+    import sympy
+
+    top = sympy.symbols(f"t0:{d + 1}")  # (theta_d0, ..., theta_0d)
+    a = sympy.Symbol("a")
+    p = sum(top[c] * a ** (d - c) for c in range(d + 1))
+    disc = sympy.cancel(sympy.resultant(p, sympy.diff(p, a), a) / top[0])
+    det = sympy.Matrix(_level_matrix(top, 2 * d - 3)).det()
+    assert sympy.expand(det - d ** (d - 2) * disc) == 0
+    point = (-1.3, 0.4, -0.7, 0.9)[: d + 1]
+    assert float(disc.subs(dict(zip(top, point)))) == pytest.approx(
+        discriminant(point), rel=1e-12
+    )
+
+
+# ------------------------------------------------- least-squares reference
+# The level solve the engine used before its square-window plan: every
+# level matrix rebuilt inside every right-hand side evaluation and the
+# over-determined levels solved by least squares.  The engine must agree
+# with it to a tolerance, not bitwise: window solves round differently and
+# meet integrator trial stages, which sit slightly off the holonomic
+# manifold, differently.
+
+
+def _ref_level_system(d, k, theta_map, T, ax, ay):
+    """All 2(q+1) equations for the order-k diagonal X[col] = T[k-col, col]."""
+    q = k - d + 1
+    mat = np.zeros((2 * (q + 1), k + 1))
+    rhs = np.zeros(2 * (q + 1))
+    interior = [(i, j) for (i, j) in monomials_bi(d) if 2 <= i + j <= d - 1]
+    for r in range(q + 1):
+        s, t = q - r, r
+        for i in range(1, d + 1):
+            mat[r, t + d - i] = i * theta_map[(i, d - i)]
+        acc = ay[t] if s == 0 else 0.0
+        if s >= 1:
+            acc += s * T[s - 1, t]
+        acc += theta_map[(1, 0)] * T[s, t]
+        for i, j in interior:
+            if i >= 1:
+                acc += i * theta_map[(i, j)] * T[s + i - 1, t + j]
+        rhs[r] = -acc
+        for j in range(1, d + 1):
+            mat[q + 1 + r, t + j - 1] = j * theta_map[(d - j, j)]
+        acc = ax[s] if t == 0 else 0.0
+        if t >= 1:
+            acc += t * T[s, t - 1]
+        acc += theta_map[(0, 1)] * T[s, t]
+        for i, j in interior:
+            if j >= 1:
+                acc += j * theta_map[(i, j)] * T[s + i, t + j - 1]
+        rhs[q + 1 + r] = -acc
+    return mat, rhs
+
+
+def _ref_extend(d, T, lo, hi, theta_map, ax, ay):
+    for k in range(lo, hi + 1):
+        mat, rhs = _ref_level_system(d, k, theta_map, T, ax, ay)
+        X = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        for col in range(k + 1):
+            T[k - col, col] = X[col]
+
+
+def _ref_transport(table, theta):
+    """Base entries of the table moved to theta with the reference solve."""
+    d = theta.d
+    monos = monomials_bi(d)
+    src = table.theta.as_vector()
+    h = theta.as_vector() - src
+    base = base_indices(d)
+    nb, L = len(base), state_length(d)
+    M_tab, M_ax = 3 * d - 4, max(L - 1 + d, 2 * d - 3)
+    x_idx = [monos.index((i, 0)) for i in range(1, d + 1)]
+    y_idx = [monos.index((0, j)) for j in range(1, d + 1)]
+    axes = [holo_uni.state_at(ThetaUni([src[m] for m in idx])).F.tolist() for idx in (x_idx, y_idx)]
+    y0 = [table.values[ij] for ij in base] + axes[0] + axes[1]
+
+    def rhs(s, y):
+        c = src + s * h
+        ax = _extend([c[m] for m in x_idx], Support.HALF_LINE, y[nb : nb + L], M_ax)
+        ay = _extend([c[m] for m in y_idx], Support.HALF_LINE, y[nb + L :], M_ax)
+        T = np.zeros((M_tab + 1, M_tab + 1))
+        for n, (i, j) in enumerate(base):
+            T[i, j] = y[n]
+        _ref_extend(d, T, 2 * d - 3, M_tab, dict(zip(monos, c)), ax, ay)
+        dy = [sum(h[m] * T[i + a, j + b] for m, (a, b) in enumerate(monos)) for i, j in base]
+        dy += [sum(h[x_idx[i - 1]] * ax[m + i] for i in range(1, d + 1)) for m in range(L)]
+        dy += [sum(h[y_idx[j - 1]] * ay[m + j] for j in range(1, d + 1)) for m in range(L)]
+        return dy
+
+    yf, _ = _ode.dopri45(rhs, y0, OdeOptions().rel_tol)
+    return dict(zip(base, yf))
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4])
+def reference_points(request):
+    """Ten seeded proper points per degree: (theta, transported table, reference base)."""
+    d = request.param
+    rng = np.random.default_rng(20261018 + d)
+    out = []
+    for _ in range(10):
+        theta = random_theta_bi_proper(rng, d)
+        top = theta.top_coeffs()
+        start = initial_state_bi(d, abs(top[0]), abs(top[-1]))
+        out.append((theta, transport_bi(start, theta), _ref_transport(start, theta)))
+    return out
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def test_transport_matches_lstsq_reference(reference_points):
+    for theta, moved, ref in reference_points:
+        worst = max(_rel(moved.entry(*ij), v) for ij, v in ref.items())
+        assert worst <= 1e-9, theta
+
+
+def test_extend_matches_lstsq_reference(reference_points):
+    # both extend the same transported table: the extension amplifies a
+    # difference in A (about 1e-11 between the two transports) up to 2e4
+    # times by order 2d at some of these points, with either solve
+    for theta, moved, _ in reference_points:
+        d = theta.d
+        table = extend_table(moved, 2 * d)
+        T = np.zeros((2 * d + 1, 2 * d + 1))
+        for (i, j), v in moved.values.items():
+            T[i, j] = v
+        ax, ay = boundary_consts(theta, d + 1)
+        _ref_extend(d, T, 2 * d - 3, 2 * d, theta.coeffs, ax, ay)
+        worst = max(_rel(v, T[i, j]) for (i, j), v in table.values.items())
+        assert worst <= 1e-9, theta
+
+
+def test_every_level_row_holds(reference_points):
+    # the windows leave some rows of each level unused; they hold anyway
+    for theta, moved, _ in reference_points:
+        d = theta.d
+        table = extend_table(moved, 2 * d)
+        T = np.zeros((2 * d + 1, 2 * d + 1))
+        for (i, j), v in table.values.items():
+            T[i, j] = v
+        ax, ay = boundary_consts(theta, d + 1)
+        for k in range(2 * d - 3, 2 * d + 1):
+            mat, rhs = _ref_level_system(d, k, theta.coeffs, T, ax, ay)
+            X = np.array([T[k - c, c] for c in range(k + 1)])
+            size = np.abs(mat) @ np.abs(X) + np.abs(rhs)
+            assert np.all(np.abs(mat @ X - rhs) <= 1e-8 * size), (theta, k)
+
+
+def test_extend_rejects_inconsistent_table():
+    # the base entries of a cubic table are not free: one off by 1 % leaves
+    # the over-determined levels without a common solution
+    th = ThetaBi(3, {(3, 0): -1.0, (0, 3): -1.5, (2, 1): -0.3, (1, 0): 0.5, (0, 1): -0.2})
+    moved = transport_bi(initial_state_bi(3, 1.0, 1.5), th)
+    assert extend_table(moved, 6).max_order == 6
+    bad = dict(moved.values)
+    bad[(1, 1)] *= 1.01
+    with pytest.raises(InconsistentExtension):
+        extend_table(DerivTableBi(th, bad, 0.0, moved.axes), 6)
+
+
+def test_axis_states_are_reused(monkeypatch):
+    th = ThetaBi(3, {(3, 0): -1.0, (0, 3): -1.5, (2, 1): -0.3, (1, 0): 0.5, (0, 1): -0.2})
+    moved = transport_bi(initial_state_bi(3, 1.0, 1.5), th)
+    assert moved.axes is not None and moved.axes.opts == OdeOptions()
+    bare = DerivTableBi(th, moved.values, moved.last_transport_error)
+    fresh = extend_table(bare, 6)
+    ax_fresh, _ = boundary_consts(th, 4)
+    calls = []
+    real = holo_uni.state_at
+    monkeypatch.setattr(holo_uni, "state_at", lambda *a, **k: calls.append(a) or real(*a, **k))
+    reused = extend_table(moved, 6)
+    ax, _ = boundary_consts(moved, 4)
+    assert calls == []
+    # same bits as transporting the axes again from their gamma points
+    assert reused.values == fresh.values
+    np.testing.assert_array_equal(ax, ax_fresh)
+    assert reused.axes is moved.axes
+    # other options: the carried states are not theirs, so fresh ones
+    extend_table(moved, 6, OdeOptions(rel_tol=1e-12))
+    assert len(calls) == 2
+
+
+def test_axis_states_must_match_theta():
+    th = ThetaBi(2, {(2, 0): -1.0, (1, 1): -0.5, (0, 2): -2.0})
+    moved = transport_bi(initial_state_bi(2, 1.0, 2.0), th)
+    with pytest.raises(InputError):
+        DerivTableBi(th.transpose(), moved.values, 0.0, moved.axes)
+
+
+@st.composite
+def proper_theta_bi(draw):
+    """Proper parameters of degree 2..4, drawn like `random_theta_bi_proper`."""
+    d = draw(st.integers(2, 4))
+    coeffs = {
+        (i, j): draw(st.floats(-1.0, 1.0)) for (i, j) in monomials_bi(d) if i + j < d
+    }
+    if d == 2:
+        c20, c02 = -draw(st.floats(0.4, 2.5)), -draw(st.floats(0.4, 2.5))
+        c11 = draw(st.floats(-0.9, 0.9)) * 2.0 * math.sqrt(c20 * c02)
+        coeffs.update({(2, 0): c20, (1, 1): c11, (0, 2): c02})
+    else:
+        lead = draw(st.floats(1.0, 2.0))
+        for j in range(d + 1):
+            axis = j in (0, d)
+            coeffs[(d - j, j)] = -lead if axis else draw(st.floats(-0.3, 0.3)) * lead
+    return ThetaBi(d, coeffs)
+
+
+@settings(max_examples=25)
+@given(proper_theta_bi())
+def test_transpose_symmetry_property(th):
+    # transport to theta and to its transpose from the mirrored product
+    # point; the square level 2d-3 is included, where the two solves see
+    # mirrored windows
+    d = th.d
+    top = th.top_coeffs()
+    order = 2 * d - 3
+    tab = extend_table(transport_bi(initial_state_bi(d, -top[0], -top[-1]), th), order)
+    tab_t = extend_table(
+        transport_bi(initial_state_bi(d, -top[-1], -top[0]), th.transpose()), order
+    )
+    for (i, j), v in tab.values.items():
+        assert v == pytest.approx(tab_t.entry(j, i), rel=1e-8), (i, j)
