@@ -1,29 +1,34 @@
 """Initial-value integrators for transport along parameter segments.
 
-Two modes, both propagating y' = f(s, y) across s in [0, 1]:
+Three modes, each propagating y' = f(s, y) across s in [0, 1]:
 
 * classical fixed-step fourth-order Runge-Kutta with a Richardson error
-  estimate from a half-resolution rerun, and
-* an embedded Dormand-Prince 5(4) pair with proportional step control.
+  estimate from a half-resolution rerun (``method="rk4"``, both engines);
+* an embedded Dormand-Prince 5(4) pair with proportional step control (the
+  bivariate engine's adaptive mode);
+* Taylor-series stepping from exactly computed coefficients, with the step
+  chosen from the last coefficients (the univariate engine's adaptive mode,
+  whose system supplies its own coefficient recursion).
 
-The right-hand sides here are smooth and cheap, so a hand-rolled pair keeps
-per-transport overhead far below a generic solver while staying fully
+The right-hand sides here are smooth and cheap, so hand-rolled integrators
+keep per-transport overhead far below a generic solver while staying fully
 deterministic.
 
 The stages run on lists of Python floats, not numpy arrays.  A univariate
 state has 2 to 5 entries and a bivariate one (table plus both axis states) 5
 to 21, so an array operation would cost its call overhead and almost nothing
-else, and a step needs dozens of them.  Each stage is written out as one
-expression per component, with the operations in the order of the array
-form ``y + h * sum(a_i * k_i)``, so the results agree with that form to the
-last bit (tests/test_ode.py keeps it as the reference).  ``f`` receives a
-list and may return any sequence of floats; an ndarray is converted to a
-list once per evaluation.
+else, and a step needs dozens of them.  Each Runge-Kutta stage is written
+out as one expression per component, with the operations in the order of
+the array form ``y + h * sum(a_i * k_i)``, so the results agree with that
+form to the last bit (tests/test_ode.py keeps it as the reference).  ``f``
+receives a list and may return any sequence of floats; an ndarray is
+converted to a list once per evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -182,3 +187,73 @@ def dopri45(
                 callback(s, y)
         h *= min(5.0, max(0.2, 0.9 * (max(ratio, 1e-10)) ** -0.2))
     raise OdeDivergence(f"adaptive transport exceeded {max_steps} steps")
+
+
+_EPS = 2.0**-52
+# Taylor steps stop short of the step whose last terms reach rtol |y|; at
+# order 24 the factor puts them about 200 times below it.
+_SAFETY = 0.8
+
+
+def taylor(
+    series: Callable[[float, list, float], list],
+    y0: Sequence[float],
+    rtol: float,
+    max_steps: int = 200_000,
+) -> tuple[list[float], float]:
+    """Taylor-series stepping over [0, 1]; returns (y(1), error estimate).
+
+    ``series(s, y, H)`` returns the rows a_0 = y, a_1, ..., a_N of the
+    Taylor coefficients of the solution through (s, y) in t = (s' - s) / H,
+    so that y(s + t H) is the sum of a_n t^n.  H is the previous step (1 at
+    first), which keeps the rows within range where the solution grows or
+    decays by many orders of magnitude.
+
+    Each step is chosen after its coefficients are known, from the last two
+    rows (two, because a parity can zero every other one): t is `_SAFETY`
+    times the largest step at which each of them contributes at most rtol |y|.
+    The step's error is the larger of those two terms (the truncation tail)
+    plus eps times the largest term (rounding).  While it exceeds rtol times
+    the new |y|, which caps the step wherever a term would dwarf the sum, t
+    is halved.  The estimate adds the steps' errors, each relative to the
+    smaller of |y| after that step and at s = 1: an error is assumed to grow
+    with the solution but not to decay with it.  Non-finite coefficients
+    raise `OdeDivergence`, as does a step budget exhausted before s = 1.
+    """
+    y = [float(v) for v in y0]
+    if not y:
+        return y, 0.0
+    s = 0.0
+    H = 1.0
+    errors = []  # (error, |y| after the step)
+    while s < 1.0:
+        if len(errors) == max_steps:
+            raise OdeDivergence(f"Taylor transport exceeded {max_steps} steps")
+        rows = series(s, y, H)
+        N = len(rows) - 1
+        norms = [sum(map(abs, row)) for row in rows]
+        if not math.isfinite(sum(norms)):
+            raise OdeDivergence(f"non-finite Taylor coefficients at s = {s:.6g}")
+        tol = rtol * max(map(abs, y))
+        t_end = (1.0 - s) / H
+        t = t_end
+        for n in (N - 1, N):
+            if norms[n] > 0.0:
+                t = min(t, _SAFETY * (tol / norms[n]) ** (1.0 / n))
+        cols = list(zip(*rows))
+        while True:
+            if t * H < 1e-14:
+                raise OdeDivergence("step size underflow in Taylor transport")
+            powers = [t**n for n in range(N + 1)]
+            y_new = [math.fsum(map(mul, col, powers)) for col in cols]
+            terms = list(map(mul, norms, powers))
+            err = max(terms[N - 1], terms[N]) + _EPS * max(terms)
+            ymag = max(max(map(abs, y_new)), 1e-300)
+            if err <= rtol * ymag and math.isfinite(ymag):
+                break
+            t *= 0.5
+        errors.append((err, ymag))
+        s = 1.0 if t == t_end else s + t * H
+        H = t * H
+        y = y_new
+    return y, sum(e / min(m, ymag) for e, m in errors)

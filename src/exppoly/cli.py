@@ -115,9 +115,7 @@ def _require_integrable_uni(theta: ThetaUni) -> None:
     if cls.membership is not Membership.OUTSIDE:
         return
     coeffs = theta.coeffs
-    k = len(coeffs)
-    while k > 0 and coeffs[k - 1] == 0.0:
-        k -= 1
+    k = cls.leading_order
     if k == 0:
         raise DomainError("all coefficients are zero; the density is not normalizable")
     if coeffs[k - 1] > 0.0:
@@ -240,7 +238,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         standard_errors = _float_list(result.standard_errors(stats.n))
     except SingularInformation:
-        standard_errors = None  # the Fisher matrix at the estimate is not positive definite
+        standard_errors = None  # the Fisher matrix is not positive definite, or not determined
     out = {
         "mode": args.mode,
         "d": args.d,

@@ -81,6 +81,9 @@ class Classification:
     # Effective order k: index of the last non-zero coefficient.  Equals d in
     # the interior, k < d on a boundary stratum, None outside.
     effective_order: int | None
+    # The same index wherever theta lies (0 when every coefficient is zero),
+    # so a caller can say why a parameter is outside.
+    leading_order: int = 0
 
     @property
     def is_interior(self) -> bool:
@@ -97,16 +100,14 @@ def classify_theta_uni(theta: ThetaUni) -> Classification:
     k = len(coeffs)
     while k > 0 and coeffs[k - 1] == 0.0:
         k -= 1
-    if k == 0:
-        return Classification(Membership.OUTSIDE, None)
-    if coeffs[k - 1] > 0.0:
-        return Classification(Membership.OUTSIDE, None)
+    if k == 0 or coeffs[k - 1] > 0.0:
+        return Classification(Membership.OUTSIDE, None, k)
     if theta.support is Support.REAL_LINE and k % 2 != 0:
         # A negative odd leading term still diverges as x -> -infinity.
-        return Classification(Membership.OUTSIDE, None)
+        return Classification(Membership.OUTSIDE, None, k)
     if k == len(coeffs):
-        return Classification(Membership.INTERIOR, k)
-    return Classification(Membership.BOUNDARY, k)
+        return Classification(Membership.INTERIOR, k, k)
+    return Classification(Membership.BOUNDARY, k, k)
 
 
 def effective_theta(theta: ThetaUni) -> ThetaUni:

@@ -7,8 +7,12 @@ theta_1 direction, and integration by parts closes those derivatives into a
 finite-dimensional recursion.  A state vector of low-order theta_1-derivatives
 is therefore enough to reconstruct all of them, and moving theta along a
 segment turns the recursion into a linear ODE for the state (gradient
-transport).  Starting values come from the one-parameter scale family
-(0, ..., 0, -c), where everything reduces to gamma functions.
+transport).  The same recursion, applied to Taylor coefficients, gives the
+state's power series along the segment exactly, so adaptive transport steps
+by Taylor series of a fixed order (`_TAYLOR_ORDER`); its first coefficient
+is the right-hand side the fixed-step RK4 mode integrates.  Starting values
+come from the one-parameter scale family (0, ..., 0, -c), where everything
+reduces to gamma functions.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from .errors import (
 class OdeOptions:
     """Transport integrator settings.
 
-    method: "adaptive" (embedded 5(4) pair, default) or "rk4" (fixed step).
+    method: "adaptive" (default: Taylor series steps for univariate
+        transport, the embedded Dormand-Prince 5(4) pair for bivariate) or
+        "rk4" (fixed step).
     rel_tol: per-step relative tolerance for the adaptive method.
     step_density: fixed-mode steps per unit euclidean parameter distance.
     max_steps: adaptive-mode step budget before giving up.
@@ -57,6 +63,12 @@ class OdeOptions:
             raise InputError("step_density must be positive")
 
 
+# Order of the Taylor series that adaptive transport steps by: high enough
+# that a segment takes a few steps, low enough that a coefficient row (about
+# 3d^2 products) stays cheap next to the step it saves.
+_TAYLOR_ORDER = 24
+
+
 def state_length(d: int) -> int:
     """Entries kept in the transported state.
 
@@ -72,9 +84,10 @@ class HoloStateUni:
 
     Entries at indices >= d-1 are redundant (the recursion reproduces them);
     they are kept so the state always exposes at least A and its first
-    derivative directly.  `last_transport_error` is the integrator's
-    accumulated relative error estimate for the move that produced the state
-    (zero for freshly initialized states).
+    derivative directly.  `last_transport_error` is the relative error
+    estimate of the state: the integrator's for the move that produced it
+    from `transport`, the full `state_at` estimate for a state from there,
+    and zero for freshly initialized states.
     """
 
     __slots__ = ("theta", "F", "last_transport_error")
@@ -143,25 +156,103 @@ def _extend(coeffs: Sequence[float], support: Support, base: Sequence[float], M:
     line, the sum over k = 1..d-1.
     """
     d = len(coeffs)
-    lead = d * coeffs[-1]
-    if lead == 0.0:
-        raise SingularLeadingCoefficient(
-            f"leading coefficient is zero at order {d}; extension undefined"
-        )
-    inhom = 1.0 if support is Support.HALF_LINE else 0.0
+    lead = _lead(coeffs)
     vals = [0.0] * (M + 1)
     n_base = min(d - 1, M + 1)
     vals[:n_base] = [float(v) for v in base[:n_base]]
-    # (k-1, k*theta_k) for the nonzero lower coefficients
-    terms = [(k - 1, k * ck) for k, ck in enumerate(coeffs[: d - 1], 1) if ck != 0.0]
-    for m in range(M - d + 2):
-        acc = inhom if m == 0 else 0.0
-        if m >= 1:
-            acc += m * vals[m - 1]
-        for i, kc in terms:
-            acc += kc * vals[i + m]
-        vals[d - 1 + m] = -acc / lead
+    carry = [0.0] * max(M - d + 2, 0)
+    if carry:
+        carry[0] = _inhom(support)
+    _close(vals, d, lead, _weights(coeffs), carry)
     return vals
+
+
+def _lead(coeffs: Sequence[float]) -> float:
+    lead = len(coeffs) * coeffs[-1]
+    if lead == 0.0:
+        raise SingularLeadingCoefficient(
+            f"leading coefficient is zero at order {len(coeffs)}; extension undefined"
+        )
+    return lead
+
+
+def _inhom(support: Support) -> float:
+    return 1.0 if support is Support.HALF_LINE else 0.0
+
+
+def _weights(coeffs: Sequence[float]) -> list[tuple[int, float]]:
+    """(k-1, k*theta_k) for the nonzero lower coefficients."""
+    return [(k - 1, k * ck) for k, ck in enumerate(coeffs[:-1], 1) if ck != 0.0]
+
+
+def _close(
+    row: list[float], d: int, lead: float, terms: list[tuple[int, float]], carry: Sequence[float]
+) -> None:
+    """Fill row[d-1:] from row[:d-1] by the recursion, in place.
+
+    Equation m reads lead*row[d-1+m] = -(carry[m] + m*row[m-1] + sum of the
+    `terms` weights times row[k-1+m]); `_extend` passes the boundary term as
+    carry[0], `_series` the shifted products of the previous coefficient row.
+    """
+    for m in range(len(row) - d + 1):
+        acc = carry[m]
+        if m >= 1:
+            acc += m * row[m - 1]
+        for i, kc in terms:
+            acc += kc * row[i + m]
+        row[d - 1 + m] = -acc / lead
+
+
+def _series(
+    coeffs: Sequence[float], h: Sequence[float], inhom: float, y: Sequence[float], order: int
+) -> list[list[float]]:
+    """Taylor coefficients in sigma of the entries F[0..len(y)-1] at coeffs + sigma*h.
+
+    Row n holds a[m][n], the sigma^n coefficient of F[m], for the len(y)
+    carried entries; row 0 is y.  Moving along h differentiates as
+    dF[m]/dsigma = sum_k h_k F[m+k], so
+
+        (n+1) a[m][n+1] = sum_k h_k a[m+k][n],
+
+    and the entries from d-1 on follow from `_extend`'s recursion applied
+    coefficient by coefficient.  theta(sigma) is linear in sigma, so every
+    weight k*theta_k, the leading d*theta_d included, adds one shifted product
+    k*h_k*a[.][n-1] to the equation at order n; the leading factor stays
+    d*theta_d at sigma = 0, so no series is divided.  Row 1 is the transport
+    right-hand side.
+    """
+    d = len(coeffs)
+    lead = _lead(coeffs)
+    terms = _weights(coeffs)
+    kh = [k * hk for k, hk in enumerate(h, 1)]
+    n_y = len(y)
+    n_eq = n_y + 1  # equations m = 0..n_y fill F[d-1..n_y-1+d]
+    fill = [0.0] * n_eq
+    rows = [list(y)]
+    row = [*y[: d - 1], *fill]
+    carry = [inhom, *fill[1:]]
+    for n in range(1, order + 1):
+        _close(row, d, lead, terms, carry)
+        nxt = [sum(map(mul, h, row[m + 1 : m + 1 + d])) / n for m in range(n_y)]
+        rows.append(nxt)
+        if n < order:
+            carry = [sum(map(mul, kh, row[m : m + d])) for m in range(n_eq)]
+            row = [*nxt[: d - 1], *fill]
+    return rows
+
+
+def _segment_series(src: ThetaUni, target: ThetaUni, order: int):
+    """`_series` along the segment from src to target, as a function of
+    (s, y, H): the coefficients in t of the entries at theta(s + t H)."""
+    src_coeffs = src.coeffs
+    h = (np.array(target.coeffs) - np.array(src_coeffs)).tolist()
+    inhom = _inhom(src.support)
+
+    def series(s: float, y: Sequence[float], H: float = 1.0) -> list[list[float]]:
+        theta_s = [c + s * hk for c, hk in zip(src_coeffs, h)]
+        return _series(theta_s, [H * hk for hk in h], inhom, y, order)
+
+    return series
 
 
 def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
@@ -176,12 +267,36 @@ def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
     return np.array(_extend(state.theta.coeffs, state.support, state.F, M))
 
 
+def derivative_bounds(state: HoloStateUni, M: int) -> np.ndarray:
+    """Absolute error bounds of `extend_derivatives(state, M)`.
+
+    The free entries F[0..d-2] are good to `last_transport_error` relative to
+    the largest of them; the recursion carries their errors to every higher
+    order with the absolute values of its weights and divides by |d*theta_d|
+    each time, which is how the higher orders lose their digits near the
+    boundary theta_d -> 0 while A keeps them.
+    """
+    if M < 0:
+        raise InputError("derivative order must be nonnegative")
+    coeffs = state.theta.coeffs
+    d = len(coeffs)
+    n_base = min(d - 1, M + 1)
+    gain = [1.0] * n_base + [0.0] * (M + 1 - n_base)
+    weights = [(i, abs(kc)) for i, kc in _weights(coeffs)]
+    _close(gain, d, -abs(_lead(coeffs)), weights, [0.0] * max(M - d + 2, 0))
+    scale = state.last_transport_error * float(np.max(np.abs(state.F[: d - 1]), initial=0.0))
+    return scale * np.array(gain)
+
+
 def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = None) -> HoloStateUni:
     """Move the state along the straight segment to `target`.
 
     Both endpoints must be interior (negative leading coefficient); since the
     leading coefficient is linear along the segment, the whole path is then
-    interior as well.
+    interior as well.  The adaptive method steps the d-1 free entries by
+    Taylor series (`_ode.taylor`); "rk4" integrates the whole state with the
+    series' first coefficients as right-hand side.  At d = 1 nothing is free,
+    and the state follows from the recursion at the target.
     """
     if opts is None:
         opts = OdeOptions()
@@ -200,24 +315,17 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
 
     d = src.d
     L = state_length(d)
-    support = src.support
-    src_coeffs = src.coeffs
-    M = L - 1 + d
-    h_list = h.tolist()
-
-    def rhs(s: float, y: list[float]) -> list[float]:
-        vals = _extend([c + s * hk for c, hk in zip(src_coeffs, h_list)], support, y, M)
-        return [sum(map(mul, h_list, vals[m : m + d])) for m in range(1, L + 1)]
-
     if opts.method == "rk4":
         n_steps = max(2, math.ceil(opts.step_density * seg_len))
-        F, est = _ode.rk4_with_estimate(rhs, state.F, n_steps)
+        rhs = _segment_series(src, target, 1)
+        F, est = _ode.rk4_with_estimate(lambda s, y: rhs(s, y)[1], state.F, n_steps)
     else:
-        F, est = _ode.dopri45(rhs, state.F, opts.rel_tol, opts.max_steps)
+        series = _segment_series(src, target, _TAYLOR_ORDER)
+        F, est = _ode.taylor(series, state.F[: d - 1], opts.rel_tol, opts.max_steps)
 
     # Re-derive the redundant tail entries so the final state satisfies the
     # recursion exactly at the target point.
-    vals = _extend(target.coeffs, support, F, L - 1)
+    vals = _extend(target.coeffs, target.support, F, L - 1)
     return HoloStateUni(target, np.array(vals), est)
 
 
@@ -243,14 +351,47 @@ def transport_condition(coeffs: Sequence[float], A: float) -> float:
     """
     if not (math.isfinite(A) and A > 0.0):
         return math.inf
-    d = len(coeffs)
-    dg = [(k + 1) * float(coeffs[k]) for k in range(d)]
-    roots = np.roots(dg[::-1])
-    if roots.size == 0:
+    points = _stationary_points([float(c) for c in coeffs])
+    if not points:
         return 1.0
-    g_desc = np.concatenate((np.asarray(coeffs, dtype=float)[::-1], [0.0]))
-    kappa = float(np.max(np.polyval(g_desc, roots).real))
+    kappa = max(_exponent(coeffs, z).real for z in points)
     return math.exp(min(max(kappa - math.log(A), 0.0), 700.0))
+
+
+def _stationary_points(coeffs: list[float]) -> list[complex]:
+    """Roots of g' = sum_k k*theta_k x^(k-1).
+
+    Linear and quadratic g' are solved in closed form (a complex pair by one
+    member: Re g agrees on both); higher degrees take the eigenvalues of the
+    companion matrix, as `np.roots` would.
+    """
+    dg = [k * c for k, c in enumerate(coeffs, 1)]
+    while dg and dg[-1] == 0.0:
+        dg.pop()
+    n = len(dg) - 1
+    if n <= 0:
+        return []
+    if n == 1:
+        return [-dg[0] / dg[1]]
+    if n == 2:
+        c, b, a = dg
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return [complex(-b / (2.0 * a), math.sqrt(-disc) / (2.0 * a))]
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return [q / a, c / q] if q != 0.0 else [0.0]
+    companion = np.zeros((n, n))
+    companion[0, :] = [-v / dg[n] for v in dg[n - 1 :: -1]]
+    companion[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(companion).tolist()
+
+
+def _exponent(coeffs: Sequence[float], z: complex) -> complex:
+    """g(z) = theta_1 z + ... + theta_d z^d by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = (acc + c) * z
+    return acc
 
 
 def state_at(
@@ -268,7 +409,8 @@ def state_at(
     result is not finite, or the homogeneous solutions of the system dwarf A,
     the transport is retried from the gamma point at tight tolerance, and
     parameters whose condition exceeds what double precision can cancel are
-    refused rather than answered with noise.
+    refused rather than answered with noise.  The estimate includes the
+    start's own estimate, scaled up where the state shrinks along the way.
     """
     if not isinstance(theta, ThetaUni):
         theta = ThetaUni(theta, support)
@@ -278,15 +420,15 @@ def state_at(
     eff = effective_theta(theta)
     if start is not None and start.theta == eff:
         return start
-    gamma = initial_state(eff.d, abs(eff.coeffs[-1]), eff.support)
     if start is None or start.d != eff.d or start.support is not eff.support:
-        start = gamma
+        start = _gamma_state(eff)
     if opts is None:
         opts = OdeOptions()
     moved = transport(start, eff, opts)
     cond = _condition(moved)
     if cond > _COND_DIRECT and opts.method == "adaptive" and _RETRY_TOL < opts.rel_tol:
-        moved = transport(gamma, eff, OdeOptions(rel_tol=_RETRY_TOL, max_steps=opts.max_steps))
+        start = _gamma_state(eff)
+        moved = transport(start, eff, OdeOptions(rel_tol=_RETRY_TOL, max_steps=opts.max_steps))
         cond = _condition(moved)
     if cond > _COND_LIMIT:
         detail = (
@@ -299,15 +441,38 @@ def state_at(
             f"double-precision transport ({detail}); evaluate this point by "
             "quadrature instead"
         )
-    est = (moved.last_transport_error + _EPS) * cond
+    # the start's own error rides along, growing as the state shrinks
+    carried = start.last_transport_error * max(
+        1.0, float(np.max(np.abs(start.F)) / np.max(np.abs(moved.F)))
+    )
+    est = (moved.last_transport_error + _EPS) * cond + carried
     return HoloStateUni(moved.theta, moved.F, est)
 
 
+def _gamma_state(theta: ThetaUni) -> HoloStateUni:
+    """`initial_state` at the gamma point of theta's order, scale and support."""
+    return initial_state(theta.d, abs(theta.coeffs[-1]), theta.support)
+
+
 def _condition(state: HoloStateUni) -> float:
-    """`transport_condition` of a transported state; infinite unless finite."""
-    if not np.all(np.isfinite(state.F)):
+    """`transport_condition` of a transported state; infinite unless its
+    entries are finite and could be moments of a positive density."""
+    if not (np.all(np.isfinite(state.F)) and _moment_like(state.F.tolist(), state.support)):
         return math.inf
     return transport_condition(state.theta.coeffs, state.norm_const)
+
+
+def _moment_like(F: list[float], support: Support) -> bool:
+    """Positivity and Cauchy-Schwarz (F[m]^2 <= F[m-1] F[m+1]) of the entries.
+
+    Every moment of a positive density on the half line is positive, as is
+    every even one on the whole line; a transport swamped by a homogeneous
+    solution breaks these while its A may still look plausible.
+    """
+    first = 1 if support is Support.HALF_LINE else 2
+    if any(v <= 0.0 for v in F[::first]):
+        return False
+    return all(F[m] * F[m] <= F[m - 1] * F[m + 1] for m in range(1, len(F) - 1, first))
 
 
 def norm_const_and_derivs(

@@ -91,6 +91,18 @@ class UniHoloProvider:
     def refresh(self, theta: ThetaUni) -> None:
         self._state = holo_uni.state_at(theta, self.opts)
 
+    def fisher_bound(self, d: int) -> np.ndarray:
+        """Entrywise error bound of the order-d Fisher matrix at the committed state."""
+        derivs = extend_derivatives(self._state, 2 * d)
+        mom = np.abs(_uni_moments(derivs))
+        bounds = holo_uni.derivative_bounds(self._state, 2 * d)
+        dmom = (bounds + mom * bounds[0]) / derivs[0]
+        # entry (l, m) is E[X^(l+m)] - E[X^l] E[X^m], l, m = 1..d
+        low, dlow = mom[1 : d + 1], dmom[1 : d + 1]
+        return dmom[np.add.outer(np.arange(1, d + 1), np.arange(1, d + 1))] + (
+            np.outer(low, dlow) + np.outer(dlow, low)
+        )
+
 
 class BiHoloProvider:
     """Bivariate analogue of UniHoloProvider, carrying a derivative table."""
@@ -146,12 +158,16 @@ class FitResult:
     iterations: int
     converged: bool
     hit_boundary: bool
+    # entrywise error bound of `fisher`, where the engine provides one
+    fisher_bound: Optional[np.ndarray] = None
 
     def standard_errors(self, n: int) -> np.ndarray:
         """Asymptotic standard errors diag(I^-1 / n)^(1/2).
 
         Raises `SingularInformation` when the Fisher matrix is not positive
-        definite, where the asymptotic variances do not exist.
+        definite, where the asymptotic variances do not exist, and when its
+        error bound reaches its smallest eigenvalue, so that a singular
+        matrix is as consistent with the engine's moments as the computed one.
         """
         try:
             factor = np.linalg.cholesky(self.fisher)
@@ -160,6 +176,14 @@ class FitResult:
         if factor is None or not np.all(np.isfinite(factor)):
             raise SingularInformation(
                 "Fisher information at the estimate is not positive definite; "
+                "standard errors are undefined"
+            )
+        if self.fisher_bound is not None and np.linalg.norm(
+            self.fisher_bound, 2
+        ) >= np.linalg.eigvalsh(self.fisher)[0]:
+            raise SingularInformation(
+                "Fisher information at the estimate is not determined to working "
+                "accuracy (its error bound reaches its smallest eigenvalue); "
                 "standard errors are undefined"
             )
         inv = np.linalg.inv(self.fisher)
@@ -392,6 +416,7 @@ def fit_mle(
         iterations=iterations,
         converged=converged,
         hit_boundary=hit_boundary,
+        fisher_bound=provider.fisher_bound(d) if isinstance(provider, UniHoloProvider) else None,
     )
 
 

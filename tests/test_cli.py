@@ -57,6 +57,24 @@ def test_normconst_rejects_divergent(capsys):
     assert "theta_2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--theta", "0,0"], "all coefficients are zero; the density is not normalizable"),
+        (["--theta", "0,0,2,0"], "theta_3 = 2.0 must be negative (leading non-zero coefficient)"),
+        (
+            ["--theta", "1,-1,-1,0", "--mode", "realline"],
+            "theta_3 is the leading non-zero coefficient; whole-line integrability "
+            "requires an even leading order",
+        ),
+    ],
+)
+def test_normconst_divergent_messages(capsys, argv, message):
+    code, _, err = run(capsys, ["normconst", *argv])
+    assert code == 2
+    assert json.loads(err)["error"] == "DomainError: " + message
+
+
 def test_normconst_bivariate_theta_file(capsys, tmp_path):
     theta_file = tmp_path / "theta.json"
     theta_file.write_text(

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exppoly.domain import Support, ThetaUni
 from exppoly.errors import (
     DivergentIntegral,
     InputError,
     NonPositiveScale,
+    OdeDivergence,
     PathSingularity,
     ToleranceNotMet,
 )
 from exppoly.holo_uni import (
     OdeOptions,
+    derivative_bounds,
     extend_derivatives,
     initial_state,
     mixed_partial_index,
@@ -294,8 +298,107 @@ def test_state_at_moves_from_start():
     np.testing.assert_array_equal(state_at(target, start=other).F, state_at(target).F)
 
 
+def test_state_at_retries_state_that_is_not_moment_like():
+    # the segment from this start back to the gamma point turns the start's
+    # rounding (6e-14 relative) into an error of 5e3 relative although
+    # transport_condition is ~1 at both ends; the transported state has
+    # A > 0 but negative odd moments, so it is retried from the gamma point
+    # instead of being returned
+    via = state_at((0.0, 0.0, 0.0, -2.0, -0.5))
+    st = state_at((0.0, 0.0, 0.0, 0.0, -1.0), start=via)
+    want = [quad_moment_uni(st.theta, m) for m in range(4)]
+    np.testing.assert_allclose(st.F, want, rtol=1e-10)
+
+
 def test_state_at_retries_from_gamma_point_when_start_given():
     near = state_at((-0.6, 1.9, -1.7, -0.7))
     st = state_at(HARD_QUARTIC, start=near)
     np.testing.assert_array_equal(st.F, state_at(HARD_QUARTIC).F)
     assert abs(st.norm_const / HARD_QUARTIC_A - 1) <= 1e-7
+
+
+def _roots_condition(coeffs, A):
+    """`transport_condition` as first written, on `np.roots` and `np.polyval`."""
+    if not (math.isfinite(A) and A > 0.0):
+        return math.inf
+    dg = [(k + 1) * float(c) for k, c in enumerate(coeffs)]
+    roots = np.roots(dg[::-1])
+    if roots.size == 0:
+        return 1.0
+    g_desc = np.concatenate((np.asarray(coeffs, dtype=float)[::-1], [0.0]))
+    kappa = float(np.max(np.polyval(g_desc, roots).real))
+    return math.exp(min(max(kappa - math.log(A), 0.0), 700.0))
+
+
+def test_transport_condition_matches_roots_form():
+    rng = np.random.default_rng(20261018)
+    complex_seen = 0
+    for d in range(1, 8):
+        for i in range(300):
+            coeffs = rng.uniform(-2.0, 2.0, size=d) * rng.choice([0.2, 1.0, 4.0])
+            if i % 5 == 0:
+                coeffs[0] = 0.0  # a stationary point at the origin
+            if d == 3 and i % 7 == 0:
+                coeffs[-1] = 0.0  # g' of lower degree than d - 1
+            A = math.exp(rng.normal(0.0, 3.0))
+            dg = [(k + 1) * c for k, c in enumerate(coeffs)]
+            complex_seen += bool(np.any(np.abs(np.roots(dg[::-1]).imag) > 0))
+            want = _roots_condition(coeffs, A)
+            assert transport_condition(tuple(coeffs), A) == pytest.approx(want, rel=1e-12)
+    assert complex_seen > 500
+    assert transport_condition((-3.0,), 0.1) == 1.0
+
+
+@st.composite
+def interior_theta(draw, d_max=6):
+    """Half-line parameters drawn like `random_theta_uni`, lower coefficients
+    in [-1, 1].  On [-2, 2] some dog legs through points with many zero
+    coefficients miss the summed estimates: a carried start's estimate does
+    not cover the segment's sensitivity to that start."""
+    d = draw(st.integers(2, d_max))
+    coeffs = [draw(st.floats(-1.0, 1.0)) for _ in range(d - 1)]
+    return ThetaUni((*coeffs, -draw(st.floats(0.4, 2.5))))
+
+
+def _accepted(theta, start=None):
+    try:
+        return state_at(theta, start=start)
+    except (ToleranceNotMet, OdeDivergence):
+        assume(False)
+
+
+@settings(max_examples=40)
+@given(interior_theta(5), st.data())
+def test_path_independence_property(theta_2, data):
+    # theta_0 (the gamma point) -> theta_1 -> theta_2 against theta_0 -> theta_2
+    theta_1 = data.draw(interior_theta(5).filter(lambda th: th.d == theta_2.d))
+    via = _accepted(theta_1)
+    dog_leg = _accepted(theta_2, start=via)
+    direct = _accepted(theta_2)
+    budget = via.last_transport_error + dog_leg.last_transport_error + direct.last_transport_error
+    scale = np.max(np.abs(direct.F))
+    assert np.max(np.abs(dog_leg.F - direct.F)) <= budget * scale
+
+
+@settings(max_examples=40)
+@given(interior_theta(), st.floats(0.5, 2.0))
+def test_scaling_identity_property(theta, t):
+    # substituting x = t u: A(theta) = t * A(theta_1 t, theta_2 t^2, ..., theta_d t^d)
+    scaled = ThetaUni(tuple(c * t ** (k + 1) for k, c in enumerate(theta.coeffs)))
+    a = _accepted(theta)
+    b = _accepted(scaled)
+    budget = a.last_transport_error + b.last_transport_error
+    assert abs(a.norm_const - t * b.norm_const) <= budget * a.norm_const
+
+
+def test_derivative_bounds_cover_extension():
+    # near theta_d = 0 the recursion divides by d*theta_d at every order, so
+    # the bounds grow with the order; they must cover the actual errors
+    theta = ThetaUni((-0.8, -0.05))
+    st_ = state_at(theta)
+    got = extend_derivatives(st_, 4)
+    bounds = derivative_bounds(st_, 4)
+    for m in range(5):
+        assert abs(got[m] - quad_moment_uni(theta, m)) <= bounds[m] + 1e-9 * abs(got[m])
+    assert bounds[4] / abs(got[4]) > 1e2 * bounds[0] / got[0]
+    assert derivative_bounds(state_at((-2.0, 0.0)), 3).tolist() == [0.0] * 4

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,29 +123,26 @@ def _dopri45_arrays(f, y0, rtol):
     return y.tolist(), accum
 
 
+def _segment_rhs(support, coeffs):
+    """Gamma point, target and the order-1 recurrence right-hand side of the
+    segment between them, over the full state (the DOPRI transport's system)."""
+    theta = ThetaUni(coeffs, support)
+    start = holo_uni.initial_state(theta.d, abs(coeffs[-1]), support)
+    series = holo_uni._segment_series(start.theta, theta, 1)
+    return start, theta, lambda s, y: series(s, y)[1]
+
+
 def test_dopri45_matches_array_arithmetic_bitwise():
-    theta = ThetaUni((-0.5, 0.8, 0.3, -0.4, 0.1, -1.5))
-    start = holo_uni.initial_state(6, 1.5)
-    calls = []
-    original = _ode.dopri45
-
-    def capture(f, y0, rtol, max_steps=200_000, callback=None):
-        calls.append((f, y0, rtol))
-        return original(f, y0, rtol, max_steps, callback)
-
-    _ode.dopri45 = capture
-    try:
-        holo_uni.transport(start, theta)
-    finally:
-        _ode.dopri45 = original
-    (f, y0, rtol), = calls
-    assert _ode.dopri45(f, y0, rtol) == _dopri45_arrays(f, y0, rtol)
+    start, _, f = _segment_rhs(Support.HALF_LINE, (-0.5, 0.8, 0.3, -0.4, 0.1, -1.5))
+    y0 = start.F.tolist()
+    assert _ode.dopri45(f, y0, 1e-10) == _dopri45_arrays(f, y0, 1e-10)
     for rhs in (damped_rotation, lambda s, y: [y[0], math.sin(s) * y[0] - y[1]]):
         assert _ode.dopri45(rhs, [1.0, 0.5], 1e-9) == _dopri45_arrays(rhs, [1.0, 0.5], 1e-9)
 
 
-# Transported states (F and the error accumulator) from the gamma point
-# (0, ..., 0, theta_d) to theta, recorded before the stages ran on floats.
+# DOPRI transports (F and the error accumulator) of the full state from the
+# gamma point (0, ..., 0, theta_d) to theta, recorded before the stages ran
+# on floats; `holo_uni.transport` now steps by Taylor series instead.
 PINNED = [
     (Support.HALF_LINE, (0.5, -1.0), [1.2040654504472765, 0.8010163626118192], 2.458730280919972e-10),
     (Support.HALF_LINE, (-1.0, 3.0, -2.0), [1.344405058665804, 0.9398792572023397], 1.7392707390919355e-09),
@@ -184,8 +182,129 @@ PINNED = [
 
 @pytest.mark.parametrize("support, coeffs, F, est", PINNED, ids=lambda v: str(v))
 def test_transport_pinned(support, coeffs, F, est):
+    start, theta, f = _segment_rhs(support, coeffs)
+    y, accum = _ode.dopri45(f, start.F.tolist(), 1e-10)
+    F_moved = holo_uni._extend(theta.coeffs, support, y, holo_uni.state_length(theta.d) - 1)
+    np.testing.assert_allclose(F_moved, F, rtol=1e-14, atol=0)
+    assert accum == pytest.approx(est, rel=1e-14)
+
+
+def mp_moments(coeffs, support, count):
+    """Moments 0..count-1 of exp(g) to 50 digits by mpmath quadrature."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(v) for v in coeffs]
+        nodes = [0, 0.5, 1, 1.5, 2, 3, 4, 6, 8, mpmath.inf]
+
+        def moment(m, sign):
+            def f(x):
+                acc = mpmath.mpf(0)
+                for ck in reversed(c):
+                    acc = (acc + ck) * sign * x
+                return (sign * x) ** m * mpmath.exp(acc)
+
+            return mpmath.quad(f, nodes)
+
+        out = []
+        for m in range(count):
+            val = moment(m, 1)
+            if support is Support.REAL_LINE:
+                val += moment(m, -1)
+            out.append(val)
+        return out
+
+
+def rel_error(F, ref):
+    """Largest entry error relative to the largest reference entry."""
+    scale = max(abs(r) for r in ref)
+    return float(max(abs(mpmath.mpf(float(v)) - r) for v, r in zip(F, ref)) / scale)
+
+
+@pytest.mark.parametrize("support, coeffs, F, est", PINNED, ids=lambda v: str(v))
+def test_transport_beats_pinned_dopri(support, coeffs, F, est):
     theta = ThetaUni(coeffs, support)
     start = holo_uni.initial_state(theta.d, abs(coeffs[-1]), support)
     moved = holo_uni.transport(start, theta)
-    np.testing.assert_allclose(moved.F, F, rtol=1e-14, atol=0)
-    assert moved.last_transport_error == pytest.approx(est, rel=1e-14)
+    ref = mp_moments(coeffs, support, len(F))
+    err = rel_error(moved.F, ref)
+    assert err <= rel_error(F, ref)
+    assert err <= moved.last_transport_error
+
+
+# Segments whose leading coefficient moves (h_d != 0), as a fit's provider
+# moves do; the third heads toward theta_d = 0, where the series in s has
+# its singularity.
+MOVING_LEAD = [
+    (Support.HALF_LINE, (-1.0, 3.0, -2.0), (-0.9, 2.8, -2.1)),
+    (Support.HALF_LINE, (0.5, -0.2, 0.3, -1.0), (0.2, 0.4, -0.5, -2.5)),
+    (Support.HALF_LINE, (0.0, 0.0, -2.0), (0.3, -0.2, -0.3)),
+    (Support.REAL_LINE, (1.0, -0.5, 0.2, -1.5), (0.4, 0.3, -0.1, -0.6)),
+]
+
+
+@pytest.mark.parametrize("support, src, dst", MOVING_LEAD, ids=str)
+def test_transport_moving_lead_matches_mpmath(support, src, dst):
+    start = holo_uni.state_at(src, support=support)
+    moved = holo_uni.transport(start, ThetaUni(dst, support))
+    ref = mp_moments(dst, support, len(moved.F))
+    err = rel_error(moved.F, ref)
+    assert err <= start.last_transport_error + moved.last_transport_error
+    assert err < 1e-10  # the default rel_tol
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (0.0, 1.0, 0.0, -1.0),  # zero odd coefficients: odd moments vanish
+        (1.5, 0.0, 0.0, -1.0),  # only odd ones move: A(s) is even in s
+        (0.0, -0.5, 0.0, 0.8, 0.0, -1.2),
+    ],
+)
+def test_transport_whole_line_parity(coeffs):
+    theta = ThetaUni(coeffs, Support.REAL_LINE)
+    start = holo_uni.initial_state(theta.d, abs(coeffs[-1]), Support.REAL_LINE)
+    moved = holo_uni.transport(start, theta)
+    ref = mp_moments(coeffs, Support.REAL_LINE, len(moved.F))
+    err = rel_error(moved.F, ref)
+    assert err <= moved.last_transport_error and err < 1e-12
+    if all(c == 0.0 for c in coeffs[::2]):
+        assert all(v == 0.0 for v in moved.F[1::2])
+
+
+def test_transport_step_budget_raises():
+    start = holo_uni.initial_state(4, 3.0, Support.REAL_LINE)
+    target = ThetaUni((1.0, 4.0, -2.0, -3.0), Support.REAL_LINE)
+    holo_uni.transport(start, target, holo_uni.OdeOptions(max_steps=50))
+    with pytest.raises(OdeDivergence):
+        holo_uni.transport(start, target, holo_uni.OdeOptions(max_steps=1))
+
+
+def test_taylor_non_finite_coefficients_raise():
+    with pytest.raises(OdeDivergence):
+        _ode.taylor(lambda s, y, H: [y, [math.inf]], [1.0], 1e-10)
+
+
+def test_taylor_exponential():
+    # y' = y: rows y H^n / n!; one step covers [0, 1] at order 24
+    def series(s, y, H):
+        rows = [list(y)]
+        for n in range(1, 25):
+            rows.append([rows[-1][0] * H / n])
+        return rows
+
+    y, est = _ode.taylor(series, [1.0], 1e-12)
+    assert y[0] == pytest.approx(math.e, rel=1e-15)
+    assert est < 1e-14
+    assert _ode.taylor(series, [], 1e-12) == ([], 0.0)
+
+
+def test_transport_order_one():
+    # no free entries: the state is a function of theta alone
+    for support, c, target, F in (
+        (Support.HALF_LINE, 1.0, (-2.0,), [0.5, 0.25]),
+        (Support.HALF_LINE, 3.0, (-0.25,), [4.0, 16.0]),
+    ):
+        moved = holo_uni.transport(holo_uni.initial_state(1, c, support), ThetaUni(target, support))
+        assert moved.F.tolist() == F
+        assert moved.last_transport_error == 0.0
+    st = holo_uni.state_at((-2.0, 0.0, 0.0))
+    assert st.d == 1 and st.F.tolist() == [0.5, 0.25]
