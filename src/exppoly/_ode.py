@@ -1,14 +1,15 @@
 """Initial-value integrators for transport along parameter segments.
 
-Three modes, each propagating y' = f(s, y) across s in [0, 1]:
+Two adaptive steppers, each propagating y' = f(s, y) across s in [0, 1]:
 
-* classical fixed-step fourth-order Runge-Kutta with a Richardson error
-  estimate from a half-resolution rerun (``method="rk4"``, both engines);
 * an embedded Dormand-Prince 5(4) pair with proportional step control (the
-  bivariate engine's adaptive mode);
+  bivariate engine's);
 * Taylor-series stepping from exactly computed coefficients, with the step
-  chosen from the last coefficients (the univariate engine's adaptive mode,
-  whose system supplies its own coefficient recursion).
+  chosen from the last coefficients (the univariate engine's, whose system
+  supplies its own coefficient recursion).
+
+The fixed-step Runge-Kutta pair below serves the benchmark tracer only;
+neither engine calls it.
 
 The right-hand sides here are smooth and cheap, so hand-rolled integrators
 keep per-transport overhead far below a generic solver while staying fully
@@ -57,6 +58,8 @@ def _floats(v: Sequence[float]) -> Sequence[float]:
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
+# rk4_fixed and rk4_with_estimate are kept only because bench/tracing.py
+# wraps rk4_with_estimate by name; no engine calls them.
 def rk4_fixed(
     f: Rhs,
     y0: Sequence[float],

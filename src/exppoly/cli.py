@@ -237,8 +237,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     result = fit_mle(stats, args.d)
     try:
         standard_errors = _float_list(result.standard_errors(stats.n))
+        fisher = [_float_list(row) for row in result.fisher]
     except SingularInformation:
-        standard_errors = None  # the Fisher matrix is not positive definite, or not determined
+        # the Fisher matrix is not positive definite, or not determined
+        standard_errors = fisher = None
     out = {
         "mode": args.mode,
         "d": args.d,
@@ -246,7 +248,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "theta_hat": _theta_hat_payload(result.theta_hat),
         "loglik_bar": result.loglik_bar,
         "grad_norm": result.grad_norm,
-        "fisher": [_float_list(row) for row in result.fisher],
+        "fisher": fisher,
         "standard_errors": standard_errors,
         "iterations": result.iterations,
         "converged": result.converged,

@@ -69,10 +69,7 @@ class ThetaUni:
 
     def exponent_at(self, x: float) -> float:
         """Evaluate theta_1 x + ... + theta_d x^d."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = (acc + c) * x
-        return acc
+        return polyalg.exponent(self.coeffs, x)
 
 
 @dataclass(frozen=True)

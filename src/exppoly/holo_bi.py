@@ -509,12 +509,7 @@ def transport_bi(
         return D.dot(V).tolist()
 
     try:
-        if opts.method == "rk4":
-            seg_len = float(np.linalg.norm(h_vec))
-            n_steps = max(2, math.ceil(opts.step_density * seg_len))
-            yf, est = _ode.rk4_with_estimate(rhs, y0, n_steps, check_discriminant)
-        else:
-            yf, est = _ode.dopri45(rhs, y0, opts.rel_tol, opts.max_steps, check_discriminant)
+        yf, est = _ode.dopri45(rhs, y0, opts.rel_tol, opts.max_steps, check_discriminant)
     except SingularSystem as exc:
         raise PathCrossesSingularity(
             f"transport hit a singular level system: {exc}"

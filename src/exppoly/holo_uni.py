@@ -9,8 +9,7 @@ is therefore enough to reconstruct all of them, and moving theta along a
 segment turns the recursion into a linear ODE for the state (gradient
 transport).  The same recursion, applied to Taylor coefficients, gives the
 state's power series along the segment exactly, so adaptive transport steps
-by Taylor series of a fixed order (`_TAYLOR_ORDER`); its first coefficient
-is the right-hand side the fixed-step RK4 mode integrates.  Starting values
+by Taylor series of a fixed order (`_TAYLOR_ORDER`).  Starting values
 come from the one-parameter scale family (0, ..., 0, -c), where everything
 reduces to gamma functions.
 """
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _ode
+from . import _ode, polyalg
 from .domain import Membership, Support, ThetaUni, classify_theta_uni, effective_theta
 from .errors import (
     DivergentIntegral,
@@ -41,26 +40,21 @@ from .errors import (
 class OdeOptions:
     """Transport integrator settings.
 
-    method: "adaptive" (default: Taylor series steps for univariate
-        transport, the embedded Dormand-Prince 5(4) pair for bivariate) or
-        "rk4" (fixed step).
-    rel_tol: per-step relative tolerance for the adaptive method.
-    step_density: fixed-mode steps per unit euclidean parameter distance.
-    max_steps: adaptive-mode step budget before giving up.
+    Univariate transport steps by Taylor series, bivariate transport by the
+    embedded Dormand-Prince 5(4) pair; both are adaptive.
+
+    rel_tol: per-step relative tolerance.
+    max_steps: step budget before giving up, an integer >= 1.
     """
 
-    method: str = "adaptive"
     rel_tol: float = 1e-10
-    step_density: float = 1000.0
     max_steps: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.method not in ("adaptive", "rk4"):
-            raise InputError(f"unknown transport method {self.method!r}")
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise InputError("rel_tol must be positive and finite")
-        if not (self.step_density > 0.0):
-            raise InputError("step_density must be positive")
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise InputError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 # Order of the Taylor series that adaptive transport steps by: high enough
@@ -293,10 +287,9 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
 
     Both endpoints must be interior (negative leading coefficient); since the
     leading coefficient is linear along the segment, the whole path is then
-    interior as well.  The adaptive method steps the d-1 free entries by
-    Taylor series (`_ode.taylor`); "rk4" integrates the whole state with the
-    series' first coefficients as right-hand side.  At d = 1 nothing is free,
-    and the state follows from the recursion at the target.
+    interior as well.  The d-1 free entries step by Taylor series
+    (`_ode.taylor`).  At d = 1 nothing is free, and the state follows from the
+    recursion at the target.
     """
     if opts is None:
         opts = OdeOptions()
@@ -308,20 +301,13 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
             raise PathSingularity(
                 f"{name} parameter {point.coeffs} is not interior; transport undefined"
             )
-    h = np.array(target.coeffs) - np.array(src.coeffs)
-    seg_len = float(np.linalg.norm(h))
-    if seg_len == 0.0:
+    if target.coeffs == src.coeffs:
         return HoloStateUni(target, state.F, 0.0)
 
     d = src.d
     L = state_length(d)
-    if opts.method == "rk4":
-        n_steps = max(2, math.ceil(opts.step_density * seg_len))
-        rhs = _segment_series(src, target, 1)
-        F, est = _ode.rk4_with_estimate(lambda s, y: rhs(s, y)[1], state.F, n_steps)
-    else:
-        series = _segment_series(src, target, _TAYLOR_ORDER)
-        F, est = _ode.taylor(series, state.F[: d - 1], opts.rel_tol, opts.max_steps)
+    series = _segment_series(src, target, _TAYLOR_ORDER)
+    F, est = _ode.taylor(series, state.F[: d - 1], opts.rel_tol, opts.max_steps)
 
     # Re-derive the redundant tail entries so the final state satisfies the
     # recursion exactly at the target point.
@@ -354,7 +340,7 @@ def transport_condition(coeffs: Sequence[float], A: float) -> float:
     points = _stationary_points([float(c) for c in coeffs])
     if not points:
         return 1.0
-    kappa = max(_exponent(coeffs, z).real for z in points)
+    kappa = max(polyalg.exponent(coeffs, z).real for z in points)
     return math.exp(min(max(kappa - math.log(A), 0.0), 700.0))
 
 
@@ -384,14 +370,6 @@ def _stationary_points(coeffs: list[float]) -> list[complex]:
     companion[0, :] = [-v / dg[n] for v in dg[n - 1 :: -1]]
     companion[np.arange(1, n), np.arange(n - 1)] = 1.0
     return np.linalg.eigvals(companion).tolist()
-
-
-def _exponent(coeffs: Sequence[float], z: complex) -> complex:
-    """g(z) = theta_1 z + ... + theta_d z^d by Horner's rule."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = (acc + c) * z
-    return acc
 
 
 def state_at(
@@ -426,7 +404,7 @@ def state_at(
         opts = OdeOptions()
     moved = transport(start, eff, opts)
     cond = _condition(moved)
-    if cond > _COND_DIRECT and opts.method == "adaptive" and _RETRY_TOL < opts.rel_tol:
+    if cond > _COND_DIRECT and _RETRY_TOL < opts.rel_tol:
         start = _gamma_state(eff)
         moved = transport(start, eff, OdeOptions(rel_tol=_RETRY_TOL, max_steps=opts.max_steps))
         cond = _condition(moved)

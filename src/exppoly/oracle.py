@@ -32,6 +32,7 @@ from .errors import (
     ToleranceNotMet,
     UnsupportedOrder,
 )
+from .polyalg import exponent
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,10 @@ def _real_roots(desc_coeffs: list[float]) -> list[float]:
     return [float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))]
 
 
-def _exponent_eval(coeffs: tuple[float, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = (acc + c) * x
-    return acc
-
-
 def _log_integrand(coeffs: tuple[float, ...], m: int, x: float) -> float:
     if x == 0.0:
         return 0.0 if m == 0 else -math.inf
-    return m * math.log(abs(x)) + _exponent_eval(coeffs, x)
+    return m * math.log(abs(x)) + exponent(coeffs, x)
 
 
 def _crit_points(coeffs: tuple[float, ...], m: int) -> list[float]:
@@ -323,7 +317,7 @@ def _cdf_nodes(theta: ThetaUni, opts: QuadOptions) -> tuple[np.ndarray, np.ndarr
     )
 
     def density_scaled(x: float) -> float:
-        return math.exp(_exponent_eval(coeffs, x) - gmax)
+        return math.exp(exponent(coeffs, x) - gmax)
 
     def cumulative(xs: np.ndarray) -> np.ndarray:
         parts = np.zeros(len(xs))

@@ -13,6 +13,7 @@ differs from the school-book discriminant by the sign ``(-1)^(d(d-1)/2)``
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +50,16 @@ def poly_eval(coeffs: Sequence[float], x: float) -> float:
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c
+    return acc
+
+
+def exponent(coeffs: Sequence[float], x: float | complex) -> float | complex:
+    """g(x) = theta_1 x + ... + theta_d x^d by Horner's rule, for real or
+    complex x.  Unlike `poly_eval`, ``coeffs`` ascend from theta_1 and there
+    is no constant term."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = (acc + c) * x
     return acc
 
 
@@ -95,6 +106,12 @@ def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
     if len(p0) == 1:
         return [p0]
     scale = max(abs(v) for v in p0)
+    if abs(p0[0] / scale) < sys.float_info.min:
+        # scaled, the lead is zero or subnormal, and the remainders divide by it
+        raise LeadingCoefficientZero(
+            f"leading coefficient {p0[0]!r} is negligible next to {scale!r}: "
+            "a root lies beyond double range"
+        )
     p0 = [v / scale for v in p0]
     der = poly_derivative(p0)
     der_scale = max(abs(v) for v in der)

@@ -31,7 +31,7 @@ from .holo_bi import (
     pfaffian_det,
     transport_bi,
 )
-from .holo_uni import OdeOptions, norm_const_and_derivs
+from .holo_uni import norm_const_and_derivs
 from .inference import (
     UniHoloProvider,
     fisher_info,
@@ -46,9 +46,6 @@ from .polyalg import (
     squarefree_part,
     sylvester_resultant,
 )
-
-_RK4 = OdeOptions(method="rk4")
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -128,12 +125,12 @@ def _suite_closedform(d: int | None, rng: np.random.Generator) -> tuple[float, i
     checks = 0
     for _ in range(25):
         th = ThetaUni((-float(rng.uniform(0.2, 4.0)),))
-        worst = max(worst, _rel(norm_const_and_derivs(th, 0, _RK4)[0], closed_form_A(th)))
+        worst = max(worst, _rel(norm_const_and_derivs(th)[0], closed_form_A(th)))
         checks += 1
     for support in (Support.HALF_LINE, Support.REAL_LINE):
         for _ in range(25):
             th = random_theta_uni(rng, 2, support)
-            a = norm_const_and_derivs(th, 0, _RK4)[0]
+            a = norm_const_and_derivs(th)[0]
             worst = max(worst, _rel(a, closed_form_A(th)))
             checks += 1
     return worst, checks, "d=1 and order-2 closed forms, both supports"

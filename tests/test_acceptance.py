@@ -17,14 +17,13 @@ from exppoly import cli
 from exppoly.domain import Support, ThetaUni
 from exppoly.errors import ToleranceNotMet
 from exppoly.holo_bi import pfaffian_det, transport_bi, initial_state_bi
-from exppoly.holo_uni import OdeOptions, norm_const_and_derivs
+from exppoly.holo_uni import norm_const_and_derivs
 from exppoly.inference import fisher_info
 from exppoly.oracle import closed_form_A, quad_A_bi, quad_moment_uni
 from exppoly.polyalg import classify_chamber, discriminant
 from exppoly.verify import random_theta_bi_proper, random_theta_uni
 
 SEED = 20260816
-RK4 = OdeOptions(method="rk4")
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -84,19 +83,14 @@ def test_criterion_2_closed_forms():
     worst = 0.0
     for _ in range(100):
         th = ThetaUni((-float(rng.uniform(0.1, 3.0)),))
-        worst = max(
-            worst, rel_err(float(norm_const_and_derivs(th, opts=RK4)[0]), closed_form_A(th))
-        )
+        worst = max(worst, rel_err(float(norm_const_and_derivs(th)[0]), closed_form_A(th)))
     for support in (Support.HALF_LINE, Support.REAL_LINE):
         for _ in range(100):
             th = ThetaUni(
                 (float(rng.uniform(-2.0, 2.0)), -float(rng.uniform(0.1, 2.5))),
                 support,
             )
-            worst = max(
-                worst,
-                rel_err(float(norm_const_and_derivs(th, opts=RK4)[0]), closed_form_A(th)),
-            )
+            worst = max(worst, rel_err(float(norm_const_and_derivs(th)[0]), closed_form_A(th)))
     ok = worst <= 1e-10
     report(2, ok, f"300 closed-form points, max rel diff {worst:.3e} (tol 1e-10)")
     assert ok
@@ -109,7 +103,7 @@ def test_criterion_3_derivative_correctness():
     """Engine moments and Fisher match central finite differences."""
 
     def psi_and_moments(theta: ThetaUni) -> tuple[float, np.ndarray]:
-        F = norm_const_and_derivs(theta, M=theta.d, opts=RK4)
+        F = norm_const_and_derivs(theta, M=theta.d)
         A = float(F[0])
         from exppoly.inference import _uni_moments
 

@@ -123,8 +123,10 @@ def test_fit_boundary_data_exit_code(capsys, tmp_path):
     assert code == 3
     assert out["converged"] is False
     assert out["hit_boundary"] is True
-    # the Fisher matrix there is not positive definite
+    # the Fisher matrix there is not positive definite, nor determined by
+    # its error bound, so neither it nor the standard errors are printed
     assert out["standard_errors"] is None
+    assert out["fisher"] is None
 
 
 def _reject_constant(name):

@@ -1,9 +1,12 @@
 """Resultants, discriminants, Sturm root counting, chamber classification."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exppoly.errors import (
     LeadingCoefficientZero,
@@ -131,7 +134,48 @@ def test_classify_chamber_rejects_degenerate():
         classify_chamber((-1.0, -1.0))
 
 
+def test_root_counting_rejects_lead_below_double_range():
+    # a lead that vanishes once the coefficients are scaled to unit size puts
+    # a root beyond double range, and the Sturm chain would divide by it
+    for top in ([5e-324, 2.0, 0.0], [1e-310, -3.0, 1.0, 2.0]):
+        with pytest.raises(LeadingCoefficientZero):
+            count_real_roots(top)
+        with pytest.raises(LeadingCoefficientZero):
+            classify_chamber(top)
+    assert count_real_roots([1e-300, 2.0, 0.0]) == 2
+
+
 def test_chamber_label_letter_only_for_cubics():
     lab = ChamberLabel(0, 2, 0, proper=True)
     assert lab.degree == 2
     assert lab.letter is None
+
+
+_coefficient = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def top_form(draw):
+    """Descending coefficients of a degree-d top form, d = 2..6, with a
+    non-zero lead; small integers make exact repeated roots likely, and the
+    last coefficient is sometimes exactly zero (a root at the origin)."""
+    d = draw(st.integers(2, 6))
+    lead = draw(_coefficient.filter(lambda v: v != 0.0))
+    middle = [draw(_coefficient) for _ in range(d - 1)]
+    last = draw(st.one_of(st.just(0.0), _coefficient))
+    return [lead, *middle, last]
+
+
+@settings(max_examples=400)
+@given(top_form())
+def test_classify_chamber_raises_only_on_discriminant_property(top):
+    try:
+        label = classify_chamber(top)
+    except OnDiscriminant:
+        return
+    except LeadingCoefficientZero:
+        # only a lead below the normal range once scaled to the others
+        assert abs(top[0] / max(map(abs, top))) < sys.float_info.min
+        return
+    # the label counts every root but one at the origin
+    assert label.degree + (top[-1] == 0.0) == len(top) - 1
