@@ -1,29 +1,28 @@
 """Initial-value integrators for transport along parameter segments.
 
-Two adaptive steppers, each propagating y' = f(s, y) across s in [0, 1]:
+Both transport engines, univariate and bivariate, step by Taylor series
+from exactly computed coefficients (`taylor`), with the step chosen from the
+last coefficients; each system supplies its own coefficient recursion.
 
-* an embedded Dormand-Prince 5(4) pair with proportional step control (the
-  bivariate engine's);
-* Taylor-series stepping from exactly computed coefficients, with the step
-  chosen from the last coefficients (the univariate engine's, whose system
-  supplies its own coefficient recursion).
-
-The fixed-step Runge-Kutta pair below serves the benchmark tracer only;
-neither engine calls it.
+The other steppers here propagate y' = f(s, y) across s in [0, 1] and no
+engine calls them: an embedded Dormand-Prince 5(4) pair with proportional
+step control (`dopri45`), kept for the benchmark tracer, which wraps it by
+name, and for the tests, whose bivariate least-squares reference integrates
+with it; and the fixed-step Runge-Kutta pair, kept for the tracer only.
 
 The right-hand sides here are smooth and cheap, so hand-rolled integrators
 keep per-transport overhead far below a generic solver while staying fully
 deterministic.
 
-The stages run on lists of Python floats, not numpy arrays.  A univariate
-state has 2 to 5 entries and a bivariate one (table plus both axis states) 5
-to 21, so an array operation would cost its call overhead and almost nothing
-else, and a step needs dozens of them.  Each Runge-Kutta stage is written
-out as one expression per component, with the operations in the order of
-the array form ``y + h * sum(a_i * k_i)``, so the results agree with that
-form to the last bit (tests/test_ode.py keeps it as the reference).  ``f``
-receives a list and may return any sequence of floats; an ndarray is
-converted to a list once per evaluation.
+The Runge-Kutta stages run on lists of Python floats, not numpy arrays.  The
+transport states they were written for have 2 to 21 entries, so an array
+operation would cost its call overhead and almost nothing else, and a step
+needs dozens of them.  Each stage is written out as one expression per
+component, with the operations in the order of the array form
+``y + h * sum(a_i * k_i)``, so the results agree with that form to the last
+bit (tests/test_ode.py keeps it as the reference).  ``f`` receives a list
+and may return any sequence of floats; an ndarray is converted to a list
+once per evaluation.
 """
 
 from __future__ import annotations

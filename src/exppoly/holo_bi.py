@@ -16,6 +16,15 @@ involves only the diagonal entries t..t+d-1, with coefficients that do not
 depend on t.  So each level is solved as a few square windows against one
 factor of P; `extend_table` then checks the whole level system, rows no
 window used included.
+
+`transport_bi` steps the table by Taylor series: along a segment P and the
+levels' right-hand sides are affine in the parameter, so each row of Taylor
+coefficients follows from the previous one by the same window solves, against
+one factor of P per step.  The two axis states ride in the same series, and
+at the end they go through the univariate acceptance step, not a second
+transport.  Before any step, the discriminant along the segment, a polynomial
+of degree 2d-2, is interpolated and its real roots in [0, 1] are counted, so
+a path that meets a wall anywhere is refused.
 """
 
 from __future__ import annotations
@@ -34,13 +43,20 @@ from .errors import (
     InconsistentExtension,
     InputError,
     NonPositiveScale,
-    OdeDivergence,
+    NonSquarefree,
     PathCrossesSingularity,
     PathSingularity,
     SingularSystem,
     UnsupportedOrder,
 )
-from .holo_uni import HoloStateUni, OdeOptions, _extend, extend_derivatives, state_length
+from .holo_uni import (
+    HoloStateUni,
+    OdeOptions,
+    _extend,
+    _series,
+    extend_derivatives,
+    state_length,
+)
 
 # Axis constants go through `holo_uni.state_at` alone; this binding is kept
 # only because bench/tracing.py wraps `holo_bi.transport` by name.
@@ -245,7 +261,7 @@ def _pfaffian_matrix(top: Sequence[float]) -> np.ndarray:
 
 
 def _factor(P: np.ndarray) -> tuple[float, np.ndarray]:
-    """det P and its transposed inverse, from one LU factorisation.
+    """det P and its inverse, from one LU factorisation.
 
     Refuses a numerically singular P (|det P| below 1e-12 of its Frobenius
     norm, floored at one) with `SingularSystem`.
@@ -260,42 +276,50 @@ def _factor(P: np.ndarray) -> tuple[float, np.ndarray]:
             "the discriminant locus"
         )
     inv, _ = dgetri(lu, piv)
-    return det, inv.T
+    return det, inv
 
 
 class _LevelPlan:
     """The level solves for orders lo..hi along theta(s) = theta0 + s*h.
 
-    The plan owns a value vector V: the axis constants ax[0..m_ax] and
-    ay[0..m_ax], then the table entries in `_flat` layout from offset
-    `t_off`.  A level's equations read lower orders and axis constants only,
-    so their right-hand sides are G(s) @ V with G(s) = G0 + s*Gh affine in s;
-    G0, Gh and P(theta0), P(h) are built once, here.  Each level is solved as
-    square windows against one inverse of P(theta(s)): window t0 takes rows
+    Values live in a vector V: the axis constants ax[0..m_ax] and ay[0..m_ax],
+    then the table entries in `_flat` layout from offset `t_off`.  A level's
+    equations read lower orders and axis constants only, so they read
+    P(theta(s)) X = G(s) V with G(s) = G0 + s*Gh affine in s; G0, Gh and
+    P(theta0), P(h) are built once, here.  Each level is solved as square
+    windows against one inverse of P(theta(s)): window t0 takes rows
     t0..t0+d-2 of both families and yields X[t0..t0+2d-3].  Windows start
     every 2d-2 columns and the last one ends at column k; where two windows
     overlap, the later one's values are kept.
+
+    Along the segment, the Taylor coefficients V_n of V in t at
+    theta(s + t*H) obey, order by order, the same windows:
+
+        P(theta(s)) X_n = G(s) V_n + H*Gh V_{n-1} - H*P(h) X_{n-1}.
+
+    `solvers` folds that, for one step start s and scale H, into one matrix
+    per level acting on the pair (V_{n-1}, V_n), with the inverse already
+    applied; a single solve at theta0 is the case n = 0 with H = 0.
     """
 
     def __init__(
         self, d: int, lo: int, hi: int, m_ax: int, theta0: Sequence[float], h: Sequence[float]
     ):
         monos = monomials_bi(d)
-        n = 2 * d - 2
-        self.hi = hi
+        self.n = n = 2 * d - 2
         self.m_ax = m_ax
         self.t_off = t_off = 2 * (m_ax + 1)
-        self.V = np.zeros(t_off + _flat(0, hi) + 1)
+        self.n_v = n_v = t_off + _flat(0, hi) + 1
         top = [monos.index((d - c, c)) for c in range(d + 1)]
         self.top0 = [theta0[m] for m in top]
         self.P0 = _pfaffian_matrix(self.top0)
         self.Ph = _pfaffian_matrix([h[m] for m in top])
         lower = [(m, i, j) for m, (i, j) in enumerate(monos) if i + j < d]
         self.levels = []  # (k, G0 in natural row order, slice of V)
-        self._steps = []  # (G0, Gh in window row order, windows, gather, view of V)
+        self._blocks = []  # (G0, Gh, Gh - P(h) X, in window row order; windows, gather, slice)
         for k in range(lo, hi + 1):
             q = k - d + 1
-            G0 = np.zeros((2 * (q + 1), self.V.size))
+            G0 = np.zeros((2 * (q + 1), n_v))
             Gh = np.zeros_like(G0)
             for t in range(q + 1):
                 a = q - t  # row (a, t): derivative order a in theta_10, t in theta_01
@@ -327,26 +351,41 @@ class _LevelPlan:
             for w, t0 in enumerate(starts):
                 asm[t0 : t0 + n] = range(w * n, (w + 1) * n)
             cols = slice(t_off + _flat(k, 0), t_off + _flat(0, k) + 1)
-            self._steps.append((G0[rows], Gh[rows], len(starts), asm, self.V[cols]))
+            Gx = Gh[rows]
+            for w, t0 in enumerate(starts):
+                Gx[w * n : (w + 1) * n, cols.start + t0 : cols.start + t0 + n] -= self.Ph
+            self._blocks.append((G0[rows], Gh[rows], Gx, len(starts), asm, cols))
             self.levels.append((k, G0, cols))
 
     def factor(self, s: float) -> np.ndarray:
-        """Transposed inverse of P(theta(s)), after the singularity test."""
+        """Inverse of P(theta(s)), after the singularity test."""
         return _factor(self.P0 + s * self.Ph)[1]
 
-    def solve(self, s: float, pinv_t: np.ndarray) -> None:
-        """Fill the levels' entries of V from the lower orders already in it."""
-        V = self.V
-        for G0, Gh, n_win, asm, out in self._steps:
-            rhs = G0.dot(V) + s * Gh.dot(V)
-            out[:] = rhs.reshape(n_win, -1).dot(pinv_t).ravel()[asm]
+    def solvers(self, s: float, H: float, pinv: np.ndarray) -> list[tuple[np.ndarray, slice]]:
+        """Per level, the matrix taking (V_{n-1}, V_n) to the level's X_n, and
+        the level's slice of V; `pinv` is the inverse of P(theta(s))."""
+        out = []
+        for G0, Gh, Gx, n_win, asm, cols in self._blocks:
+            M = np.hstack((H * Gx, G0 + s * Gh)).reshape(n_win, self.n, -1)
+            out.append((np.matmul(pinv, M).reshape(n_win * self.n, -1)[asm], cols))
+        return out
 
-    def check_residuals(self) -> None:
+    def fill(self, rows: np.ndarray, n: int, solvers: list[tuple[np.ndarray, slice]]) -> None:
+        """Solve every level of V_n = rows[n + 1], given rows[n] = V_{n-1}.
+
+        `rows` is C-contiguous, so rows[n : n + 2] is the pair (V_{n-1}, V_n)
+        as one vector, and each level sees the ones solved before it.
+        """
+        pair = rows[n : n + 2].ravel()
+        for K, cols in solvers:
+            rows[n + 1, cols] = K.dot(pair)
+
+    def check_residuals(self, V: np.ndarray) -> None:
         """Every equation of every level at theta0, windows' or not, must hold."""
         for k, G0, cols in self.levels:
-            rhs = G0 @ self.V
+            rhs = G0 @ V
             mat = np.array(_level_matrix(self.top0, k), dtype=float)
-            resid = float(np.linalg.norm(mat @ self.V[cols] - rhs))
+            resid = float(np.linalg.norm(mat @ V[cols] - rhs))
             if resid > _EXTENSION_RTOL * max(1.0, float(np.linalg.norm(rhs))):
                 raise InconsistentExtension(
                     f"order-{k} extension equations are inconsistent (residual {resid:.3e})"
@@ -363,14 +402,16 @@ def pfaffian_det(theta: ThetaBi) -> float:
     return float(np.linalg.det(_pfaffian_matrix(theta.top_coeffs())))
 
 
-def _load_table(plan: _LevelPlan, table: DerivTableBi, axes: AxisStates) -> None:
-    """Put the axis constants and the table's entries into the plan's V."""
-    m_ax = plan.m_ax
-    plan.V[: m_ax + 1] = extend_derivatives(axes.x, m_ax)
-    plan.V[m_ax + 1 : plan.t_off] = extend_derivatives(axes.y, m_ax)
+def _load_table(plan: _LevelPlan, table: DerivTableBi, axes: AxisStates) -> np.ndarray:
+    """A V for the plan: the axis constants and the table's entries, zeros above."""
+    m_ax, t_off = plan.m_ax, plan.t_off
+    V = np.zeros(plan.n_v)
+    V[: m_ax + 1] = extend_derivatives(axes.x, m_ax)
+    V[m_ax + 1 : t_off] = extend_derivatives(axes.y, m_ax)
     for (i, j), v in table.values.items():
-        if i + j <= plan.hi:
-            plan.V[plan.t_off + _flat(i, j)] = v
+        if t_off + _flat(i, j) < plan.n_v:
+            V[t_off + _flat(i, j)] = v
+    return V
 
 
 def assemble_system(
@@ -382,9 +423,9 @@ def assemble_system(
     k = 2 * d - 3
     theta0 = table.theta.as_vector()
     plan = _LevelPlan(d, k, k, d - 2, theta0, np.zeros_like(theta0))
-    _load_table(plan, table, _axes_for(table, opts))
+    V = _load_table(plan, table, _axes_for(table, opts))
     _, G0, _ = plan.levels[0]
-    return PfaffianSystemBi(plan.P0, G0 @ plan.V, _factor(plan.P0)[0])
+    return PfaffianSystemBi(plan.P0, G0 @ V, _factor(plan.P0)[0])
 
 
 def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) -> DerivTableBi:
@@ -402,11 +443,13 @@ def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) ->
     m_ax = M - d + 1
     theta0 = table.theta.as_vector()
     plan = _LevelPlan(d, table.max_order + 1, M, m_ax, theta0, np.zeros_like(theta0))
-    _load_table(plan, table, axes)
-    plan.solve(0.0, plan.factor(0.0))
-    plan.check_residuals()
+    rows = np.zeros((2, plan.n_v))
+    rows[1] = _load_table(plan, table, axes)
+    plan.fill(rows, 0, plan.solvers(0.0, 0.0, plan.factor(0.0)))
+    V = rows[1]
+    plan.check_residuals(V)
     values = {
-        (total - j, j): float(plan.V[plan.t_off + _flat(total - j, j)])
+        (total - j, j): float(V[plan.t_off + _flat(total - j, j)])
         for total in range(M + 1)
         for j in range(total + 1)
     }
@@ -422,16 +465,21 @@ def transport_bi(
 
     The base entries obey dT[i,j]/ds = sum_ab h_ab T[i+a, j+b], with entries
     above order 2d-4 supplied by level solves at the moving parameter; the
-    two univariate axis states ride along in the same ODE so the level solves
-    always have current boundary constants.  Each right-hand side evaluation
-    builds P(theta(s)) once, tests it for singularity, inverts it and solves
-    every level 2d-3..3d-4 as square windows against that inverse, using a
-    `_LevelPlan` built once per transport.  The segment must not meet the
-    discriminant locus: the sign of D is monitored at every accepted step.
+    free entries of the two univariate axis states ride along in the same
+    ODE, so the level solves always have current boundary constants.  The
+    ODE steps by Taylor series (`_ode.taylor`, order
+    `holo_uni._TAYLOR_ORDER`), whose rows are built exactly at each step
+    start s: the axis rows by `holo_uni._series`, the base rows from
+    (n+1) T_{n+1}[i,j] = sum_ab H h_ab T_n[i+a, j+b], and the level rows
+    window by window against one inverse of P(theta(s)) (`_LevelPlan`),
+    which `_factor` tests for singularity first.
 
-    The source's axis states come from the table when it carries them for
-    `opts`; the result carries the states `holo_uni.state_at` accepts at the
-    target, so a following `extend_table` or transport needs no axis work.
+    The segment must not meet the discriminant locus; `_check_wall` counts
+    the roots of D along it exactly, once, before any step.  The source's
+    axis states come from the table when it carries them for `opts`; the
+    ODE's final axis states go through the `holo_uni.state_at` acceptance
+    (condition, moment check, retry, refusal) and ride on the result, so a
+    following `extend_table` or transport needs no axis work.
     """
     if opts is None:
         opts = OdeOptions()
@@ -451,82 +499,133 @@ def transport_bi(
     if not np.any(h_vec):
         return DerivTableBi(theta_target, table.values, 0.0, table.axes)
 
+    src_top = np.array(src.top_coeffs())
+    _check_wall(src_top, np.array(theta_target.top_coeffs()) - src_top)
+
     base = base_indices(d)
     nb = len(base)
-    Lu = state_length(d)
-    M_ax = max(Lu - 1 + d, 2 * d - 3)
-    plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, M_ax, src_vec, h_vec)
+    free = d - 1  # free entries of an axis state
+    m_ax = 2 * d - 3  # axis orders the levels read
+    plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, m_ax, src_vec, h_vec)
     t_off = plan.t_off
-    x_idx = [monos.index((i, 0)) for i in range(1, d + 1)]
-    y_idx = [monos.index((0, j)) for j in range(1, d + 1)]
+    tab = slice(t_off, t_off + nb)
+    carried = [*range(t_off, t_off + nb), *range(free), *range(m_ax + 1, m_ax + 1 + free)]
     src_list, h_list = src_vec.tolist(), h_vec.tolist()
-    x_pairs = [(src_list[m], h_list[m]) for m in x_idx]
-    y_pairs = [(src_list[m], h_list[m]) for m in y_idx]
+    axis_pairs = [
+        (lo, [(src_list[m], h_list[m]) for m in idx])
+        for lo, idx in (
+            (0, [monos.index((i, 0)) for i in range(1, d + 1)]),
+            (m_ax + 1, [monos.index((0, j)) for j in range(1, d + 1)]),
+        )
+    ]
 
-    # dy = D @ V: the table rows sum h_ab T[i+a, j+b], the axis rows are the
-    # univariate transport RHS on the axis constants
-    V = plan.V
-    D = np.zeros((nb + 2 * Lu, V.size))
+    # the base rows of dV/ds: sum h_ab T[i+a, j+b]
+    D = np.zeros((nb, plan.n_v))
     for row, (i, j) in enumerate(base):
         for m, (a, b) in enumerate(monos):
             D[row, t_off + _flat(i + a, j + b)] = h_vec[m]
-    for m in range(Lu):
-        for i in range(1, d + 1):
-            D[nb + m, m + i] = h_vec[x_idx[i - 1]]
-            D[nb + Lu + m, M_ax + 1 + m + i] = h_vec[y_idx[i - 1]]
 
     axes = _axes_for(table, opts)
-    y0 = [table.values[st] for st in base] + axes.x.F.tolist() + axes.y.F.tolist()
+    y0 = [table.values[st] for st in base] + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
+    order = holo_uni._TAYLOR_ORDER
 
-    src_top = np.array(src.top_coeffs())
-    h_top = np.array(theta_target.top_coeffs()) - src_top
-    sign0 = math.copysign(1.0, polyalg.discriminant(src_top))
-
-    def check_discriminant(s: float, _y: np.ndarray = None) -> None:
-        disc = polyalg.discriminant(src_top + s * h_top)
-        if disc == 0.0 or math.copysign(1.0, disc) != sign0:
-            raise PathCrossesSingularity(
-                f"discriminant changes sign at s={s:.4f} along the segment; "
-                "endpoints lie in different chambers, use another initial point"
+    def series(s: float, y: list[float], H: float) -> list[list[float]]:
+        # rows[n + 1] holds V_n, the t^n coefficients at theta(s + t*H);
+        # rows[0] stays zero as V_{-1}
+        rows = np.zeros((order + 2, plan.n_v))
+        for (lo, pairs), F in zip(axis_pairs, (y[nb : nb + free], y[nb + free :])):
+            coeffs = [c + s * dc for c, dc in pairs]
+            ax = _extend(coeffs, Support.HALF_LINE, F, m_ax)
+            rows[1:, lo : lo + m_ax + 1] = _series(
+                coeffs, [H * dc for _, dc in pairs], 1.0, ax, order
             )
-
-    check_discriminant(1.0)
-
-    n_y = len(y0)
-
-    def rhs(s: float, y: list[float]) -> list[float]:
-        if not all(map(math.isfinite, y)):
-            # overflowing trial stage; report non-finite so the step is rejected
-            return [math.nan] * n_y
-        V[: M_ax + 1] = _extend(
-            [c + s * dc for c, dc in x_pairs], Support.HALF_LINE, y[nb : nb + Lu], M_ax
-        )
-        V[M_ax + 1 : t_off] = _extend(
-            [c + s * dc for c, dc in y_pairs], Support.HALF_LINE, y[nb + Lu :], M_ax
-        )
-        V[t_off : t_off + nb] = y[:nb]
-        plan.solve(s, plan.factor(s))
-        return D.dot(V).tolist()
+        rows[1, tab] = y[:nb]
+        solvers = plan.solvers(s, H, plan.factor(s))
+        DH = H * D
+        for n in range(order):
+            plan.fill(rows, n, solvers)
+            rows[n + 2, tab] = DH.dot(rows[n + 1]) / (n + 1)
+        return rows[1:, carried].tolist()
 
     try:
-        yf, est = _ode.dopri45(rhs, y0, opts.rel_tol, opts.max_steps, check_discriminant)
+        yf, est = _ode.taylor(series, y0, opts.rel_tol, opts.max_steps)
     except SingularSystem as exc:
         raise PathCrossesSingularity(
             f"transport hit a singular level system: {exc}"
         ) from exc
-    except OdeDivergence:
-        # distinguish a genuine stiffness failure from stalling against the
-        # chamber wall, which endpoint sign checks alone can miss when the
-        # segment crosses the locus an even number of times
-        for s in np.linspace(0.0, 1.0, 201):
-            check_discriminant(float(s))
-        raise
 
     values = {st: float(v) for st, v in zip(base, yf)}
-    moved = DerivTableBi(theta_target, values, est, _axes_for(theta_target, opts))
+    moved_axes = AxisStates(
+        opts,
+        _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est, opts),
+        _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est, opts),
+    )
+    moved = DerivTableBi(theta_target, values, est, moved_axes)
     if table.max_order > moved.max_order:
         moved = extend_table(moved, table.max_order, opts)
     return moved
+
+
+def _accept_axis(
+    start: HoloStateUni, coeffs: Sequence[float], F: Sequence[float], est: float, opts: OdeOptions
+) -> HoloStateUni:
+    """An axis state moved from `start` inside `transport_bi`'s ODE: its free
+    entries F are re-derived at the target, as `holo_uni.transport` does,
+    then put through the `state_at` acceptance."""
+    L = state_length(len(coeffs))
+    theta = ThetaUni(coeffs, Support.HALF_LINE)
+    moved = HoloStateUni(theta, _extend(coeffs, Support.HALF_LINE, F, L - 1), est)
+    return holo_uni._accept(start, moved, opts)
+
+
+def _wall_poly(top0: np.ndarray, h_top: np.ndarray) -> tuple[list[float], list[float]]:
+    """D(s) = discriminant(top0 + s*h_top) at the Chebyshev points on [0, 1],
+    and its interpolant in u = 2s - 1, descending coefficients.
+
+    D is a polynomial of degree at most 2d-2 in s, so its values at the
+    2d-1 points u_k = cos(k pi / (2d-2)), both ends included, determine it
+    up to rounding.
+    """
+    n = 2 * len(top0) - 3
+    u = np.cos(np.arange(n) * math.pi / (n - 1))
+    vals = [polyalg.discriminant(top0 + (0.5 + 0.5 * uk) * h_top) for uk in u.tolist()]
+    return vals, np.linalg.solve(np.vander(u), vals).tolist()
+
+
+def _check_wall(top0: np.ndarray, h_top: np.ndarray) -> None:
+    """Refuse the segment top0 + s*h_top, s in [0, 1], if it meets a chamber wall.
+
+    The walls are the zeros of the discriminant D.  D vanishing at a sample
+    point of `_wall_poly` (the endpoints among them) or changing sign between
+    two refuses the segment outright; otherwise a Sturm count of the
+    interpolant's roots in [0, 1] decides, which also finds a wall the
+    segment enters and leaves between two samples.  Leading coefficients
+    below `_DETP_RTOL` of the largest are rounding and are dropped first (a
+    top form that does not move leaves D constant).  A repeated root makes
+    the Sturm chain degenerate: the count is then taken on the square-free
+    part, and a chain that degenerates there as well counts as a crossing,
+    since a tangency to the wall is as singular as a crossing.
+    """
+    vals, coeffs = _wall_poly(top0, h_top)
+    if min(vals) <= 0.0 <= max(vals):
+        n_roots = 1
+    else:
+        scale = max(map(abs, coeffs))
+        while abs(coeffs[0]) <= _DETP_RTOL * scale:
+            coeffs.pop(0)
+        try:
+            n_roots = polyalg.count_real_roots(coeffs, -1.0, 1.0)
+        except NonSquarefree:
+            try:
+                n_roots = polyalg.count_real_roots(polyalg.squarefree_part(coeffs), -1.0, 1.0)
+            except NonSquarefree:
+                n_roots = 1
+    if n_roots:
+        raise PathCrossesSingularity(
+            "the discriminant vanishes along the segment; the endpoints lie in "
+            "different chambers or the path leaves one and returns, use another "
+            "initial point"
+        )
 
 
 def _axes_for(source: ThetaBi | DerivTableBi, opts: OdeOptions | None) -> AxisStates:

@@ -40,8 +40,8 @@ from .errors import (
 class OdeOptions:
     """Transport integrator settings.
 
-    Univariate transport steps by Taylor series, bivariate transport by the
-    embedded Dormand-Prince 5(4) pair; both are adaptive.
+    Univariate and bivariate transport both step by Taylor series of order
+    `_TAYLOR_ORDER`, with adaptive steps.
 
     rel_tol: per-step relative tolerance.
     max_steps: step budget before giving up, an integer >= 1.
@@ -402,7 +402,19 @@ def state_at(
         start = _gamma_state(eff)
     if opts is None:
         opts = OdeOptions()
-    moved = transport(start, eff, opts)
+    return _accept(start, transport(start, eff, opts), opts)
+
+
+def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloStateUni:
+    """The `state_at` verdict on `moved`, a transport of `start` under `opts`.
+
+    The state's condition and moment check decide between keeping it,
+    transporting again from the gamma point at tight tolerance, and refusing
+    the parameter; the accepted state's estimate carries the start's own.
+    `holo_bi.transport_bi` hands its axis states here too, transported
+    inside its own ODE.
+    """
+    eff = moved.theta
     cond = _condition(moved)
     if cond > _COND_DIRECT and _RETRY_TOL < opts.rel_tol:
         start = _gamma_state(eff)

@@ -225,20 +225,30 @@ def count_positive_roots_squarefree(coeffs: Sequence[float]) -> int:
 
 @dataclass(frozen=True)
 class ChamberLabel:
-    """Real-root signature of the top form on one discriminant chamber."""
+    """Real-root signature of the top form on one discriminant chamber.
+
+    ``n_zero`` is 1 when the form has a root at the origin (its last
+    coefficient is exactly 0; a double root there lies on the discriminant),
+    so ``degree`` counts every root.
+    """
 
     n_positive: int
     n_negative: int
     n_complex_pairs: int
     proper: bool
+    n_zero: int = 0
 
     @property
     def degree(self) -> int:
-        return self.n_positive + self.n_negative + 2 * self.n_complex_pairs
+        return self.n_positive + self.n_negative + self.n_zero + 2 * self.n_complex_pairs
 
     @property
     def letter(self) -> str | None:
-        """Figure labels for the cubic slice: A, B, or C (None otherwise)."""
+        """Figure labels for the cubic slice: A, B, or C (None otherwise).
+
+        A cubic with a root at the origin gets None too: theta_03 = 0 lies on
+        no chamber of the slice theta_30 = theta_03 = -1.
+        """
         if self.degree != 3:
             return None
         return {
@@ -275,11 +285,11 @@ def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -
         raise OnDiscriminant(
             f"discriminant {disc:.3e} is off zero but the root count sees a repeated root"
         ) from exc
-    if top[-1] == 0.0:
-        # A root at exactly zero is counted by the (-inf, 0] interval.
-        n_neg -= 1
-    pairs, rem = divmod(d - n_pos - n_neg - (1 if top[-1] == 0.0 else 0), 2)
+    # a root at exactly zero is counted by the (-inf, 0] interval
+    n_zero = 1 if top[-1] == 0.0 else 0
+    n_neg -= n_zero
+    pairs, rem = divmod(d - n_pos - n_neg - n_zero, 2)
     if rem != 0:
         raise NonSquarefree("inconsistent root count; polynomial is ill-conditioned")
     proper = top[0] < 0.0 and top[-1] < 0.0 and n_pos == 0
-    return ChamberLabel(n_pos, n_neg, pairs, proper)
+    return ChamberLabel(n_pos, n_neg, pairs, proper, n_zero)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exppoly import _ode, holo_uni
-from exppoly.domain import Support, ThetaBi, ThetaUni, monomials_bi
+from exppoly.domain import Support, ThetaBi, ThetaUni, in_proper_bivariate_space, monomials_bi
 from exppoly.errors import (
     AxisOutsideDomain,
     InconsistentExtension,
@@ -19,7 +19,9 @@ from exppoly.errors import (
 )
 from exppoly.holo_bi import (
     DerivTableBi,
+    _check_wall,
     _level_matrix,
+    _wall_poly,
     assemble_system,
     base_indices,
     boundary_consts,
@@ -262,6 +264,142 @@ def test_oracle_seed_reaches_far_chamber():
     assert tab.norm_const == pytest.approx(quad_A_bi(target), rel=1e-5)
 
 
+def test_wall_test_refuses_double_crossing(monkeypatch):
+    # both endpoints have 4*t20*t02 - t11^2 < 0, the midpoint has it > 0: the
+    # segment enters the other chamber and comes back, which no sign test at
+    # the endpoints sees; the exact root count refuses it before any step
+    src = ThetaBi(2, {(2, 0): -0.25, (1, 1): -1.0, (0, 2): -0.5})
+    target = ThetaBi(2, {(2, 0): -3.0, (1, 1): -2.0, (0, 2): -0.25})
+    assert discriminant(src.top_coeffs()) < 0 and discriminant(target.top_coeffs()) < 0
+    table = table_from_oracle(src)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("transport stepped before the wall test")
+
+    monkeypatch.setattr(_ode, "taylor", no_step)
+    with pytest.raises(PathCrossesSingularity):
+        transport_bi(table, target)
+    # an excursion between the sample points s = 0, 1/2, 1, where D is
+    # negative: D(s) = 0.01 - (s - 1/4)^2 for top (-1, s - 1/4, -1/400)
+    with pytest.raises(PathCrossesSingularity):
+        _check_wall(np.array([-1.0, -0.25, -0.0025]), np.array([0.0, 1.0, 0.0]))
+
+
+def test_wall_test_passes_walls_off_the_segment():
+    # D constant (top form fixed), D with a double root outside [0, 1] (a
+    # top form scaled by 1 + s), and a top that moves by rounding only
+    for top0, top1 in (
+        ((-1.0, 0.5, -2.0), (-1.0, 0.5, -2.0)),
+        ((-1.0, 0.5, -2.0), (-2.0, 1.0, -4.0)),
+        ((-1.0, 0.3, 0.2, -1.5), (-2.0, 0.6, 0.4, -3.0)),
+        ((-1.0, 0.0, -1.0), (-1.0, 1e-12, -1.0)),
+    ):
+        top0 = np.array(top0)
+        _check_wall(top0, np.array(top1) - top0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_wall_poly_matches_exact_discriminant(d):
+    # the interpolant against sympy's discriminant of the parametrised top
+    # form, in the same variable u = 2s - 1, on three rational segments
+    import sympy
+
+    u = sympy.Symbol("u")
+    a = sympy.Symbol("a")
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        top0 = [sympy.Rational(int(v), 4) for v in rng.integers(-12, 13, d + 1)]
+        top1 = [sympy.Rational(int(v), 4) for v in rng.integers(-12, 13, d + 1)]
+        top0[0], top1[0] = -sympy.Rational(int(rng.integers(1, 9)), 4), -1
+        s = (u + 1) / 2
+        p = sum((c0 + s * (c1 - c0)) * a ** (d - c) for c, (c0, c1) in enumerate(zip(top0, top1)))
+        disc = sympy.cancel(sympy.resultant(p, sympy.diff(p, a), a) / (top0[0] + s * (top1[0] - top0[0])))
+        want = [float(c) for c in sympy.Poly(disc, u).all_coeffs()]
+        t0 = np.array([float(c) for c in top0])
+        _, got = _wall_poly(t0, np.array([float(c) for c in top1]) - t0)
+        want = [0.0] * (len(got) - len(want)) + want
+        scale = max(map(abs, want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
+
+
+def _scan_sees_wall(top0, h_top, s):
+    """Whether D sampled at the points s vanishes or changes sign."""
+    D = np.array([discriminant(top0 + si * h_top) for si in s])
+    return bool(np.any(D == 0.0) or np.sign(D).min() != np.sign(D).max()), D
+
+
+def _wall_test_raises(top0, h_top):
+    try:
+        _check_wall(top0, h_top)
+    except PathCrossesSingularity:
+        return True
+    return False
+
+
+@st.composite
+def top_segment(draw):
+    """Top forms of degree 2..4 at both ends, theta_d0 negative along the way."""
+    d = draw(st.integers(2, 4))
+    ends = []
+    for _ in range(2):
+        rest = [draw(st.floats(-3.0, 3.0)) for _ in range(d)]
+        ends.append(np.array([-draw(st.floats(0.2, 3.0)), *rest]))
+    return ends[0], ends[1] - ends[0]
+
+
+@settings(max_examples=60)
+@given(top_segment())
+def test_wall_test_agrees_with_a_scan(segment):
+    # what a dense scan sees, the wall test sees; where D keeps away from zero
+    # on the scan, the wall test refuses only what a scan refined around the
+    # smallest |D| sees too (a pair of roots closer than the grid spacing)
+    top0, h_top = segment
+    grid = np.linspace(0.0, 1.0, 401)
+    seen, D = _scan_sees_wall(top0, h_top, grid)
+    raised = _wall_test_raises(top0, h_top)
+    if seen:
+        assert raised
+    elif raised and np.abs(D).min() > 1e-6 * np.abs(D).max():
+        k = int(np.argmin(np.abs(D)))
+        fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, 400)], 40001)
+        assert _scan_sees_wall(top0, h_top, fine)[0]
+
+
+def _monitor_crosses(top0, top1):
+    """The per-step sign monitor the wall test replaces: the sign of D at the
+    target against the source's, then the 201-point scan it fell back on."""
+    h_top = top1 - top0
+    sign0 = math.copysign(1.0, discriminant(top0))
+    for s in (1.0, *np.linspace(0.0, 1.0, 201)):
+        disc = discriminant(top0 + s * h_top)
+        if disc == 0.0 or math.copysign(1.0, disc) != sign0:
+            return True
+    return False
+
+
+def test_wall_test_agrees_with_monitor_on_criterion_points():
+    # criterion 9: quadratic draws from their product points, none crossing;
+    # criterion 8: the cubic slice (-1, b, a, -1) from the product point at
+    # a = b = 0, on its fixture points and a coarse grid of proper points
+    segments = []
+    rng = np.random.default_rng(20260816)
+    for _ in range(50):
+        top = np.array(random_theta_bi_proper(rng, 2).top_coeffs())
+        segments.append((np.array([top[0], 0.0, top[-1]]), top))
+    product = np.array([-1.0, 0.0, 0.0, -1.0])
+    ticks = [*np.arange(-6.0, 6.01, 1.0), -3.5, 2.5]
+    for a in ticks:
+        for b in ticks:
+            th = ThetaBi(3, {(3, 0): -1.0, (2, 1): float(b), (1, 2): float(a), (0, 3): -1.0})
+            if in_proper_bivariate_space(th):
+                segments.append((product, np.array(th.top_coeffs())))
+    verdicts = [_monitor_crosses(top0, top1) for top0, top1 in segments]
+    for (top0, top1), monitor in zip(segments, verdicts):
+        assert _wall_test_raises(top0, top1 - top0) == monitor, (top0, top1)
+    assert not any(verdicts[:50])
+    assert any(verdicts[50:]) and not all(verdicts[50:])
+
+
 def test_transport_degree_mismatch():
     with pytest.raises(InputError):
         transport_bi(initial_state_bi(2, 1.0, 1.0), product_theta(3))
@@ -303,49 +441,57 @@ def test_pfaffian_matrix_determinant_symbolic(d):
 # ------------------------------------------------- least-squares reference
 # The level solve the engine used before its square-window plan: every
 # level matrix rebuilt inside every right-hand side evaluation and the
-# over-determined levels solved by least squares.  The engine must agree
-# with it to a tolerance, not bitwise: window solves round differently and
-# meet integrator trial stages, which sit slightly off the holonomic
-# manifold, differently.
+# over-determined levels solved by least squares, integrated by Dormand-
+# Prince.  The engine steps by Taylor series instead, so the two agree to a
+# tolerance, not bitwise.  The reference runs at rel_tol 1e-13: at the
+# default 1e-10 it is itself off by 2.8e-7 at the tenth d=2 point (against
+# the mpmath value in `test_transport_matches_mpmath`), far outside the
+# 1e-9 it is held to.
 
 
 def _ref_level_system(d, k, theta_map, T, ax, ay):
-    """All 2(q+1) equations for the order-k diagonal X[col] = T[k-col, col]."""
+    """All 2(q+1) equations for the order-k diagonal X[col] = T[k-col][col].
+
+    T is a 2-D array or a list of rows, read as T[i][j].
+    """
     q = k - d + 1
-    mat = np.zeros((2 * (q + 1), k + 1))
-    rhs = np.zeros(2 * (q + 1))
+    mat = [[0.0] * (k + 1) for _ in range(2 * (q + 1))]
+    rhs = [0.0] * (2 * (q + 1))
     interior = [(i, j) for (i, j) in monomials_bi(d) if 2 <= i + j <= d - 1]
+    lead_x = [(d - i, i * theta_map[(i, d - i)]) for i in range(1, d + 1)]
+    lead_y = [(j - 1, j * theta_map[(d - j, j)]) for j in range(1, d + 1)]
+    low_x = [(i - 1, j, i * theta_map[(i, j)]) for i, j in interior if i >= 1]
+    low_y = [(i, j - 1, j * theta_map[(i, j)]) for i, j in interior if j >= 1]
+    t10, t01 = theta_map[(1, 0)], theta_map[(0, 1)]
     for r in range(q + 1):
         s, t = q - r, r
-        for i in range(1, d + 1):
-            mat[r, t + d - i] = i * theta_map[(i, d - i)]
+        for off, w in lead_x:
+            mat[r][t + off] = w
         acc = ay[t] if s == 0 else 0.0
         if s >= 1:
-            acc += s * T[s - 1, t]
-        acc += theta_map[(1, 0)] * T[s, t]
-        for i, j in interior:
-            if i >= 1:
-                acc += i * theta_map[(i, j)] * T[s + i - 1, t + j]
+            acc += s * T[s - 1][t]
+        acc += t10 * T[s][t]
+        for a, b, w in low_x:
+            acc += w * T[s + a][t + b]
         rhs[r] = -acc
-        for j in range(1, d + 1):
-            mat[q + 1 + r, t + j - 1] = j * theta_map[(d - j, j)]
+        for off, w in lead_y:
+            mat[q + 1 + r][t + off] = w
         acc = ax[s] if t == 0 else 0.0
         if t >= 1:
-            acc += t * T[s, t - 1]
-        acc += theta_map[(0, 1)] * T[s, t]
-        for i, j in interior:
-            if j >= 1:
-                acc += j * theta_map[(i, j)] * T[s + i, t + j - 1]
+            acc += t * T[s][t - 1]
+        acc += t01 * T[s][t]
+        for a, b, w in low_y:
+            acc += w * T[s + a][t + b]
         rhs[q + 1 + r] = -acc
-    return mat, rhs
+    return np.array(mat), np.array(rhs)
 
 
 def _ref_extend(d, T, lo, hi, theta_map, ax, ay):
     for k in range(lo, hi + 1):
         mat, rhs = _ref_level_system(d, k, theta_map, T, ax, ay)
-        X = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        X = np.linalg.lstsq(mat, rhs, rcond=None)[0].tolist()
         for col in range(k + 1):
-            T[k - col, col] = X[col]
+            T[k - col][col] = X[col]
 
 
 def _ref_transport(table, theta):
@@ -353,7 +499,8 @@ def _ref_transport(table, theta):
     d = theta.d
     monos = monomials_bi(d)
     src = table.theta.as_vector()
-    h = theta.as_vector() - src
+    h_vec = theta.as_vector() - src
+    h = h_vec.tolist()
     base = base_indices(d)
     nb, L = len(base), state_length(d)
     M_tab, M_ax = 3 * d - 4, max(L - 1 + d, 2 * d - 3)
@@ -361,21 +508,24 @@ def _ref_transport(table, theta):
     y_idx = [monos.index((0, j)) for j in range(1, d + 1)]
     axes = [holo_uni.state_at(ThetaUni([src[m] for m in idx])).F.tolist() for idx in (x_idx, y_idx)]
     y0 = [table.values[ij] for ij in base] + axes[0] + axes[1]
+    # T[I, J] @ h is sum h_ab T[i+a, j+b], row by row of the base
+    I = np.array([[i + a for a, _ in monos] for i, _ in base])
+    J = np.array([[j + b for _, b in monos] for _, j in base])
 
     def rhs(s, y):
-        c = src + s * h
+        c = (src + s * h_vec).tolist()
         ax = _extend([c[m] for m in x_idx], Support.HALF_LINE, y[nb : nb + L], M_ax)
         ay = _extend([c[m] for m in y_idx], Support.HALF_LINE, y[nb + L :], M_ax)
-        T = np.zeros((M_tab + 1, M_tab + 1))
+        T = [[0.0] * (M_tab + 1) for _ in range(M_tab + 1)]
         for n, (i, j) in enumerate(base):
-            T[i, j] = y[n]
+            T[i][j] = y[n]
         _ref_extend(d, T, 2 * d - 3, M_tab, dict(zip(monos, c)), ax, ay)
-        dy = [sum(h[m] * T[i + a, j + b] for m, (a, b) in enumerate(monos)) for i, j in base]
+        dy = (np.array(T)[I, J] @ h_vec).tolist()
         dy += [sum(h[x_idx[i - 1]] * ax[m + i] for i in range(1, d + 1)) for m in range(L)]
         dy += [sum(h[y_idx[j - 1]] * ay[m + j] for j in range(1, d + 1)) for m in range(L)]
         return dy
 
-    yf, _ = _ode.dopri45(rhs, y0, OdeOptions().rel_tol)
+    yf, _ = _ode.dopri45(rhs, y0, 1e-13)
     return dict(zip(base, yf))
 
 
@@ -401,6 +551,34 @@ def test_transport_matches_lstsq_reference(reference_points):
     for theta, moved, ref in reference_points:
         worst = max(_rel(moved.entry(*ij), v) for ij, v in ref.items())
         assert worst <= 1e-9, theta
+
+
+def test_transport_matches_mpmath():
+    # the tenth d=2 reference point, where the default-tolerance DOPRI
+    # reference was off by 2.8e-7: A by mpmath, the y-integral in closed form
+    import mpmath
+
+    rng = np.random.default_rng(20261020)
+    for _ in range(10):
+        theta = random_theta_bi_proper(rng, 2)
+    p, q, a, b, c = (mpmath.mpf(theta[ij]) for ij in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+
+    def inner(x):
+        beta = b * x + q
+        return (
+            mpmath.exp(a * x * x + p * x)
+            * mpmath.sqrt(mpmath.pi / -c)
+            / 2
+            * mpmath.exp(beta**2 / (-4 * c))
+            * mpmath.erfc(-beta / (2 * mpmath.sqrt(-c)))
+        )
+
+    with mpmath.workdps(30):
+        want = mpmath.quad(inner, [0, 1, 3, mpmath.inf])
+        assert abs(want - mpmath.mpf("1.1274152280382982652")) < 1e-18
+    top = theta.top_coeffs()
+    got = transport_bi(initial_state_bi(2, -top[0], -top[-1]), theta).norm_const
+    assert _rel(got, float(want)) <= 1e-9
 
 
 def test_extend_matches_lstsq_reference(reference_points):

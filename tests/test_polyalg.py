@@ -151,6 +151,15 @@ def test_chamber_label_letter_only_for_cubics():
     assert lab.letter is None
 
 
+def test_chamber_label_counts_root_at_origin():
+    # -a^3 + 3a^2 - 2.5a = -a (a^2 - 3a + 2.5): the origin and a complex pair
+    lab = classify_chamber([-1.0, 3.0, -2.5, 0.0])
+    assert lab == ChamberLabel(0, 0, 1, proper=False, n_zero=1)
+    assert lab.degree == 3
+    assert lab.letter is None
+    assert classify_chamber([-1.0, 3.0, -2.5, -0.1]).letter == "B"
+
+
 _coefficient = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
 
 
@@ -177,5 +186,5 @@ def test_classify_chamber_raises_only_on_discriminant_property(top):
         # only a lead below the normal range once scaled to the others
         assert abs(top[0] / max(map(abs, top))) < sys.float_info.min
         return
-    # the label counts every root but one at the origin
-    assert label.degree + (top[-1] == 0.0) == len(top) - 1
+    assert label.degree == len(top) - 1
+    assert label.n_zero == (top[-1] == 0.0)
