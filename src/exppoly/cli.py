@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .domain import (
     Membership,
@@ -360,6 +359,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     values = np.array([row[1:] for row in rows]) if rows else np.empty((0, len(columns)))
     ks_defined = values.shape[0] >= 2
+    from scipy import stats as sps
+
     if stat_kind == "p" or support is Support.HALF_LINE:
         null_name = "N(0,1)"
         null_cdf = sps.norm.cdf

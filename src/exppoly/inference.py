@@ -14,12 +14,12 @@ extra scores, evaluated with moments of the reduced model.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats as sps
 
 from . import holo_uni
 from .domain import (
@@ -515,7 +515,7 @@ def score_test_halfline(
     if cond <= 0.0:
         raise SingularInformation(f"conditional information {cond:.3e} is not positive")
     T = math.sqrt(stats.n) * score_d / math.sqrt(cond)
-    z = float(sps.norm.isf(alpha))
+    z = -statistics.NormalDist().inv_cdf(alpha)
     return TestResult(
         statistic=T,
         null=TestNull.STD_NORMAL_LOWER_TAIL,
@@ -571,7 +571,8 @@ def score_test_realline(
         T = float(stats.n * scores @ np.linalg.solve(cond, scores))
     except np.linalg.LinAlgError as exc:
         raise SingularInformation("conditional information is singular") from exc
-    threshold = float(sps.chi2.isf(alpha, 2))
+    # the chi-square(2) survival function is exp(-x/2)
+    threshold = -2.0 * math.log(alpha)
     return TestResult(
         statistic=T,
         null=TestNull.CHI_SQ_2_UPPER_TAIL,

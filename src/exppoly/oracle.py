@@ -6,6 +6,9 @@ truncated window derived from the exponent, so these routines can certify the
 ODE results.  Truncation points are where the log-integrand has fallen
 ``log(trunc_eps)`` below its maximum; integrands are rescaled by that maximum
 before quadrature so extreme exponents cannot overflow.
+
+scipy is imported inside the functions that use it, so importing this module,
+and with it the holonomic engine, does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
 
 from .domain import (
     Membership,
@@ -93,6 +95,8 @@ def _window_halfline(coeffs: tuple[float, ...], m: int, eps: float) -> tuple[flo
             break
     else:
         raise DivergentIntegral("could not bracket the integrand tail")
+    from scipy import optimize
+
     hi = float(optimize.brentq(lambda x: _log_integrand(coeffs, m, x) - target, lo_x, hi))
     return lmax, hi, crit
 
@@ -121,6 +125,8 @@ def _window_realline(coeffs: tuple[float, ...], m: int, eps: float) -> tuple[flo
                 break
         else:
             raise DivergentIntegral("could not bracket the integrand tail")
+        from scipy import optimize
+
         root = optimize.brentq(
             lambda x: _log_integrand(coeffs, m, direction * x) - target, start, hi
         )
@@ -144,6 +150,8 @@ def _quad_scaled(
         if x == 0.0:
             return math.exp(-lmax) if m == 0 else 0.0
         return math.copysign(1.0, x) ** (m % 2) * math.exp(_log_integrand(coeffs, m, x) - lmax)
+
+    from scipy import integrate
 
     interior = sorted(x for x in crit if lo < x < hi)
     val, err = integrate.quad(
@@ -205,6 +213,8 @@ def closed_form_A(theta: ThetaUni) -> float:
         if theta.d == 1:
             return -1.0 / c[0]
         if theta.d == 2:
+            from scipy import special
+
             b = -c[1]
             z = -c[0] / (2.0 * math.sqrt(b))
             return math.sqrt(math.pi) / (2.0 * math.sqrt(b)) * float(special.erfcx(z))
@@ -265,6 +275,8 @@ def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = 
     else:
         raise DivergentIntegral("bivariate envelope does not decay")
     target = emax + math.log(opts.trunc_eps)
+    from scipy import optimize
+
     y_hi = float(optimize.brentq(lambda y: envelope(y) - target, ypeak, evals[-1][0]))
 
     inner_opts = QuadOptions(
@@ -285,6 +297,8 @@ def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = 
         val, _ = _quad_scaled(coeffs, s, lmax, 0.0, hi, crit, inner_opts)
         ylog = 0.0 if (t == 0 or y == 0.0) else t * math.log(y)
         return val * math.exp(lmax + c0(y) + ylog - emax)
+
+    from scipy import integrate
 
     val, err = integrate.quad(
         outer, 0.0, y_hi,
@@ -320,6 +334,8 @@ def _cdf_nodes(theta: ThetaUni, opts: QuadOptions) -> tuple[np.ndarray, np.ndarr
         return math.exp(exponent(coeffs, x) - gmax)
 
     def cumulative(xs: np.ndarray) -> np.ndarray:
+        from scipy import integrate
+
         parts = np.zeros(len(xs))
         for i in range(1, len(xs)):
             parts[i], _ = integrate.quad(
@@ -350,6 +366,8 @@ def numeric_cdf(theta: ThetaUni, opts: QuadOptions = _DEFAULT_QUAD):
     """Numeric CDF as a monotone interpolant; returns (callable, (lo, hi))."""
     xs, us = _cdf_nodes(theta, opts)
     xi, ui = xs, us
+    from scipy import interpolate
+
     pchip = interpolate.PchipInterpolator(xi, ui)
 
     def cdf(x):
@@ -382,6 +400,8 @@ def sample_uni(
     ui, xi = us[grow], xs[grow]
     ui, idx = np.unique(ui, return_index=True)
     xi = xi[idx]
+    from scipy import interpolate
+
     inv = interpolate.PchipInterpolator(ui, xi)
     rng = np.random.default_rng(seed)
     u = rng.random(n)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .domain import (
     SuffStats,
@@ -263,6 +262,8 @@ def _suite_bivariate(d: int | None, rng: np.random.Generator) -> tuple[float, in
 
 
 def _suite_sampler(d: int | None, rng: np.random.Generator) -> tuple[float, int, str]:
+    from scipy import stats as sps
+
     worst = 0.0
     checks = 0
     for th in (

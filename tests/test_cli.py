@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +348,31 @@ def test_verify_failing_tolerance(capsys):
     assert code == 1
     assert out["all_passed"] is False
     assert "FAIL" in err
+
+
+_NO_SCIPY_CHILD = """
+import json, sys
+import exppoly, exppoly.cli
+codes = [
+    exppoly.cli.main(["normconst", "--theta=-1,3,-2", "--order", "2"]),
+    exppoly.cli.main(["chambers", "--point=0,0", "--d", "3"]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+)}))
+"""
+
+
+def test_transport_commands_do_not_load_scipy():
+    # scipy serves only the oracle, the sampler, simulate and verify; the
+    # import and the transport and chamber commands must run without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["scipy"] == []

@@ -16,11 +16,14 @@ from exppoly.errors import (
     NonPositiveScale,
     PathCrossesSingularity,
     PathSingularity,
+    SingularSystem,
 )
 from exppoly.holo_bi import (
     DerivTableBi,
     _check_wall,
+    _factor,
     _level_matrix,
+    _pfaffian_matrix,
     _wall_poly,
     assemble_system,
     base_indices,
@@ -146,6 +149,22 @@ def test_pfaffian_det_matches_discriminant():
             got = pfaffian_det(th)
             want = d ** (d - 2) * discriminant(top[::-1])
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_factor_det_and_inverse(d):
+    rng = np.random.default_rng(20261018 + d)
+    for _ in range(10):
+        P = _pfaffian_matrix(random_theta_bi_proper(rng, d).top_coeffs())
+        det, inv = _factor(P)
+        assert det == pytest.approx(np.linalg.det(P), rel=1e-12)
+        np.testing.assert_allclose(P @ inv, np.eye(len(P)), rtol=0.0, atol=1e-12)
+
+
+def test_factor_refuses_top_form_on_the_discriminant():
+    # cubic slice (a, b) = (-3, -3): the top form is -(x + y)^3
+    with pytest.raises(SingularSystem, match="discriminant locus"):
+        _factor(_pfaffian_matrix([-1.0, -3.0, -3.0, -1.0]))
 
 
 def test_extend_table_gaussian_product():

@@ -415,3 +415,24 @@ def test_whole_line_is_two_half_lines_property(theta):
     left = _accepted(ThetaUni(mirrored))
     budget = sum(s.last_transport_error * s.norm_const for s in (whole, right, left))
     assert abs(whole.norm_const - right.norm_const - left.norm_const) <= budget
+
+
+@settings(max_examples=60)
+@given(st.one_of(interior_theta(), realline_theta()), st.data())
+def test_extend_derivatives_recursion_property(theta, data):
+    state = _accepted(theta)
+    d, coeffs = theta.d, theta.coeffs
+    M = data.draw(st.integers(1, 4 * d))
+    K = data.draw(st.integers(0, M - 1))
+    F = extend_derivatives(state, M)
+    np.testing.assert_array_equal(F[: K + 1], extend_derivatives(state, K))
+    inhom = 1.0 if theta.support is Support.HALF_LINE else 0.0
+    for m in range(M - d + 2):
+        terms = [inhom if m == 0 else 0.0, m * F[m - 1] if m else 0.0]
+        terms += [k * coeffs[k - 1] * F[k - 1 + m] for k in range(1, d)]
+        lhs = d * coeffs[-1] * F[d - 1 + m]
+        # each of the at most d+1 additions and the division rounds once,
+        # by a subnormal step at worst where the terms underflow
+        largest = max(abs(lhs), *map(abs, terms))
+        ulp = np.finfo(float).eps * largest + np.finfo(float).smallest_subnormal
+        assert abs(lhs + math.fsum(terms)) <= (d + 2) * ulp

@@ -224,6 +224,17 @@ def test_score_test_realline_grows_with_perturbation():
         last = res.statistic
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1e-10])
+def test_score_test_thresholds_match_scipy_quantiles(alpha):
+    from scipy import stats as sps
+
+    half = score_test_halfline(stats_from_moments([1.0, 2.0]), 2, alpha=alpha)
+    assert half.threshold == pytest.approx(-sps.norm.isf(alpha), rel=1e-15, abs=0.0)
+    st = stats_from_moments([0.0, 0.5, 0.0, 0.75], support=Support.REAL_LINE)
+    real = score_test_realline(st, 4, alpha=alpha)
+    assert real.threshold == pytest.approx(sps.chi2.isf(alpha, 2), rel=1e-15, abs=0.0)
+
+
 def test_score_test_validation():
     st = stats_from_moments([1.0, 2.0])
     with pytest.raises(UnsupportedOrder):
