@@ -2,7 +2,8 @@
 
 Both transport engines, univariate and bivariate, step by Taylor series
 from exactly computed coefficients (`taylor`), with the step chosen from the
-last coefficients; each system supplies its own coefficient recursion.
+last coefficients; each system supplies its own coefficient recursion, which
+hands back all of a step's coefficient rows as one ndarray.
 
 The other steppers here propagate y' = f(s, y) across s in [0, 1] and no
 engine calls them: an embedded Dormand-Prince 5(4) pair with proportional
@@ -198,29 +199,33 @@ _SAFETY = 0.8
 
 
 def taylor(
-    series: Callable[[float, list, float], list],
+    series: Callable[[float, list, float], np.ndarray],
     y0: Sequence[float],
     rtol: float,
     max_steps: int = 200_000,
 ) -> tuple[list[float], float]:
     """Taylor-series stepping over [0, 1]; returns (y(1), error estimate).
 
-    ``series(s, y, H)`` returns the rows a_0 = y, a_1, ..., a_N of the
-    Taylor coefficients of the solution through (s, y) in t = (s' - s) / H,
-    so that y(s + t H) is the sum of a_n t^n.  H is the previous step (1 at
-    first), which keeps the rows within range where the solution grows or
-    decays by many orders of magnitude.
+    ``series(s, y, H)`` returns an ndarray whose rows a_0 = y, a_1, ..., a_N
+    are the Taylor coefficients of the solution through (s, y) in
+    t = (s' - s) / H, so that y(s + t H) is the sum of a_n t^n.  H is the
+    previous step (1 at first), which keeps the rows within range where the
+    solution grows or decays by many orders of magnitude.
 
-    Each step is chosen after its coefficients are known, from the last two
-    rows (two, because a parity can zero every other one): t is `_SAFETY`
-    times the largest step at which each of them contributes at most rtol |y|.
-    The step's error is the larger of those two terms (the truncation tail)
-    plus eps times the largest term (rounding).  While it exceeds rtol times
-    the new |y|, which caps the step wherever a term would dwarf the sum, t
-    is halved.  The estimate adds the steps' errors, each relative to the
-    smaller of |y| after that step and at s = 1: an error is assumed to grow
-    with the solution but not to decay with it.  Non-finite coefficients
-    raise `OdeDivergence`, as does a step budget exhausted before s = 1.
+    Each step is chosen after its coefficients are known, from the absolute
+    sums of the last two rows (two, because a parity can zero every other
+    one): t is `_SAFETY` times the largest step at which each of them
+    contributes at most rtol |y|.  The step's error is the larger of those
+    two terms (the truncation tail) plus eps times the largest term
+    (rounding).  While it exceeds rtol times the new |y|, which caps the step
+    wherever a term would dwarf the sum, t is halved.  Each entry of the new
+    y is an exactly rounded sum (`math.fsum`) of its column's terms.  The
+    estimate adds the steps' errors, each relative to the smaller of |y|
+    after that step and at s = 1: an error is assumed to grow with the
+    solution but not to decay with it.  Non-finite coefficients raise
+    `OdeDivergence` (numpy's overflow and invalid-value warnings are off
+    while the rows are built and summed, so an overflow shows only as that),
+    as does a step budget exhausted before s = 1.
     """
     y = [float(v) for v in y0]
     if not y:
@@ -228,34 +233,35 @@ def taylor(
     s = 0.0
     H = 1.0
     errors = []  # (error, |y| after the step)
-    while s < 1.0:
-        if len(errors) == max_steps:
-            raise OdeDivergence(f"Taylor transport exceeded {max_steps} steps")
-        rows = series(s, y, H)
-        N = len(rows) - 1
-        norms = [sum(map(abs, row)) for row in rows]
-        if not math.isfinite(sum(norms)):
-            raise OdeDivergence(f"non-finite Taylor coefficients at s = {s:.6g}")
-        tol = rtol * max(map(abs, y))
-        t_end = (1.0 - s) / H
-        t = t_end
-        for n in (N - 1, N):
-            if norms[n] > 0.0:
-                t = min(t, _SAFETY * (tol / norms[n]) ** (1.0 / n))
-        cols = list(zip(*rows))
-        while True:
-            if t * H < 1e-14:
-                raise OdeDivergence("step size underflow in Taylor transport")
-            powers = [t**n for n in range(N + 1)]
-            y_new = [math.fsum(map(mul, col, powers)) for col in cols]
-            terms = list(map(mul, norms, powers))
-            err = max(terms[N - 1], terms[N]) + _EPS * max(terms)
-            ymag = max(max(map(abs, y_new)), 1e-300)
-            if err <= rtol * ymag and math.isfinite(ymag):
-                break
-            t *= 0.5
-        errors.append((err, ymag))
-        s = 1.0 if t == t_end else s + t * H
-        H = t * H
-        y = y_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < 1.0:
+            if len(errors) == max_steps:
+                raise OdeDivergence(f"Taylor transport exceeded {max_steps} steps")
+            rows = series(s, y, H)
+            N = len(rows) - 1
+            norms = np.abs(rows).sum(1).tolist()
+            if not math.isfinite(sum(norms)):
+                raise OdeDivergence(f"non-finite Taylor coefficients at s = {s:.6g}")
+            tol = rtol * max(map(abs, y))
+            t_end = (1.0 - s) / H
+            t = t_end
+            for n in (N - 1, N):
+                if norms[n] > 0.0:
+                    t = min(t, _SAFETY * (tol / norms[n]) ** (1.0 / n))
+            cols = rows.T.tolist()
+            while True:
+                if t * H < 1e-14:
+                    raise OdeDivergence("step size underflow in Taylor transport")
+                powers = [t**n for n in range(N + 1)]
+                y_new = [math.fsum(map(mul, col, powers)) for col in cols]
+                terms = list(map(mul, norms, powers))
+                err = max(terms[N - 1], terms[N]) + _EPS * max(terms)
+                ymag = max(max(map(abs, y_new)), 1e-300)
+                if err <= rtol * ymag and math.isfinite(ymag):
+                    break
+                t *= 0.5
+            errors.append((err, ymag))
+            s = 1.0 if t == t_end else s + t * H
+            H = t * H
+            y = y_new
     return y, sum(e / min(m, ymag) for e, m in errors)

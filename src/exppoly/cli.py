@@ -150,7 +150,7 @@ def _float_list(arr) -> list[float]:
 
 def cmd_normconst(args: argparse.Namespace) -> int:
     theta = _theta_from_args(args)
-    opts = OdeOptions(rel_tol=args.tol) if args.tol else OdeOptions()
+    opts = OdeOptions(rel_tol=args.tol) if args.tol is not None else OdeOptions()
     if isinstance(theta, ThetaBi):
         _require_proper_bi(theta)
         order = args.order if args.order is not None else theta.d

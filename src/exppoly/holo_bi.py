@@ -532,7 +532,7 @@ def transport_bi(
     y0 = [table.values[st] for st in base] + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     order = holo_uni._TAYLOR_ORDER
 
-    def series(s: float, y: list[float], H: float) -> list[list[float]]:
+    def series(s: float, y: list[float], H: float) -> np.ndarray:
         # rows[n + 1] holds V_n, the t^n coefficients at theta(s + t*H);
         # rows[0] stays zero as V_{-1}
         rows = np.zeros((order + 2, plan.n_v))
@@ -548,7 +548,7 @@ def transport_bi(
         for n in range(order):
             plan.fill(rows, n, solvers)
             rows[n + 2, tab] = DH.dot(rows[n + 1]) / (n + 1)
-        return rows[1:, carried].tolist()
+        return rows[1:, carried]
 
     try:
         yf, est = _ode.taylor(series, y0, opts.rel_tol, opts.max_steps)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ class OdeOptions:
     `_TAYLOR_ORDER`, with adaptive steps.
 
     rel_tol: per-step relative tolerance.
-    max_steps: step budget before giving up, an integer >= 1.
+    max_steps: step budget before giving up, an integer >= 1 (not a bool).
     """
 
     rel_tol: float = 1e-10
@@ -53,13 +52,19 @@ class OdeOptions:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise InputError("rel_tol must be positive and finite")
-        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+        if not _is_count(self.max_steps):
             raise InputError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
+def _is_count(v: object) -> bool:
+    """Whether v is an integer >= 1; a bool is not, though Python counts it one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
 # Order of the Taylor series that adaptive transport steps by: high enough
-# that a segment takes a few steps, low enough that a coefficient row (about
-# 3d^2 products) stays cheap next to the step it saves.
+# that a segment takes a few steps, low enough that a coefficient row (one
+# product with a matrix of side 2d-1, built once per step) stays cheap next
+# to the step it saves.
 _TAYLOR_ORDER = 24
 
 
@@ -186,7 +191,8 @@ def _close(
 
     Equation m reads lead*row[d-1+m] = -(carry[m] + m*row[m-1] + sum of the
     `terms` weights times row[k-1+m]); `_extend` passes the boundary term as
-    carry[0], `_series` the shifted products of the previous coefficient row.
+    carry[0], and `_series` closes each unit row and unit carry to build the
+    map from one coefficient row to the next.
     """
     for m in range(len(row) - d + 1):
         acc = carry[m]
@@ -199,40 +205,63 @@ def _close(
 
 def _series(
     coeffs: Sequence[float], h: Sequence[float], inhom: float, y: Sequence[float], order: int
-) -> list[list[float]]:
+) -> np.ndarray:
     """Taylor coefficients in sigma of the entries F[0..len(y)-1] at coeffs + sigma*h.
 
-    Row n holds a[m][n], the sigma^n coefficient of F[m], for the len(y)
-    carried entries; row 0 is y.  Moving along h differentiates as
-    dF[m]/dsigma = sum_k h_k F[m+k], so
+    Row n of the (order+1, len(y)) result holds a[m][n], the sigma^n
+    coefficient of F[m], for the len(y) carried entries; row 0 is y.  Moving
+    along h differentiates as dF[m]/dsigma = sum_k h_k F[m+k], so
 
         (n+1) a[m][n+1] = sum_k h_k a[m+k][n],
 
     and the entries from d-1 on follow from `_extend`'s recursion applied
     coefficient by coefficient.  theta(sigma) is linear in sigma, so every
     weight k*theta_k, the leading d*theta_d included, adds one shifted product
-    k*h_k*a[.][n-1] to the equation at order n; the leading factor stays
-    d*theta_d at sigma = 0, so no series is divided.  Row 1 is the transport
-    right-hand side.
+    c[m][n] = sum_k k*h_k*a[m+k-1][n-1] to equation m at order n; the leading
+    factor stays d*theta_d at sigma = 0, so no series is divided.  Row 1 is
+    the transport right-hand side.
+
+    The map from x_n = (a[.][n], c[.][n]) to x_{n+1} is therefore linear,
+    and the same at every order but for the factor 1/(n+1) on its a part.
+    It is built once per call: `_close` closes each unit input to a row
+    F[0..], whose shifted products are that input's column.  Each order is
+    then one matrix-vector product; x_0 holds the boundary term `inhom` as
+    c[0][0].
     """
     d = len(coeffs)
     lead = _lead(coeffs)
     terms = _weights(coeffs)
-    kh = [k * hk for k, hk in enumerate(h, 1)]
     n_y = len(y)
     n_eq = n_y + 1  # equations m = 0..n_y fill F[d-1..n_y-1+d]
-    fill = [0.0] * n_eq
-    rows = [list(y)]
-    row = [*y[: d - 1], *fill]
-    carry = [inhom, *fill[1:]]
-    for n in range(1, order + 1):
+    n_x = n_y + n_eq
+    width = n_y + d
+    # closed[j]: the row F[0..width-1] that unit input j of x closes to;
+    # a[m] for m >= d-1 is itself closed from the rest, so its inputs stay zero
+    zero = [0.0] * width
+    closed = [zero] * n_x
+    for j in (*range(d - 1), *range(n_y, n_x)):
+        row = zero.copy()
+        carry = [0.0] * n_eq
+        if j < n_y:
+            row[j] = 1.0
+        else:
+            carry[j - n_y] = 1.0
         _close(row, d, lead, terms, carry)
-        nxt = [sum(map(mul, h, row[m + 1 : m + 1 + d])) / n for m in range(n_y)]
-        rows.append(nxt)
-        if n < order:
-            carry = [sum(map(mul, kh, row[m : m + d])) for m in range(n_eq)]
-            row = [*nxt[: d - 1], *fill]
-    return rows
+        closed[j] = row
+    h = list(h)
+    kh = [k * hk for k, hk in enumerate(h, 1)]
+    shifts = np.array(
+        [[0.0] * (m + 1) + h + [0.0] * (width - m - 1 - d) for m in range(n_y)]
+        + [[0.0] * m + kh + [0.0] * (width - m - d) for m in range(n_eq)]
+    )
+    maps = np.repeat(np.dot(shifts, np.array(closed).T)[None], order, 0)
+    maps[:, :n_y] *= (1.0 / np.arange(1.0, order + 1))[:, None, None]
+    x = np.zeros((order + 1, n_x))
+    x[0, :n_y] = y
+    x[0, n_y] = inhom
+    for n in range(order):
+        np.dot(maps[n], x[n], out=x[n + 1])
+    return x[:, :n_y]
 
 
 def _segment_series(src: ThetaUni, target: ThetaUni, order: int):
@@ -242,7 +271,7 @@ def _segment_series(src: ThetaUni, target: ThetaUni, order: int):
     h = (np.array(target.coeffs) - np.array(src_coeffs)).tolist()
     inhom = _inhom(src.support)
 
-    def series(s: float, y: Sequence[float], H: float = 1.0) -> list[list[float]]:
+    def series(s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
         theta_s = [c + s * hk for c, hk in zip(src_coeffs, h)]
         return _series(theta_s, [H * hk for hk in h], inhom, y, order)
 

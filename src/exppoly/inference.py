@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .holo_bi import DerivTableBi, extend_table, initial_state_bi, transport_bi
-from .holo_uni import HoloStateUni, OdeOptions, extend_derivatives, norm_const_and_derivs
+from .holo_uni import HoloStateUni, OdeOptions, _is_count, extend_derivatives, norm_const_and_derivs
 
 # Transport goes through `holo_uni.state_at` alone; this binding is kept only
 # because bench/tracing.py wraps `inference.transport` by name.
@@ -61,10 +61,12 @@ class FitOptions:
     min_step_factor: float = 2.0**-40
 
     def __post_init__(self) -> None:
-        if not (self.grad_tol > 0):
-            raise InputError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
+        if not (self.grad_tol > 0.0 and math.isfinite(self.grad_tol)):
+            raise InputError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        if not _is_count(self.max_iter):
+            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not 0.0 < self.min_step_factor < 1.0:
+            raise InputError(f"min_step_factor must lie in (0, 1), got {self.min_step_factor!r}")
 
 
 class UniHoloProvider:

@@ -94,6 +94,14 @@ def test_normconst_bivariate_theta_file(capsys, tmp_path):
     assert out["A"] == pytest.approx(out["derivs"]["00"])
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_normconst_rejects_nonpositive_tol(capsys, tol):
+    # --tol 0 used to read as no --tol and ran at the default tolerance
+    code, out, err = run(capsys, ["normconst", "--theta=-1,3,-2", "--tol", tol])
+    assert code == 2 and out is None
+    assert json.loads(err)["error"] == "InputError: rel_tol must be positive and finite"
+
+
 def test_normconst_needs_theta(capsys):
     code, _, err = run(capsys, ["normconst"])
     assert code == 2 and err

@@ -1,6 +1,8 @@
 """Univariate engine: initial states, derivative extension, transport."""
 
 import math
+import warnings
+from operator import mul
 
 import numpy as np
 import pytest
@@ -17,7 +19,14 @@ from exppoly.errors import (
     ToleranceNotMet,
 )
 from exppoly.holo_uni import (
+    _TAYLOR_ORDER,
     OdeOptions,
+    _close,
+    _extend,
+    _inhom,
+    _lead,
+    _series,
+    _weights,
     derivative_bounds,
     extend_derivatives,
     initial_state,
@@ -215,10 +224,12 @@ def test_derivatives_positive_on_half_line():
 def test_ode_options_validation():
     with pytest.raises(InputError):
         OdeOptions(rel_tol=0.0)
-    # a step budget that is not a positive integer would never be reached
-    for bad in (-1, 0, 2.5):
+    # a step budget that is not a positive integer would never be reached;
+    # True would pass for 1
+    for bad in (-1, 0, 2.5, True, False):
         with pytest.raises(InputError):
             OdeOptions(max_steps=bad)
+    assert OdeOptions(max_steps=np.int64(3)).max_steps == 3
 
 
 def test_transport_condition_benign():
@@ -436,3 +447,104 @@ def test_extend_derivatives_recursion_property(theta, data):
         largest = max(abs(lhs), *map(abs, terms))
         ulp = np.finfo(float).eps * largest + np.finfo(float).smallest_subnormal
         assert abs(lhs + math.fsum(terms)) <= (d + 2) * ulp
+
+
+def _series_reference(coeffs, h, inhom, y, order):
+    """`_series` one coefficient row at a time in Python floats: each order
+    closes the row with `_close`, then forms the next row and the carry from
+    its shifted products.  This is the kernel's earlier form."""
+    d = len(coeffs)
+    lead = _lead(coeffs)
+    terms = _weights(coeffs)
+    kh = [k * hk for k, hk in enumerate(h, 1)]
+    n_y = len(y)
+    n_eq = n_y + 1
+    fill = [0.0] * n_eq
+    rows = [list(y)]
+    row = [*y[: d - 1], *fill]
+    carry = [inhom, *fill[1:]]
+    for n in range(1, order + 1):
+        _close(row, d, lead, terms, carry)
+        nxt = [sum(map(mul, h, row[m + 1 : m + 1 + d])) / n for m in range(n_y)]
+        rows.append(nxt)
+        if n < order:
+            carry = [sum(map(mul, kh, row[m : m + d])) for m in range(n_eq)]
+            row = [*nxt[: d - 1], *fill]
+    return np.array(rows)
+
+
+def assert_series_matches_reference(coeffs, h, inhom, y):
+    """`_series` against `_series_reference`.
+
+    Where the recursion cancels, both round intermediates far larger than the
+    row, so the bound comes from `sizes`, the reference run on absolute values
+    (every weight, direction and start entry by its size, the leading factor
+    negative), in which nothing cancels: row n agrees within (n+1)(d+2) ulps
+    of the absolute sum of that run's row n."""
+    d, order = len(coeffs), _TAYLOR_ORDER
+    rows = _series(coeffs, h, inhom, y, order)
+    assert isinstance(rows, np.ndarray) and rows.shape == (order + 1, len(y))
+    assert rows[0].tolist() == [float(v) for v in y]
+    ref = _series_reference(coeffs, h, inhom, y, order)
+    sizes = _series_reference(
+        [*map(abs, coeffs[:-1]), -abs(coeffs[-1])], [*map(abs, h)], abs(inhom), [*map(abs, y)], order
+    )
+    steps = (np.arange(order + 1) + 1.0) * (d + 2)
+    tiny = np.finfo(float).smallest_subnormal
+    bound = steps * (np.finfo(float).eps * sizes.sum(1) + tiny)
+    assert np.all(np.abs(rows - ref).max(1) <= bound)
+
+
+# The univariate state carries d-1 entries; `holo_bi.transport_bi` hands in
+# each axis state extended to 2d-2.
+@pytest.mark.parametrize("axis", [False, True], ids=["state", "axis"])
+@pytest.mark.parametrize("H", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("support", [Support.HALF_LINE, Support.REAL_LINE], ids=str)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_series_matches_scalar_reference(d, support, H, axis):
+    rng = np.random.default_rng(100 * d + 10 * axis + (support is Support.REAL_LINE))
+    for _ in range(5):
+        coeffs = [*rng.uniform(-2.0, 2.0, d - 1).tolist(), -rng.uniform(0.2, 2.5)]
+        h = (H * rng.uniform(-1.0, 1.0, d)).tolist()
+        base = rng.uniform(0.1, 2.0, d - 1).tolist()
+        y = _extend(coeffs, support, base, 2 * d - 3) if axis else base
+        assert_series_matches_reference(coeffs, h, _inhom(support), y)
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.floats(-2.0, 2.0), min_size=d - 1, max_size=d - 1),
+            st.floats(0.05, 2.5),
+            st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+            st.lists(st.floats(0.0, 2.0), min_size=2 * d - 2, max_size=2 * d - 2),
+        )
+    ),
+    st.sampled_from([Support.HALF_LINE, Support.REAL_LINE]),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.booleans(),
+)
+def test_series_matches_scalar_reference_property(draw, support, H, axis):
+    lower, lead, h, base = draw
+    coeffs = [*lower, -lead]
+    d = len(coeffs)
+    y = _extend(coeffs, support, base, 2 * d - 3) if axis else base[: d - 1]
+    assert_series_matches_reference(coeffs, [H * v for v in h], _inhom(support), y)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        (1e300, -1.0),  # the rows grow by about 1e300 per order
+        (1e200, -1.0, 0.5, -1e-200),
+        (1.0, -1e-300),  # the leading factor runs to 1e-300 at the end
+    ],
+)
+def test_series_overflow_is_ode_divergence(target):
+    theta = ThetaUni(target)
+    start = initial_state(theta.d, 1.0)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(OdeDivergence, match="non-finite Taylor coefficients"):
+            transport(start, theta)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from exppoly.domain import Support, SuffStats, ThetaBi, ThetaUni, suff_stats
-from exppoly.errors import NotConverged, SingularInformation, ToleranceNotMet, UnsupportedOrder
+from exppoly.errors import (
+    InputError,
+    NotConverged,
+    SingularInformation,
+    ToleranceNotMet,
+    UnsupportedOrder,
+)
 from exppoly.holo_bi import extend_table, table_from_oracle
 from exppoly.inference import (
     FitOptions,
@@ -85,6 +91,31 @@ def test_fisher_is_covariance_of_monomials():
         for b in range(3):
             want[a, b] = mom[a + b + 2] - mom[a + 1] * mom[b + 1]
     np.testing.assert_allclose(fisher_info(th), want, rtol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_iter": 2.5},  # used to fail inside fit_mle with a TypeError from range
+        {"max_iter": True},  # used to return iterations=True
+        {"max_iter": 0},
+        {"grad_tol": math.inf},  # used to converge in 0 iterations
+        {"grad_tol": 0.0},
+        {"grad_tol": math.nan},
+        {"min_step_factor": 0.0},
+        {"min_step_factor": 1.0},
+        {"min_step_factor": -0.5},
+        {"min_step_factor": math.nan},
+    ],
+    ids=str,
+)
+def test_fit_options_validation(kwargs):
+    with pytest.raises(InputError):
+        FitOptions(**kwargs)
+
+
+def test_fit_options_accepts_numpy_integers():
+    assert FitOptions(max_iter=np.int64(50), min_step_factor=0.5).max_iter == 50
 
 
 def test_fit_exponential_closed_form():

@@ -280,7 +280,7 @@ def test_transport_step_budget_raises():
 
 def test_taylor_non_finite_coefficients_raise():
     with pytest.raises(OdeDivergence):
-        _ode.taylor(lambda s, y, H: [y, [math.inf]], [1.0], 1e-10)
+        _ode.taylor(lambda s, y, H: np.array([y, [math.inf]]), [1.0], 1e-10)
 
 
 def test_taylor_exponential():
@@ -289,7 +289,7 @@ def test_taylor_exponential():
         rows = [list(y)]
         for n in range(1, 25):
             rows.append([rows[-1][0] * H / n])
-        return rows
+        return np.array(rows)
 
     y, est = _ode.taylor(series, [1.0], 1e-12)
     assert y[0] == pytest.approx(math.e, rel=1e-15)
