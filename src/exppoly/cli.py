@@ -237,9 +237,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         standard_errors = _float_list(result.standard_errors(stats.n))
         fisher = [_float_list(row) for row in result.fisher]
+        fisher_bound = None if result.fisher_bound is None else [_float_list(row) for row in result.fisher_bound]
     except SingularInformation:
         # the Fisher matrix is not positive definite, or not determined
-        standard_errors = fisher = None
+        standard_errors = fisher = fisher_bound = None
     out = {
         "mode": args.mode,
         "d": args.d,
@@ -248,6 +249,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "loglik_bar": result.loglik_bar,
         "grad_norm": result.grad_norm,
         "fisher": fisher,
+        "fisher_bound": fisher_bound,
         "standard_errors": standard_errors,
         "iterations": result.iterations,
         "converged": result.converged,

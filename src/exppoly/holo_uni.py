@@ -510,26 +510,6 @@ def norm_const_and_derivs(
     return extend_derivatives(state_at(theta, opts, support), M)
 
 
-def prefactor_norm_const(
-    eta: Sequence[float],
-    theta: ThetaUni | Sequence[float],
-    opts: OdeOptions | None = None,
-    support: Support = Support.HALF_LINE,
-) -> float:
-    """Integral of (eta_0 + eta_1 x + ... + eta_h x^h) exp(g_theta(x)).
-
-    Linearity turns the polynomial prefactor into a combination of the
-    derivative vector: the x^i moment is the i-th theta_1-derivative of A.
-    """
-    eta_arr = [float(v) for v in eta]
-    if len(eta_arr) == 0:
-        raise InputError("prefactor must have at least one coefficient")
-    if not all(math.isfinite(v) for v in eta_arr):
-        raise InputError("prefactor coefficients must be finite")
-    derivs = norm_const_and_derivs(theta, len(eta_arr) - 1, opts, support)
-    return float(np.dot(eta_arr, derivs))
-
-
 def mixed_partial_index(orders: Sequence[int]) -> int:
     """Map a mixed-partial multi-index to its theta_1-derivative order.
 

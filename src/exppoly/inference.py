@@ -3,12 +3,14 @@
 The per-observation log-likelihood of an exponential-polynomial sample is
 linear in the sufficient statistics minus log A(theta), so the score is
 (sample moments) - (model moments) and the Fisher information is the moment
-covariance; every quantity reduces to derivative vectors supplied by the
-holonomic engines.  Fitting is Fisher scoring with step halving against the
-domain boundary.  Order selection tests H0: order k against order k+1 (half
-line) with a one-sided normal score statistic; on the whole line orders move
-in steps of two and the statistic is a chi-square quadratic form in the two
-extra scores, evaluated with moments of the reduced model.
+covariance.  One kernel, `_likelihood`, gives all three for either engine
+from one provider request: the derivatives through total order 2d.  Fitting
+is Fisher scoring with step halving against the domain boundary.  Order
+selection tests H0: order k against order k+1 (half line) with a one-sided
+normal score statistic; on the whole line orders move in steps of two and
+the statistic is a chi-square quadratic form in the two extra scores.  Both
+standardize by the Schur complement of the extra scores' block in the
+reduced model's Fisher matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .domain import (
     suff_stats,
 )
 from .errors import (
+    InconsistentExtension,
     InputError,
     NotConverged,
     OdeDivergence,
@@ -87,23 +90,16 @@ class UniHoloProvider:
         self._state: Optional[HoloStateUni] = None
 
     def derivs(self, theta: ThetaUni, M: int) -> np.ndarray:
+        """d^m A / d theta_1^m at theta for m = 0..M; entry 0 is A."""
         self._state = holo_uni.state_at(theta, self.opts, start=self._state)
         return extend_derivatives(self._state, M)
 
     def refresh(self, theta: ThetaUni) -> None:
         self._state = holo_uni.state_at(theta, self.opts)
 
-    def fisher_bound(self, d: int) -> np.ndarray:
-        """Entrywise error bound of the order-d Fisher matrix at the committed state."""
-        derivs = extend_derivatives(self._state, 2 * d)
-        mom = np.abs(_uni_moments(derivs))
-        bounds = holo_uni.derivative_bounds(self._state, 2 * d)
-        dmom = (bounds + mom * bounds[0]) / derivs[0]
-        # entry (l, m) is E[X^(l+m)] - E[X^l] E[X^m], l, m = 1..d
-        low, dlow = mom[1 : d + 1], dmom[1 : d + 1]
-        return dmom[np.add.outer(np.arange(1, d + 1), np.arange(1, d + 1))] + (
-            np.outer(low, dlow) + np.outer(dlow, low)
-        )
+    def derivative_bounds(self, M: int) -> np.ndarray:
+        """Absolute error bounds of `derivs` through order M at the committed state."""
+        return holo_uni.derivative_bounds(self._state, M)
 
 
 class BiHoloProvider:
@@ -128,8 +124,14 @@ class BiHoloProvider:
         self._table = table
         return table
 
-    def derivs(self, theta: ThetaBi, M: int) -> DerivTableBi:
-        return extend_table(self._move(theta), M, self.opts)
+    def derivs(self, theta: ThetaBi, M: int) -> np.ndarray:
+        """The table at theta through total order M as an array: entry [i, j]
+        is d^(i+j) A / d theta_10^i d theta_01^j, NaN past the table's order."""
+        table = extend_table(self._move(theta), M, self.opts)
+        out = np.full((table.max_order + 1,) * 2, np.nan)
+        for ij, v in table.values.items():
+            out[ij] = v
+        return out
 
     def refresh(self, theta: ThetaBi) -> None:
         state, self._table = self._table, None
@@ -140,15 +142,15 @@ class BiHoloProvider:
             # (or the fresh path is numerically worse); keep the incremental state
             self._table = state
 
-    def seed(self, table: DerivTableBi) -> None:
-        """Start incremental transport from a caller-supplied table."""
-        self._table = table
+    def derivative_bounds(self, M: int) -> None:
+        """None: the bivariate extension carries no error bound yet."""
+        return None
 
 
-def _default_provider(support: Support | None, bivariate: bool, opts: OdeOptions | None):
-    if bivariate:
+def _provider_for(theta: Theta, opts: OdeOptions | None = None):
+    if isinstance(theta, ThetaBi):
         return BiHoloProvider(opts)
-    return UniHoloProvider(support if support is not None else Support.HALF_LINE, opts)
+    return UniHoloProvider(theta.support, opts)
 
 
 @dataclass(frozen=True)
@@ -208,16 +210,54 @@ class TestResult:
     effective_order: int
 
 
-def _log_norm_const(A: float) -> float:
+def _exponents(theta: Theta) -> tuple[np.ndarray, ...]:
+    """Exponents of the sufficient statistics, one index array per variable:
+    (1..d) for x^m, or the (i, j) columns of `monomials_bi` for x^i y^j."""
+    if isinstance(theta, ThetaBi):
+        return tuple(np.array(monomials_bi(theta.d)).T)
+    return (np.arange(1, theta.d + 1),)
+
+
+def _sample_moments(stats: SuffStats, exps: tuple[np.ndarray, ...]) -> list[float]:
+    moment = stats.moment_bi if len(exps) == 2 else stats.moment
+    return [moment(*e) for e in zip(*(col.tolist() for col in exps))]
+
+
+def _pairs(exps: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Exponents of the statistics' products: entry (a, b) is e_a + e_b."""
+    return tuple(np.add.outer(e, e) for e in exps)
+
+
+def _likelihood(
+    theta: Theta, sample: Sequence[float], derivs: np.ndarray, exps: tuple[np.ndarray, ...]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Per-observation log-likelihood, score and Fisher matrix at theta.
+
+    `derivs` is a provider's answer through total order 2d (1-D, or 2-D
+    indexed [i, j]), so mom = derivs / A holds the model moments; `exps` are
+    the statistics' exponents and `sample` their sample means.  The score is
+    sample - mom[e] and the Fisher matrix the moment covariance
+    mom[e_a + e_b] - mom[e_a] mom[e_b].
+    """
+    A = float(derivs.flat[0])
     # near-boundary transports can lose all accuracy and report A <= 0
     if not (math.isfinite(A) and A > 0.0):
         raise OdeDivergence(f"transport produced invalid normalizing constant {A!r}")
-    return math.log(A)
+    mom = derivs / A
+    low = mom[exps]
+    # theta . sample as a left-to-right float sum; np.dot may add in another order
+    lbar = sum(t * s for t, s in zip(_theta_vector(theta).tolist(), sample)) - math.log(A)
+    return lbar, np.array(sample) - low, mom[_pairs(exps)] - np.outer(low, low)
 
 
-def _uni_moments(derivs: np.ndarray) -> np.ndarray:
-    """Model moments E[X^m] = (d^m A / d theta_1^m) / A."""
-    return derivs / derivs[0]
+def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, exps: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Entrywise error bound of `_likelihood`'s Fisher matrix, given absolute
+    error bounds of `derivs`."""
+    A = derivs.flat[0]
+    mom = np.abs(derivs / A)
+    dmom = (bounds + mom * bounds.flat[0]) / A
+    low, dlow = mom[exps], dmom[exps]
+    return dmom[_pairs(exps)] + (np.outer(low, dlow) + np.outer(dlow, low))
 
 
 def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[float, np.ndarray]:
@@ -227,26 +267,10 @@ def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[floa
     moment of the same order; bivariate coordinates follow the canonical
     monomial order of the parameter.
     """
-    if isinstance(theta, ThetaBi):
-        if provider is None:
-            provider = BiHoloProvider()
-        table = provider.derivs(theta, theta.d)
-        A = table.norm_const
-        monos = monomials_bi(theta.d)
-        lbar = sum(theta[ij] * stats.moment_bi(*ij) for ij in monos) - _log_norm_const(A)
-        grad = np.array(
-            [stats.moment_bi(i, j) - table.entry(i, j) / A for (i, j) in monos]
-        )
-        return lbar, grad
-    if provider is None:
-        provider = UniHoloProvider(theta.support)
-    d = theta.d
-    derivs = provider.derivs(theta, d)
-    A = derivs[0]
-    mom = _uni_moments(derivs)
-    lbar = sum(theta.coeffs[m - 1] * stats.moment(m) for m in range(1, d + 1)) - _log_norm_const(A)
-    grad = np.array([stats.moment(m) - mom[m] for m in range(1, d + 1)])
-    return lbar, grad
+    provider = provider if provider is not None else _provider_for(theta)
+    exps = _exponents(theta)
+    derivs = provider.derivs(theta, 2 * theta.d)
+    return _likelihood(theta, _sample_moments(stats, exps), derivs, exps)[:2]
 
 
 def fisher_info(theta: Theta, provider=None) -> np.ndarray:
@@ -255,34 +279,10 @@ def fisher_info(theta: Theta, provider=None) -> np.ndarray:
     Entry (l, m) is E[X^(l+m)] - E[X^l] E[X^m] (univariate; with the obvious
     table analogue bivariate), from engine derivatives of total order <= 2d.
     """
-    if isinstance(theta, ThetaBi):
-        if provider is None:
-            provider = BiHoloProvider()
-        table = provider.derivs(theta, 2 * theta.d)
-        A = table.norm_const
-        monos = monomials_bi(theta.d)
-        p = len(monos)
-        out = np.empty((p, p))
-        for a, (i, j) in enumerate(monos):
-            for b, (l, m) in enumerate(monos):
-                if b < a:
-                    continue
-                out[a, b] = out[b, a] = (
-                    table.entry(i + l, j + m) / A
-                    - (table.entry(i, j) / A) * (table.entry(l, m) / A)
-                )
-        return out
-    if provider is None:
-        provider = UniHoloProvider(theta.support)
-    return _fisher_from_moments(_uni_moments(provider.derivs(theta, 2 * theta.d)), theta.d)
-
-
-def _fisher_from_moments(mom: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((d, d))
-    for l in range(1, d + 1):
-        for m in range(l, d + 1):
-            out[l - 1, m - 1] = out[m - 1, l - 1] = mom[l + m] - mom[l] * mom[m]
-    return out
+    provider = provider if provider is not None else _provider_for(theta)
+    exps = _exponents(theta)
+    # the Fisher matrix does not depend on the sample
+    return _likelihood(theta, [0.0] * len(exps[0]), provider.derivs(theta, 2 * theta.d), exps)[2]
 
 
 def _mom_start_uni(stats: SuffStats, d: int, support: Support) -> ThetaUni:
@@ -326,18 +326,19 @@ def fit_mle(
     """Maximum likelihood fit by Fisher scoring.
 
     Iterates theta <- theta + I(theta)^-1 grad with step halving whenever the
-    proposal leaves the domain or lowers the likelihood.  Non-convergence and
-    boundary outcomes are reported through the result flags rather than
-    exceptions, so callers can inspect the partial fit.
+    proposal leaves the domain or lowers the likelihood.  Each evaluated
+    point costs one order-2d provider request, whose Fisher matrix is the
+    next step's when the point is accepted.  Non-convergence and boundary
+    outcomes are reported through the result flags rather than exceptions,
+    so callers can inspect the partial fit.
     """
     if opts is None:
         opts = FitOptions()
-    bivariate = stats.is_bivariate
     if d is None:
         d = stats.order
     if d < 1 or d > stats.order:
         raise InputError(f"fit order {d} needs statistics of order >= {d}")
-    if bivariate:
+    if stats.is_bivariate:
         theta: Theta = _mom_start_bi(stats, d)
     else:
         support = stats.support if stats.support is not None else Support.HALF_LINE
@@ -345,9 +346,11 @@ def fit_mle(
             raise UnsupportedOrder("whole-line fits need an even order")
         theta = _mom_start_uni(stats, d, support)
     if provider is None:
-        provider = _default_provider(stats.support, bivariate, opts.ode)
+        provider = _provider_for(theta, opts.ode)
+    exps = _exponents(theta)
+    sample = _sample_moments(stats, exps)
 
-    lbar, grad = loglik_and_grad(theta, stats, provider)
+    lbar, grad, info = _likelihood(theta, sample, provider.derivs(theta, 2 * d), exps)
     hit_boundary = False
     converged = False
     iterations = 0
@@ -356,7 +359,6 @@ def fit_mle(
             converged = True
             iterations -= 1
             break
-        info = fisher_info(theta, provider)
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError as exc:
@@ -374,13 +376,13 @@ def fit_mle(
                 lam *= 0.5
                 continue
             try:
-                l_new, g_new = loglik_and_grad(cand, stats, provider)
-            except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet):
+                l_new, g_new, i_new = _likelihood(cand, sample, provider.derivs(cand, 2 * d), exps)
+            except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet, InconsistentExtension):
                 boundary_limited = True
                 lam *= 0.5
                 continue
             if math.isfinite(l_new) and l_new >= lbar - 1e-12 * max(1.0, abs(lbar)):
-                theta, lbar, grad = cand, l_new, g_new
+                theta, lbar, grad, info = cand, l_new, g_new, i_new
                 accepted = True
                 break
             lam *= 0.5
@@ -391,8 +393,9 @@ def fit_mle(
         iterations = opts.max_iter
 
     provider.refresh(theta)
-    lbar, grad = loglik_and_grad(theta, stats, provider)
-    info = fisher_info(theta, provider)
+    derivs = provider.derivs(theta, 2 * d)
+    lbar, grad, info = _likelihood(theta, sample, derivs, exps)
+    bounds = provider.derivative_bounds(2 * d)
     grad_norm = float(np.max(np.abs(grad)))
     if converged:
         converged = grad_norm <= 10 * opts.grad_tol
@@ -418,7 +421,7 @@ def fit_mle(
         iterations=iterations,
         converged=converged,
         hit_boundary=hit_boundary,
-        fisher_bound=provider.fisher_bound(d) if isinstance(provider, UniHoloProvider) else None,
+        fisher_bound=None if bounds is None else _fisher_bound(derivs, bounds, exps),
     )
 
 
@@ -446,26 +449,25 @@ def mle_existence_check(
     return score_d < 0.0
 
 
-def _fit_null_with_recursion(
-    stats: SuffStats,
-    order: int,
-    step: int,
-    min_order: int,
-    opts: FitOptions,
-) -> tuple[FitResult, int, UniHoloProvider]:
-    """Fit the null model, dropping the order while the fit lands on its own
-    boundary (the lower-order MLE may itself sit at a vanishing top
-    coefficient).
+def _null_information(
+    stats: SuffStats, d: int, step: int, opts: FitOptions
+) -> tuple[ThetaUni, int, np.ndarray, np.ndarray]:
+    """Null fit, its order, extra scores and their conditional information
+    for a score test of order d - step against order d.
 
-    Also returns the fit's provider, whose state is the refreshed one at the
-    null estimate.  Raises NotConverged when the fit stopped in the interior
+    The order drops by `step` while the fit lands on its own boundary (the
+    lower-order MLE may itself sit at a vanishing top coefficient).  The
+    order-d score and Fisher matrix at the null come from one order-2d
+    request; the last `step` scores are returned with the Schur complement
+    of their block.  Raises NotConverged when the fit stopped in the interior
     without converging: a score evaluated there is not a score test statistic.
     """
-    provider = _default_provider(stats.support, False, opts.ode)
-    k = order
+    support = stats.support if stats.support is not None else Support.HALF_LINE
+    provider = UniHoloProvider(support, opts.ode)
+    k = d - step
     while True:
         result = fit_mle(stats, k, opts, provider)
-        if not result.hit_boundary or k - step < min_order:
+        if not result.hit_boundary or k - step < step:
             break
         k -= step
     if not (result.converged or result.hit_boundary):
@@ -473,7 +475,16 @@ def _fit_null_with_recursion(
             f"order-{k} null fit stopped after {result.iterations} iterations "
             f"with score max-norm {result.grad_norm:.3e}"
         )
-    return result, k, provider
+    theta_null: ThetaUni = result.theta_hat  # type: ignore[assignment]
+    exps = (np.arange(1, d + 1),)
+    derivs = provider.derivs(theta_null, 2 * d)
+    _, score, info = _likelihood(theta_null, _sample_moments(stats, exps), derivs, exps)
+    head, cross, corner = info[:-step, :-step], info[:-step, -step:], info[-step:, -step:]
+    try:
+        cond = corner - cross.T @ np.linalg.solve(head, cross)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInformation("conditional information is singular") from exc
+    return theta_null, k, score[-step:], cond
 
 
 def _embed(coeffs: Sequence[float], d: int) -> tuple[float, ...]:
@@ -503,20 +514,11 @@ def score_test_halfline(
         raise InputError("alpha must be in (0, 1/2)")
     if stats.order < d:
         raise InputError(f"need statistics of order >= {d}")
-    null_fit, k, provider = _fit_null_with_recursion(stats, d - 1, 1, 1, opts)
-    theta_null: ThetaUni = null_fit.theta_hat  # type: ignore[assignment]
-
-    mom = _uni_moments(provider.derivs(theta_null, 2 * d))
-    info = _fisher_from_moments(mom, d)
-    score_d = stats.moment(d) - mom[d]
-    head, cross, corner = info[: d - 1, : d - 1], info[: d - 1, d - 1], info[d - 1, d - 1]
-    try:
-        cond = corner - float(cross @ np.linalg.solve(head, cross))
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformation("conditional information is singular") from exc
+    theta_null, k, score, info = _null_information(stats, d, 1, opts)
+    cond = float(info[0, 0])
     if cond <= 0.0:
         raise SingularInformation(f"conditional information {cond:.3e} is not positive")
-    T = math.sqrt(stats.n) * score_d / math.sqrt(cond)
+    T = math.sqrt(stats.n) * float(score[0]) / math.sqrt(cond)
     z = -statistics.NormalDist().inv_cdf(alpha)
     return TestResult(
         statistic=T,
@@ -554,22 +556,8 @@ def score_test_realline(
         raise InputError(f"need statistics of order >= {d_full}")
     if stats.support is not Support.REAL_LINE:
         raise InputError("whole-line test needs whole-line statistics")
-    null_fit, k, provider = _fit_null_with_recursion(stats, d_full - 2, 2, 2, opts)
-    theta_null: ThetaUni = null_fit.theta_hat  # type: ignore[assignment]
-
-    mom = _uni_moments(provider.derivs(theta_null, 2 * d_full))
-    info = _fisher_from_moments(mom, d_full)
-    scores = np.array(
-        [
-            stats.moment(d_full - 1) - mom[d_full - 1],
-            stats.moment(d_full) - mom[d_full],
-        ]
-    )
-    head = info[: d_full - 2, : d_full - 2]
-    cross = info[: d_full - 2, d_full - 2 :]
-    corner = info[d_full - 2 :, d_full - 2 :]
+    theta_null, k, scores, cond = _null_information(stats, d_full, 2, opts)
     try:
-        cond = corner - cross.T @ np.linalg.solve(head, cross)
         T = float(stats.n * scores @ np.linalg.solve(cond, scores))
     except np.linalg.LinAlgError as exc:
         raise SingularInformation("conditional information is singular") from exc

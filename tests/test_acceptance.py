@@ -105,7 +105,7 @@ def test_criterion_3_derivative_correctness():
     def psi_and_moments(theta: ThetaUni) -> tuple[float, np.ndarray]:
         F = norm_const_and_derivs(theta, M=theta.d)
         A = float(F[0])
-        from exppoly.inference import _uni_moments
+        from test_inference import _uni_moments
 
         return math.log(A), _uni_moments(F)[1:]
 

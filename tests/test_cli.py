@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exppoly import cli
@@ -139,6 +140,31 @@ def test_fit_boundary_data_exit_code(capsys, tmp_path):
     # its error bound, so neither it nor the standard errors are printed
     assert out["standard_errors"] is None
     assert out["fisher"] is None
+
+
+def test_fit_reports_fisher_bound_univariate(capsys, tmp_path):
+    x = sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=3)
+    code, out, _ = run(capsys, ["fit", write_sample(tmp_path, x), "--d", "3"])
+    assert code == 0
+    fisher, bound = np.array(out["fisher"]), np.array(out["fisher_bound"])
+    assert bound.shape == fisher.shape == (3, 3)
+    assert np.all(bound >= 0.0) and np.max(bound / np.abs(fisher)) < 1e-8
+
+
+def test_fit_fisher_bound_null(capsys, tmp_path):
+    # bivariate: the engine gives no bound next to its Fisher matrix
+    x = sample_uni(ThetaUni((1.0, -1.0)), 500, seed=4)
+    y = sample_uni(ThetaUni((0.5, -2.0)), 500, seed=5)
+    csv = tmp_path / "bi.csv"
+    csv.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    code, out, _ = run(capsys, ["fit", str(csv), "--mode", "bivariate", "--d", "2"])
+    assert code == 0
+    assert np.array(out["fisher"]).shape == (5, 5)
+    assert out["fisher_bound"] is None
+    # boundary fit: no Fisher matrix, so no bound either
+    code, out, _ = run(capsys, ["fit", write_sample(tmp_path, [0.05, 0.2, 2.75]), "--d", "2"])
+    assert code == 3
+    assert out["fisher"] is None and out["fisher_bound"] is None
 
 
 def _reject_constant(name):

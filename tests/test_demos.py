@@ -1,0 +1,20 @@
+"""Smoke tests: demos that call the likelihood layer run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["demo_maximum_likelihood.py", "demo_order_selection.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env, capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -32,7 +32,6 @@ from exppoly.holo_uni import (
     initial_state,
     mixed_partial_index,
     norm_const_and_derivs,
-    prefactor_norm_const,
     state_at,
     state_length,
     transport,
@@ -160,26 +159,6 @@ def test_norm_const_reduces_boundary_theta():
 def test_norm_const_rejects_divergent():
     with pytest.raises(DivergentIntegral):
         norm_const_and_derivs((1.0,))
-
-
-def test_prefactor_norm_const():
-    # (1 + 2x + x^2) e^{-x}: 1 + 2*1 + 2 = 5
-    assert prefactor_norm_const((1.0, 2.0, 1.0), (-1.0,)) == pytest.approx(
-        5.0, rel=1e-10
-    )
-    # x e^{-x^2} on (0, inf) = 1/2
-    assert prefactor_norm_const((0.0, 1.0), (0.0, -1.0)) == pytest.approx(
-        0.5, rel=1e-9
-    )
-    # degenerate prefactor (1) is just A
-    assert prefactor_norm_const((1.0,), (-1.0,)) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_prefactor_validation():
-    with pytest.raises(InputError):
-        prefactor_norm_const((), (-1.0,))
-    with pytest.raises(InputError):
-        prefactor_norm_const((1.0, float("inf")), (-1.0,))
 
 
 def test_mixed_partial_index():

@@ -4,17 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from exppoly.domain import Support, SuffStats, ThetaBi, ThetaUni, suff_stats
+from exppoly import inference
+from exppoly.domain import Support, SuffStats, ThetaBi, ThetaUni, monomials_bi, suff_stats
 from exppoly.errors import (
+    InconsistentExtension,
     InputError,
     NotConverged,
+    OdeDivergence,
+    PathCrossesSingularity,
     SingularInformation,
     ToleranceNotMet,
     UnsupportedOrder,
 )
 from exppoly.holo_bi import extend_table, table_from_oracle
+from exppoly.holo_uni import derivative_bounds, extend_derivatives
 from exppoly.inference import (
+    BiHoloProvider,
     FitOptions,
     UniHoloProvider,
     fisher_info,
@@ -26,7 +34,8 @@ from exppoly.inference import (
     select_order,
 )
 from exppoly.inference import TestNull as NullKind
-from exppoly.oracle import quad_moment_uni, sample_uni
+from exppoly.oracle import quad_A_bi, quad_moment_uni, sample_uni
+from exppoly.verify import random_theta_bi_proper, random_theta_uni
 
 SQRT_PI = math.sqrt(math.pi)
 Z_05 = 1.6448536269514729
@@ -39,6 +48,50 @@ def stats_from_moments(moments, n=100, support=Support.HALF_LINE):
         order=len(moments),
         support=support,
         moments=tuple(float(m) for m in moments),
+    )
+
+
+# The Fisher formulas the likelihood kernel replaced, kept as its references.
+
+
+def _uni_moments(derivs):
+    """Model moments E[X^m] = (d^m A / d theta_1^m) / A."""
+    return derivs / derivs[0]
+
+
+def _fisher_from_moments(mom, d):
+    out = np.empty((d, d))
+    for l in range(1, d + 1):
+        for m in range(l, d + 1):
+            out[l - 1, m - 1] = out[m - 1, l - 1] = mom[l + m] - mom[l] * mom[m]
+    return out
+
+
+def _fisher_bi_reference(table):
+    A = table.norm_const
+    monos = monomials_bi(table.d)
+    p = len(monos)
+    out = np.empty((p, p))
+    for a, (i, j) in enumerate(monos):
+        for b, (l, m) in enumerate(monos):
+            if b < a:
+                continue
+            out[a, b] = out[b, a] = (
+                table.entry(i + l, j + m) / A
+                - (table.entry(i, j) / A) * (table.entry(l, m) / A)
+            )
+    return out
+
+
+def _fisher_bound_reference(state, d):
+    derivs = extend_derivatives(state, 2 * d)
+    mom = np.abs(_uni_moments(derivs))
+    bounds = derivative_bounds(state, 2 * d)
+    dmom = (bounds + mom * bounds[0]) / derivs[0]
+    # entry (l, m) is E[X^(l+m)] - E[X^l] E[X^m], l, m = 1..d
+    low, dlow = mom[1 : d + 1], dmom[1 : d + 1]
+    return dmom[np.add.outer(np.arange(1, d + 1), np.arange(1, d + 1))] + (
+        np.outer(low, dlow) + np.outer(dlow, low)
     )
 
 
@@ -91,6 +144,128 @@ def test_fisher_is_covariance_of_monomials():
         for b in range(3):
             want[a, b] = mom[a + b + 2] - mom[a + 1] * mom[b + 1]
     np.testing.assert_allclose(fisher_info(th), want, rtol=1e-7)
+
+
+@st.composite
+def uni_theta(draw):
+    """`random_theta_uni` at d = 1..6 on the half line, d = 2, 4, 6 on the whole line."""
+    support = draw(st.sampled_from(list(Support)))
+    d = draw(st.integers(1, 6) if support is Support.HALF_LINE else st.sampled_from([2, 4, 6]))
+    return random_theta_uni(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, support)
+
+
+@settings(max_examples=200)
+@given(uni_theta())
+def test_fisher_kernel_matches_references_uni(theta):
+    provider = UniHoloProvider(theta.support)
+    try:
+        info = fisher_info(theta, provider)
+    except (ToleranceNotMet, OdeDivergence):
+        assume(False)
+    state, d = provider._state, theta.d
+    derivs = extend_derivatives(state, 2 * d)
+    np.testing.assert_array_equal(info, _fisher_from_moments(_uni_moments(derivs), d))
+    bound = inference._fisher_bound(derivs, provider.derivative_bounds(2 * d), (np.arange(1, d + 1),))
+    np.testing.assert_array_equal(bound, _fisher_bound_reference(state, d))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_fisher_kernel_matches_reference_bi(d, seed):
+    theta = random_theta_bi_proper(np.random.default_rng(seed), d)
+    provider = BiHoloProvider()
+    try:
+        info = fisher_info(theta, provider)
+    except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet, InconsistentExtension):
+        assume(False)
+    table = extend_table(provider._table, 2 * d)
+    np.testing.assert_array_equal(info, _fisher_bi_reference(table))
+    assert provider.derivative_bounds(2 * d) is None
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        ThetaBi(2, {(1, 0): 0.4, (0, 1): -0.3, (2, 0): -1.0, (1, 1): -0.8, (0, 2): -1.3}),
+        ThetaBi(
+            3,
+            {
+                (1, 0): 0.3, (0, 1): -0.2, (2, 0): -0.5, (1, 1): 0.2, (0, 2): -0.4,
+                (3, 0): -1.0, (2, 1): -0.5, (1, 2): -0.3, (0, 3): -1.2,
+            },
+        ),
+    ],
+    ids=["d2", "d3"],
+)
+def test_bivariate_likelihood_matches_quadrature(theta):
+    d = theta.d
+    monos = monomials_bi(d)
+    A = quad_A_bi(theta)
+    mom = {
+        (i, j): quad_A_bi(theta, (i, j)) / A for i in range(2 * d + 1) for j in range(2 * d + 1 - i)
+    }
+    sample = {ij: 1.0 + 0.25 * k for k, ij in enumerate(monos)}
+    stats = SuffStats(n=10, order=d, support=None, moments_bi=sample)
+    lbar, score = loglik_and_grad(theta, stats)
+    want = np.array([sample[ij] - mom[ij] for ij in monos])
+    assert np.max(np.abs(score - want)) <= 1e-6 * np.max(np.abs(want))
+    assert lbar == pytest.approx(sum(theta[ij] * sample[ij] for ij in monos) - math.log(A), rel=1e-8)
+    want = np.array(
+        [[mom[(i + l, j + m)] - mom[(i, j)] * mom[(l, m)] for (l, m) in monos] for (i, j) in monos]
+    )
+    assert np.max(np.abs(fisher_info(theta) - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+class CountingProvider:
+    """Forwards to a provider and records each derivative request and refresh."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+        self.refreshes = []
+
+    def derivs(self, theta, M):
+        self.requests.append((inference._theta_vector(theta).tolist(), M))
+        return self.inner.derivs(theta, M)
+
+    def refresh(self, theta):
+        self.refreshes.append(len(self.requests))
+        self.inner.refresh(theta)
+
+    def derivative_bounds(self, M):
+        return self.inner.derivative_bounds(M)
+
+
+def _bivariate_sample_stats(n=1000, seed=5):
+    x = sample_uni(ThetaUni((1.0, -1.0)), n, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    y = sample_uni(ThetaUni((0.5, -2.0)), n, np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    return suff_stats(np.column_stack([x, y]), 2, "bivariate")
+
+
+@pytest.mark.parametrize(
+    "stats, provider",
+    [
+        (suff_stats(sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=3), 3), UniHoloProvider),
+        (_bivariate_sample_stats(), BiHoloProvider),
+    ],
+    ids=["univariate", "bivariate"],
+)
+def test_fit_makes_one_request_per_point(stats, provider):
+    counting = CountingProvider(provider())
+    res = fit_mle(stats, stats.order, provider=counting)
+    assert res.converged and res.iterations >= 2
+    d = res.theta_hat.d
+    assert [M for _, M in counting.requests] == [2 * d] * len(counting.requests)
+    # the start, at least one candidate per iteration, and the refreshed estimate
+    assert len(counting.requests) >= res.iterations + 2
+    assert counting.refreshes == [len(counting.requests) - 1]
+    points = [tuple(v) for v, _ in counting.requests]
+    assert len(set(points[:-1])) == len(points) - 1
+    theta_hat = inference._theta_vector(res.theta_hat)
+    assert points[-1] == tuple(theta_hat.tolist()) == points[-2]
+    plain = fit_mle(stats, stats.order)
+    np.testing.assert_array_equal(theta_hat, inference._theta_vector(plain.theta_hat))
+    np.testing.assert_array_equal(res.fisher, plain.fisher)
 
 
 @pytest.mark.parametrize(
