@@ -57,7 +57,7 @@ from .inference import (
     select_order,
 )
 from .oracle import quad_A_bi, quad_moment_uni, sample_uni
-from .polyalg import classify_chamber, discriminant
+from .polyalg import _classify_with_discriminant, _discriminants, discriminant
 from .verify import run_suites, suite_names
 
 EXIT_OK = 0
@@ -427,7 +427,7 @@ def _chamber_report(d: int, top: tuple[float, ...]) -> dict:
         "detp": pfaffian_det(theta),
     }
     try:
-        label = classify_chamber(top)
+        label = _classify_with_discriminant(top, disc)
     except OnDiscriminant:
         report.update(
             {"chamber": "boundary", "signature": None, "proper": None, "boundary": True}
@@ -470,18 +470,17 @@ def cmd_chambers(args: argparse.Namespace) -> int:
         grid_path = out_dir / "chambers_grid.csv"
         counts: dict[str, int] = {}
         with open(grid_path, "w") as fh:
-            for a in ticks:
-                for b in ticks:
-                    top = (-1.0, float(b), float(a), -1.0)
+            row = ticks.tolist()
+            for a in row:
+                # one batched discriminant per row keeps memory linear in the row
+                tops = [(-1.0, b, a, -1.0) for b in row]
+                for top, disc in zip(tops, _discriminants(np.array(tops)).tolist()):
                     try:
-                        label = classify_chamber(top)
-                        name = label.letter or "other"
+                        name = _classify_with_discriminant(top, disc).letter or "other"
                     except OnDiscriminant:
                         name = "boundary"
                     counts[name] = counts.get(name, 0) + 1
-                    fh.write(
-                        f"{float(a)!r},{float(b)!r},{discriminant(top)!r},{name}\n"
-                    )
+                    fh.write(f"{a!r},{top[1]!r},{disc!r},{name}\n")
         out["grid"] = {
             "csv": str(grid_path),
             "range": [float(lo), float(hi)],

@@ -15,6 +15,7 @@ together with negative axis coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -145,7 +146,7 @@ class ThetaBi:
             cleaned[ij] = float(value)
         for ij in wanted:
             cleaned.setdefault(ij, 0.0)
-        if not all(np.isfinite(v) for v in cleaned.values()):
+        if not all(map(math.isfinite, cleaned.values())):
             raise InputError("theta coefficients must be finite")
         object.__setattr__(self, "coeffs", cleaned)
 

@@ -587,12 +587,14 @@ def _wall_poly(top0: np.ndarray, h_top: np.ndarray) -> tuple[list[float], list[f
 
     D is a polynomial of degree at most 2d-2 in s, so its values at the
     2d-1 points u_k = cos(k pi / (2d-2)), both ends included, determine it
-    up to rounding.
+    up to rounding.  All 2d-1 samples go through the batched discriminant
+    kernel as one stack, bit for bit what one `polyalg.discriminant` call
+    per point returns.
     """
     n = 2 * len(top0) - 3
     u = np.cos(np.arange(n) * math.pi / (n - 1))
-    vals = [polyalg.discriminant(top0 + (0.5 + 0.5 * uk) * h_top) for uk in u.tolist()]
-    return vals, np.linalg.solve(np.vander(u), vals).tolist()
+    vals = polyalg._discriminants(top0 + (0.5 + 0.5 * u)[:, None] * h_top)
+    return vals.tolist(), np.linalg.solve(np.vander(u), vals).tolist()
 
 
 def _check_wall(top0: np.ndarray, h_top: np.ndarray) -> None:

@@ -8,10 +8,18 @@ layout.  This convention is what makes ``det P = d^(d-2) * discriminant`` an
 exact identity for the bivariate derivative-completion matrix ``P``; it
 differs from the school-book discriminant by the sign ``(-1)^(d(d-1)/2)``
 (e.g. it is ``4ac - b^2`` for quadratics, not ``b^2 - 4ac``).
+
+One Sylvester builder serves a single pair of polynomials and a stack of
+them: the discriminants of many forms (the wall samples of a bivariate
+step, a row of the chamber grid) cost one ``np.linalg.det`` call, bit for
+bit what one call per form returns.  One Sturm chain gives the sign changes
+at every point, so `classify_chamber` builds one chain for both its
+positive and its negative root count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -69,15 +77,41 @@ def sylvester_matrix(f: Sequence[float], g: Sequence[float]) -> np.ndarray:
     g = _trim_exact(g)
     if not f or not g:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    m, n = len(f) - 1, len(g) - 1
-    if m < 1 or n < 1:
+    if len(f) < 2 or len(g) < 2:
         raise UnsupportedOrder("both polynomials must have degree >= 1")
-    s = np.zeros((m + n, m + n))
+    return _sylvester_stack(np.array([f]), np.array([g]))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester_layout(m: int, n: int) -> np.ndarray:
+    """The (m+n) x (m+n) Sylvester layout as indices into the row
+    ``[0, f, g]`` (degrees m, n): index 0 is the zero entry."""
+    idx = np.zeros((m + n, m + n), dtype=np.intp)
     for r in range(n):
-        s[r, r : r + m + 1] = f
+        idx[r, r : r + m + 1] = range(1, m + 2)
     for r in range(m):
-        s[n + r, r : r + n + 1] = g
-    return s
+        idx[n + r, r : r + n + 1] = range(m + 2, m + n + 3)
+    idx.flags.writeable = False  # shared by every caller through the cache
+    return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(d: int) -> np.ndarray:
+    """d, d-1, ..., 1: the factors from descending coefficients to the
+    derivative's."""
+    powers = np.arange(d, 0, -1.0)
+    powers.flags.writeable = False  # shared by every caller through the cache
+    return powers
+
+
+def _sylvester_stack(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sylvester matrices of the rows of f (B, m+1) and g (B, n+1) as one
+    (B, m+n, m+n) stack, by one gather from the rows ``[0, f, g]``."""
+    m, n = f.shape[1] - 1, g.shape[1] - 1
+    rows = np.zeros((len(f), m + n + 3))
+    rows[:, 1 : m + 2] = f
+    rows[:, m + 2 :] = g
+    return rows.take(_sylvester_layout(m, n), axis=1)
 
 
 def sylvester_resultant(f: Sequence[float], g: Sequence[float]) -> float:
@@ -90,13 +124,19 @@ def discriminant(theta_top: Sequence[float]) -> float:
     ``theta_top`` is ``(theta_d0, theta_{d-1,1}, ..., theta_0d)``, i.e. the
     coefficients of ``p(a)`` in descending powers.
     """
-    top = [float(v) for v in theta_top]
-    d = len(top) - 1
+    return float(_discriminants(np.array([[float(v) for v in theta_top]]))[0])
+
+
+def _discriminants(tops: np.ndarray) -> np.ndarray:
+    """`discriminant` of every row of tops (B, d+1), by one det of the
+    stack; raises as `discriminant` does."""
+    d = tops.shape[1] - 1
     if d < 2:
         raise UnsupportedOrder("discriminant requires degree d >= 2")
-    if top[0] == 0.0:
+    leads = tops[:, 0]
+    if 0.0 in leads.tolist():
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    return sylvester_resultant(top, poly_derivative(top)) / top[0]
+    return np.linalg.det(_sylvester_stack(tops, tops[:, :-1] * _powers(d))) / leads
 
 
 def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
@@ -105,7 +145,7 @@ def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
     if len(p0) == 1:
         return [p0]
-    scale = max(abs(v) for v in p0)
+    scale = max(map(abs, p0))
     if abs(p0[0] / scale) < sys.float_info.min:
         # scaled, the lead is zero or subnormal, and the remainders divide by it
         raise LeadingCoefficientZero(
@@ -114,11 +154,11 @@ def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
         )
     p0 = [v / scale for v in p0]
     der = poly_derivative(p0)
-    der_scale = max(abs(v) for v in der)
+    der_scale = max(map(abs, der))
     chain = [p0, [v / der_scale for v in der]]
     while len(chain[-1]) > 1:
         rem = _poly_remainder(chain[-2], chain[-1])
-        mag = max((abs(v) for v in rem), default=0.0)
+        mag = max(map(abs, rem), default=0.0)
         if mag <= _DEGENERACY_TOL:
             raise NonSquarefree("Sturm sequence degenerated: repeated root")
         # Positive scaling preserves every sign pattern in the chain.
@@ -129,32 +169,36 @@ def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
 def _poly_remainder(f: list[float], g: list[float]) -> list[float]:
     """Remainder of f by g (descending coefficients), tiny leads trimmed."""
     r = list(f)
+    g0 = g[0]
     dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        q = r[0] / g[0]
-        for i in range(dg + 1):
-            r[i] -= q * g[i]
-        r.pop(0)
-        mag = max((abs(v) for v in r), default=0.0)
+    while len(r) > dg:
+        # the lead cancels and is dropped
+        q = r.pop(0) / g0
+        for i in range(dg):
+            r[i] -= q * g[i + 1]
+        mag = max(map(abs, r), default=0.0)
         while r and abs(r[0]) <= 1e-13 * max(mag, 1e-300):
             r.pop(0)
     return r
 
 
-def _sign_at(coeffs: list[float], x: float) -> int:
-    if math.isinf(x):
-        lead = coeffs[0]
-        s = 1 if lead > 0 else -1 if lead < 0 else 0
-        if x < 0 and (len(coeffs) - 1) % 2 == 1:
-            s = -s
-        return s
-    v = poly_eval(coeffs, x)
-    return 1 if v > 0 else -1 if v < 0 else 0
-
-
 def _variations(chain: list[list[float]], x: float) -> int:
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    """Sign changes along the chain at x, zeros skipped.
+
+    At +-inf each sign is the lead's, flipped at -inf for odd degree; at 0
+    it is the constant term's, which is what Horner's rule returns there
+    for finite coefficients.  Horner's rule runs only at finite non-zero x.
+    """
+    if x == 0.0:
+        values = [c[-1] for c in chain]
+    elif x == math.inf:
+        values = [c[0] for c in chain]
+    elif x == -math.inf:
+        values = [-c[0] if len(c) % 2 == 0 else c[0] for c in chain]
+    else:
+        values = [poly_eval(c, x) for c in chain]
+    signs = [v > 0.0 for v in values if v > 0.0 or v < 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_real_roots(coeffs: Sequence[float], a: float = -math.inf, b: float = math.inf) -> int:
@@ -264,7 +308,9 @@ def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -
     Raises OnDiscriminant when theta_top lies on the discriminant zero set
     within ``tol * scale`` (scale grows like coeff^(2d-2), matching the
     degree of the discriminant polynomial), or when the Sturm chain finds a
-    repeated root there.
+    repeated root there.  One Sturm chain of p gives both counts: with V(x)
+    its sign changes at x, n_pos = V(0) - V(+inf) and n_neg = V(-inf) - V(0),
+    a root at exactly zero taken out of the latter.
     """
     top = [float(v) for v in theta_top]
     d = len(top) - 1
@@ -272,19 +318,29 @@ def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -
         raise UnsupportedOrder("chamber classification requires degree d >= 2")
     if top[0] == 0.0:
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    disc = discriminant(top)
-    scale = max(1.0, max(abs(v) for v in top)) ** (2 * d - 2)
+    return _classify_with_discriminant(top, discriminant(top), tol)
+
+
+def _classify_with_discriminant(
+    top: Sequence[float], disc: float, tol: float = _DEGENERACY_TOL
+) -> ChamberLabel:
+    """`classify_chamber` of a top form already checked (degree >= 2, lead
+    non-zero, floats) whose discriminant ``disc`` is known."""
+    d = len(top) - 1
+    scale = max(1.0, max(map(abs, top))) ** (2 * d - 2)
     if abs(disc) <= tol * scale:
         raise OnDiscriminant(f"discriminant {disc:.3e} within tolerance of zero")
     try:
-        n_pos = count_real_roots(top, 0.0, math.inf)
-        n_neg = count_real_roots(top, -math.inf, 0.0)
+        chain = _sturm_chain(top)
     except NonSquarefree as exc:
         # a discriminant just above the tolerance can still hide a double
         # root that the Sturm chain resolves as degenerate
         raise OnDiscriminant(
             f"discriminant {disc:.3e} is off zero but the root count sees a repeated root"
         ) from exc
+    v_zero = _variations(chain, 0.0)
+    n_pos = v_zero - _variations(chain, math.inf)
+    n_neg = _variations(chain, -math.inf) - v_zero
     # a root at exactly zero is counted by the (-inf, 0] interval
     n_zero = 1 if top[-1] == 0.0 else 0
     n_neg -= n_zero

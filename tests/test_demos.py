@@ -1,4 +1,5 @@
-"""Smoke tests: demos that call the likelihood layer run to completion."""
+"""Smoke tests: demos of the likelihood layer and of the bivariate chamber
+geometry run to completion."""
 
 import os
 import subprocess
@@ -10,7 +11,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["demo_maximum_likelihood.py", "demo_order_selection.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "demo_maximum_likelihood.py",
+        "demo_order_selection.py",
+        "demo_parameter_chambers.py",
+        "demo_bivariate_constants.py",
+    ],
+)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from exppoly import _ode, holo_uni
 from exppoly.domain import Support, ThetaBi, ThetaUni, in_proper_bivariate_space, monomials_bi
@@ -13,6 +14,7 @@ from exppoly.errors import (
     AxisOutsideDomain,
     InconsistentExtension,
     InputError,
+    LeadingCoefficientZero,
     NonPositiveScale,
     PathCrossesSingularity,
     PathSingularity,
@@ -341,6 +343,25 @@ def test_wall_poly_matches_exact_discriminant(d):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_wall_poly_equals_per_point_loop(d):
+    # one batched discriminant for the 2d-1 samples, bit for bit what one
+    # `discriminant` call per sample gives, and the same interpolant
+    rng = np.random.default_rng(90 + d)
+    n = 2 * d - 1
+    u = np.cos(np.arange(n) * math.pi / (n - 1))
+    for _ in range(25):
+        top0 = np.concatenate(([-rng.uniform(0.2, 3.0)], rng.uniform(-3.0, 3.0, d)))
+        h_top = rng.uniform(-1.5, 1.5, d + 1)
+        vals, coeffs = _wall_poly(top0, h_top)
+        loop = [discriminant(top0 + (0.5 + 0.5 * uk) * h_top) for uk in u.tolist()]
+        assert vals == loop
+        assert coeffs == np.linalg.solve(np.vander(u), loop).tolist()
+    # a sample whose lead is exactly zero is refused as a single call refuses it
+    with pytest.raises(LeadingCoefficientZero):
+        _wall_poly(np.array([-1.0, 0.5, -2.0]), np.array([1.0, 0.0, 0.0]))
+
+
 def _scan_sees_wall(top0, h_top, s):
     """Whether D sampled at the points s vanishes or changes sign."""
     D = np.array([discriminant(top0 + si * h_top) for si in s])
@@ -544,8 +565,11 @@ def _ref_transport(table, theta):
         dy += [sum(h[y_idx[j - 1]] * ay[m + j] for j in range(1, d + 1)) for m in range(L)]
         return dy
 
-    yf, _ = _ode.dopri45(rhs, y0, 1e-13)
-    return dict(zip(base, yf))
+    # every component is a positive moment, so the relative tolerance alone
+    # controls the step; the absolute one is far below any of them
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-300)
+    assert sol.success, sol.message
+    return dict(zip(base, sol.y[:, -1].tolist()))
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4])

@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 
 from exppoly.errors import (
     LeadingCoefficientZero,
+    NonSquarefree,
     OnDiscriminant,
     UnsupportedOrder,
     ZeroPolynomial,
 )
 from exppoly.polyalg import (
     ChamberLabel,
+    _discriminants,
+    _sturm_chain,
+    _variations,
     classify_chamber,
     count_real_roots,
     discriminant,
+    poly_derivative,
+    poly_eval,
     squarefree_part,
     sylvester_matrix,
     sylvester_resultant,
@@ -188,3 +194,97 @@ def test_classify_chamber_raises_only_on_discriminant_property(top):
         return
     assert label.degree == len(top) - 1
     assert label.n_zero == (top[-1] == 0.0)
+
+
+def _classify_two_intervals(top, tol=1e-12):
+    """Reference counts: one `count_real_roots` call per half line, each on
+    its own Sturm chain, behind the same discriminant test."""
+    d = len(top) - 1
+    disc = discriminant(top)
+    if abs(disc) <= tol * max(1.0, max(abs(v) for v in top)) ** (2 * d - 2):
+        raise OnDiscriminant("reference: on the discriminant")
+    try:
+        n_pos = count_real_roots(top, 0.0, math.inf)
+        n_neg = count_real_roots(top, -math.inf, 0.0)
+    except NonSquarefree as exc:
+        raise OnDiscriminant("reference: repeated root") from exc
+    return n_pos, n_neg - (top[-1] == 0.0)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OnDiscriminant, LeadingCoefficientZero, NonSquarefree) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(top_form())
+def test_classify_chamber_counts_match_two_interval_reference(top):
+    label = _outcome(classify_chamber, top)
+    if isinstance(label, ChamberLabel):
+        label = (label.n_positive, label.n_negative)
+    assert label == _outcome(_classify_two_intervals, top)
+
+
+def _variations_horner(chain, x):
+    """Sign changes along the chain with every value by Horner's rule."""
+    signs = [v > 0 for v in (poly_eval(c, x) for c in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=200)
+@given(top_form())
+def test_variations_at_zero_read_the_constant_terms(top):
+    try:
+        chain = _sturm_chain(top)
+    except (NonSquarefree, LeadingCoefficientZero):
+        return
+    for x in (0.0, -0.0):
+        assert _variations(chain, x) == _variations_horner(chain, x)
+
+
+def _sylvester_loop(f, g):
+    """The Sylvester matrix row by row, as the layout defines it."""
+    m, n = len(f) - 1, len(g) - 1
+    s = np.zeros((m + n, m + n))
+    for r in range(n):
+        s[r, r : r + m + 1] = f
+    for r in range(m):
+        s[n + r, r : r + n + 1] = g
+    return s
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4), (6, 5)])
+def test_sylvester_matrix_and_resultant_match_row_by_row_layout(m, n):
+    rng = np.random.default_rng(40 + 7 * m + n)
+    for _ in range(20):
+        f, g = rng.uniform(-3, 3, size=m + 1), rng.uniform(-3, 3, size=n + 1)
+        ref = _sylvester_loop(f.tolist(), g.tolist())
+        assert np.array_equal(sylvester_matrix(f, g), ref)
+        assert sylvester_resultant(f, g) == float(np.linalg.det(ref))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_batched_discriminants_equal_single_calls(d):
+    # uniform forms, and integer ones whose discriminant is often exactly zero
+    rng = np.random.default_rng(70 + d)
+    tops = rng.uniform(-3, 3, size=(300, d + 1))
+    tops[::3] = rng.integers(-3, 4, size=tops[::3].shape)
+    tops[tops[:, 0] == 0.0, 0] = -1.0
+    batched = _discriminants(tops).tolist()
+    singles = [discriminant(top) for top in tops.tolist()]
+    # and the row-by-row matrix of p and p' with one det per form
+    loop = [
+        float(np.linalg.det(_sylvester_loop(top, poly_derivative(top)))) / top[0]
+        for top in tops.tolist()
+    ]
+    assert batched == singles == loop
+    assert any(v == 0.0 for v in batched)
+
+
+def test_batched_discriminants_validate_like_single_calls():
+    with pytest.raises(LeadingCoefficientZero):
+        _discriminants(np.array([[-1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]))
+    with pytest.raises(UnsupportedOrder):
+        _discriminants(np.array([[-1.0, 2.0]]))
