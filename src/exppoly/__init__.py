@@ -35,8 +35,6 @@ from .errors import (
 )
 from .holo_bi import (
     DerivTableBi,
-    PfaffianSystemBi,
-    assemble_system,
     base_indices,
     extend_table,
     initial_state_bi,
@@ -134,8 +132,6 @@ __all__ = [
     "transport_condition",
     # bivariate engine
     "DerivTableBi",
-    "PfaffianSystemBi",
-    "assemble_system",
     "base_indices",
     "extend_table",
     "initial_state_bi",

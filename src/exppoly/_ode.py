@@ -7,9 +7,9 @@ hands back all of a step's coefficient rows as one ndarray.
 
 The other steppers here propagate y' = f(s, y) across s in [0, 1] and no
 engine calls them: an embedded Dormand-Prince 5(4) pair with proportional
-step control (`dopri45`), kept for the benchmark tracer, which wraps it by
-name, and for the tests, whose bivariate least-squares reference integrates
-with it; and the fixed-step Runge-Kutta pair, kept for the tracer only.
+step control (`dopri45`) and a fixed-step Runge-Kutta pair.  Both are kept
+only because the benchmark tracer wraps them by name; tests/test_ode.py
+checks them.
 
 The right-hand sides here are smooth and cheap, so hand-rolled integrators
 keep per-transport overhead far below a generic solver while staying fully

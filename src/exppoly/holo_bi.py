@@ -6,9 +6,10 @@ d^i/d theta_10^i d^j/d theta_01^j, so the derivative structure lives on a
 two-dimensional table T[i, j].  Integration by parts in x (resp. y) ties the
 table to the axis-restricted univariate constants A_x, A_y; applying all
 mixed derivatives of a fixed total order q to those two identities yields
-2(q+1) linear equations for the order-(q+d-1) diagonal of the table.  At
-q = d-2 the system is square with matrix P(theta), and det P vanishes exactly
-on the discriminant locus of the top-degree form, which partitions the proper
+2(q+1) linear equations for the order-(q+d-1) diagonal of the table, which
+is stored flat, diagonal after diagonal (`DerivTableBi.F`).  At q = d-2 the
+system is square with matrix P(theta), and det P vanishes exactly on the
+discriminant locus of the top-degree form, which partitions the proper
 parameter region into chambers; transport must stay inside one chamber.
 
 Every level has P(theta) as its square windows: row t of either family
@@ -30,8 +31,7 @@ a path that meets a wall anywhere is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,10 +81,12 @@ def _require_order(d: int) -> None:
 
 def base_indices(d: int) -> list[tuple[int, int]]:
     """Canonical layout of the transported table entries, total order <= 2d-4."""
-    out = [(0, 0)]
-    for total in range(1, 2 * d - 3):
-        out.extend((total - j, j) for j in range(total + 1))
-    return out
+    return _indices(2 * d - 4)
+
+
+def _indices(order: int) -> list[tuple[int, int]]:
+    """The (i, j) of every entry through total `order`, in `_flat` order."""
+    return [(n - j, j) for n in range(order + 1) for j in range(n + 1)]
 
 
 def _flat(i: int, j: int) -> int:
@@ -102,10 +104,12 @@ class AxisStates(NamedTuple):
 
 
 class DerivTableBi:
-    """Mixed-derivative table T[(i, j)] = d^{i+j} A / d theta_10^i d theta_01^j.
+    """Mixed-derivative table T[i, j] = d^{i+j} A / d theta_10^i d theta_01^j.
 
-    Entries cover all i+j <= max_order (at least 2d-4, the transported
-    state).  Values are plain floats keyed by (i, j).
+    `F` is a read-only vector, like `HoloStateUni.F`, with T[i, j] at
+    `_flat(i, j)` (by total order, then by j) for every i+j <= max_order,
+    at least 2d-4 (the transported state).  `entry`, `norm_const` and
+    `values`, a dict keyed by (i, j), read it.
 
     Tables made by `transport_bi` and `extend_table` also carry `axes`: the
     x- and y-axis states that `holo_uni.state_at` accepted at theta, with
@@ -115,32 +119,32 @@ class DerivTableBi:
     gamma points.  Other tables carry None.
     """
 
-    __slots__ = ("theta", "values", "max_order", "last_transport_error", "axes")
+    __slots__ = ("theta", "F", "max_order", "last_transport_error", "axes")
 
     def __init__(
         self,
         theta: ThetaBi,
-        values: Mapping[tuple[int, int], float],
+        F: Sequence[float] | np.ndarray,
         last_transport_error: float = 0.0,
         axes: AxisStates | None = None,
     ):
         _require_order(theta.d)
-        vals = {(int(i), int(j)): float(v) for (i, j), v in values.items()}
-        orders = sorted({i + j for i, j in vals})
-        max_order = orders[-1] if orders else -1
-        if max_order < 2 * theta.d - 4:
-            raise InputError(f"table must be filled through order {2 * theta.d - 4}")
-        for total in range(max_order + 1):
-            for j in range(total + 1):
-                if (total - j, j) not in vals:
-                    raise InputError(f"table is missing entry {(total - j, j)}")
+        try:
+            arr = np.array(F, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"table entries must be a float vector: {exc}") from exc
+        n = arr.shape[0] if arr.ndim == 1 else 0
+        max_order = (math.isqrt(8 * n + 1) - 3) // 2
+        if max_order < 2 * theta.d - 4 or _flat(0, max_order) + 1 != n:
+            raise InputError(f"table needs (m+1)(m+2)/2 entries in a vector, m >= {2 * theta.d - 4}")
         if axes is not None and (
             axes.x.theta.coeffs != theta.x_axis_coeffs()
             or axes.y.theta.coeffs != theta.y_axis_coeffs()
         ):
             raise InputError("axis states do not belong to the table's parameter")
+        arr.flags.writeable = False
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "F", arr)
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "last_transport_error", float(last_transport_error))
         object.__setattr__(self, "axes", axes)
@@ -153,37 +157,23 @@ class DerivTableBi:
         return self.theta.d
 
     @property
-    def T(self) -> Mapping[tuple[int, int], float]:
-        return dict(self.values)
+    def values(self) -> dict[tuple[int, int], float]:
+        return dict(zip(_indices(self.max_order), self.F.tolist()))
 
     @property
     def norm_const(self) -> float:
-        return self.values[(0, 0)]
+        return float(self.F[0])
 
     def entry(self, i: int, j: int) -> float:
-        return self.values[(i, j)]
+        if min(i, j) < 0 or i + j > self.max_order:
+            raise KeyError((i, j))
+        return float(self.F[_flat(i, j)])
 
     def __repr__(self) -> str:
         return (
             f"DerivTableBi(d={self.d}, max_order={self.max_order}, "
             f"A={self.norm_const!r})"
         )
-
-
-@dataclass(frozen=True)
-class PfaffianSystemBi:
-    """Square linear system P X = Q for the order-(2d-3) table diagonal."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    det_p: float
-
-    def __post_init__(self) -> None:
-        self.P.flags.writeable = False
-        self.Q.flags.writeable = False
-
-    def solve(self) -> np.ndarray:
-        return np.linalg.solve(self.P, self.Q)
 
 
 def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
@@ -201,11 +191,9 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
     def gamma_moment(m: int, c: float) -> float:
         return c ** (-(m + 1) / d) * math.gamma((m + 1) / d) / d
 
-    values = {
-        (i, j): gamma_moment(i, c1) * gamma_moment(j, c2)
-        for (i, j) in base_indices(d)
-    }
-    return DerivTableBi(theta, values)
+    return DerivTableBi(
+        theta, [gamma_moment(i, c1) * gamma_moment(j, c2) for i, j in base_indices(d)]
+    )
 
 
 def table_from_oracle(theta: ThetaBi, opts: QuadOptions | None = None) -> DerivTableBi:
@@ -218,8 +206,7 @@ def table_from_oracle(theta: ThetaBi, opts: QuadOptions | None = None) -> DerivT
     _require_order(theta.d)
     if opts is None:
         opts = QuadOptions()
-    values = {st: quad_A_bi(theta, st, opts) for st in base_indices(theta.d)}
-    return DerivTableBi(theta, values)
+    return DerivTableBi(theta, [quad_A_bi(theta, st, opts) for st in base_indices(theta.d)])
 
 
 def boundary_consts(
@@ -407,32 +394,6 @@ def pfaffian_det(theta: ThetaBi) -> float:
     return float(np.linalg.det(_pfaffian_matrix(theta.top_coeffs())))
 
 
-def _load_table(plan: _LevelPlan, table: DerivTableBi, axes: AxisStates) -> np.ndarray:
-    """A V for the plan: the axis constants and the table's entries, zeros above."""
-    m_ax, t_off = plan.m_ax, plan.t_off
-    V = np.zeros(plan.n_v)
-    V[: m_ax + 1] = extend_derivatives(axes.x, m_ax)
-    V[m_ax + 1 : t_off] = extend_derivatives(axes.y, m_ax)
-    for (i, j), v in table.values.items():
-        if t_off + _flat(i, j) < plan.n_v:
-            V[t_off + _flat(i, j)] = v
-    return V
-
-
-def assemble_system(
-    table: DerivTableBi,
-    opts: OdeOptions | None = None,
-) -> PfaffianSystemBi:
-    """The square order-(2d-3) system P X = Q at the table's parameter point."""
-    d = table.d
-    k = 2 * d - 3
-    theta0 = table.theta.as_vector()
-    plan = _LevelPlan(d, k, k, d - 2, theta0, np.zeros_like(theta0))
-    V = _load_table(plan, table, _axes_for(table, opts))
-    _, G0, _ = plan.levels[0]
-    return PfaffianSystemBi(plan.P0, G0 @ V, _factor(plan.P0)[0])
-
-
 def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) -> DerivTableBi:
     """Fill the table through total order M by successive level solves.
 
@@ -448,17 +409,15 @@ def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) ->
     m_ax = M - d + 1
     theta0 = table.theta.as_vector()
     plan = _LevelPlan(d, table.max_order + 1, M, m_ax, theta0, np.zeros_like(theta0))
+    t_off = plan.t_off
     rows = np.zeros((2, plan.n_v))
-    rows[1] = _load_table(plan, table, axes)
-    plan.fill(rows, 0, plan.solvers(0.0, 0.0, plan.factor(0.0)))
     V = rows[1]
+    V[: m_ax + 1] = extend_derivatives(axes.x, m_ax)
+    V[m_ax + 1 : t_off] = extend_derivatives(axes.y, m_ax)
+    V[t_off : t_off + len(table.F)] = table.F
+    plan.fill(rows, 0, plan.solvers(0.0, 0.0, plan.factor(0.0)))
     plan.check_residuals(V)
-    values = {
-        (total - j, j): float(V[plan.t_off + _flat(total - j, j)])
-        for total in range(M + 1)
-        for j in range(total + 1)
-    }
-    return DerivTableBi(table.theta, values, table.last_transport_error, axes)
+    return DerivTableBi(table.theta, V[t_off:], table.last_transport_error, axes)
 
 
 def transport_bi(
@@ -500,7 +459,7 @@ def transport_bi(
     src_vec = src.as_vector()
     h_vec = theta_target.as_vector() - src_vec
     if not np.any(h_vec):
-        return DerivTableBi(theta_target, table.values, 0.0, table.axes)
+        return DerivTableBi(theta_target, table.F, 0.0, table.axes)
 
     src_top = np.array(src.top_coeffs())
     _check_wall(src_top, np.array(theta_target.top_coeffs()) - src_top)
@@ -529,7 +488,7 @@ def transport_bi(
             D[row, t_off + _flat(i + a, j + b)] = h_vec[m]
 
     axes = _axes_for(table, opts)
-    y0 = [table.values[st] for st in base] + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
+    y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     order = holo_uni._TAYLOR_ORDER
 
     def series(s: float, y: list[float], H: float) -> np.ndarray:
@@ -557,13 +516,12 @@ def transport_bi(
             f"transport hit a singular level system: {exc}"
         ) from exc
 
-    values = {st: float(v) for st, v in zip(base, yf)}
     moved_axes = AxisStates(
         opts,
         _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est, opts),
         _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est, opts),
     )
-    moved = DerivTableBi(theta_target, values, est, moved_axes)
+    moved = DerivTableBi(theta_target, yf[:nb], est, moved_axes)
     if table.max_order > moved.max_order:
         moved = extend_table(moved, table.max_order, opts)
     return moved
@@ -609,9 +567,14 @@ def _check_wall(top0: np.ndarray, h_top: np.ndarray) -> None:
     top form that does not move leaves D constant).  A repeated root makes
     the Sturm chain degenerate: the count is then taken on the square-free
     part, and a chain that degenerates there as well counts as a crossing,
-    since a tangency to the wall is as singular as a crossing.
+    since a tangency to the wall is as singular as a crossing.  A D that
+    overflows (a sample or a coefficient not finite) cannot be tested and
+    refuses the segment too.
     """
-    vals, coeffs = _wall_poly(top0, h_top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, coeffs = _wall_poly(top0, h_top)
+    if not all(map(math.isfinite, vals + coeffs)):
+        raise PathCrossesSingularity("the discriminant along the segment overflows")
     if min(vals) <= 0.0 <= max(vals):
         n_roots = 1
     else:

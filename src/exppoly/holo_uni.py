@@ -412,9 +412,11 @@ def state_at(
     Boundary parameters are reduced to their effective order first, so the
     returned state lives at the reduced parameter.  Transport starts from
     `start` when it has the same order and support (a request at its own
-    parameter returns it unchanged), else from the gamma point.  When the
-    result is not finite, or the homogeneous solutions of the system dwarf A,
-    the transport is retried from the gamma point at tight tolerance, and
+    parameter returns it unchanged), else from the gamma point.  A parameter
+    that is its own gamma point (every coefficient but the last zero) gets
+    the closed-form state with estimate zero.  When the result is not
+    finite, or the homogeneous solutions of the system dwarf A, the
+    transport is retried from the gamma point at tight tolerance, and
     parameters whose condition exceeds what double precision can cancel are
     refused rather than answered with noise.  The estimate includes the
     start's own estimate, scaled up where the state shrinks along the way.
@@ -427,6 +429,8 @@ def state_at(
     eff = effective_theta(theta)
     if start is not None and start.theta == eff:
         return start
+    if not any(eff.coeffs[:-1]):
+        return _gamma_state(eff)
     if start is None or start.d != eff.d or start.support is not eff.support:
         start = _gamma_state(eff)
     if opts is None:

@@ -46,7 +46,7 @@ from .errors import (
     ToleranceNotMet,
     UnsupportedOrder,
 )
-from .holo_bi import DerivTableBi, extend_table, initial_state_bi, transport_bi
+from .holo_bi import DerivTableBi, _flat, extend_table, initial_state_bi, transport_bi
 from .holo_uni import HoloStateUni, OdeOptions, _is_count, extend_derivatives, norm_const_and_derivs
 
 # Transport goes through `holo_uni.state_at` alone; this binding is kept only
@@ -116,8 +116,7 @@ class BiHoloProvider:
             table = transport_bi(table, theta, self.opts)
         else:
             table = transport_bi(self._table, theta, self.opts)
-        vals = list(table.values.values())
-        if not (np.all(np.isfinite(vals)) and table.norm_const > 0.0):
+        if not (np.all(np.isfinite(table.F)) and table.norm_const > 0.0):
             raise OdeDivergence(
                 f"transport lost accuracy (A = {table.norm_const!r})"
             )
@@ -125,13 +124,9 @@ class BiHoloProvider:
         return table
 
     def derivs(self, theta: ThetaBi, M: int) -> np.ndarray:
-        """The table at theta through total order M as an array: entry [i, j]
-        is d^(i+j) A / d theta_10^i d theta_01^j, NaN past the table's order."""
-        table = extend_table(self._move(theta), M, self.opts)
-        out = np.full((table.max_order + 1,) * 2, np.nan)
-        for ij, v in table.values.items():
-            out[ij] = v
-        return out
+        """The table's `F` at theta, through total order M at least: entry
+        `holo_bi._flat(i, j)` is d^(i+j) A / d theta_10^i d theta_01^j."""
+        return extend_table(self._move(theta), M, self.opts).F
 
     def refresh(self, theta: ThetaBi) -> None:
         state, self._table = self._table, None
@@ -210,54 +205,54 @@ class TestResult:
     effective_order: int
 
 
-def _exponents(theta: Theta) -> tuple[np.ndarray, ...]:
-    """Exponents of the sufficient statistics, one index array per variable:
-    (1..d) for x^m, or the (i, j) columns of `monomials_bi` for x^i y^j."""
+def _positions(theta: Theta) -> tuple[np.ndarray, np.ndarray]:
+    """Where a provider's answer holds the statistics' derivatives and their
+    pairwise products': entries m and l + m (l, m = 1..d) of the univariate
+    vector, or the `holo_bi._flat` positions of the exponents bivariate."""
     if isinstance(theta, ThetaBi):
-        return tuple(np.array(monomials_bi(theta.d)).T)
-    return (np.arange(1, theta.d + 1),)
+        i, j = np.array(monomials_bi(theta.d)).T
+        return _flat(i, j), _flat(np.add.outer(i, i), np.add.outer(j, j))
+    m = np.arange(1, theta.d + 1)
+    return m, np.add.outer(m, m)
 
 
-def _sample_moments(stats: SuffStats, exps: tuple[np.ndarray, ...]) -> list[float]:
-    moment = stats.moment_bi if len(exps) == 2 else stats.moment
-    return [moment(*e) for e in zip(*(col.tolist() for col in exps))]
-
-
-def _pairs(exps: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Exponents of the statistics' products: entry (a, b) is e_a + e_b."""
-    return tuple(np.add.outer(e, e) for e in exps)
+def _sample_moments(stats: SuffStats, theta: Theta) -> list[float]:
+    """Sample means of theta's sufficient statistics, in coordinate order."""
+    if isinstance(theta, ThetaBi):
+        return [stats.moment_bi(i, j) for i, j in monomials_bi(theta.d)]
+    return [stats.moment(m) for m in range(1, theta.d + 1)]
 
 
 def _likelihood(
-    theta: Theta, sample: Sequence[float], derivs: np.ndarray, exps: tuple[np.ndarray, ...]
+    theta: Theta, sample: Sequence[float], derivs: np.ndarray, pos: tuple[np.ndarray, ...]
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Per-observation log-likelihood, score and Fisher matrix at theta.
 
-    `derivs` is a provider's answer through total order 2d (1-D, or 2-D
-    indexed [i, j]), so mom = derivs / A holds the model moments; `exps` are
-    the statistics' exponents and `sample` their sample means.  The score is
-    sample - mom[e] and the Fisher matrix the moment covariance
-    mom[e_a + e_b] - mom[e_a] mom[e_b].
+    `derivs` is a provider's answer through total order 2d, so
+    mom = derivs / A holds the model moments; `pos` is `_positions(theta)`
+    and `sample` the statistics' sample means.  The score is
+    sample - mom[low] and the Fisher matrix the moment covariance
+    mom[pairs] - mom[low] mom[low]^T, for (low, pairs) = pos.
     """
-    A = float(derivs.flat[0])
+    A = float(derivs[0])
     # near-boundary transports can lose all accuracy and report A <= 0
     if not (math.isfinite(A) and A > 0.0):
         raise OdeDivergence(f"transport produced invalid normalizing constant {A!r}")
     mom = derivs / A
-    low = mom[exps]
+    low = mom[pos[0]]
     # theta . sample as a left-to-right float sum; np.dot may add in another order
     lbar = sum(t * s for t, s in zip(_theta_vector(theta).tolist(), sample)) - math.log(A)
-    return lbar, np.array(sample) - low, mom[_pairs(exps)] - np.outer(low, low)
+    return lbar, np.array(sample) - low, mom[pos[1]] - np.outer(low, low)
 
 
-def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, exps: tuple[np.ndarray, ...]) -> np.ndarray:
+def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, pos: tuple[np.ndarray, ...]) -> np.ndarray:
     """Entrywise error bound of `_likelihood`'s Fisher matrix, given absolute
     error bounds of `derivs`."""
-    A = derivs.flat[0]
+    A = derivs[0]
     mom = np.abs(derivs / A)
-    dmom = (bounds + mom * bounds.flat[0]) / A
-    low, dlow = mom[exps], dmom[exps]
-    return dmom[_pairs(exps)] + (np.outer(low, dlow) + np.outer(dlow, low))
+    dmom = (bounds + mom * bounds[0]) / A
+    low, dlow = mom[pos[0]], dmom[pos[0]]
+    return dmom[pos[1]] + (np.outer(low, dlow) + np.outer(dlow, low))
 
 
 def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[float, np.ndarray]:
@@ -268,9 +263,8 @@ def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[floa
     monomial order of the parameter.
     """
     provider = provider if provider is not None else _provider_for(theta)
-    exps = _exponents(theta)
     derivs = provider.derivs(theta, 2 * theta.d)
-    return _likelihood(theta, _sample_moments(stats, exps), derivs, exps)[:2]
+    return _likelihood(theta, _sample_moments(stats, theta), derivs, _positions(theta))[:2]
 
 
 def fisher_info(theta: Theta, provider=None) -> np.ndarray:
@@ -280,9 +274,9 @@ def fisher_info(theta: Theta, provider=None) -> np.ndarray:
     table analogue bivariate), from engine derivatives of total order <= 2d.
     """
     provider = provider if provider is not None else _provider_for(theta)
-    exps = _exponents(theta)
+    pos = _positions(theta)
     # the Fisher matrix does not depend on the sample
-    return _likelihood(theta, [0.0] * len(exps[0]), provider.derivs(theta, 2 * theta.d), exps)[2]
+    return _likelihood(theta, [0.0] * len(pos[0]), provider.derivs(theta, 2 * theta.d), pos)[2]
 
 
 def _mom_start_uni(stats: SuffStats, d: int, support: Support) -> ThetaUni:
@@ -347,10 +341,10 @@ def fit_mle(
         theta = _mom_start_uni(stats, d, support)
     if provider is None:
         provider = _provider_for(theta, opts.ode)
-    exps = _exponents(theta)
-    sample = _sample_moments(stats, exps)
+    pos = _positions(theta)
+    sample = _sample_moments(stats, theta)
 
-    lbar, grad, info = _likelihood(theta, sample, provider.derivs(theta, 2 * d), exps)
+    lbar, grad, info = _likelihood(theta, sample, provider.derivs(theta, 2 * d), pos)
     hit_boundary = False
     converged = False
     iterations = 0
@@ -376,7 +370,7 @@ def fit_mle(
                 lam *= 0.5
                 continue
             try:
-                l_new, g_new, i_new = _likelihood(cand, sample, provider.derivs(cand, 2 * d), exps)
+                l_new, g_new, i_new = _likelihood(cand, sample, provider.derivs(cand, 2 * d), pos)
             except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet, InconsistentExtension):
                 boundary_limited = True
                 lam *= 0.5
@@ -394,7 +388,7 @@ def fit_mle(
 
     provider.refresh(theta)
     derivs = provider.derivs(theta, 2 * d)
-    lbar, grad, info = _likelihood(theta, sample, derivs, exps)
+    lbar, grad, info = _likelihood(theta, sample, derivs, pos)
     bounds = provider.derivative_bounds(2 * d)
     grad_norm = float(np.max(np.abs(grad)))
     if converged:
@@ -421,7 +415,7 @@ def fit_mle(
         iterations=iterations,
         converged=converged,
         hit_boundary=hit_boundary,
-        fisher_bound=None if bounds is None else _fisher_bound(derivs, bounds, exps),
+        fisher_bound=None if bounds is None else _fisher_bound(derivs, bounds, pos),
     )
 
 
@@ -476,9 +470,10 @@ def _null_information(
             f"with score max-norm {result.grad_norm:.3e}"
         )
     theta_null: ThetaUni = result.theta_hat  # type: ignore[assignment]
-    exps = (np.arange(1, d + 1),)
+    # the null as a point of the order-d model, whose score is tested
+    full = ThetaUni(_embed(theta_null.coeffs, d), theta_null.support)
     derivs = provider.derivs(theta_null, 2 * d)
-    _, score, info = _likelihood(theta_null, _sample_moments(stats, exps), derivs, exps)
+    _, score, info = _likelihood(full, _sample_moments(stats, full), derivs, _positions(full))
     head, cross, corner = info[:-step, :-step], info[:-step, -step:], info[-step:, -step:]
     try:
         cond = corner - cross.T @ np.linalg.solve(head, cross)

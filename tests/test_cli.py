@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from exppoly import cli
-from exppoly.domain import ThetaUni
+from exppoly.domain import ThetaBi, ThetaUni
+from exppoly.holo_bi import extend_table, initial_state_bi, transport_bi
 from exppoly.oracle import sample_uni
 
 SQRT_PI = math.sqrt(math.pi)
@@ -93,6 +94,23 @@ def test_normconst_bivariate_theta_file(capsys, tmp_path):
     assert out["oracle"]["rel_diff"] < 1e-6
     assert "00" in out["derivs"] and "11" in out["derivs"]
     assert out["A"] == pytest.approx(out["derivs"]["00"])
+
+
+def test_normconst_bivariate_derivs_order(capsys, tmp_path):
+    # keys by total order, then by the power of y; each value is the table's
+    # entry, bit for bit
+    coeffs = {"10": 0.4, "01": -0.3, "20": -1.0, "11": -0.8, "02": -1.3}
+    theta_file = tmp_path / "theta.json"
+    theta_file.write_text(json.dumps({"d": 2, "coeffs": coeffs}))
+    argv = ["normconst", "--mode", "bivariate", "--theta-file", str(theta_file), "--order", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    keys = [f"{n - j}{j}" for n in range(5) for j in range(n + 1)]
+    assert list(out["derivs"]) == keys
+    theta = ThetaBi(2, {(int(k[0]), int(k[1])): v for k, v in coeffs.items()})
+    table = extend_table(transport_bi(initial_state_bi(2, 1.0, 1.3), theta), 4)
+    assert out["derivs"] == {k: table.entry(int(k[0]), int(k[1])) for k in keys}
+    assert out["A"] == table.norm_const
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])

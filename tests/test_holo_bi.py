@@ -24,10 +24,10 @@ from exppoly.holo_bi import (
     DerivTableBi,
     _check_wall,
     _factor,
+    _flat,
     _level_matrix,
     _pfaffian_matrix,
     _wall_poly,
-    assemble_system,
     base_indices,
     boundary_consts,
     extend_table,
@@ -97,23 +97,27 @@ def test_boundary_consts_reject_bad_axis():
         boundary_consts(ThetaBi(2, {(2, 0): 1.0, (0, 2): -1.0}), 0)
 
 
-def test_assemble_system_gaussian_product():
-    sys = assemble_system(initial_state_bi(2, 1.0, 1.0))
-    np.testing.assert_allclose(sys.P, [[-2.0, 0.0], [0.0, -2.0]], atol=1e-14)
-    np.testing.assert_allclose(sys.Q, [-SQRT_PI / 2, -SQRT_PI / 2], rtol=1e-9)
-    np.testing.assert_allclose(sys.solve(), [SQRT_PI / 4, SQRT_PI / 4], rtol=1e-9)
-    assert sys.det_p == pytest.approx(4.0, rel=1e-12)
+def test_square_level_gaussian_product():
+    # the order-(2d-3) level at the product point: P = -2 I against the
+    # boundary terms -A_y, -A_x = -sqrt(pi)/2, so T[1, 0] = T[0, 1] = sqrt(pi)/4
+    th = product_theta(2)
+    np.testing.assert_allclose(
+        _pfaffian_matrix(th.top_coeffs()), [[-2.0, 0.0], [0.0, -2.0]], atol=1e-14
+    )
+    assert pfaffian_det(th) == pytest.approx(4.0, rel=1e-12)
+    tab = extend_table(initial_state_bi(2, 1.0, 1.0), 1)
+    np.testing.assert_allclose(
+        [tab.entry(1, 0), tab.entry(0, 1)], [SQRT_PI / 4, SQRT_PI / 4], rtol=1e-9
+    )
 
 
 def test_system_matrix_layout_quadratic():
     th = ThetaBi(2, {(2, 0): -1.5, (1, 1): -0.5, (0, 2): -2.0})
-    tab = table_from_oracle(th)
-    sys = assemble_system(tab)
     t20, t11, t02 = -1.5, -0.5, -2.0
     np.testing.assert_allclose(
-        sys.P, [[2 * t20, t11], [t11, 2 * t02]], atol=1e-14
+        _pfaffian_matrix(th.top_coeffs()), [[2 * t20, t11], [t11, 2 * t02]], atol=1e-14
     )
-    assert sys.det_p == pytest.approx(4 * t20 * t02 - t11**2, rel=1e-12)
+    assert pfaffian_det(th) == pytest.approx(4 * t20 * t02 - t11**2, rel=1e-12)
 
 
 def test_system_matrix_layout_cubic():
@@ -128,17 +132,14 @@ def test_system_matrix_layout_cubic():
         },
     )
     t30, t21, t12, t03 = -1.0, -0.3, -0.2, -1.5
-    sys = assemble_system(extend_table(initial_state_bi(3, 1.0, 1.0), 2))
-    # layout only depends on the top coefficients, check at the product point
-    sysP = assemble_system(table_from_oracle(th)).P
+    # the lower coefficients do not enter P
     expect = [
         [3 * t30, 2 * t21, t12, 0.0],
         [0.0, 3 * t30, 2 * t21, t12],
         [t21, 2 * t12, 3 * t03, 0.0],
         [0.0, t21, 2 * t12, 3 * t03],
     ]
-    np.testing.assert_allclose(sysP, expect, atol=1e-14)
-    assert sys.P.shape == (4, 4)
+    np.testing.assert_allclose(_pfaffian_matrix(th.top_coeffs()), expect, atol=1e-14)
 
 
 def test_pfaffian_det_matches_discriminant():
@@ -180,14 +181,14 @@ def test_extend_table_cubic_product():
     # at a product point every entry factorizes into gamma moments
     tab = extend_table(initial_state_bi(3, 1.0, 1.0), 3)
     g = [G13, G23, 1.0 / 3.0, G13 / 3]  # Gamma((m+1)/3)/3 for m = 0..3
-    for (i, j), v in tab.T.items():
+    for (i, j), v in tab.values.items():
         assert v == pytest.approx(g[i] * g[j], rel=1e-8), (i, j)
 
 
 def test_extend_table_matches_quadrature():
     th = ThetaBi(2, {(2, 0): -1.0, (1, 1): -0.8, (0, 2): -1.3, (1, 0): 0.4})
     tab = extend_table(table_from_oracle(th), 2)
-    for (i, j), v in tab.T.items():
+    for (i, j), v in tab.values.items():
         assert v == pytest.approx(quad_A_bi(th, st=(i, j)), rel=1e-5), (i, j)
 
 
@@ -231,7 +232,7 @@ def test_transpose_symmetry():
     tab_t = extend_table(
         transport_bi(initial_state_bi(2, 0.9, 1.2), th.transpose()), 2
     )
-    for (i, j), v in tab.T.items():
+    for (i, j), v in tab.values.items():
         assert v == pytest.approx(tab_t.entry(j, i), rel=1e-8), (i, j)
 
 
@@ -304,6 +305,23 @@ def test_wall_test_refuses_double_crossing(monkeypatch):
     # negative: D(s) = 0.01 - (s - 1/4)^2 for top (-1, s - 1/4, -1/400)
     with pytest.raises(PathCrossesSingularity):
         _check_wall(np.array([-1.0, -0.25, -0.0025]), np.array([0.0, 1.0, 0.0]))
+
+
+def test_wall_test_refuses_overflowing_discriminant(monkeypatch):
+    # every wall sample overflows to inf and the interpolant is NaN, whose
+    # Sturm count reads no root: the segment is refused, before any step
+    with pytest.raises(PathCrossesSingularity, match="overflows"):
+        _check_wall(
+            np.array([-1e60, 0.0, 0.0, 0.0, -1e60]), np.array([0.0, 0.0, -1e60, 0.0, -1e60])
+        )
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("transport stepped before the wall test")
+
+    monkeypatch.setattr(_ode, "taylor", no_step)
+    target = ThetaBi(4, {(4, 0): -1e60, (2, 2): -1e60, (0, 4): -2e60})
+    with pytest.raises(PathCrossesSingularity, match="overflows"):
+        transport_bi(initial_state_bi(4, 1e60, 1e60), target)
 
 
 def test_wall_test_passes_walls_off_the_segment():
@@ -448,15 +466,32 @@ def test_transport_degree_mismatch():
 def test_table_validation():
     th = product_theta(3)
     with pytest.raises(InputError):
-        DerivTableBi(th, {(0, 0): 1.0})  # below base order 2d-4 = 2
-    full = {st: 1.0 for st in base_indices(3)}
-    missing = dict(full)
-    del missing[(1, 1)]
+        DerivTableBi(th, [1.0])  # below base order 2d-4 = 2
+    full = np.ones(len(base_indices(3)))
     with pytest.raises(InputError):
-        DerivTableBi(th, missing)
+        DerivTableBi(th, full[:-1])  # no order fills five entries
+    with pytest.raises(InputError):
+        DerivTableBi(th, full.reshape(2, 3))
+    with pytest.raises(InputError):
+        DerivTableBi(th, dict(zip(base_indices(3), full)))  # a mapping is not a vector
     tab = DerivTableBi(th, full)
     with pytest.raises(AttributeError):
         tab.max_order = 5
+    with pytest.raises(ValueError):
+        tab.F[0] = 2.0
+
+
+def test_table_layout():
+    # F holds T[i, j] at _flat(i, j): by total order, then by j
+    tab = DerivTableBi(product_theta(3), np.arange(10.0))
+    assert tab.max_order == 3 and tab.norm_const == 0.0
+    assert list(tab.values) == [
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)
+    ]
+    assert all(tab.entry(i, j) == tab.F[_flat(i, j)] == v for (i, j), v in tab.values.items())
+    for ij in ((4, 0), (-1, 1)):
+        with pytest.raises(KeyError):
+            tab.entry(*ij)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -662,8 +697,8 @@ def test_extend_rejects_inconsistent_table():
     th = ThetaBi(3, {(3, 0): -1.0, (0, 3): -1.5, (2, 1): -0.3, (1, 0): 0.5, (0, 1): -0.2})
     moved = transport_bi(initial_state_bi(3, 1.0, 1.5), th)
     assert extend_table(moved, 6).max_order == 6
-    bad = dict(moved.values)
-    bad[(1, 1)] *= 1.01
+    bad = moved.F.copy()
+    bad[_flat(1, 1)] *= 1.01
     with pytest.raises(InconsistentExtension):
         extend_table(DerivTableBi(th, bad, 0.0, moved.axes), 6)
 
@@ -672,7 +707,7 @@ def test_axis_states_are_reused(monkeypatch):
     th = ThetaBi(3, {(3, 0): -1.0, (0, 3): -1.5, (2, 1): -0.3, (1, 0): 0.5, (0, 1): -0.2})
     moved = transport_bi(initial_state_bi(3, 1.0, 1.5), th)
     assert moved.axes is not None and moved.axes.opts == OdeOptions()
-    bare = DerivTableBi(th, moved.values, moved.last_transport_error)
+    bare = DerivTableBi(th, moved.F, moved.last_transport_error)
     fresh = extend_table(bare, 6)
     ax_fresh, _ = boundary_consts(th, 4)
     calls = []
@@ -682,7 +717,7 @@ def test_axis_states_are_reused(monkeypatch):
     ax, _ = boundary_consts(moved, 4)
     assert calls == []
     # same bits as transporting the axes again from their gamma points
-    assert reused.values == fresh.values
+    np.testing.assert_array_equal(reused.F, fresh.F)
     np.testing.assert_array_equal(ax, ax_fresh)
     assert reused.axes is moved.axes
     # other options: the carried states are not theirs, so fresh ones
@@ -694,7 +729,7 @@ def test_axis_states_must_match_theta():
     th = ThetaBi(2, {(2, 0): -1.0, (1, 1): -0.5, (0, 2): -2.0})
     moved = transport_bi(initial_state_bi(2, 1.0, 2.0), th)
     with pytest.raises(InputError):
-        DerivTableBi(th.transpose(), moved.values, 0.0, moved.axes)
+        DerivTableBi(th.transpose(), moved.F, 0.0, moved.axes)
 
 
 @st.composite

@@ -21,6 +21,7 @@ from exppoly.errors import (
 from exppoly.holo_uni import (
     _TAYLOR_ORDER,
     OdeOptions,
+    _accept,
     _close,
     _extend,
     _inhom,
@@ -284,11 +285,28 @@ def test_state_at_retries_state_that_is_not_moment_like():
     # rounding (6e-14 relative) into an error of 5e3 relative although
     # transport_condition is ~1 at both ends; the transported state has
     # A > 0 but negative odd moments, so it is retried from the gamma point
-    # instead of being returned
+    # instead of being returned (`state_at` itself answers a gamma point in
+    # closed form, so the verdict is asked of `_accept` directly)
     via = state_at((0.0, 0.0, 0.0, -2.0, -0.5))
-    st = state_at((0.0, 0.0, 0.0, 0.0, -1.0), start=via)
+    target = ThetaUni((0.0, 0.0, 0.0, 0.0, -1.0))
+    st = _accept(via, transport(via, target), OdeOptions())
     want = [quad_moment_uni(st.theta, m) for m in range(4)]
     np.testing.assert_allclose(st.F, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("support", list(Support))
+@pytest.mark.parametrize("c", [1e36, 1e60])
+def test_state_at_answers_gamma_point_in_closed_form(c, support):
+    # transport_condition compares exp(g(0)) = 1 with A ~ c^(-1/4) here, which
+    # refused the zero-length transport; a boundary request reduces to the
+    # same point, and a carried start does not change the answer
+    want = initial_state(4, c, support)
+    for theta in ((0.0, 0.0, 0.0, -c), (0.0, 0.0, 0.0, -c, 0.0, 0.0)):
+        st = state_at(ThetaUni(theta, support))
+        np.testing.assert_array_equal(st.F, want.F)
+        assert st.last_transport_error == 0.0
+    near = initial_state(4, 1.0, support)
+    assert state_at(want.theta, start=near).F.tolist() == want.F.tolist()
 
 
 def test_state_at_retries_from_gamma_point_when_start_given():

@@ -165,7 +165,7 @@ def test_fisher_kernel_matches_references_uni(theta):
     state, d = provider._state, theta.d
     derivs = extend_derivatives(state, 2 * d)
     np.testing.assert_array_equal(info, _fisher_from_moments(_uni_moments(derivs), d))
-    bound = inference._fisher_bound(derivs, provider.derivative_bounds(2 * d), (np.arange(1, d + 1),))
+    bound = inference._fisher_bound(derivs, provider.derivative_bounds(2 * d), inference._positions(theta))
     np.testing.assert_array_equal(bound, _fisher_bound_reference(state, d))
 
 
