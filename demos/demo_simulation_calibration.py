@@ -18,7 +18,9 @@ import tempfile
 
 from exppoly import cli
 
-out = pathlib.Path(tempfile.mkdtemp()) / "sim"
+# removed again when the demo exits
+workdir = tempfile.TemporaryDirectory()
+out = pathlib.Path(workdir.name) / "sim"
 
 
 def run_quietly(argv):

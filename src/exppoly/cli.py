@@ -308,6 +308,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "simulate supports halfline and realline modes; bivariate sampling "
             "is not implemented"
         )
+    if args.reps < 1:
+        raise InputError(f"--reps must be at least 1, got {args.reps}")
     support = _SUPPORTS[args.mode]
     theta_star = ThetaUni(_parse_coeff_list(args.theta), support)
     _require_integrable_uni(theta_star)

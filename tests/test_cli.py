@@ -294,6 +294,18 @@ def test_simulate_single_rep_no_ks(capsys, tmp_path):
     assert "ks_pvalue" not in out["columns"][0]
 
 
+@pytest.mark.parametrize("reps", ["-1", "0"])
+def test_simulate_rejects_reps_below_one(capsys, tmp_path, reps):
+    out_dir = tmp_path / "sim"
+    code, out, err = run(
+        capsys,
+        ["simulate", "--theta=-1,3,-2", "--reps", reps, "--out", str(out_dir)],
+    )
+    assert code == 2 and out is None
+    assert "InputError" in err and "--reps" in err
+    assert not out_dir.exists()
+
+
 def test_simulate_bivariate_unsupported(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -416,8 +428,9 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 
 def test_transport_commands_do_not_load_scipy():
-    # scipy serves only the oracle, the sampler, simulate and verify; the
-    # import and the transport and chamber commands must run without it.
+    # scipy serves only the quadrature oracle, simulate's KS summary and
+    # verify; the import and the transport and chamber commands must run
+    # without it.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

@@ -1,5 +1,4 @@
-"""Smoke tests: demos of the likelihood layer and of the bivariate chamber
-geometry run to completion."""
+"""Smoke tests: every demo runs to completion."""
 
 import os
 import subprocess
@@ -18,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
         "demo_order_selection.py",
         "demo_parameter_chambers.py",
         "demo_bivariate_constants.py",
+        "demo_simulation_calibration.py",
+        "demo_normalizing_constants.py",
     ],
 )
 def test_demo_runs(demo):
