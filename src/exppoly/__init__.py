@@ -39,6 +39,7 @@ from .holo_bi import (
     extend_table,
     initial_state_bi,
     pfaffian_det,
+    table_at,
     table_from_oracle,
     transport_bi,
 )
@@ -47,7 +48,6 @@ from .holo_uni import (
     OdeOptions,
     extend_derivatives,
     initial_state,
-    mixed_partial_index,
     norm_const_and_derivs,
     state_at,
     state_length,
@@ -124,7 +124,6 @@ __all__ = [
     "OdeOptions",
     "extend_derivatives",
     "initial_state",
-    "mixed_partial_index",
     "norm_const_and_derivs",
     "state_at",
     "state_length",
@@ -136,6 +135,7 @@ __all__ = [
     "extend_table",
     "initial_state_bi",
     "pfaffian_det",
+    "table_at",
     "table_from_oracle",
     "transport_bi",
     # inference

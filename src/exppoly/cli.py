@@ -40,7 +40,7 @@ from .errors import (
     ToleranceNotMet,
     TransportError,
 )
-from .holo_bi import extend_table, initial_state_bi, pfaffian_det, transport_bi
+from .holo_bi import extend_table, pfaffian_det, table_at
 from .holo_uni import (
     OdeOptions,
     extend_derivatives,
@@ -48,8 +48,6 @@ from .holo_uni import (
 )
 from .inference import (
     FitOptions,
-    TestNull,
-    UniHoloProvider,
     fisher_info,
     fit_mle,
     score_test_halfline,
@@ -151,14 +149,10 @@ def _float_list(arr) -> list[float]:
 def cmd_normconst(args: argparse.Namespace) -> int:
     theta = _theta_from_args(args)
     opts = OdeOptions(rel_tol=args.tol) if args.tol is not None else OdeOptions()
+    order = args.order if args.order is not None else theta.d
     if isinstance(theta, ThetaBi):
         _require_proper_bi(theta)
-        order = args.order if args.order is not None else theta.d
-        top = theta.top_coeffs()
-        table = transport_bi(
-            initial_state_bi(theta.d, abs(top[0]), abs(top[-1])), theta, opts
-        )
-        table = extend_table(table, order, opts)
+        table = extend_table(table_at(theta, opts), order, opts)
         derivs = {
             f"{i}{j}": table.entry(i, j)
             for total in range(order + 1)
@@ -169,29 +163,20 @@ def cmd_normconst(args: argparse.Namespace) -> int:
             "derivs": derivs,
             "engine_error_estimate": table.last_transport_error,
         }
-        if args.verify:
-            oracle = quad_A_bi(theta)
-            out["oracle"] = {
-                "value": oracle,
-                "rel_diff": abs(table.norm_const - oracle) / abs(oracle),
-            }
-        _emit(out)
-        return EXIT_OK
-    _require_integrable_uni(theta)
-    order = args.order if args.order is not None else theta.d
-    state = state_at(theta, opts)
-    derivs = extend_derivatives(state, order)
-    out = {
-        "A": float(derivs[0]),
-        "derivs": _float_list(derivs),
-        "engine_error_estimate": state.last_transport_error,
-    }
-    if args.verify:
-        oracle = quad_moment_uni(theta)
-        out["oracle"] = {
-            "value": oracle,
-            "rel_diff": abs(float(derivs[0]) - oracle) / abs(oracle),
+        quad = quad_A_bi
+    else:
+        _require_integrable_uni(theta)
+        state = state_at(theta, opts)
+        derivs = extend_derivatives(state, order)
+        out = {
+            "A": float(derivs[0]),
+            "derivs": _float_list(derivs),
+            "engine_error_estimate": state.last_transport_error,
         }
+        quad = quad_moment_uni
+    if args.verify:
+        oracle = quad(theta)
+        out["oracle"] = {"value": oracle, "rel_diff": abs(out["A"] - oracle) / abs(oracle)}
     _emit(out)
     return EXIT_OK
 
@@ -325,7 +310,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if stat_kind == "p":
-        info = fisher_info(theta_star, UniHoloProvider(support))
+        info = fisher_info(theta_star)
         se = np.sqrt(np.diag(np.linalg.inv(info)))
         columns = [f"p{i}" for i in range(1, d + 1)]
     else:

@@ -179,9 +179,6 @@ class ThetaBi:
         """Swap the roles of x and y."""
         return ThetaBi(self.d, {(j, i): v for (i, j), v in self.coeffs.items()})
 
-    def exponent_at(self, x: float, y: float) -> float:
-        return sum(v * x**i * y**j for (i, j), v in self.coeffs.items())
-
 
 def in_proper_bivariate_space(theta: ThetaBi) -> bool:
     """Membership in the proper region.

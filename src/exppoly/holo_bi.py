@@ -51,6 +51,7 @@ from .errors import (
     InputError,
     NonPositiveScale,
     NonSquarefree,
+    OdeDivergence,
     PathCrossesSingularity,
     PathSingularity,
     SingularSystem,
@@ -425,7 +426,8 @@ def transport_bi(
     theta_target: ThetaBi,
     opts: OdeOptions | None = None,
 ) -> DerivTableBi:
-    """Move the table along the straight segment to `theta_target`.
+    """Move the table along the straight segment to `theta_target`; a table
+    already at `theta_target` is returned as it is.
 
     The base entries obey dT[i,j]/ds = sum_ab h_ab T[i+a, j+b], with entries
     above order 2d-4 supplied by level solves at the moving parameter; the
@@ -459,7 +461,7 @@ def transport_bi(
     src_vec = src.as_vector()
     h_vec = theta_target.as_vector() - src_vec
     if not np.any(h_vec):
-        return DerivTableBi(theta_target, table.F, 0.0, table.axes)
+        return table
 
     src_top = np.array(src.top_coeffs())
     _check_wall(src_top, np.array(theta_target.top_coeffs()) - src_top)
@@ -525,6 +527,30 @@ def transport_bi(
     if table.max_order > moved.max_order:
         moved = extend_table(moved, table.max_order, opts)
     return moved
+
+
+def table_at(
+    theta: ThetaBi,
+    opts: OdeOptions | None = None,
+    start: DerivTableBi | None = None,
+) -> DerivTableBi:
+    """Transported table at theta, the bivariate twin of `holo_uni.state_at`.
+
+    Transport (`transport_bi`) starts from `start` when it has theta's
+    order (a request at its own parameter returns it unchanged), else from
+    the product point `initial_state_bi(d, |theta_d0|, |theta_0d|)`.  A
+    start in another chamber than theta is refused with
+    `PathCrossesSingularity`.  A table whose entries are not finite, or
+    whose A is not positive, lost its accuracy on the way and raises
+    `OdeDivergence`.
+    """
+    if start is None or start.d != theta.d:
+        top = theta.top_coeffs()
+        start = initial_state_bi(theta.d, abs(top[0]), abs(top[-1]))
+    table = transport_bi(start, theta, opts)
+    if not (np.all(np.isfinite(table.F)) and table.norm_const > 0.0):
+        raise OdeDivergence(f"transport lost accuracy (A = {table.norm_const!r})")
+    return table
 
 
 def _accept_axis(

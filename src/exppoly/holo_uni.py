@@ -31,7 +31,6 @@ from .errors import (
     PathSingularity,
     SingularLeadingCoefficient,
     ToleranceNotMet,
-    UnsupportedOrder,
 )
 
 
@@ -513,17 +512,3 @@ def norm_const_and_derivs(
     """
     return extend_derivatives(state_at(theta, opts, support), M)
 
-
-def mixed_partial_index(orders: Sequence[int]) -> int:
-    """Map a mixed-partial multi-index to its theta_1-derivative order.
-
-    Differentiating A by theta_k brings down x^k, so the mixed partial with
-    multiplicities (j_1, ..., j_d) equals the pure theta_1-derivative of order
-    j_1 + 2 j_2 + ... + d j_d.
-    """
-    orders = list(orders)
-    if len(orders) == 0:
-        raise InputError("multi-index must be nonempty")
-    if any((not isinstance(j, (int, np.integer))) or j < 0 for j in orders):
-        raise UnsupportedOrder("multi-index entries must be nonnegative integers")
-    return int(sum((k + 1) * j for k, j in enumerate(orders)))

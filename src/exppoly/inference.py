@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import holo_uni
+from . import holo_bi, holo_uni
 from .domain import (
     Membership,
     SuffStats,
@@ -46,11 +46,13 @@ from .errors import (
     ToleranceNotMet,
     UnsupportedOrder,
 )
-from .holo_bi import DerivTableBi, _flat, extend_table, initial_state_bi, transport_bi
+from .holo_bi import DerivTableBi, _flat, extend_table
 from .holo_uni import HoloStateUni, OdeOptions, _is_count, extend_derivatives, norm_const_and_derivs
 
-# Transport goes through `holo_uni.state_at` alone; this binding is kept only
-# because bench/tracing.py wraps `inference.transport` by name.
+# Transport goes through `holo_uni.state_at` and `holo_bi.table_at` alone;
+# these bindings are kept only because bench/tracing.py wraps
+# `inference.transport` and `inference.transport_bi` by name.
+from .holo_bi import transport_bi  # noqa: F401
 from .holo_uni import transport  # noqa: F401
 
 Theta = Union[ThetaUni, ThetaBi]
@@ -84,8 +86,7 @@ class UniHoloProvider:
     gamma point, discarding the accumulated path.
     """
 
-    def __init__(self, support: Support = Support.HALF_LINE, opts: OdeOptions | None = None):
-        self.support = support
+    def __init__(self, opts: OdeOptions | None = None):
         self.opts = opts if opts is not None else OdeOptions()
         self._state: Optional[HoloStateUni] = None
 
@@ -103,39 +104,26 @@ class UniHoloProvider:
 
 
 class BiHoloProvider:
-    """Bivariate analogue of UniHoloProvider, carrying a derivative table."""
+    """Bivariate analogue of UniHoloProvider: each request moves the last
+    committed derivative table to the new parameter through `holo_bi.table_at`."""
 
     def __init__(self, opts: OdeOptions | None = None):
         self.opts = opts if opts is not None else OdeOptions()
         self._table: Optional[DerivTableBi] = None
 
-    def _move(self, theta: ThetaBi) -> DerivTableBi:
-        if self._table is None or self._table.d != theta.d:
-            top = theta.top_coeffs()
-            table = initial_state_bi(theta.d, abs(top[0]), abs(top[-1]))
-            table = transport_bi(table, theta, self.opts)
-        else:
-            table = transport_bi(self._table, theta, self.opts)
-        if not (np.all(np.isfinite(table.F)) and table.norm_const > 0.0):
-            raise OdeDivergence(
-                f"transport lost accuracy (A = {table.norm_const!r})"
-            )
-        self._table = table
-        return table
-
     def derivs(self, theta: ThetaBi, M: int) -> np.ndarray:
         """The table's `F` at theta, through total order M at least: entry
         `holo_bi._flat(i, j)` is d^(i+j) A / d theta_10^i d theta_01^j."""
-        return extend_table(self._move(theta), M, self.opts).F
+        self._table = holo_bi.table_at(theta, self.opts, start=self._table)
+        return extend_table(self._table, M, self.opts).F
 
     def refresh(self, theta: ThetaBi) -> None:
-        state, self._table = self._table, None
         try:
-            self._move(theta)
+            self._table = holo_bi.table_at(theta, self.opts)
         except (PathCrossesSingularity, OdeDivergence):
             # the fit wandered into a chamber the product point cannot reach
             # (or the fresh path is numerically worse); keep the incremental state
-            self._table = state
+            pass
 
     def derivative_bounds(self, M: int) -> None:
         """None: the bivariate extension carries no error bound yet."""
@@ -143,9 +131,7 @@ class BiHoloProvider:
 
 
 def _provider_for(theta: Theta, opts: OdeOptions | None = None):
-    if isinstance(theta, ThetaBi):
-        return BiHoloProvider(opts)
-    return UniHoloProvider(theta.support, opts)
+    return (BiHoloProvider if isinstance(theta, ThetaBi) else UniHoloProvider)(opts)
 
 
 @dataclass(frozen=True)
@@ -456,8 +442,7 @@ def _null_information(
     of their block.  Raises NotConverged when the fit stopped in the interior
     without converging: a score evaluated there is not a score test statistic.
     """
-    support = stats.support if stats.support is not None else Support.HALF_LINE
-    provider = UniHoloProvider(support, opts.ode)
+    provider = UniHoloProvider(opts.ode)
     k = d - step
     while True:
         result = fit_mle(stats, k, opts, provider)

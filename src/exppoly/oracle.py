@@ -415,15 +415,16 @@ def _density_integrals(coeffs: tuple[float, ...], gmax: float, edges: np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _cdf_nodes(theta: ThetaUni, opts: QuadOptions) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_nodes(theta: ThetaUni) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and cumulative (normalized) CDF values on the truncated support.
 
     Two passes: 257 equispaced nodes, then those nodes together with 769
     approximate quantiles of the first pass.  Each interval's mass comes
     from `_density_integrals` (Gauss-Legendre panels, split where they miss
-    the tolerance), so no scipy is loaded.  Cached: replication studies draw
-    repeatedly from one fixed theta and the node construction is the
-    expensive part.  Returned arrays are read-only.
+    the tolerance), so no scipy is loaded.  The truncation (1e-16) and the
+    panel tolerances are fixed, so no `QuadOptions` applies.  Cached:
+    replication studies draw repeatedly from one fixed theta and the node
+    construction is the expensive part.  Returned arrays are read-only.
     """
     theta = effective_theta(theta)
     coeffs = theta.coeffs
@@ -509,10 +510,10 @@ def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def numeric_cdf(theta: ThetaUni, opts: QuadOptions = _DEFAULT_QUAD):
+def numeric_cdf(theta: ThetaUni):
     """Numeric CDF as a monotone (`_pchip`) interpolant of the `_cdf_nodes`
     table; returns (callable, (lo, hi))."""
-    xs, us = _cdf_nodes(theta, opts)
+    xs, us = _cdf_nodes(theta)
     pchip = _pchip(xs, us)
 
     def cdf(x):
@@ -525,12 +526,7 @@ def numeric_cdf(theta: ThetaUni, opts: QuadOptions = _DEFAULT_QUAD):
     return cdf, (float(xs[0]), float(xs[-1]))
 
 
-def sample_uni(
-    theta: ThetaUni,
-    n: int,
-    seed,
-    opts: QuadOptions = _DEFAULT_QUAD,
-) -> np.ndarray:
+def sample_uni(theta: ThetaUni, n: int, seed) -> np.ndarray:
     """Draw n values by inverse CDF: the `_pchip` interpolant of x against
     the `_cdf_nodes` table, at uniform draws.
 
@@ -543,7 +539,7 @@ def sample_uni(
         raise InputError(f"sample size must be an integer, got {n!r}")
     if n < 0:
         raise InputError("sample size must be >= 0")
-    xs, us = _cdf_nodes(theta, opts)
+    xs, us = _cdf_nodes(theta)
     grow = np.concatenate([[True], np.diff(us) > 1e-15])
     grow[-1] = True
     ui, xi = us[grow], xs[grow]

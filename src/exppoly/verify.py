@@ -24,15 +24,9 @@ from .domain import (
     monomials_bi,
     suff_stats,
 )
-from .holo_bi import (
-    extend_table,
-    initial_state_bi,
-    pfaffian_det,
-    transport_bi,
-)
+from .holo_bi import extend_table, pfaffian_det, table_at
 from .holo_uni import norm_const_and_derivs
 from .inference import (
-    UniHoloProvider,
     fisher_info,
     fit_mle,
     mle_existence_check,
@@ -244,15 +238,12 @@ def _suite_bivariate(d: int | None, rng: np.random.Generator) -> tuple[float, in
     checks = 0
     for dd in ds:
         th = random_theta_bi_proper(rng, dd)
-        top = th.top_coeffs()
-        table = transport_bi(initial_state_bi(dd, abs(top[0]), abs(top[-1])), th)
+        table = table_at(th)
         worst = max(worst, _rel(table.norm_const, quad_A_bi(th)))
         checks += 1
         # transpose symmetry: swapping the roles of x and y must commute
         # with transport
-        tt = transport_bi(
-            initial_state_bi(dd, abs(top[-1]), abs(top[0])), th.transpose()
-        )
+        tt = table_at(th.transpose())
         for (i, j), v in table.values.items():
             worst = max(worst, _rel(v, tt.entry(j, i)))
             checks += 1

@@ -16,6 +16,7 @@ from exppoly.errors import (
     InputError,
     LeadingCoefficientZero,
     NonPositiveScale,
+    OdeDivergence,
     PathCrossesSingularity,
     PathSingularity,
     SingularSystem,
@@ -33,6 +34,7 @@ from exppoly.holo_bi import (
     extend_table,
     initial_state_bi,
     pfaffian_det,
+    table_at,
     table_from_oracle,
     transport_bi,
 )
@@ -730,6 +732,39 @@ def test_axis_states_must_match_theta():
     moved = transport_bi(initial_state_bi(2, 1.0, 2.0), th)
     with pytest.raises(InputError):
         DerivTableBi(th.transpose(), moved.F, 0.0, moved.axes)
+
+
+# the parameter of test_cli's bivariate `normconst` checks
+CLI_THETA = ThetaBi(2, {(1, 0): 0.4, (0, 1): -0.3, (2, 0): -1.0, (1, 1): -0.8, (0, 2): -1.3})
+
+
+def test_zero_move_keeps_error_estimate():
+    # a move to the table's own parameter returns the table unchanged, as
+    # `state_at` returns its start, error estimate included
+    table = transport_bi(initial_state_bi(2, 1.0, 1.3), CLI_THETA)
+    assert table.last_transport_error > 0.0
+    assert transport_bi(table, CLI_THETA) is table
+    wide = extend_table(table, 4)
+    assert transport_bi(wide, CLI_THETA).last_transport_error == table.last_transport_error
+
+
+def test_table_at_start_policy():
+    # without a start of theta's order: the transport from the product
+    # point (|theta_20|, |theta_02|), bit for bit
+    want = transport_bi(initial_state_bi(2, 1.0, 1.3), CLI_THETA)
+    np.testing.assert_array_equal(table_at(CLI_THETA).F, want.F)
+    np.testing.assert_array_equal(table_at(CLI_THETA, start=initial_state_bi(3, 1.0, 1.0)).F, want.F)
+    # with one: the transport from it, which at its own parameter is the start
+    near = table_at(ThetaBi(2, {(1, 0): 0.3, (2, 0): -1.1, (1, 1): -0.7, (0, 2): -1.3}))
+    np.testing.assert_array_equal(table_at(CLI_THETA, start=near).F, transport_bi(near, CLI_THETA).F)
+    assert table_at(CLI_THETA, start=want) is want
+
+
+@pytest.mark.parametrize("bad", [lambda F: -F, lambda F: np.full_like(F, np.nan)], ids=["negative", "nan"])
+def test_table_at_refuses_lost_accuracy(bad):
+    F = table_at(CLI_THETA).F
+    with pytest.raises(OdeDivergence):
+        table_at(CLI_THETA, start=DerivTableBi(CLI_THETA, bad(F)))
 
 
 @st.composite

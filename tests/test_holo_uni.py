@@ -31,7 +31,6 @@ from exppoly.holo_uni import (
     derivative_bounds,
     extend_derivatives,
     initial_state,
-    mixed_partial_index,
     norm_const_and_derivs,
     state_at,
     state_length,
@@ -160,14 +159,6 @@ def test_norm_const_reduces_boundary_theta():
 def test_norm_const_rejects_divergent():
     with pytest.raises(DivergentIntegral):
         norm_const_and_derivs((1.0,))
-
-
-def test_mixed_partial_index():
-    assert mixed_partial_index([3]) == 3
-    assert mixed_partial_index([1, 2]) == 5
-    assert mixed_partial_index([0, 0, 2]) == 6
-    with pytest.raises(InputError):
-        mixed_partial_index([])
 
 
 def test_ode_residual_invariant():

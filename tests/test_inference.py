@@ -157,7 +157,7 @@ def uni_theta(draw):
 @settings(max_examples=200)
 @given(uni_theta())
 def test_fisher_kernel_matches_references_uni(theta):
-    provider = UniHoloProvider(theta.support)
+    provider = UniHoloProvider()
     try:
         info = fisher_info(theta, provider)
     except (ToleranceNotMet, OdeDivergence):

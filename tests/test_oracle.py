@@ -209,7 +209,7 @@ def _pchip_cases():
     rng = np.random.default_rng(11)
     cases = []
     for k, theta in enumerate(SAMPLED_THETAS[:3]):
-        xs, us = oracle._cdf_nodes(theta, oracle._DEFAULT_QUAD)
+        xs, us = oracle._cdf_nodes(theta)
         ui, idx = np.unique(us, return_index=True)
         cases.append(pytest.param(xs, us, id=f"cdf{k}"))
         cases.append(pytest.param(ui, xs[idx], id=f"inverse-cdf{k}"))
@@ -273,7 +273,7 @@ def test_cdf_table_of_density_limited_by_rounding():
     # exp(2e7 x - 1e5 x^2): g reaches 1e9 at the mode x = 100, so exp(g - gmax)
     # carries relative rounding noise near 1e-7, above the 1e-11 tolerance;
     # the panels accept agreement to that noise instead of splitting forever.
-    xs, us = oracle._cdf_nodes(ThetaUni((2e7, -1e5)), oracle._DEFAULT_QUAD)
+    xs, us = oracle._cdf_nodes(ThetaUni((2e7, -1e5)))
     z = (xs - 100.0) * math.sqrt(2e5)
     want = [0.5 * math.erfc(-zk / math.sqrt(2.0)) for zk in z]
     assert np.max(np.abs(us - want)) <= 1e-7
