@@ -16,12 +16,17 @@ Every level has P(theta) as its square windows: row t of either family
 involves only the diagonal entries t..t+d-1, with coefficients that do not
 depend on t.  So each level is solved as a few square windows against one
 factor of P; `extend_table` then checks the whole level system, rows no
-window used included.
+window used included.  Which entry of which level system a coefficient
+lands in depends only on the shape (d and the orders involved), so that
+structure is built once per shape (`_level_shape`, `_transport_shape`) and
+a plan only puts theta into it.
 
 `transport_bi` steps the table by Taylor series: along a segment P and the
 levels' right-hand sides are affine in the parameter, so each row of Taylor
 coefficients follows from the previous one by the same window solves, against
-one factor of P per step.  The two axis states ride in the same series, and
+one factor of P per step.  The window solves of all levels and the next
+base row are composed into one matrix per step, so each row costs one
+matrix-vector product.  The two axis states ride in the same series, and
 at the end they go through the univariate acceptance step, not a second
 transport.  Before any step, the discriminant along the segment, a polynomial
 of degree 2d-2, is interpolated and its real roots in [0, 1] are counted, so
@@ -30,6 +35,7 @@ a path that meets a wall anywhere is refused.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -49,7 +55,6 @@ from .errors import (
     AxisOutsideDomain,
     InconsistentExtension,
     InputError,
-    NonPositiveScale,
     NonSquarefree,
     OdeDivergence,
     PathCrossesSingularity,
@@ -61,7 +66,8 @@ from .holo_uni import (
     HoloStateUni,
     OdeOptions,
     _extend,
-    _series,
+    _order_arg,
+    _scale_arg,
     extend_derivatives,
     state_length,
 )
@@ -184,10 +190,8 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
     moments: T[i, j] = (Gamma((i+1)/d) c1^{-(i+1)/d} / d) * (same in j, c2).
     """
     _require_order(d)
-    for name, c in (("c1", c1), ("c2", c2)):
-        if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-            raise NonPositiveScale(f"{name} must be positive and finite, got {c!r}")
-    theta = ThetaBi(d, {(d, 0): -float(c1), (0, d): -float(c2)})
+    c1, c2 = _scale_arg(c1, "c1"), _scale_arg(c2, "c2")
+    theta = ThetaBi(d, {(d, 0): -c1, (0, d): -c2})
 
     def gamma_moment(m: int, c: float) -> float:
         return c ** (-(m + 1) / d) * math.gamma((m + 1) / d) / d
@@ -222,6 +226,7 @@ def boundary_consts(
     degree; symmetrically for A_y.  Both follow the `state_at` retry and
     refusal policy.  Given a table, the axis states it carries are reused.
     """
+    M = _order_arg(M)
     axes = _axes_for(theta, opts)
     return extend_derivatives(axes.x, M), extend_derivatives(axes.y, M)
 
@@ -272,116 +277,248 @@ def _factor(P: np.ndarray) -> tuple[float, np.ndarray]:
     return det, np.linalg.inv(P)
 
 
+# Level shapes are built once per (d, lo, hi, m_ax) and shared by every plan
+# of that shape: one per d for transport, a few per d for extension.
+_SHAPE_CACHE = 32
+
+
+class _Scatter(NamedTuple):
+    """Entries of a flat array that are linear in a coefficient vector c:
+    entry `at[e]` is `by[e] * c[of[e]]`, each position at most once."""
+
+    at: np.ndarray
+    of: np.ndarray
+    by: np.ndarray
+
+    def put(self, out: np.ndarray, c: np.ndarray) -> np.ndarray:
+        out[self.at] = self.by * c[self.of]
+        return out
+
+
+def _scatter(entries: list[tuple[int, int, float]]) -> _Scatter:
+    at, of, by = zip(*entries) if entries else ((), (), ())
+    out = _Scatter(
+        np.array(at, dtype=np.intp), np.array(of, dtype=np.intp), np.array(by, dtype=float)
+    )
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+class _Level(NamedTuple):
+    """One level of a `_LevelShape`: its order k, its columns of V, its rows
+    in the natural-order G and its entries in the level-matrix buffer."""
+
+    k: int
+    cols: slice
+    rows: slice
+    mat: slice
+
+
+class _LevelShape(NamedTuple):
+    """What the level solves for orders lo..hi do not take from theta.
+
+    G (the right-hand sides, natural row order: x-family rows t = 0..q,
+    then y-family, level after level) has constant entries `g_const` (a
+    `_Scatter` over the vector [1]) and entries linear in the full
+    coefficient vector, `g_lin`; every entry gets one term at most.
+    `win_rows` lists, window after window and level after level, the
+    natural row behind each window row.  In window row order, `x_lin`
+    places -P(h) on each window's own columns (h the direction, indexed
+    like theta).  `asm` picks, for each level entry of V in order, the
+    window row that solves it (the later window where two overlap).
+    `p_lin` is P(theta) on its n x n entries and `mat_lin` the level
+    matrices back to back, both indexed by the top coefficients.  Entries
+    are kept as index lists, not dense tensors: a level's rows hold a few
+    terms each among n_v columns.
+    """
+
+    n: int
+    t_off: int
+    n_v: int
+    top: np.ndarray
+    levels: tuple[_Level, ...]
+    g_rows: int
+    g_const: _Scatter
+    g_lin: _Scatter
+    win_rows: np.ndarray
+    x_lin: _Scatter
+    asm: np.ndarray
+    p_lin: _Scatter
+    mat_size: int
+    mat_lin: _Scatter
+
+
+def _matrix_entries(d: int, k: int) -> list[tuple[int, int, int, int]]:
+    """(row, col, c, factor) of every nonzero entry of `_level_matrix` at
+    order k, which is factor times top coefficient c."""
+    out = []
+    for c in range(d + 1):
+        unit = [0] * (d + 1)
+        unit[c] = 1
+        for r, row in enumerate(_level_matrix(unit, k)):
+            out += [(r, col, c, f) for col, f in enumerate(row) if f]
+    return out
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
+    """The `_LevelShape` of levels lo..hi reading axis orders 0..m_ax."""
+    monos = monomials_bi(d)
+    top = np.array([monos.index((d - c, c)) for c in range(d + 1)], dtype=np.intp)
+    lower = [(m, i, j) for m, (i, j) in enumerate(monos) if i + j < d]
+    n = 2 * d - 2
+    t_off = 2 * (m_ax + 1)
+    n_v = t_off + _flat(0, hi) + 1
+    p_entries = _matrix_entries(d, 2 * d - 3)
+    g_const, g_lin, mat_lin, x_lin = [], [], [], []
+    win_rows, asm, levels = [], [], []
+    row0 = mat0 = 0
+    for k in range(lo, hi + 1):
+        q = k - d + 1
+        for t in range(q + 1):
+            a = q - t  # row (a, t): derivative order a in theta_10, t in theta_01
+            rx, ry = (row0 + t) * n_v, (row0 + q + 1 + t) * n_v
+            if a == 0:
+                g_const.append((rx + m_ax + 1 + t, 0, -1.0))  # boundary term ay[t]
+            else:
+                g_const.append((rx + t_off + _flat(a - 1, t), 0, -a))
+            if t == 0:
+                g_const.append((ry + a, 0, -1.0))  # boundary term ax[a]
+            else:
+                g_const.append((ry + t_off + _flat(a, t - 1), 0, -t))
+            for m, i, j in lower:
+                if i:
+                    g_lin.append((rx + t_off + _flat(a + i - 1, t + j), m, -i))
+                if j:
+                    g_lin.append((ry + t_off + _flat(a + i, t + j - 1), m, -j))
+        for r, col, c, f in _matrix_entries(d, k):
+            mat_lin.append((mat0 + r * (k + 1) + col, c, f))
+        starts = list(range(0, k - n + 2, n))
+        if starts[-1] != k - n + 1:
+            starts.append(k - n + 1)
+        col0 = t_off + _flat(k, 0)
+        solved_by = [0] * (k + 1)
+        for t0 in starts:
+            w0 = len(win_rows)
+            win_rows += [row0 + r for r in (*range(t0, t0 + d - 1), *range(q + 1 + t0, q + d + t0))]
+            for r, col, c, f in p_entries:
+                x_lin.append(((w0 + r) * n_v + col0 + t0 + col, top[c], -f))
+            solved_by[t0 : t0 + n] = range(w0, w0 + n)
+        asm += solved_by
+        n_rows = 2 * (q + 1)
+        cols, rows = slice(col0, col0 + k + 1), slice(row0, row0 + n_rows)
+        levels.append(_Level(k, cols, rows, slice(mat0, mat0 + n_rows * (k + 1))))
+        row0 += n_rows
+        mat0 += n_rows * (k + 1)
+    win_rows = np.array(win_rows, dtype=np.intp)
+    asm = np.array(asm, dtype=np.intp)
+    win_rows.flags.writeable = asm.flags.writeable = top.flags.writeable = False
+    return _LevelShape(
+        n, t_off, n_v, top, tuple(levels), row0, _scatter(g_const), _scatter(g_lin), win_rows,
+        _scatter(x_lin), asm, _scatter([(r * n + col, c, f) for r, col, c, f in p_entries]),
+        mat0, _scatter(mat_lin),
+    )
+
+
 class _LevelPlan:
     """The level solves for orders lo..hi along theta(s) = theta0 + s*h.
 
     Values live in a vector V: the axis constants ax[0..m_ax] and ay[0..m_ax],
     then the table entries in `_flat` layout from offset `t_off`.  A level's
     equations read lower orders and axis constants only, so they read
-    P(theta(s)) X = G(s) V with G(s) = G0 + s*Gh affine in s; G0, Gh and
-    P(theta0), P(h) are built once, here.  Each level is solved as square
-    windows against one inverse of P(theta(s)): window t0 takes rows
-    t0..t0+d-2 of both families and yields X[t0..t0+2d-3].  Windows start
-    every 2d-2 columns and the last one ends at column k; where two windows
-    overlap, the later one's values are kept.
+    P(theta(s)) X = G(s) V with G(s) = G0 + s*Gh affine in s.  Everything
+    about them that does not depend on theta is the `_LevelShape`, built
+    once per shape; a plan only puts theta0 and h into it: P(theta0) and
+    P(h), and G0, Gh and Gx (below) in window row order.  Each level is
+    solved as square windows against one inverse of P(theta(s)): window t0
+    takes rows t0..t0+d-2 of both families and yields X[t0..t0+2d-3].
+    Windows start every 2d-2 columns and the last one ends at column k;
+    where two windows overlap, the later one's values are kept.
 
     Along the segment, the Taylor coefficients V_n of V in t at
     theta(s + t*H) obey, order by order, the same windows:
 
-        P(theta(s)) X_n = G(s) V_n + H*Gh V_{n-1} - H*P(h) X_{n-1}.
+        P(theta(s)) X_n = G(s) V_n + H*Gx V_{n-1},  Gx = Gh - P(h) on the level.
 
-    `solvers` folds that, for one step start s and scale H, into one matrix
-    per level acting on the pair (V_{n-1}, V_n), with the inverse already
-    applied; a single solve at theta0 is the case n = 0 with H = 0.
+    For one step start s and scale H, each level's windows give a matrix
+    acting on the pair (V_{n-1}, V_n), with the inverse already applied;
+    `composed` folds the levels into each other, for one product per order.
+    A plan without h serves the single solve at theta0 (`solve`, the case
+    n = 0 with H = 0) and `check_residuals`.
     """
 
     def __init__(
-        self, d: int, lo: int, hi: int, m_ax: int, theta0: Sequence[float], h: Sequence[float]
+        self, d: int, lo: int, hi: int, m_ax: int, theta0: np.ndarray, h: np.ndarray | None = None
     ):
-        monos = monomials_bi(d)
-        self.n = n = 2 * d - 2
-        self.m_ax = m_ax
-        self.t_off = t_off = 2 * (m_ax + 1)
-        self.n_v = n_v = t_off + _flat(0, hi) + 1
-        top = [monos.index((d - c, c)) for c in range(d + 1)]
-        self.top0 = [theta0[m] for m in top]
-        self.P0 = _pfaffian_matrix(self.top0)
-        self.Ph = _pfaffian_matrix([h[m] for m in top])
-        lower = [(m, i, j) for m, (i, j) in enumerate(monos) if i + j < d]
-        self.levels = []  # (k, G0 in natural row order, slice of V)
-        self._blocks = []  # (G0, Gh, Gh - P(h) X, in window row order; windows, gather, slice)
-        for k in range(lo, hi + 1):
-            q = k - d + 1
-            G0 = np.zeros((2 * (q + 1), n_v))
-            Gh = np.zeros_like(G0)
-            for t in range(q + 1):
-                a = q - t  # row (a, t): derivative order a in theta_10, t in theta_01
-                rx, ry = t, q + 1 + t
-                if a == 0:
-                    G0[rx, m_ax + 1 + t] = -1.0  # boundary term ay[t]
-                else:
-                    G0[rx, t_off + _flat(a - 1, t)] = -a
-                if t == 0:
-                    G0[ry, a] = -1.0  # boundary term ax[a]
-                else:
-                    G0[ry, t_off + _flat(a, t - 1)] = -t
-                for m, i, j in lower:
-                    if i:
-                        col = t_off + _flat(a + i - 1, t + j)
-                        G0[rx, col] -= i * theta0[m]
-                        Gh[rx, col] -= i * h[m]
-                    if j:
-                        col = t_off + _flat(a + i, t + j - 1)
-                        G0[ry, col] -= j * theta0[m]
-                        Gh[ry, col] -= j * h[m]
-            starts = list(range(0, k - n + 2, n))
-            if starts[-1] != k - n + 1:
-                starts.append(k - n + 1)
-            rows = [
-                r for t0 in starts for r in (*range(t0, t0 + d - 1), *range(q + 1 + t0, q + d + t0))
-            ]
-            asm = np.empty(k + 1, dtype=np.intp)
-            for w, t0 in enumerate(starts):
-                asm[t0 : t0 + n] = range(w * n, (w + 1) * n)
-            cols = slice(t_off + _flat(k, 0), t_off + _flat(0, k) + 1)
-            Gx = Gh[rows]
-            for w, t0 in enumerate(starts):
-                Gx[w * n : (w + 1) * n, cols.start + t0 : cols.start + t0 + n] -= self.Ph
-            self._blocks.append((G0[rows], Gh[rows], Gx, len(starts), asm, cols))
-            self.levels.append((k, G0, cols))
+        self.shape = shape = _level_shape(d, lo, hi, m_ax)
+        self.n, self.t_off, self.n_v = shape.n, shape.t_off, shape.n_v
+        self.top0 = theta0[shape.top]
+        self.P0 = shape.p_lin.put(np.zeros(self.n * self.n), self.top0).reshape(self.n, self.n)
+        G0 = shape.g_const.put(np.zeros(shape.g_rows * self.n_v), np.ones(1))
+        self.G0 = shape.g_lin.put(G0, theta0).reshape(shape.g_rows, self.n_v)
+        self.G0w = self.G0[shape.win_rows]
+        if h is None:
+            self.Ph = self.Ghw = self.Gx = None
+            return
+        self.Ph = shape.p_lin.put(np.zeros(self.n * self.n), h[shape.top]).reshape(self.n, self.n)
+        Gh = shape.g_lin.put(np.zeros(shape.g_rows * self.n_v), h).reshape(shape.g_rows, self.n_v)
+        self.Ghw = Gh[shape.win_rows]
+        self.Gx = shape.x_lin.put(self.Ghw.copy().ravel(), h).reshape(self.Ghw.shape)
 
     def factor(self, s: float) -> np.ndarray:
         """Inverse of P(theta(s)), after the singularity test."""
-        return _factor(self.P0 + s * self.Ph)[1]
+        return _factor(self.P0 if self.Ph is None else self.P0 + s * self.Ph)[1]
 
-    def solvers(self, s: float, H: float, pinv: np.ndarray) -> list[tuple[np.ndarray, slice]]:
-        """Per level, the matrix taking (V_{n-1}, V_n) to the level's X_n, and
-        the level's slice of V; `pinv` is the inverse of P(theta(s))."""
-        out = []
-        for G0, Gh, Gx, n_win, asm, cols in self._blocks:
-            M = np.hstack((H * Gx, G0 + s * Gh)).reshape(n_win, self.n, -1)
-            out.append((np.matmul(pinv, M).reshape(n_win * self.n, -1)[asm], cols))
-        return out
+    def _windows(self, s: float, H: float, pinv: np.ndarray) -> np.ndarray:
+        """The matrix taking (V_{n-1}, V_n) to every level entry of X_n, each
+        from its own window, with the inverse of P(theta(s)) applied."""
+        M = np.hstack((H * self.Gx, self.G0w + s * self.Ghw)).reshape(-1, self.n, 2 * self.n_v)
+        return np.matmul(pinv, M).reshape(-1, 2 * self.n_v)[self.shape.asm]
 
-    def fill(self, rows: np.ndarray, n: int, solvers: list[tuple[np.ndarray, slice]]) -> None:
-        """Solve every level of V_n = rows[n + 1], given rows[n] = V_{n-1}.
+    def composed(self, s: float, H: float, pinv: np.ndarray, DH: np.ndarray) -> np.ndarray:
+        """One matrix taking (V_{n-1}, V_n), levels of V_n not yet solved, to
+        all of those levels and then to DH V_n.
 
-        `rows` is C-contiguous, so rows[n : n + 2] is the pair (V_{n-1}, V_n)
-        as one vector, and each level sees the ones solved before it.
+        Each level reads the levels below it in V_n; substituting their
+        window matrices, level by level, leaves every level a function of the
+        pair's other entries alone, and DH V_n with them.  So one product per
+        order does the work of one product per level and one with DH.
         """
-        pair = rows[n : n + 2].ravel()
-        for K, cols in solvers:
-            rows[n + 1, cols] = K.dot(pair)
+        K = self._windows(s, H, pinv)
+        n_v, n_lev = self.n_v, len(K)
+        first = self.shape.levels[0].cols.start
+        W = np.zeros((n_lev + len(DH), 2 * n_v))
+        Kc = W[:n_lev]
+        Kc[:, : n_v + first] = K[:, : n_v + first]
+        for lv in self.shape.levels[1:]:
+            lo, hi = lv.cols.start - first, lv.cols.stop - first
+            Kc[lo:hi] += K[lo:hi, n_v + first : n_v + lv.cols.start].dot(Kc[:lo])
+        W[n_lev:, n_v : n_v + first] = DH[:, :first]
+        W[n_lev:] += DH[:, first:].dot(Kc)
+        return W
+
+    def solve(self, V: np.ndarray) -> None:
+        """Fill every level of V at theta0 in place, level after level."""
+        G = self.G0w.reshape(-1, self.n, self.n_v)
+        K = np.matmul(self.factor(0.0), G).reshape(-1, self.n_v)[self.shape.asm]
+        first = self.shape.levels[0].cols.start
+        for lv in self.shape.levels:
+            V[lv.cols] = K[lv.cols.start - first : lv.cols.stop - first].dot(V)
+
+    def matrices(self) -> list[np.ndarray]:
+        """The level matrices at theta0 (`_level_matrix`), level after level."""
+        mats = self.shape.mat_lin.put(np.zeros(self.shape.mat_size), self.top0)
+        return [mats[lv.mat].reshape(-1, lv.k + 1) for lv in self.shape.levels]
 
     def check_residuals(self, V: np.ndarray) -> None:
         """Every equation of every level at theta0, windows' or not, must hold."""
-        for k, G0, cols in self.levels:
-            rhs = G0 @ V
-            mat = np.array(_level_matrix(self.top0, k), dtype=float)
-            resid = float(np.linalg.norm(mat @ V[cols] - rhs))
+        for lv, mat in zip(self.shape.levels, self.matrices()):
+            rhs = self.G0[lv.rows] @ V
+            resid = float(np.linalg.norm(mat @ V[lv.cols] - rhs))
             if resid > _EXTENSION_RTOL * max(1.0, float(np.linalg.norm(rhs))):
                 raise InconsistentExtension(
-                    f"order-{k} extension equations are inconsistent (residual {resid:.3e})"
+                    f"order-{lv.k} extension equations are inconsistent (residual {resid:.3e})"
                 )
 
 
@@ -403,22 +540,56 @@ def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) ->
     checked against the result (`InconsistentExtension` past a relative
     residual of 1e-6).  The axis states the table carries are reused.
     """
+    M = _order_arg(M)
     if M <= table.max_order:
         return table
     d = table.d
     axes = _axes_for(table, opts)
     m_ax = M - d + 1
     theta0 = table.theta.as_vector()
-    plan = _LevelPlan(d, table.max_order + 1, M, m_ax, theta0, np.zeros_like(theta0))
+    plan = _LevelPlan(d, table.max_order + 1, M, m_ax, theta0)
     t_off = plan.t_off
-    rows = np.zeros((2, plan.n_v))
-    V = rows[1]
+    V = np.zeros(plan.n_v)
     V[: m_ax + 1] = extend_derivatives(axes.x, m_ax)
     V[m_ax + 1 : t_off] = extend_derivatives(axes.y, m_ax)
     V[t_off : t_off + len(table.F)] = table.F
-    plan.fill(rows, 0, plan.solvers(0.0, 0.0, plan.factor(0.0)))
+    plan.solve(V)
     plan.check_residuals(V)
     return DerivTableBi(table.theta, V[t_off:], table.last_transport_error, axes)
+
+
+class _TransportShape(NamedTuple):
+    """What `transport_bi` at degree d does not take from theta: the base
+    rows of dV/ds, sum_ab h_ab T[i+a, j+b], as a `_Scatter` over h into the
+    (nb, n_v) matrix D; the positions in V of the carried entries (base
+    table, then the free entries of the x- and y-axis states); and the
+    monomial indices of (theta_10, ..., theta_d0) above those of
+    (theta_01, ..., theta_0d)."""
+
+    nb: int
+    shift: _Scatter
+    carried: np.ndarray
+    axes: np.ndarray
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _transport_shape(d: int) -> _TransportShape:
+    monos = monomials_bi(d)
+    base = base_indices(d)
+    nb, free, m_ax = len(base), d - 1, 2 * d - 3
+    shape = _level_shape(d, 2 * d - 3, 3 * d - 4, m_ax)
+    t_off, n_v = shape.t_off, shape.n_v
+    shift = _scatter(
+        [
+            (row * n_v + t_off + _flat(i + a, j + b), m, 1.0)
+            for row, (i, j) in enumerate(base)
+            for m, (a, b) in enumerate(monos)
+        ]
+    )
+    carried = np.array([*range(t_off, t_off + nb), *range(free), *range(m_ax + 1, m_ax + 1 + free)])
+    axes = np.array([[monos.index(ij) for ij in ((k, 0), (0, k))] for k in range(1, d + 1)]).T
+    carried.flags.writeable = axes.flags.writeable = False  # shared through the cache
+    return _TransportShape(nb, shift, carried, axes)
 
 
 def transport_bi(
@@ -435,10 +606,15 @@ def transport_bi(
     ODE, so the level solves always have current boundary constants.  The
     ODE steps by Taylor series (`_ode.taylor`, order
     `holo_uni._TAYLOR_ORDER`), whose rows are built exactly at each step
-    start s: the axis rows by `holo_uni._series`, the base rows from
+    start s: the axis rows by one `holo_uni._StepMap` with a lane per axis,
+    built once per segment, the base rows from
     (n+1) T_{n+1}[i,j] = sum_ab H h_ab T_n[i+a, j+b], and the level rows
     window by window against one inverse of P(theta(s)) (`_LevelPlan`),
-    which `_factor` tests for singularity first.
+    which `_factor` tests for singularity first.  The level solves and the
+    base rows are composed once per step (`_LevelPlan.composed`), so every
+    level of one order and the next base row come from one product.  The
+    shift D, the carried entries and the axis indices are built once per d
+    (`_transport_shape`).
 
     The segment must not meet the discriminant locus; `_check_wall` counts
     the roots of D along it exactly, once, before any step.  The source's
@@ -457,7 +633,6 @@ def transport_bi(
         if not in_proper_bivariate_space(theta):
             raise PathSingularity(f"{name} parameter is outside the proper region")
 
-    monos = monomials_bi(d)
     src_vec = src.as_vector()
     h_vec = theta_target.as_vector() - src_vec
     if not np.any(h_vec):
@@ -466,28 +641,15 @@ def transport_bi(
     src_top = np.array(src.top_coeffs())
     _check_wall(src_top, np.array(theta_target.top_coeffs()) - src_top)
 
-    base = base_indices(d)
-    nb = len(base)
+    shape = _transport_shape(d)
+    nb = shape.nb
     free = d - 1  # free entries of an axis state
     m_ax = 2 * d - 3  # axis orders the levels read
     plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, m_ax, src_vec, h_vec)
-    t_off = plan.t_off
-    tab = slice(t_off, t_off + nb)
-    carried = [*range(t_off, t_off + nb), *range(free), *range(m_ax + 1, m_ax + 1 + free)]
-    src_list, h_list = src_vec.tolist(), h_vec.tolist()
-    axis_pairs = [
-        (lo, [(src_list[m], h_list[m]) for m in idx])
-        for lo, idx in (
-            (0, [monos.index((i, 0)) for i in range(1, d + 1)]),
-            (m_ax + 1, [monos.index((0, j)) for j in range(1, d + 1)]),
-        )
-    ]
-
-    # the base rows of dV/ds: sum h_ab T[i+a, j+b]
-    D = np.zeros((nb, plan.n_v))
-    for row, (i, j) in enumerate(base):
-        for m, (a, b) in enumerate(monos):
-            D[row, t_off + _flat(i + a, j + b)] = h_vec[m]
+    tab = slice(plan.t_off, plan.t_off + nb)
+    n_lev = plan.n_v - tab.stop  # the levels follow the base entries
+    axis_map = holo_uni._StepMap(src_vec[shape.axes], h_vec[shape.axes], 1.0, m_ax + 1)
+    D = shape.shift.put(np.zeros(nb * plan.n_v), h_vec).reshape(nb, plan.n_v)
 
     axes = _axes_for(table, opts)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
@@ -497,19 +659,14 @@ def transport_bi(
         # rows[n + 1] holds V_n, the t^n coefficients at theta(s + t*H);
         # rows[0] stays zero as V_{-1}
         rows = np.zeros((order + 2, plan.n_v))
-        for (lo, pairs), F in zip(axis_pairs, (y[nb : nb + free], y[nb + free :])):
-            coeffs = [c + s * dc for c, dc in pairs]
-            ax = _extend(coeffs, Support.HALF_LINE, F, m_ax)
-            rows[1:, lo : lo + m_ax + 1] = _series(
-                coeffs, [H * dc for _, dc in pairs], 1.0, ax, order
-            )
+        rows[1:, : plan.t_off] = axis_map.series(s, y[nb:], H)
         rows[1, tab] = y[:nb]
-        solvers = plan.solvers(s, H, plan.factor(s))
-        DH = H * D
+        W = plan.composed(s, H, plan.factor(s), H * D)
         for n in range(order):
-            plan.fill(rows, n, solvers)
-            rows[n + 2, tab] = DH.dot(rows[n + 1]) / (n + 1)
-        return rows[1:, carried]
+            out = W.dot(rows[n : n + 2].ravel())
+            rows[n + 1, tab.stop :] = out[:n_lev]
+            rows[n + 2, tab] = out[n_lev:] / (n + 1)
+        return rows[1:, shape.carried]
 
     try:
         yf, est = _ode.taylor(series, y0, opts.rel_tol, opts.max_steps)

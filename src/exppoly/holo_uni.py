@@ -12,13 +12,22 @@ state's power series along the segment exactly, so adaptive transport steps
 by Taylor series of a fixed order (`_TAYLOR_ORDER`).  Starting values
 come from the one-parameter scale family (0, ..., 0, -c), where everything
 reduces to gamma functions.
+
+Where the recursion's terms sit depends only on the order d and the number
+of entries carried, so that structure is built once per shape
+(`_step_tensors`) and shared.  A segment contracts it with its direction,
+and each step with theta at the step start, into one matrix from a
+coefficient row to the next (`_StepMap`); the bivariate engine carries its
+two axis states as two lanes of one such map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,15 +64,40 @@ class OdeOptions:
             raise InputError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
+def _is_int(v: object) -> bool:
+    """Whether v is an integer, numpy's included; a bool is not, though
+    Python counts it one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_count(v: object) -> bool:
-    """Whether v is an integer >= 1; a bool is not, though Python counts it one."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+    """Whether v is an integer >= 1."""
+    return _is_int(v) and v >= 1
+
+
+def _order_arg(M: object) -> int:
+    """M as an int, once it is known to be a derivative order: an integer
+    >= 0.  Orders size the cached level shapes, so they are checked first."""
+    if not (_is_int(M) and M >= 0):
+        raise InputError(f"derivative order must be an integer >= 0, got {M!r}")
+    return int(M)
+
+
+def _scale_arg(c: object, name: str) -> float:
+    """c as a float, once it is a finite positive real (numpy scalars
+    included, a bool not); else `NonPositiveScale`."""
+    if not (isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c) and c > 0):
+        raise NonPositiveScale(f"{name} must be positive and finite, got {c!r}")
+    return float(c)
 
 
 # Order of the Taylor series that adaptive transport steps by: high enough
-# that a segment takes a few steps, low enough that a coefficient row (one
-# product with a matrix of side 2d-1, built once per step) stays cheap next
-# to the step it saves.
+# that a segment takes a few steps, low enough that a coefficient row stays
+# cheap next to the step it saves.  A row is one matrix-vector product: of
+# side 2w+1 for w carried entries in univariate transport, and per bivariate
+# order one product for both axis states and one for every level and the
+# next base row.  The matrices are formed once per step from shape tensors
+# built once per shape, so the rows are most of a step's cost.
 _TAYLOR_ORDER = 24
 
 
@@ -127,10 +161,9 @@ def initial_state(d: int, c: float, support: Support = Support.HALF_LINE) -> Hol
     Gamma((1+m)/d) * c^(-(1+m)/d) / d; on the whole line (even d) even moments
     double that and odd moments vanish.
     """
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-        raise NonPositiveScale(f"initial scale must be positive and finite, got {c!r}")
+    c = _scale_arg(c, "initial scale")
     coeffs = [0.0] * d
-    coeffs[-1] = -float(c)
+    coeffs[-1] = -c
     theta = ThetaUni(coeffs, support)
     L = state_length(d)
     F = np.empty(L)
@@ -190,8 +223,8 @@ def _close(
 
     Equation m reads lead*row[d-1+m] = -(carry[m] + m*row[m-1] + sum of the
     `terms` weights times row[k-1+m]); `_extend` passes the boundary term as
-    carry[0], and `_series` closes each unit row and unit carry to build the
-    map from one coefficient row to the next.
+    carry[0].  `_StepMap` solves the same equations for all its inputs at
+    once, from the tensors of `_step_tensors`.
     """
     for m in range(len(row) - d + 1):
         acc = carry[m]
@@ -202,14 +235,76 @@ def _close(
         row[d - 1 + m] = -acc / lead
 
 
-def _series(
-    coeffs: Sequence[float], h: Sequence[float], inhom: float, y: Sequence[float], order: int
-) -> np.ndarray:
-    """Taylor coefficients in sigma of the entries F[0..len(y)-1] at coeffs + sigma*h.
+class _StepTensors(NamedTuple):
+    """What the Taylor rows of `width` carried entries at order d, for
+    `lanes` segments at once, do not take from theta or the direction (see
+    `_StepMap`), built once per shape.
 
-    Row n of the (order+1, len(y)) result holds a[m][n], the sigma^n
-    coefficient of F[m], for the len(y) carried entries; row 0 is y.  Moving
-    along h differentiates as dF[m]/dsigma = sum_k h_k F[m+k], so
+    The state x = (a[0..width-1], c[0..width]) holds one coefficient row
+    of the entries and the carries of the closure's equations.  Closing x
+    fills the row F[0..width+d-1]: its first d-1 entries are a's, the rest
+    r = K x solve the width+1 equations
+
+        lead*r[m] + sum_p E[m,p] F[p] + c[m] = 0,
+
+    E = E_0 + sum_k theta_k E_k over k = 1..d-1 (E_0 holds m*F[m-1]).
+    `closure` holds, for each of the weights (theta_1, ..., theta_{d-1}, 1),
+    one flattened row of the coefficients (B | U), with B = E on the a's
+    plus the carries' identity and U = E on r, strictly lower triangular.
+    `shift` holds, for each of h_1..h_d, the flattened map from a closed
+    row to the next state: a[m] gains h_k F[m+k] and c[m] gains
+    k*h_k F[m+k-1]; its columns are (P | Q), the free entries placed on the
+    state's a columns, then the closed ones.  The
+    lanes' states sit one after the other; `scale` is 1/(n+1) on the a rows
+    of order n+1 and 1 on the carries, `rows` picks the lanes' a parts and
+    `free` their free entries.
+    """
+
+    closure: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
+    rows: slice | np.ndarray
+    free: slice | np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _step_tensors(d: int, width: int, order: int, lanes: int) -> _StepTensors:
+    n_eq = width + 1
+    n_x = width + n_eq
+    closure = np.zeros((d, n_eq, n_x + n_eq))
+    for m in range(n_eq):
+        closure[d - 1, m, width + m] = 1.0  # the carry c[m]
+        terms = [(d - 1, m - 1, m)] if m >= 1 else []
+        terms += [(k - 1, k - 1 + m, k) for k in range(1, d)]
+        for w, p, factor in terms:
+            closure[w, m, p if p < d - 1 else n_x + p - (d - 1)] = factor
+    shift = np.zeros((d, n_x, n_x + n_eq))
+    for k in range(1, d + 1):
+        for m, p, factor in [(m, m + k, 1.0) for m in range(width)] + [
+            (width + m, m + k - 1, k) for m in range(n_eq)
+        ]:
+            shift[k - 1, m, p if p < d - 1 else n_x + p - (d - 1)] = factor
+    scale = np.ones((order, lanes, n_x))
+    scale[:, :, :width] = (1.0 / np.arange(1.0, order + 1))[:, None, None]
+    scale = scale.reshape(order, lanes * n_x, 1)
+    rows, free = slice(0, width), slice(0, d - 1)
+    if lanes > 1:
+        rows = (np.arange(lanes)[:, None] * n_x + np.arange(width)).ravel()
+        free = (np.arange(lanes)[:, None] * n_x + np.arange(d - 1)).ravel()
+        rows.flags.writeable = free.flags.writeable = False
+    closure, shift = closure.reshape(d, -1), shift.reshape(d, -1)  # one row per weight
+    for arr in (closure, shift, scale):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return _StepTensors(closure, shift, scale, rows, free)
+
+
+class _StepMap:
+    """Taylor rows of the entries F[0..width-1] along segments coeffs + s*h,
+    from the d-1 free entries at each step start; one row of `coeffs` and
+    `h` per lane, all lanes of one order d.
+
+    Moving along h differentiates as dF[m]/dsigma = sum_k h_k F[m+k], so
+    the coefficients a[m][n] of sigma^n obey
 
         (n+1) a[m][n+1] = sum_k h_k a[m+k][n],
 
@@ -222,59 +317,78 @@ def _series(
 
     The map from x_n = (a[.][n], c[.][n]) to x_{n+1} is therefore linear,
     and the same at every order but for the factor 1/(n+1) on its a part.
-    It is built once per call: `_close` closes each unit input to a row
-    F[0..], whose shifted products are that input's column.  Each order is
-    then one matrix-vector product; x_0 holds the boundary term `inhom` as
-    c[0][0].
+    The shape's tensors (`_step_tensors`) are shared, and each map contracts
+    the shift with h once.  Each step contracts the closure with theta(s),
+    solves it by forward substitution for K (the closure is lower triangular,
+    with the leading factor on its diagonal) and forms M = H (P + Q K), P
+    and Q being the shift on the free entries and on the closed ones.  The
+    lanes' maps go on the diagonal of one matrix, so each order is one
+    matrix-vector product for all of them; x_0 holds the boundary term
+    `inhom` as c[0][0], and row 0 is the free entries closed to `width`.
     """
-    d = len(coeffs)
-    lead = _lead(coeffs)
-    terms = _weights(coeffs)
-    n_y = len(y)
-    n_eq = n_y + 1  # equations m = 0..n_y fill F[d-1..n_y-1+d]
-    n_x = n_y + n_eq
-    width = n_y + d
-    # closed[j]: the row F[0..width-1] that unit input j of x closes to;
-    # a[m] for m >= d-1 is itself closed from the rest, so its inputs stay zero
-    zero = [0.0] * width
-    closed = [zero] * n_x
-    for j in (*range(d - 1), *range(n_y, n_x)):
-        row = zero.copy()
-        carry = [0.0] * n_eq
-        if j < n_y:
-            row[j] = 1.0
+
+    def __init__(
+        self,
+        coeffs: np.ndarray,
+        h: np.ndarray,
+        inhom: float,
+        width: int,
+        order: int = _TAYLOR_ORDER,
+    ):
+        coeffs = np.array(coeffs, dtype=float, ndmin=2)
+        h = np.array(h, dtype=float, ndmin=2)
+        self.lanes, self.d = lanes, d = coeffs.shape
+        self.width = width
+        self.tensors = tensors = _step_tensors(d, width, order, lanes)
+        n_x = 2 * width + 1
+        PQ = np.dot(h, tensors.shift).reshape(lanes, n_x, -1)
+        self.PQ = [(PQ_lane[:, :n_x], PQ_lane[:, n_x:]) for PQ_lane in PQ]
+        self.coeffs, self.h = coeffs, h
+        self.lead = [(d * c, d * v) for c, v in zip(coeffs[:, -1].tolist(), h[:, -1].tolist())]
+        self.x0 = np.zeros(lanes * n_x)
+        self.x0[width::n_x] = inhom
+
+    def series(self, s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
+        """Rows 0..order of coefficients in t of F[0..width-1] at
+        theta(s + t H), lane after lane, given the free entries
+        y = F[0..d-2] at theta(s), lane after lane."""
+        d, width, lanes = self.d, self.width, self.lanes
+        n_eq = width + 1
+        n_x = width + n_eq
+        weights = self.coeffs + s * self.h
+        weights[:, -1] = 1.0  # the weight of the closure's constant part
+        BU = np.dot(weights, self.tensors.closure).reshape(lanes, n_eq, -1)
+        x0 = self.x0.copy()
+        x0[self.tensors.free] = y
+        blocks = []
+        for lane, ((c, v), (P, Q), BU_lane) in enumerate(zip(self.lead, self.PQ, BU)):
+            minus_lead = -(c + s * v)  # -d*theta_d(s)
+            if minus_lead == 0.0:
+                raise SingularLeadingCoefficient(
+                    f"leading coefficient is zero at order {d}; extension undefined"
+                )
+            B, U = BU_lane[:, :n_x], BU_lane[:, n_x:]
+            K = np.empty((n_eq, n_x))
+            K[0] = B[0] / minus_lead
+            for m in range(1, n_eq):
+                j0 = max(m - d, 0)  # U is banded: equation m reaches back d rows
+                K[m] = (B[m] + U[m, j0:m].dot(K[j0:m])) / minus_lead
+            blocks.append(H * (P + Q.dot(K)))
+            if width >= d:
+                x0_lane = x0[lane * n_x : (lane + 1) * n_x]
+                x0_lane[d - 1 : width] = K[: width - d + 1].dot(x0_lane)
+        if lanes == 1:
+            M = blocks[0]
         else:
-            carry[j - n_y] = 1.0
-        _close(row, d, lead, terms, carry)
-        closed[j] = row
-    h = list(h)
-    kh = [k * hk for k, hk in enumerate(h, 1)]
-    shifts = np.array(
-        [[0.0] * (m + 1) + h + [0.0] * (width - m - 1 - d) for m in range(n_y)]
-        + [[0.0] * m + kh + [0.0] * (width - m - d) for m in range(n_eq)]
-    )
-    maps = np.repeat(np.dot(shifts, np.array(closed).T)[None], order, 0)
-    maps[:, :n_y] *= (1.0 / np.arange(1.0, order + 1))[:, None, None]
-    x = np.zeros((order + 1, n_x))
-    x[0, :n_y] = y
-    x[0, n_y] = inhom
-    for n in range(order):
-        np.dot(maps[n], x[n], out=x[n + 1])
-    return x[:, :n_y]
-
-
-def _segment_series(src: ThetaUni, target: ThetaUni, order: int):
-    """`_series` along the segment from src to target, as a function of
-    (s, y, H): the coefficients in t of the entries at theta(s + t H)."""
-    src_coeffs = src.coeffs
-    h = (np.array(target.coeffs) - np.array(src_coeffs)).tolist()
-    inhom = _inhom(src.support)
-
-    def series(s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
-        theta_s = [c + s * hk for c, hk in zip(src_coeffs, h)]
-        return _series(theta_s, [H * hk for hk in h], inhom, y, order)
-
-    return series
+            M = np.zeros((lanes * n_x, lanes * n_x))
+            for lane, block in enumerate(blocks):
+                M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
+        xn = x0
+        x = [xn]
+        for step in M * self.tensors.scale:
+            xn = step.dot(xn)
+            x.append(xn)
+        return np.array(x)[:, self.tensors.rows]
 
 
 def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
@@ -284,8 +398,7 @@ def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
     the recursion (including any redundant entries the state also stores, so
     the result is always recursion-consistent).
     """
-    if M < 0:
-        raise InputError("derivative order must be nonnegative")
+    M = _order_arg(M)
     return np.array(_extend(state.theta.coeffs, state.support, state.F, M))
 
 
@@ -298,8 +411,7 @@ def derivative_bounds(state: HoloStateUni, M: int) -> np.ndarray:
     each time, which is how the higher orders lose their digits near the
     boundary theta_d -> 0 while A keeps them.
     """
-    if M < 0:
-        raise InputError("derivative order must be nonnegative")
+    M = _order_arg(M)
     coeffs = state.theta.coeffs
     d = len(coeffs)
     n_base = min(d - 1, M + 1)
@@ -334,8 +446,9 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
 
     d = src.d
     L = state_length(d)
-    series = _segment_series(src, target, _TAYLOR_ORDER)
-    F, est = _ode.taylor(series, state.F[: d - 1], opts.rel_tol, opts.max_steps)
+    h = np.subtract(target.coeffs, src.coeffs)
+    step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1)
+    F, est = _ode.taylor(step_map.series, state.F[: d - 1], opts.rel_tol, opts.max_steps)
 
     # Re-derive the redundant tail entries so the final state satisfies the
     # recursion exactly at the target point.

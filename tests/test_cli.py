@@ -121,6 +121,22 @@ def test_normconst_rejects_nonpositive_tol(capsys, tol):
     assert json.loads(err)["error"] == "InputError: rel_tol must be positive and finite"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normconst", "--theta=-1,3,-2", "--order", "-1"],
+        ["normconst", "--mode", "bivariate", "--d", "2", "--theta", "0.4,-0.3,-1,-0.8,-1.3"]
+        + ["--order", "-1"],
+    ],
+    ids=["univariate", "bivariate"],
+)
+def test_normconst_rejects_negative_order(capsys, argv):
+    # the bivariate command used to exit 0 with "derivs": {}
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out is None
+    assert json.loads(err)["error"] == "InputError: derivative order must be an integer >= 0, got -1"
+
+
 def test_normconst_needs_theta(capsys):
     code, _, err = run(capsys, ["normconst"])
     assert code == 2 and err

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from exppoly import _ode, holo_uni
-from exppoly.domain import Support, ThetaBi, ThetaUni, in_proper_bivariate_space, monomials_bi
+from exppoly.domain import (
+    Support,
+    ThetaBi,
+    ThetaUni,
+    in_proper_bivariate_space,
+    monomials_bi,
+    suff_stats,
+)
 from exppoly.errors import (
     AxisOutsideDomain,
     InconsistentExtension,
@@ -23,11 +30,14 @@ from exppoly.errors import (
 )
 from exppoly.holo_bi import (
     DerivTableBi,
+    _LevelPlan,
     _check_wall,
     _factor,
     _flat,
     _level_matrix,
+    _level_shape,
     _pfaffian_matrix,
+    _transport_shape,
     _wall_poly,
     base_indices,
     boundary_consts,
@@ -39,7 +49,8 @@ from exppoly.holo_bi import (
     transport_bi,
 )
 from exppoly.holo_uni import OdeOptions, _extend, state_length
-from exppoly.oracle import quad_A_bi
+from exppoly.inference import fit_mle
+from exppoly.oracle import quad_A_bi, sample_uni
 from exppoly.polyalg import discriminant
 from exppoly.verify import random_theta_bi_proper
 
@@ -801,3 +812,197 @@ def test_transpose_symmetry_property(th):
     )
     for (i, j), v in tab.values.items():
         assert v == pytest.approx(tab_t.entry(j, i), rel=1e-8), (i, j)
+
+
+def _level_plan_reference(d, lo, hi, m_ax, theta0, h):
+    """The level plan as `_LevelPlan.__init__` built it on every call before
+    its shapes were cached: P(theta0), P(h), each level's natural-order G0
+    with its columns, and per level the window-order blocks (G0, Gh, Gx),
+    the window count and the window row that solves each level entry."""
+    monos = monomials_bi(d)
+    n = 2 * d - 2
+    t_off = 2 * (m_ax + 1)
+    n_v = t_off + _flat(0, hi) + 1
+    top = [monos.index((d - c, c)) for c in range(d + 1)]
+    P0 = _pfaffian_matrix([theta0[m] for m in top])
+    Ph = _pfaffian_matrix([h[m] for m in top])
+    lower = [(m, i, j) for m, (i, j) in enumerate(monos) if i + j < d]
+    levels, blocks = [], []
+    for k in range(lo, hi + 1):
+        q = k - d + 1
+        G0 = np.zeros((2 * (q + 1), n_v))
+        Gh = np.zeros_like(G0)
+        for t in range(q + 1):
+            a = q - t
+            rx, ry = t, q + 1 + t
+            if a == 0:
+                G0[rx, m_ax + 1 + t] = -1.0
+            else:
+                G0[rx, t_off + _flat(a - 1, t)] = -a
+            if t == 0:
+                G0[ry, a] = -1.0
+            else:
+                G0[ry, t_off + _flat(a, t - 1)] = -t
+            for m, i, j in lower:
+                if i:
+                    col = t_off + _flat(a + i - 1, t + j)
+                    G0[rx, col] -= i * theta0[m]
+                    Gh[rx, col] -= i * h[m]
+                if j:
+                    col = t_off + _flat(a + i, t + j - 1)
+                    G0[ry, col] -= j * theta0[m]
+                    Gh[ry, col] -= j * h[m]
+        starts = list(range(0, k - n + 2, n))
+        if starts[-1] != k - n + 1:
+            starts.append(k - n + 1)
+        rows = [r for t0 in starts for r in (*range(t0, t0 + d - 1), *range(q + 1 + t0, q + d + t0))]
+        asm = np.empty(k + 1, dtype=np.intp)
+        for w, t0 in enumerate(starts):
+            asm[t0 : t0 + n] = range(w * n, (w + 1) * n)
+        cols = slice(t_off + _flat(k, 0), t_off + _flat(0, k) + 1)
+        Gx = Gh[rows]
+        for w, t0 in enumerate(starts):
+            Gx[w * n : (w + 1) * n, cols.start + t0 : cols.start + t0 + n] -= Ph
+        blocks.append((G0[rows], Gh[rows], Gx, len(starts), asm))
+        levels.append((k, G0, cols))
+    return P0, Ph, levels, blocks
+
+
+def _engine_shapes():
+    """Every (d, lo, hi, m_ax) the engine plans: the transport's levels and
+    the extension of a transported table to orders M up to 2d+2."""
+    for d in (2, 3, 4):
+        yield d, 2 * d - 3, 3 * d - 4, 2 * d - 3
+        for M in range(2 * d - 3, 2 * d + 3):
+            yield d, 2 * d - 3, M, M - d + 1
+
+
+@pytest.mark.parametrize("d, lo, hi, m_ax", list(dict.fromkeys(_engine_shapes())), ids=str)
+def test_level_plan_matches_per_call_builder(d, lo, hi, m_ax):
+    # the cached shapes put theta0 and h where the per-call loops did, to the bit
+    rng = np.random.default_rng(1000 * d + hi)
+    theta0 = random_theta_bi_proper(rng, d).as_vector()
+    h = random_theta_bi_proper(rng, d).as_vector() - theta0
+    P0, Ph, levels, blocks = _level_plan_reference(d, lo, hi, m_ax, theta0, h)
+    plan = _LevelPlan(d, lo, hi, m_ax, theta0, h)
+    single = _LevelPlan(d, lo, hi, m_ax, theta0)
+    np.testing.assert_array_equal(plan.P0, P0)
+    np.testing.assert_array_equal(single.P0, P0)
+    np.testing.assert_array_equal(plan.Ph, Ph)
+    G0 = np.vstack([G for _, G, _ in levels])
+    np.testing.assert_array_equal(plan.G0, G0)
+    np.testing.assert_array_equal(single.G0, G0)
+    assert [(lv.k, lv.cols) for lv in plan.shape.levels] == [(k, cols) for k, _, cols in levels]
+    for got, want in zip((plan.G0w, plan.Ghw, plan.Gx), zip(*[b[:3] for b in blocks])):
+        np.testing.assert_array_equal(got, np.vstack(want))
+    np.testing.assert_array_equal(single.G0w, plan.G0w)
+    offsets = np.cumsum([0] + [n_win * plan.n for _, _, _, n_win, _ in blocks])
+    asm = np.concatenate([b[4] + o for b, o in zip(blocks, offsets)])
+    np.testing.assert_array_equal(plan.shape.asm, asm)
+    for (k, _, _), mat in zip(levels, plan.matrices()):
+        np.testing.assert_array_equal(mat, np.array(_level_matrix(plan.top0, k), dtype=float))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_composed_solve_matches_level_fill(d):
+    # one product per order against the level-by-level fill and the DH product
+    rng = np.random.default_rng(77 + d)
+    shape = _transport_shape(d)
+    for _ in range(5):
+        theta0 = random_theta_bi_proper(rng, d).as_vector()
+        h = 0.3 * (random_theta_bi_proper(rng, d).as_vector() - theta0)
+        plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, 2 * d - 3, theta0, h)
+        s, H = rng.uniform(0.0, 0.5), rng.uniform(0.1, 1.0)
+        pinv = plan.factor(s)
+        DH = H * shape.shift.put(np.zeros(shape.nb * plan.n_v), h).reshape(shape.nb, plan.n_v)
+        first = plan.shape.levels[0].cols.start
+        rows = np.zeros((2, plan.n_v))
+        rows[0] = rng.uniform(-1.0, 1.0, plan.n_v)  # V_{n-1}, levels included
+        rows[1, :first] = rng.uniform(0.1, 1.0, first)  # V_n below the levels
+        out = plan.composed(s, H, pinv, DH).dot(rows.ravel())
+        K = plan._windows(s, H, pinv)  # each level entry from its window
+        for lv in plan.shape.levels:  # level by level, each reading those before
+            rows[1, lv.cols] = K[lv.cols.start - first : lv.cols.stop - first].dot(rows.ravel())
+        n_lev = plan.n_v - first
+        for got, want in ((out[:n_lev], rows[1, first:]), (out[n_lev:], DH.dot(rows[1]))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_cached_shapes_are_read_only():
+    holo_uni.transport(holo_uni.initial_state(3, 1.0), ThetaUni((0.2, 0.1, -1.0)))
+    table = extend_table(transport_bi(initial_state_bi(2, 1.0, 1.3), CLI_THETA), 5)
+    assert table.max_order == 5
+    arrays = [
+        *_level_shape(2, 1, 2, 1)[3:],
+        *_level_shape(2, 1, 5, 4)[3:],
+        *_transport_shape(2),
+        *holo_uni._step_tensors(3, 2, holo_uni._TAYLOR_ORDER, 1),
+        *holo_uni._step_tensors(2, 2, holo_uni._TAYLOR_ORDER, 2),
+    ]
+    leaves = [
+        a for v in arrays for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)
+    ]
+    assert len(leaves) >= 20
+    for arr in leaves:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+
+
+def test_repeated_fit_builds_no_shapes():
+    x = sample_uni(ThetaUni((1.0, -1.0)), 500, seed=11)
+    y = sample_uni(ThetaUni((0.5, -2.0)), 500, seed=12)
+    stats = suff_stats(np.column_stack([x, y]), 2, "bivariate")
+    caches = (_level_shape, _transport_shape, holo_uni._step_tensors)
+    first = fit_mle(stats, 2)
+    misses = [c.cache_info().misses for c in caches]
+    second = fit_mle(stats, 2)
+    assert [c.cache_info().misses for c in caches] == misses
+    np.testing.assert_array_equal(second.theta_hat.as_vector(), first.theta_hat.as_vector())
+
+
+def test_extension_shapes_stay_within_the_cache_bound():
+    # 100 distinct extension shapes: 25 orders M at each of d = 2..5
+    for d in (2, 3, 4, 5):
+        table = initial_state_bi(d, 1.0, 1.5)
+        for M in range(2 * d - 3, 2 * d + 22):
+            extend_table(table, M)
+    info = _level_shape.cache_info()
+    assert info.currsize == info.maxsize < 100
+
+
+@pytest.mark.parametrize(
+    "order", [2.5, True, -1, np.float64(3.0)], ids=["fraction", "bool", "negative", "numpy-float"]
+)
+def test_order_arguments_must_be_integers(order):
+    table = transport_bi(initial_state_bi(2, 1.0, 1.3), CLI_THETA)
+    state = holo_uni.state_at((0.2, -1.0))
+    for call in (
+        lambda: extend_table(table, order),
+        lambda: boundary_consts(CLI_THETA, order),
+        lambda: holo_uni.extend_derivatives(state, order),
+        lambda: holo_uni.derivative_bounds(state, order),
+    ):
+        with pytest.raises(InputError, match="derivative order must be an integer >= 0"):
+            call()
+
+
+def test_order_arguments_accept_numpy_integers():
+    table = transport_bi(initial_state_bi(2, 1.0, 1.3), CLI_THETA)
+    np.testing.assert_array_equal(extend_table(table, np.int64(4)).F, extend_table(table, 4).F)
+    ax, ay = boundary_consts(table, np.int32(3))
+    np.testing.assert_array_equal(ax, boundary_consts(table, 3)[0])
+    assert extend_table(table, np.int64(0)) is table
+
+
+def test_scale_arguments():
+    # every finite positive real, numpy scalars included; never a bool
+    uni, bi = holo_uni.initial_state, initial_state_bi
+    np.testing.assert_array_equal(uni(2, np.float32(1.0)).F, uni(2, 1.0).F)
+    np.testing.assert_array_equal(uni(2, np.int64(2)).F, uni(2, 2.0).F)
+    np.testing.assert_array_equal(bi(2, np.int64(2), 1.0).F, bi(2, 2.0, 1.0).F)
+    np.testing.assert_array_equal(bi(2, 1.0, np.float32(0.5)).F, bi(2, 1.0, 0.5).F)
+    for bad in (True, np.True_):
+        with pytest.raises(NonPositiveScale):
+            holo_uni.initial_state(2, bad)
+        with pytest.raises(NonPositiveScale):
+            initial_state_bi(2, bad, 1.0)

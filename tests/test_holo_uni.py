@@ -26,7 +26,7 @@ from exppoly.holo_uni import (
     _extend,
     _inhom,
     _lead,
-    _series,
+    _StepMap,
     _weights,
     derivative_bounds,
     extend_derivatives,
@@ -438,9 +438,9 @@ def test_extend_derivatives_recursion_property(theta, data):
 
 
 def _series_reference(coeffs, h, inhom, y, order):
-    """`_series` one coefficient row at a time in Python floats: each order
-    closes the row with `_close`, then forms the next row and the carry from
-    its shifted products.  This is the kernel's earlier form."""
+    """The step map's rows one coefficient row at a time in Python floats:
+    each order closes the row with `_close`, then forms the next row and the
+    carry from its shifted products.  This is the kernel's earliest form."""
     d = len(coeffs)
     lead = _lead(coeffs)
     terms = _weights(coeffs)
@@ -461,18 +461,58 @@ def _series_reference(coeffs, h, inhom, y, order):
     return np.array(rows)
 
 
+def _unit_closure_series(coeffs, h, inhom, y, order):
+    """The step map's rows as the kernel built them before its tensors were
+    cached: per call, `_close` closes each unit input of x = (a, c) to a
+    row, whose shifted products are that input's column of the map from one
+    coefficient row to the next; row 0 is y as given."""
+    d = len(coeffs)
+    lead = _lead(coeffs)
+    terms = _weights(coeffs)
+    n_y = len(y)
+    n_eq = n_y + 1
+    n_x = n_y + n_eq
+    width = n_y + d
+    zero = [0.0] * width
+    closed = [zero] * n_x
+    for j in (*range(d - 1), *range(n_y, n_x)):
+        row = zero.copy()
+        carry = [0.0] * n_eq
+        if j < n_y:
+            row[j] = 1.0
+        else:
+            carry[j - n_y] = 1.0
+        _close(row, d, lead, terms, carry)
+        closed[j] = row
+    h = list(h)
+    kh = [k * hk for k, hk in enumerate(h, 1)]
+    shifts = np.array(
+        [[0.0] * (m + 1) + h + [0.0] * (width - m - 1 - d) for m in range(n_y)]
+        + [[0.0] * m + kh + [0.0] * (width - m - d) for m in range(n_eq)]
+    )
+    maps = np.repeat(np.dot(shifts, np.array(closed).T)[None], order, 0)
+    maps[:, :n_y] *= (1.0 / np.arange(1.0, order + 1))[:, None, None]
+    x = np.zeros((order + 1, n_x))
+    x[0, :n_y] = y
+    x[0, n_y] = inhom
+    for n in range(order):
+        np.dot(maps[n], x[n], out=x[n + 1])
+    return x[:, :n_y]
+
+
 def assert_series_matches_reference(coeffs, h, inhom, y):
-    """`_series` against `_series_reference`.
+    """The step map against `_series_reference`.
 
     Where the recursion cancels, both round intermediates far larger than the
     row, so the bound comes from `sizes`, the reference run on absolute values
     (every weight, direction and start entry by its size, the leading factor
     negative), in which nothing cancels: row n agrees within (n+1)(d+2) ulps
-    of the absolute sum of that run's row n."""
+    of the absolute sum of that run's row n.  Row 0 closes the free entries
+    y[:d-1] itself, so beyond them it holds y only to that bound."""
     d, order = len(coeffs), _TAYLOR_ORDER
-    rows = _series(coeffs, h, inhom, y, order)
+    rows = _StepMap(coeffs, h, inhom, len(y)).series(0.0, y[: d - 1])
     assert isinstance(rows, np.ndarray) and rows.shape == (order + 1, len(y))
-    assert rows[0].tolist() == [float(v) for v in y]
+    assert rows[0, : d - 1].tolist() == [float(v) for v in y[: d - 1]]
     ref = _series_reference(coeffs, h, inhom, y, order)
     sizes = _series_reference(
         [*map(abs, coeffs[:-1]), -abs(coeffs[-1])], [*map(abs, h)], abs(inhom), [*map(abs, y)], order
@@ -483,8 +523,8 @@ def assert_series_matches_reference(coeffs, h, inhom, y):
     assert np.all(np.abs(rows - ref).max(1) <= bound)
 
 
-# The univariate state carries d-1 entries; `holo_bi.transport_bi` hands in
-# each axis state extended to 2d-2.
+# The univariate state carries d-1 entries; `holo_bi.transport_bi` asks
+# for each axis state's rows at width 2d-2.
 @pytest.mark.parametrize("axis", [False, True], ids=["state", "axis"])
 @pytest.mark.parametrize("H", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("support", [Support.HALF_LINE, Support.REAL_LINE], ids=str)
@@ -519,6 +559,49 @@ def test_series_matches_scalar_reference_property(draw, support, H, axis):
     d = len(coeffs)
     y = _extend(coeffs, support, base, 2 * d - 3) if axis else base[: d - 1]
     assert_series_matches_reference(coeffs, [H * v for v in h], _inhom(support), y)
+
+
+@settings(max_examples=120)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.floats(-2.0, 2.0), min_size=d - 1, max_size=d - 1),
+            st.floats(0.05, 2.5),
+            st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=d - 1),
+            st.floats(0.05, 1.0),
+            st.lists(st.floats(0.0, 2.0), min_size=d - 1, max_size=d - 1),
+        )
+    ),
+    st.sampled_from([Support.HALF_LINE, Support.REAL_LINE]),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_step_map_matches_unit_closure_property(draw, support, H, axis, even):
+    """The step map's rows against `_unit_closure_series` on the same segment,
+    within 1e-13 of each reference row's largest entry: the state's d-1
+    entries and the axis rows' 2d-2 (one entry at least), the leading
+    direction h_d never zero.  A whole-line segment with even g and even
+    direction keeps every odd entry of every row exactly zero."""
+    lower, lead, h_lower, h_lead, base = draw
+    d = len(lower) + 1
+    coeffs = [*lower, -lead]
+    h = [*h_lower, -h_lead]
+    even = even and support is Support.REAL_LINE and d % 2 == 0
+    if even:  # no odd powers x^1, x^3, ... (index 0, 2, ...) and no odd moments
+        coeffs[::2] = [0.0] * len(coeffs[::2])
+        h[::2] = [0.0] * len(h[::2])
+        base[1::2] = [0.0] * len(base[1::2])
+    h = [H * v for v in h]
+    width = max(2 * d - 2 if axis else d - 1, 1)
+    y = _extend(coeffs, support, base, width - 1)
+    rows = _StepMap(coeffs, h, _inhom(support), width).series(0.0, base)
+    ref = _unit_closure_series(coeffs, h, _inhom(support), y, _TAYLOR_ORDER)
+    assert rows.shape == ref.shape == (_TAYLOR_ORDER + 1, width)
+    norms = np.abs(ref).max(1)
+    assert np.all(np.abs(rows - ref).max(1) <= 1e-13 * norms)
+    if even:
+        assert not np.any(rows[:, 1::2])
 
 
 @pytest.mark.parametrize(

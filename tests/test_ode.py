@@ -128,8 +128,9 @@ def _segment_rhs(support, coeffs):
     segment between them, over the full state (the DOPRI transport's system)."""
     theta = ThetaUni(coeffs, support)
     start = holo_uni.initial_state(theta.d, abs(coeffs[-1]), support)
-    series = holo_uni._segment_series(start.theta, theta, 1)
-    return start, theta, lambda s, y: series(s, y)[1]
+    h = np.subtract(theta.coeffs, start.theta.coeffs)
+    step_map = holo_uni._StepMap(start.theta.coeffs, h, holo_uni._inhom(support), len(start.F), 1)
+    return start, theta, lambda s, y: step_map.series(s, y[: theta.d - 1])[1]
 
 
 def test_dopri45_matches_array_arithmetic_bitwise():
