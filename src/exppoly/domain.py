@@ -68,10 +68,6 @@ class ThetaUni:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 
-    def exponent_at(self, x: float) -> float:
-        """Evaluate theta_1 x + ... + theta_d x^d."""
-        return polyalg.exponent(self.coeffs, x)
-
 
 @dataclass(frozen=True)
 class Classification:

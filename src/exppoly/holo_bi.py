@@ -8,13 +8,15 @@ table to the axis-restricted univariate constants A_x, A_y; applying all
 mixed derivatives of a fixed total order q to those two identities yields
 2(q+1) linear equations for the order-(q+d-1) diagonal of the table, which
 is stored flat, diagonal after diagonal (`DerivTableBi.F`).  At q = d-2 the
-system is square with matrix P(theta), and det P vanishes exactly on the
-discriminant locus of the top-degree form, which partitions the proper
-parameter region into chambers; transport must stay inside one chamber.
+system is square with matrix P(theta), the Sylvester matrix of the partial
+derivatives F_a, F_b of the top form F(a, b) = sum_c theta_{d-c,c}
+a^(d-c) b^c.  So det P = Res(F_a, F_b) = d^(d-2) D vanishes exactly on the
+discriminant locus, which partitions the proper parameter region into
+chambers; transport must stay inside one chamber.
 
-Every level has P(theta) as its square windows: row t of either family
-involves only the diagonal entries t..t+d-1, with coefficients that do not
-depend on t.  So each level is solved as a few square windows against one
+Every level has P(theta) as its square windows: row t of the x-family is
+sum_c F_a[c] X[t+c] on the level's diagonal X, of the y-family the same
+with F_b.  So each level is solved as a few square windows against one
 factor of P; `extend_table` then checks the whole level system, rows no
 window used included.  Which entry of which level system a coefficient
 lands in depends only on the shape (d and the orders involved), so that
@@ -231,33 +233,10 @@ def boundary_consts(
     return extend_derivatives(axes.x, M), extend_derivatives(axes.y, M)
 
 
-def _level_matrix(top: Sequence, k: int) -> list[list]:
-    """Matrix of the order-k level system, in closed form from the top coefficients.
-
-    `top` is (theta_d0, theta_{d-1,1}, ..., theta_0d).  Columns are the
-    diagonal X[col] = T[k-col, col]; rows are the x-family equations
-    t = 0..q, then the y-family ones, q = k-d+1.  Row t of either family
-    involves X[t..t+d-1] only, with coefficients independent of t:
-
-      x-family: sum_c (d-c) theta_{d-c,c} X[t+c]
-      y-family: sum_c (c+1) theta_{d-1-c,c+1} X[t+c]
-
-    so rows t0..t0+d-2 of both families form the same square matrix acting
-    on X[t0..t0+2d-3] at every level; at k = 2d-3 that is all of P(theta).
-    Entries are built by arithmetic alone, so symbolic coefficients work too.
-    """
-    d = len(top) - 1
-    q = k - d + 1
-    mat = [[0] * (k + 1) for _ in range(2 * (q + 1))]
-    for t in range(q + 1):
-        for c in range(d):
-            mat[t][t + c] = (d - c) * top[c]
-            mat[q + 1 + t][t + c] = (c + 1) * top[c + 1]
-    return mat
-
-
-def _pfaffian_matrix(top: Sequence[float]) -> np.ndarray:
-    return np.array(_level_matrix(top, 2 * len(top) - 5), dtype=float)
+def _p_matrices(tops: np.ndarray) -> np.ndarray:
+    """P at each row (theta_d0, ..., theta_0d) of tops, by `polyalg`'s
+    Sylvester builder: d-1 shifted rows of F_a above d-1 of F_b."""
+    return polyalg._sylvester_stack(*polyalg._partials(tops))
 
 
 def _factor(P: np.ndarray) -> tuple[float, np.ndarray]:
@@ -306,13 +285,12 @@ def _scatter(entries: list[tuple[int, int, float]]) -> _Scatter:
 
 
 class _Level(NamedTuple):
-    """One level of a `_LevelShape`: its order k, its columns of V, its rows
-    in the natural-order G and its entries in the level-matrix buffer."""
+    """One level of a `_LevelShape`: its order k, its columns of V and its
+    rows in the natural-order G."""
 
     k: int
     cols: slice
     rows: slice
-    mat: slice
 
 
 class _LevelShape(NamedTuple):
@@ -327,10 +305,10 @@ class _LevelShape(NamedTuple):
     places -P(h) on each window's own columns (h the direction, indexed
     like theta).  `asm` picks, for each level entry of V in order, the
     window row that solves it (the later window where two overlap).
-    `p_lin` is P(theta) on its n x n entries and `mat_lin` the level
-    matrices back to back, both indexed by the top coefficients.  Entries
-    are kept as index lists, not dense tensors: a level's rows hold a few
-    terms each among n_v columns.
+    No left-hand side is stored: each window is P (`_p_matrices`) and each
+    level row a banded product with F_a or F_b.  Entries are kept as index
+    lists, not dense tensors: a level's rows hold a few terms each among
+    n_v columns.
     """
 
     n: int
@@ -344,21 +322,6 @@ class _LevelShape(NamedTuple):
     win_rows: np.ndarray
     x_lin: _Scatter
     asm: np.ndarray
-    p_lin: _Scatter
-    mat_size: int
-    mat_lin: _Scatter
-
-
-def _matrix_entries(d: int, k: int) -> list[tuple[int, int, int, int]]:
-    """(row, col, c, factor) of every nonzero entry of `_level_matrix` at
-    order k, which is factor times top coefficient c."""
-    out = []
-    for c in range(d + 1):
-        unit = [0] * (d + 1)
-        unit[c] = 1
-        for r, row in enumerate(_level_matrix(unit, k)):
-            out += [(r, col, c, f) for col, f in enumerate(row) if f]
-    return out
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
@@ -370,10 +333,12 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
     n = 2 * d - 2
     t_off = 2 * (m_ax + 1)
     n_v = t_off + _flat(0, hi) + 1
-    p_entries = _matrix_entries(d, 2 * d - 3)
-    g_const, g_lin, mat_lin, x_lin = [], [], [], []
+    # P = sum_c top[c] P_c: (c, row, col, factor) of every entry
+    units = _p_matrices(np.eye(d + 1))
+    p_entries = [(*e, units[e]) for e in zip(*np.nonzero(units))]
+    g_const, g_lin, x_lin = [], [], []
     win_rows, asm, levels = [], [], []
-    row0 = mat0 = 0
+    row0 = 0
     for k in range(lo, hi + 1):
         q = k - d + 1
         for t in range(q + 1):
@@ -392,8 +357,6 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
                     g_lin.append((rx + t_off + _flat(a + i - 1, t + j), m, -i))
                 if j:
                     g_lin.append((ry + t_off + _flat(a + i, t + j - 1), m, -j))
-        for r, col, c, f in _matrix_entries(d, k):
-            mat_lin.append((mat0 + r * (k + 1) + col, c, f))
         starts = list(range(0, k - n + 2, n))
         if starts[-1] != k - n + 1:
             starts.append(k - n + 1)
@@ -402,22 +365,20 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
         for t0 in starts:
             w0 = len(win_rows)
             win_rows += [row0 + r for r in (*range(t0, t0 + d - 1), *range(q + 1 + t0, q + d + t0))]
-            for r, col, c, f in p_entries:
+            for c, r, col, f in p_entries:
                 x_lin.append(((w0 + r) * n_v + col0 + t0 + col, top[c], -f))
             solved_by[t0 : t0 + n] = range(w0, w0 + n)
         asm += solved_by
         n_rows = 2 * (q + 1)
         cols, rows = slice(col0, col0 + k + 1), slice(row0, row0 + n_rows)
-        levels.append(_Level(k, cols, rows, slice(mat0, mat0 + n_rows * (k + 1))))
+        levels.append(_Level(k, cols, rows))
         row0 += n_rows
-        mat0 += n_rows * (k + 1)
     win_rows = np.array(win_rows, dtype=np.intp)
     asm = np.array(asm, dtype=np.intp)
     win_rows.flags.writeable = asm.flags.writeable = top.flags.writeable = False
     return _LevelShape(
         n, t_off, n_v, top, tuple(levels), row0, _scatter(g_const), _scatter(g_lin), win_rows,
-        _scatter(x_lin), asm, _scatter([(r * n + col, c, f) for r, col, c, f in p_entries]),
-        mat0, _scatter(mat_lin),
+        _scatter(x_lin), asm
     )
 
 
@@ -454,14 +415,14 @@ class _LevelPlan:
         self.shape = shape = _level_shape(d, lo, hi, m_ax)
         self.n, self.t_off, self.n_v = shape.n, shape.t_off, shape.n_v
         self.top0 = theta0[shape.top]
-        self.P0 = shape.p_lin.put(np.zeros(self.n * self.n), self.top0).reshape(self.n, self.n)
+        self.P0 = _p_matrices(self.top0[None])[0]
         G0 = shape.g_const.put(np.zeros(shape.g_rows * self.n_v), np.ones(1))
         self.G0 = shape.g_lin.put(G0, theta0).reshape(shape.g_rows, self.n_v)
         self.G0w = self.G0[shape.win_rows]
         if h is None:
             self.Ph = self.Ghw = self.Gx = None
             return
-        self.Ph = shape.p_lin.put(np.zeros(self.n * self.n), h[shape.top]).reshape(self.n, self.n)
+        self.Ph = _p_matrices(h[shape.top][None])[0]
         Gh = shape.g_lin.put(np.zeros(shape.g_rows * self.n_v), h).reshape(shape.g_rows, self.n_v)
         self.Ghw = Gh[shape.win_rows]
         self.Gx = shape.x_lin.put(self.Ghw.copy().ravel(), h).reshape(self.Ghw.shape)
@@ -506,16 +467,20 @@ class _LevelPlan:
         for lv in self.shape.levels:
             V[lv.cols] = K[lv.cols.start - first : lv.cols.stop - first].dot(V)
 
-    def matrices(self) -> list[np.ndarray]:
-        """The level matrices at theta0 (`_level_matrix`), level after level."""
-        mats = self.shape.mat_lin.put(np.zeros(self.shape.mat_size), self.top0)
-        return [mats[lv.mat].reshape(-1, lv.k + 1) for lv in self.shape.levels]
+    def lhs(self, V: np.ndarray) -> list[np.ndarray]:
+        """Each level's left-hand side at theta0, level after level, as two
+        banded products of its diagonal X with F_a and with F_b."""
+        fa, fb = polyalg._partials(self.top0)
+        return [
+            np.concatenate((np.correlate(V[lv.cols], fa), np.correlate(V[lv.cols], fb)))
+            for lv in self.shape.levels
+        ]
 
     def check_residuals(self, V: np.ndarray) -> None:
         """Every equation of every level at theta0, windows' or not, must hold."""
-        for lv, mat in zip(self.shape.levels, self.matrices()):
+        for lv, lhs in zip(self.shape.levels, self.lhs(V)):
             rhs = self.G0[lv.rows] @ V
-            resid = float(np.linalg.norm(mat @ V[lv.cols] - rhs))
+            resid = float(np.linalg.norm(lhs - rhs))
             if resid > _EXTENSION_RTOL * max(1.0, float(np.linalg.norm(rhs))):
                 raise InconsistentExtension(
                     f"order-{lv.k} extension equations are inconsistent (residual {resid:.3e})"
@@ -525,11 +490,13 @@ class _LevelPlan:
 def pfaffian_det(theta: ThetaBi) -> float:
     """det P of the square order-(2d-3) system; depends on theta alone.
 
-    Equals d^(d-2) times the discriminant of the dehomogenized top form
-    p(t) = sum_i theta_{i,d-i} t^i, so its zero set is the chamber walls;
-    no transport is involved.
+    det P = Res(F_a, F_b) equals d^(d-2) times the discriminant of the
+    dehomogenized top form p(t) = sum_i theta_{i,d-i} t^i, so its zero set
+    is the chamber walls; no transport is involved.  d < 2 raises
+    `UnsupportedOrder`.
     """
-    return float(np.linalg.det(_pfaffian_matrix(theta.top_coeffs())))
+    _require_order(theta.d)
+    return float(np.linalg.det(_p_matrices(np.array([theta.top_coeffs()])))[0])
 
 
 def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) -> DerivTableBi:

@@ -4,17 +4,18 @@ Polynomials are passed as coefficient sequences in descending powers,
 ``[a_m, ..., a_0]`` for ``a_m x^m + ... + a_0``.  The resultant uses the
 Sylvester layout with ``deg g`` rows of ``f`` stacked above ``deg f`` rows of
 ``g``; the discriminant of a degree-d form is ``R(p, p') / p_lead`` in that
-layout.  This convention is what makes ``det P = d^(d-2) * discriminant`` an
-exact identity for the bivariate derivative-completion matrix ``P``; it
-differs from the school-book discriminant by the sign ``(-1)^(d(d-1)/2)``
-(e.g. it is ``4ac - b^2`` for quadratics, not ``b^2 - 4ac``).
+layout; it differs from the school-book discriminant by the sign
+``(-1)^(d(d-1)/2)`` (e.g. it is ``4ac - b^2`` for quadratics, not
+``b^2 - 4ac``).  The bivariate matrix ``P`` is the Sylvester matrix of the
+partials ``F_a``, ``F_b`` of the top form (`_partials`), so
+``det P = Res(F_a, F_b) = d^(d-2) * discriminant`` in this convention.
 
-One Sylvester builder serves a single pair of polynomials and a stack of
-them: the discriminants of many forms (the wall samples of a bivariate
-step, a row of the chamber grid) cost one ``np.linalg.det`` call, bit for
-bit what one call per form returns.  One Sturm chain gives the sign changes
-at every point, so `classify_chamber` builds one chain for both its
-positive and its negative root count.
+One Sylvester builder serves a single pair of polynomials, a stack of
+them, and P: the discriminants of many forms (the wall samples of a
+bivariate step, a row of the chamber grid) cost one ``np.linalg.det``
+call, bit for bit what one call per form returns.  One Sturm chain gives
+the sign changes at every point, so `classify_chamber` builds one chain
+for both its positive and its negative root count.
 """
 
 from __future__ import annotations
@@ -54,17 +55,10 @@ def poly_derivative(coeffs: Sequence[float]) -> list[float]:
     return [c[i] * (m - i) for i in range(m)]
 
 
-def poly_eval(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def exponent(coeffs: Sequence[float], x: float | complex) -> float | complex:
     """g(x) = theta_1 x + ... + theta_d x^d by Horner's rule, for real or
-    complex x.  Unlike `poly_eval`, ``coeffs`` ascend from theta_1 and there
-    is no constant term."""
+    complex x.  ``coeffs`` ascend from theta_1 and there is no constant
+    term."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = (acc + c) * x
@@ -136,7 +130,14 @@ def _discriminants(tops: np.ndarray) -> np.ndarray:
     leads = tops[:, 0]
     if 0.0 in leads.tolist():
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    return np.linalg.det(_sylvester_stack(tops, tops[:, :-1] * _powers(d))) / leads
+    return np.linalg.det(_sylvester_stack(tops, _partials(tops)[0])) / leads
+
+
+def _partials(tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partials of F(a, b) = sum_c tops[..., c] a^(d-c) b^c at b = 1, in
+    descending powers of a: F_a[c] = (d-c) tops[c], F_b[c] = (c+1) tops[c+1]."""
+    powers = _powers(tops.shape[-1] - 1)
+    return tops[..., :-1] * powers, tops[..., 1:] * powers[::-1]
 
 
 def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
@@ -187,7 +188,8 @@ def _variations(chain: list[list[float]], x: float) -> int:
 
     At +-inf each sign is the lead's, flipped at -inf for odd degree; at 0
     it is the constant term's, which is what Horner's rule returns there
-    for finite coefficients.  Horner's rule runs only at finite non-zero x.
+    for finite coefficients.  Horner's rule (`exponent`) runs only at
+    finite non-zero x.
     """
     if x == 0.0:
         values = [c[-1] for c in chain]
@@ -196,7 +198,7 @@ def _variations(chain: list[list[float]], x: float) -> int:
     elif x == -math.inf:
         values = [-c[0] if len(c) % 2 == 0 else c[0] for c in chain]
     else:
-        values = [poly_eval(c, x) for c in chain]
+        values = [exponent(c[-2::-1], x) + c[-1] for c in chain]
     signs = [v > 0.0 for v in values if v > 0.0 or v < 0.0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 

@@ -423,6 +423,13 @@ def test_verify_fast_suites(capsys):
     assert "PASS" in err
 
 
+def test_verify_detp_below_degree_two_names_the_order(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "detp", "--d", "1"])
+    assert code == 1
+    (suite,) = out["suites"]
+    assert suite["detail"].startswith("UnsupportedOrder: bivariate engine needs degree >= 2")
+
+
 def test_verify_failing_tolerance(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "detp", "--tol", "1e-20"])
     assert code == 1

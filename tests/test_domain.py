@@ -22,6 +22,7 @@ from exppoly.errors import (
     NegativeDatum,
     UnsupportedOrder,
 )
+from exppoly.polyalg import exponent
 
 
 def test_theta_uni_basic():
@@ -31,7 +32,7 @@ def test_theta_uni_basic():
     assert th.coeffs == (0.5, -1.0)
     np.testing.assert_allclose(th.as_array(), [0.5, -1.0])
     # exponent is theta_1 x + theta_2 x^2
-    assert th.exponent_at(2.0) == pytest.approx(0.5 * 2 - 1.0 * 4)
+    assert exponent(th.coeffs, 2.0) == pytest.approx(0.5 * 2 - 1.0 * 4)
 
 
 def test_theta_uni_realline_needs_even_order():

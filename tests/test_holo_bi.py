@@ -27,6 +27,7 @@ from exppoly.errors import (
     PathCrossesSingularity,
     PathSingularity,
     SingularSystem,
+    UnsupportedOrder,
 )
 from exppoly.holo_bi import (
     DerivTableBi,
@@ -34,9 +35,8 @@ from exppoly.holo_bi import (
     _check_wall,
     _factor,
     _flat,
-    _level_matrix,
     _level_shape,
-    _pfaffian_matrix,
+    _p_matrices,
     _transport_shape,
     _wall_poly,
     base_indices,
@@ -51,7 +51,7 @@ from exppoly.holo_bi import (
 from exppoly.holo_uni import OdeOptions, _extend, state_length
 from exppoly.inference import fit_mle
 from exppoly.oracle import quad_A_bi, sample_uni
-from exppoly.polyalg import discriminant
+from exppoly.polyalg import _sylvester_layout, discriminant
 from exppoly.verify import random_theta_bi_proper
 
 SQRT_PI = math.sqrt(math.pi)
@@ -110,12 +110,59 @@ def test_boundary_consts_reject_bad_axis():
         boundary_consts(ThetaBi(2, {(2, 0): 1.0, (0, 2): -1.0}), 0)
 
 
+def _closed_form_level_matrix(top, k):
+    """Matrix of the order-k level system, in closed form from the top
+    coefficients (theta_d0, ..., theta_0d): the reference for the engine's
+    Sylvester-built P and banded level rows.
+
+    Columns are the diagonal X[col] = T[k-col, col]; rows are the x-family
+    equations t = 0..q, then the y-family ones, q = k-d+1:
+
+      x-family: sum_c (d-c) theta_{d-c,c} X[t+c]
+      y-family: sum_c (c+1) theta_{d-1-c,c+1} X[t+c]
+
+    At k = 2d-3 that is all of P(theta).  Entries are built by arithmetic
+    alone, so symbolic coefficients work too.
+    """
+    d = len(top) - 1
+    q = k - d + 1
+    mat = [[0] * (k + 1) for _ in range(2 * (q + 1))]
+    for t in range(q + 1):
+        for c in range(d):
+            mat[t][t + c] = (d - c) * top[c]
+            mat[q + 1 + t][t + c] = (c + 1) * top[c + 1]
+    return mat
+
+
+def _P(top):
+    """P(theta) at the top coefficients, as the engine builds it."""
+    return _p_matrices(np.array([top], dtype=float))[0]
+
+
+def test_p_matrix_is_the_closed_form():
+    # the Sylvester matrix of (F_a, F_b) is the closed-form level matrix at
+    # k = 2d-3 entry for entry, and pfaffian_det is its determinant to the bit
+    rng = np.random.default_rng(17)
+    for d in range(2, 7):
+        for _ in range(200):
+            top = rng.uniform(-3.0, 3.0, d + 1)
+            want = np.array(_closed_form_level_matrix(top.tolist(), 2 * d - 3), dtype=float)
+            np.testing.assert_array_equal(_P(top), want)
+            th = ThetaBi(d, {(d - c, c): v for c, v in enumerate(top.tolist())})
+            assert pfaffian_det(th) == np.linalg.det(want)
+
+
+def test_pfaffian_det_needs_degree_two():
+    with pytest.raises(UnsupportedOrder):
+        pfaffian_det(ThetaBi(1, {(1, 0): -1.0, (0, 1): -1.0}))
+
+
 def test_square_level_gaussian_product():
     # the order-(2d-3) level at the product point: P = -2 I against the
     # boundary terms -A_y, -A_x = -sqrt(pi)/2, so T[1, 0] = T[0, 1] = sqrt(pi)/4
     th = product_theta(2)
     np.testing.assert_allclose(
-        _pfaffian_matrix(th.top_coeffs()), [[-2.0, 0.0], [0.0, -2.0]], atol=1e-14
+        _P(th.top_coeffs()), [[-2.0, 0.0], [0.0, -2.0]], atol=1e-14
     )
     assert pfaffian_det(th) == pytest.approx(4.0, rel=1e-12)
     tab = extend_table(initial_state_bi(2, 1.0, 1.0), 1)
@@ -128,7 +175,7 @@ def test_system_matrix_layout_quadratic():
     th = ThetaBi(2, {(2, 0): -1.5, (1, 1): -0.5, (0, 2): -2.0})
     t20, t11, t02 = -1.5, -0.5, -2.0
     np.testing.assert_allclose(
-        _pfaffian_matrix(th.top_coeffs()), [[2 * t20, t11], [t11, 2 * t02]], atol=1e-14
+        _P(th.top_coeffs()), [[2 * t20, t11], [t11, 2 * t02]], atol=1e-14
     )
     assert pfaffian_det(th) == pytest.approx(4 * t20 * t02 - t11**2, rel=1e-12)
 
@@ -152,7 +199,7 @@ def test_system_matrix_layout_cubic():
         [t21, 2 * t12, 3 * t03, 0.0],
         [0.0, t21, 2 * t12, 3 * t03],
     ]
-    np.testing.assert_allclose(_pfaffian_matrix(th.top_coeffs()), expect, atol=1e-14)
+    np.testing.assert_allclose(_P(th.top_coeffs()), expect, atol=1e-14)
 
 
 def test_pfaffian_det_matches_discriminant():
@@ -171,7 +218,7 @@ def test_pfaffian_det_matches_discriminant():
 def test_factor_det_and_inverse(d):
     rng = np.random.default_rng(20261018 + d)
     for _ in range(10):
-        P = _pfaffian_matrix(random_theta_bi_proper(rng, d).top_coeffs())
+        P = _P(random_theta_bi_proper(rng, d).top_coeffs())
         det, inv = _factor(P)
         assert det == pytest.approx(np.linalg.det(P), rel=1e-12)
         np.testing.assert_allclose(P @ inv, np.eye(len(P)), rtol=0.0, atol=1e-12)
@@ -180,7 +227,7 @@ def test_factor_det_and_inverse(d):
 def test_factor_refuses_top_form_on_the_discriminant():
     # cubic slice (a, b) = (-3, -3): the top form is -(x + y)^3
     with pytest.raises(SingularSystem, match="discriminant locus"):
-        _factor(_pfaffian_matrix([-1.0, -3.0, -3.0, -1.0]))
+        _factor(_P([-1.0, -3.0, -3.0, -1.0]))
 
 
 def test_extend_table_gaussian_product():
@@ -509,16 +556,23 @@ def test_table_layout():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_pfaffian_matrix_determinant_symbolic(d):
-    # det P = d^(d-2) D as polynomials in the top coefficients, with D the
-    # library's discriminant R(p, p')/lead(p); backs pfaffian_det and the
-    # transport RHS, which build P with the same closed form
+    # P is the Sylvester matrix of the partials F_a, F_b of the top form
+    # F(a, b), so det P = Res(F_a, F_b) = d^(d-2) D as polynomials in the
+    # top coefficients, with D the library's discriminant R(p, p')/lead(p);
+    # P is laid out here by the engine's own Sylvester layout, symbolically
     import sympy
 
     top = sympy.symbols(f"t0:{d + 1}")  # (theta_d0, ..., theta_0d)
-    a = sympy.Symbol("a")
-    p = sum(top[c] * a ** (d - c) for c in range(d + 1))
+    a, b = sympy.symbols("a b")
+    F = sum(top[c] * a ** (d - c) * b**c for c in range(d + 1))
+    Fa, Fb = (sympy.diff(F, v).subs(b, 1) for v in (a, b))
+    entries = [0, *sympy.Poly(Fa, a).all_coeffs(), *sympy.Poly(Fb, a).all_coeffs()]
+    P = sympy.Matrix([[entries[i] for i in row] for row in _sylvester_layout(d - 1, d - 1).tolist()])
+    assert P == sympy.Matrix(_closed_form_level_matrix(top, 2 * d - 3))
+    p = F.subs(b, 1)
     disc = sympy.cancel(sympy.resultant(p, sympy.diff(p, a), a) / top[0])
-    det = sympy.Matrix(_level_matrix(top, 2 * d - 3)).det()
+    det = P.det()
+    assert sympy.expand(det - sympy.resultant(Fa, Fb, a)) == 0
     assert sympy.expand(det - d ** (d - 2) * disc) == 0
     point = (-1.3, 0.4, -0.7, 0.9)[: d + 1]
     assert float(disc.subs(dict(zip(top, point)))) == pytest.approx(
@@ -824,8 +878,8 @@ def _level_plan_reference(d, lo, hi, m_ax, theta0, h):
     t_off = 2 * (m_ax + 1)
     n_v = t_off + _flat(0, hi) + 1
     top = [monos.index((d - c, c)) for c in range(d + 1)]
-    P0 = _pfaffian_matrix([theta0[m] for m in top])
-    Ph = _pfaffian_matrix([h[m] for m in top])
+    P0 = np.array(_closed_form_level_matrix([theta0[m] for m in top], 2 * d - 3), dtype=float)
+    Ph = np.array(_closed_form_level_matrix([h[m] for m in top], 2 * d - 3), dtype=float)
     lower = [(m, i, j) for m, (i, j) in enumerate(monos) if i + j < d]
     levels, blocks = [], []
     for k in range(lo, hi + 1):
@@ -899,8 +953,12 @@ def test_level_plan_matches_per_call_builder(d, lo, hi, m_ax):
     offsets = np.cumsum([0] + [n_win * plan.n for _, _, _, n_win, _ in blocks])
     asm = np.concatenate([b[4] + o for b, o in zip(blocks, offsets)])
     np.testing.assert_array_equal(plan.shape.asm, asm)
-    for (k, _, _), mat in zip(levels, plan.matrices()):
-        np.testing.assert_array_equal(mat, np.array(_level_matrix(plan.top0, k), dtype=float))
+    # each level's banded left-hand side is the dense closed-form product
+    V = rng.uniform(-1.0, 1.0, plan.n_v)
+    for (k, _, cols), lhs in zip(levels, single.lhs(V)):
+        mat = np.array(_closed_form_level_matrix(plan.top0.tolist(), k), dtype=float)
+        size = np.abs(mat) @ np.abs(V[cols])
+        assert np.all(np.abs(lhs - mat @ V[cols]) <= 1e-14 * size), k
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

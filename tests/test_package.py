@@ -35,3 +35,34 @@ def test_modules_read_every_import():
                     if name not in read:
                         unread.add((path.stem, name))
     assert unread == TRACER_BINDINGS
+
+
+def test_private_module_names_are_read():
+    # a module-level private function, class or constant that nothing in
+    # the package reads is dead code, even when a test still imports it
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(exppoly.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    defined = set()
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            defined.update((stem, name) for name in private)
+    assert sorted(name for name in defined if name[1] not in read) == []

@@ -23,8 +23,8 @@ from exppoly.polyalg import (
     classify_chamber,
     count_real_roots,
     discriminant,
+    exponent,
     poly_derivative,
-    poly_eval,
     squarefree_part,
     sylvester_matrix,
     sylvester_resultant,
@@ -229,7 +229,7 @@ def test_classify_chamber_counts_match_two_interval_reference(top):
 
 def _variations_horner(chain, x):
     """Sign changes along the chain with every value by Horner's rule."""
-    signs = [v > 0 for v in (poly_eval(c, x) for c in chain) if v != 0]
+    signs = [v > 0 for v in (exponent(c[-2::-1], x) + c[-1] for c in chain) if v != 0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -242,6 +242,26 @@ def test_variations_at_zero_read_the_constant_terms(top):
         return
     for x in (0.0, -0.0):
         assert _variations(chain, x) == _variations_horner(chain, x)
+
+
+def _horner_descending(c, x):
+    acc = 0.0
+    for v in c:
+        acc = acc * x + v
+    return acc
+
+
+def test_chain_values_by_exponent_equal_descending_horner():
+    # `_variations` evaluates a chain member c at finite non-zero x as
+    # exponent(c[-2::-1], x) + c[-1]: the same roundings as Horner's rule on
+    # the descending coefficients, zero leads included
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        c = rng.uniform(-3.0, 3.0, int(rng.integers(1, 9))).tolist()
+        if rng.random() < 0.2:
+            c[0] = 0.0
+        x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        assert exponent(c[-2::-1], x) + c[-1] == _horner_descending(c, x)
 
 
 def _sylvester_loop(f, g):
