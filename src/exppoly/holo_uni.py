@@ -13,6 +13,11 @@ by Taylor series of a fixed order (`_TAYLOR_ORDER`).  Starting values
 come from the one-parameter scale family (0, ..., 0, -c), where everything
 reduces to gamma functions.
 
+At order 2 the density is a truncated normal (half line) or a normal (whole
+line), and `state_at` answers every interior point in closed form instead:
+a scaled erfc, or the Gaussian integral.  It is never refused short of
+overflow; the retry and refusal policy applies from order 3 on.
+
 Where the recursion's terms sit depends only on the order d and the number
 of entries carried, so that structure is built once per shape
 (`_step_tensors`) and shared.  A segment contracts it with its direction,
@@ -37,6 +42,7 @@ from .errors import (
     DivergentIntegral,
     InputError,
     NonPositiveScale,
+    OdeDivergence,
     PathSingularity,
     SingularLeadingCoefficient,
     ToleranceNotMet,
@@ -119,7 +125,8 @@ class HoloStateUni:
     derivative directly.  `last_transport_error` is the relative error
     estimate of the state: the integrator's for the move that produced it
     from `transport`, the full `state_at` estimate for a state from there,
-    and zero for freshly initialized states.
+    the closed form's own rounding bound for an order-2 state from
+    `state_at`, and zero for freshly initialized states.
     """
 
     __slots__ = ("theta", "F", "last_transport_error")
@@ -519,16 +526,20 @@ def state_at(
     support: Support = Support.HALF_LINE,
     start: HoloStateUni | None = None,
 ) -> HoloStateUni:
-    """Transported state at theta with an amplification-aware error estimate.
+    """State at theta with an error estimate: in closed form at order 2, by
+    transport with an amplification-aware estimate from order 3 on.
 
     Boundary parameters are reduced to their effective order first, so the
-    returned state lives at the reduced parameter.  Transport starts from
-    `start` when it has the same order and support (a request at its own
-    parameter returns it unchanged), else from the gamma point.  A parameter
-    that is its own gamma point (every coefficient but the last zero) gets
-    the closed-form state with estimate zero.  When the result is not
-    finite, or the homogeneous solutions of the system dwarf A, the
-    transport is retried from the gamma point at tight tolerance, and
+    returned state lives at the reduced parameter.  A request at the
+    parameter of `start` returns it unchanged.  A parameter that is its own
+    gamma point (every coefficient but the last zero) gets the closed-form
+    state with estimate zero, and every other order-2 parameter its closed
+    form (`_gaussian_state`), with the closed form's rounding bound as its
+    estimate and `OdeDivergence` where the state overflows; a `start` is
+    not used there.  From order 3 on, transport starts from `start` when it
+    has the same order and support, else from the gamma point.  When the
+    result is not finite, or the homogeneous solutions of the system dwarf
+    A, the transport is retried from the gamma point at tight tolerance, and
     parameters whose condition exceeds what double precision can cancel are
     refused rather than answered with noise.  The estimate includes the
     start's own estimate, scaled up where the state shrinks along the way.
@@ -543,6 +554,8 @@ def state_at(
         return start
     if not any(eff.coeffs[:-1]):
         return _gamma_state(eff)
+    if eff.d == 2:
+        return _gaussian_state(eff)
     if start is None or start.d != eff.d or start.support is not eff.support:
         start = _gamma_state(eff)
     if opts is None:
@@ -589,6 +602,56 @@ def _gamma_state(theta: ThetaUni) -> HoloStateUni:
     return initial_state(theta.d, abs(theta.coeffs[-1]), theta.support)
 
 
+# Above this z the half-line erfcx(z) = exp(z^2) erfc(z) comes from its
+# asymptotic series: erfc(z) is still a normal float at z = 26, and from
+# there on the series' first omitted term, 15!!/(2 z^2)^8, is below 1e-18.
+_ERFCX_SERIES_FROM = 26.0
+
+
+def _gaussian_state(theta: ThetaUni) -> HoloStateUni:
+    """The state at an interior order-2 theta, in closed form.
+
+    With c = -theta_2 and z = -theta_1 / (2 sqrt(c)), A is
+    sqrt(pi/c)/2 * erfcx(z) on the half line and sqrt(pi/c) * exp(z^2) on
+    the whole line; F[1] follows from the recursion.  The estimate is eps
+    times z^2 for the rounding of the exponent where one is evaluated, plus
+    a few ulps; an A that double precision cannot hold raises
+    `OdeDivergence`.
+    """
+    t1, t2 = theta.coeffs
+    c = -t2
+    half_line = theta.support is Support.HALF_LINE
+    z = -t1 / (2.0 * math.sqrt(c))
+    if half_line and z > _ERFCX_SERIES_FROM:
+        # erfcx(z) = (1 - w + 3w^2 - 15w^3 + ...) / (z sqrt(pi)), w = 1/(2 z^2),
+        # so A is the series over -theta_1, with no exponential at all
+        w = 2.0 * c / (t1 * t1)
+        series = 1.0
+        for k in range(13, 0, -2):
+            series = 1.0 - k * w * series
+        exponent, A = 0.0, -series / t1
+    elif half_line and z > 0.0:
+        # exp and erfc of the same rounded z, so their errors in z cancel
+        exponent = z * z
+        A = math.sqrt(math.pi / c) / 2.0 * math.exp(exponent) * math.erfc(z)
+    else:
+        exponent = t1 * t1 / (4.0 * c)  # z^2 to within eps * z^2
+        factor = math.erfc(z) if half_line else 2.0
+        try:
+            # in two halves: exp(z^2) overflows before A does when c is large
+            root = math.exp(exponent / 2.0)
+            A = math.sqrt(math.pi / c) / 2.0 * factor * root * root
+        except OverflowError:
+            A = math.inf
+    F = _extend(theta.coeffs, theta.support, [A], 1)
+    if not (A > 0.0 and all(map(math.isfinite, F))):
+        raise OdeDivergence(
+            f"normalizing constant at {tuple(theta.coeffs)} is not representable "
+            "in double precision"
+        )
+    return HoloStateUni(theta, F, _EPS * (exponent + 8.0))
+
+
 def _condition(state: HoloStateUni) -> float:
     """`transport_condition` of a transported state; infinite unless its
     entries are finite and could be moments of a positive density."""
@@ -616,12 +679,13 @@ def norm_const_and_derivs(
     opts: OdeOptions | None = None,
     support: Support = Support.HALF_LINE,
 ) -> np.ndarray:
-    """A(theta) and its theta_1-derivatives up to order M, via transport.
+    """A(theta) and its theta_1-derivatives up to order M, via `state_at`.
 
     Boundary parameters (trailing zero coefficients over an interior core)
     are reduced to their effective order first; the derivative values agree
     because differentiating under the integral sign only sees theta_1.
-    Ill-conditioned parameters follow the `state_at` retry and refusal policy.
+    Parameters follow the `state_at` policy: closed form at order 2, retry
+    and refusal of ill-conditioned points from order 3 on.
     """
     return extend_derivatives(state_at(theta, opts, support), M)
 

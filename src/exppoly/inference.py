@@ -163,9 +163,7 @@ class FitResult:
                 "Fisher information at the estimate is not positive definite; "
                 "standard errors are undefined"
             )
-        if self.fisher_bound is not None and np.linalg.norm(
-            self.fisher_bound, 2
-        ) >= np.linalg.eigvalsh(self.fisher)[0]:
+        if not _determined(self.fisher, self.fisher_bound):
             raise SingularInformation(
                 "Fisher information at the estimate is not determined to working "
                 "accuracy (its error bound reaches its smallest eigenvalue); "
@@ -173,6 +171,12 @@ class FitResult:
             )
         inv = np.linalg.inv(self.fisher)
         return np.sqrt(np.diag(inv) / n)
+
+
+def _determined(fisher: np.ndarray, bound: Optional[np.ndarray]) -> bool:
+    """Whether the error bound of a Fisher matrix stays below its smallest
+    eigenvalue (true when there is no bound)."""
+    return bound is None or np.linalg.norm(bound, 2) < np.linalg.eigvalsh(fisher)[0]
 
 
 class TestNull(Enum):
@@ -376,6 +380,7 @@ def fit_mle(
     derivs = provider.derivs(theta, 2 * d)
     lbar, grad, info = _likelihood(theta, sample, derivs, pos)
     bounds = provider.derivative_bounds(2 * d)
+    fisher_bound = None if bounds is None else _fisher_bound(derivs, bounds, pos)
     grad_norm = float(np.max(np.abs(grad)))
     if converged:
         converged = grad_norm <= 10 * opts.grad_tol
@@ -384,12 +389,15 @@ def fit_mle(
         # boundary, where the supremum is not attained: the full scoring step
         # from the final iterate then leaves the domain.  A Fisher matrix that
         # is not positive definite means the same thing: the engine degenerates
-        # only on the singular locus, which the iterate must be hugging.
+        # only on the singular locus, which the iterate must be hugging.  So
+        # does one that its error bound does not determine: the higher
+        # moments lose their digits as theta_d -> 0.
         try:
             np.linalg.cholesky(info)
             newton = np.linalg.solve(info, grad)
-            hit_boundary = not _is_interior(
-                _with_vector(theta, _theta_vector(theta) + newton)
+            hit_boundary = not (
+                _determined(info, fisher_bound)
+                and _is_interior(_with_vector(theta, _theta_vector(theta) + newton))
             )
         except np.linalg.LinAlgError:
             hit_boundary = True
@@ -401,7 +409,7 @@ def fit_mle(
         iterations=iterations,
         converged=converged,
         hit_boundary=hit_boundary,
-        fisher_bound=None if bounds is None else _fisher_bound(derivs, bounds, pos),
+        fisher_bound=fisher_bound,
     )
 
 

@@ -35,6 +35,7 @@ from .domain import (
 from .errors import (
     DivergentIntegral,
     InputError,
+    OdeDivergence,
     ToleranceNotMet,
     UnsupportedOrder,
 )
@@ -233,7 +234,8 @@ def closed_form_A(theta: ThetaUni) -> float:
 
     Half line: d=1 gives -1/theta_1; d=2 completes the square into a scaled
     erfcx (stable against overflow in both tail directions).  Real line:
-    order 2 is the Gaussian integral.
+    order 2 is the Gaussian integral.  An A beyond double precision raises
+    `OdeDivergence`, as the engine's closed form does.
     """
     cls = classify_theta_uni(theta)
     if not cls.is_interior:
@@ -247,11 +249,21 @@ def closed_form_A(theta: ThetaUni) -> float:
 
             b = -c[1]
             z = -c[0] / (2.0 * math.sqrt(b))
-            return math.sqrt(math.pi) / (2.0 * math.sqrt(b)) * float(special.erfcx(z))
-        raise UnsupportedOrder("no closed form for half-line order d > 2")
-    if theta.d == 2:
-        return math.sqrt(math.pi / -c[1]) * math.exp(-c[0] ** 2 / (4.0 * c[1]))
-    raise UnsupportedOrder("no closed form for whole-line order > 2")
+            A = math.sqrt(math.pi) / (2.0 * math.sqrt(b)) * float(special.erfcx(z))
+        else:
+            raise UnsupportedOrder("no closed form for half-line order d > 2")
+    elif theta.d == 2:
+        try:
+            A = math.sqrt(math.pi / -c[1]) * math.exp(-c[0] ** 2 / (4.0 * c[1]))
+        except OverflowError:
+            A = math.inf
+    else:
+        raise UnsupportedOrder("no closed form for whole-line order > 2")
+    if not math.isfinite(A):
+        raise OdeDivergence(
+            f"normalizing constant at {tuple(c)} is not representable in double precision"
+        )
+    return A
 
 
 def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = _DEFAULT_QUAD) -> float:

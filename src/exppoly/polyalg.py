@@ -130,7 +130,8 @@ def _discriminants(tops: np.ndarray) -> np.ndarray:
     leads = tops[:, 0]
     if 0.0 in leads.tolist():
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    return np.linalg.det(_sylvester_stack(tops, _partials(tops)[0])) / leads
+    F_a = tops[:, :-1] * _powers(d)  # p', the F_a of `_partials`
+    return np.linalg.det(_sylvester_stack(tops, F_a)) / leads
 
 
 def _partials(tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -442,6 +442,8 @@ import json, sys
 import exppoly, exppoly.cli
 codes = [
     exppoly.cli.main(["normconst", "--theta=-1,3,-2", "--order", "2"]),
+    exppoly.cli.main(["normconst", "--theta=-3,-0.5", "--order", "4"]),
+    exppoly.cli.main(["normconst", "--mode", "realline", "--theta=1,-2", "--order", "4"]),
     exppoly.cli.main(["chambers", "--point=0,0", "--d", "3"]),
 ]
 print(json.dumps({"codes": codes, "scipy": sorted(
@@ -452,8 +454,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 
 def test_transport_commands_do_not_load_scipy():
     # scipy serves only the quadrature oracle, simulate's KS summary and
-    # verify; the import and the transport and chamber commands must run
-    # without it.
+    # verify; the import, the transport and chamber commands and the
+    # order-2 closed forms on both supports must run without it.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -462,5 +464,5 @@ def test_transport_commands_do_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["scipy"] == []

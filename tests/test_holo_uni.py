@@ -619,3 +619,90 @@ def test_series_overflow_is_ode_divergence(target):
         warnings.simplefilter("error")
         with pytest.raises(OdeDivergence, match="non-finite Taylor coefficients"):
             transport(start, theta)
+
+
+# ------------------------------------------------------ order-2 closed forms
+
+EPS = float(np.finfo(float).eps)
+NORMAL = (np.finfo(float).tiny, np.finfo(float).max)
+
+
+def _gaussian_exact(t1, c, support, M=4):
+    """A and its theta_1-derivatives through M at (t1, -c), to 50 digits:
+    A in closed form, the rest by the recursion in 50-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        t1, c = mpmath.mpf(t1), mpmath.mpf(c)
+        z = -t1 / (2 * mpmath.sqrt(c))
+        if support is Support.HALF_LINE:
+            F = [mpmath.sqrt(mpmath.pi / c) / 2 * mpmath.erfc(z) * mpmath.exp(z * z)]
+        else:
+            F = [mpmath.sqrt(mpmath.pi / c) * mpmath.exp(z * z)]
+        for m in range(M):
+            acc = t1 * F[m] + (m * F[m - 1] if m else int(support is Support.HALF_LINE))
+            F.append(acc / (2 * c))
+        return F
+
+
+def _check_gaussian_state(t1, c, support):
+    """state_at at (t1, -c) against `_gaussian_exact`: A within the state's
+    estimate, F[1..4] within `derivative_bounds` plus the rounding of the
+    recursion that extends them (about an ulp per order, which the bounds
+    leave out), and `OdeDivergence` exactly where A or F[1] overflows."""
+    exact = _gaussian_exact(t1, c, support)
+    theta = ThetaUni((t1, -c), support)
+    if max(abs(exact[0]), abs(exact[1])) > NORMAL[1]:
+        with pytest.raises(OdeDivergence):
+            state_at(theta)
+        return
+    st_ = state_at(theta)
+    assert abs(st_.norm_const - exact[0]) <= st_.last_transport_error * exact[0]
+    got, bounds = extend_derivatives(st_, 4), derivative_bounds(st_, 4)
+    for m in range(1, 5):
+        if NORMAL[0] <= abs(exact[m]) <= NORMAL[1]:
+            assert abs(got[m] - exact[m]) <= bounds[m] + 2 * m * EPS * abs(exact[m]), m
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(-60.0, 60.0).filter(lambda t1: t1 != 0.0),  # theta_1 = 0 is a gamma point
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e),  # c = -theta_2, log-uniform
+    st.sampled_from(list(Support)),
+)
+def test_gaussian_state_within_its_estimate_property(t1, c, support):
+    _check_gaussian_state(t1, c, support)
+
+
+@pytest.mark.parametrize("theta", [(-8.0, -0.5), (-30.0, -0.4), (-200.0, -0.5), (-3.0, -0.001)])
+def test_state_at_answers_truncated_normals_transport_refused(theta):
+    # transport refused these half-line points: the first two by their
+    # condition (ToleranceNotMet), the last two by OdeDivergence
+    _check_gaussian_state(theta[0], -theta[1], Support.HALF_LINE)
+
+
+@pytest.mark.parametrize("support", list(Support))
+def test_order_two_state_at_builds_no_step_map(monkeypatch, support):
+    theta = ThetaUni((-3.0, -0.5), support)
+    want = state_at(theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("order 2 transported")
+
+    monkeypatch.setattr("exppoly.holo_uni._StepMap", refuse)
+    start = state_at(ThetaUni((1.0, -2.0), support))
+    # a carried start is ignored, a start at the requested point returned
+    assert state_at(theta, start=start).F.tolist() == want.F.tolist()
+    assert state_at(theta, start=want) is want
+    norm_const_and_derivs((0.5, -1.0, 0.0, 0.0), 4, support=support)  # a boundary point
+
+
+@pytest.mark.parametrize("support", list(Support))
+def test_overflowing_order_two_constant_is_ode_divergence(support):
+    from exppoly.oracle import closed_form_A
+
+    theta = ThetaUni((60.0, -0.5), support)
+    with pytest.raises(OdeDivergence):
+        state_at(theta)
+    with pytest.raises(OdeDivergence):
+        closed_form_A(theta)
