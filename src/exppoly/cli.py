@@ -48,6 +48,7 @@ from .holo_uni import (
 )
 from .inference import (
     FitOptions,
+    _stats_order,
     fisher_info,
     fit_mle,
     score_test_halfline,
@@ -217,7 +218,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if bivariate:
         stats = suff_stats(sample, args.d, "bivariate")
     else:
-        stats = suff_stats(sample, args.d, _SUPPORTS[args.mode])
+        support = _SUPPORTS[args.mode]
+        stats = suff_stats(sample, _stats_order(args.d, support), support)
     result = fit_mle(stats, args.d)
     try:
         standard_errors = _float_list(result.standard_errors(stats.n))

@@ -105,10 +105,13 @@ def classify_theta_uni(theta: ThetaUni) -> Classification:
 
 
 def effective_theta(theta: ThetaUni) -> ThetaUni:
-    """Drop trailing zero coefficients down to the effective order."""
+    """Drop trailing zero coefficients down to the effective order; theta
+    itself when it is already there."""
     cls = classify_theta_uni(theta)
     if cls.effective_order is None:
         raise InputError("theta is outside the integrable region")
+    if cls.effective_order == theta.d:
+        return theta
     return ThetaUni(theta.coeffs[: cls.effective_order], theta.support)
 
 
@@ -230,7 +233,10 @@ def suff_stats(sample: Iterable, order: int, support: Support | str = Support.HA
     """Compute moment statistics of a sample up to the given order.
 
     ``support`` may be a :class:`Support` value, or the string ``"bivariate"``
-    for two-column positive-quadrant data.
+    for two-column positive-quadrant data.  An order-d univariate fit reads
+    moments 1..d for its likelihood; it starts at the score-matching
+    estimate only when the statistics also carry moments through 2d-1 on the
+    half line, 2d-2 on the whole line (``inference.fit_mle``).
     """
     if not 1 <= order <= _MAX_MOMENT_ORDER:
         raise UnsupportedOrder(f"moment order must be in 1..{_MAX_MOMENT_ORDER}")

@@ -552,10 +552,8 @@ def state_at(
     eff = effective_theta(theta)
     if start is not None and start.theta == eff:
         return start
-    if not any(eff.coeffs[:-1]):
-        return _gamma_state(eff)
-    if eff.d == 2:
-        return _gaussian_state(eff)
+    if _closed_form(eff):
+        return _gaussian_state(eff) if any(eff.coeffs[:-1]) else _gamma_state(eff)
     if start is None or start.d != eff.d or start.support is not eff.support:
         start = _gamma_state(eff)
     if opts is None:
@@ -595,6 +593,13 @@ def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloS
     )
     est = (moved.last_transport_error + _EPS) * cond + carried
     return HoloStateUni(moved.theta, moved.F, est)
+
+
+def _closed_form(eff: ThetaUni) -> bool:
+    """Whether `state_at` answers the effective parameter eff in closed form,
+    with no transport and whatever its start: at its own gamma point (every
+    coefficient but the last zero) and at order 2."""
+    return eff.d == 2 or not any(eff.coeffs[:-1])
 
 
 def _gamma_state(theta: ThetaUni) -> HoloStateUni:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import holo_bi, holo_uni
 from .domain import (
+    _MAX_MOMENT_ORDER,
     Membership,
     SuffStats,
     Support,
@@ -83,7 +84,8 @@ class UniHoloProvider:
     direct evaluation.  A refused move raises `ToleranceNotMet` and leaves the
     last good state committed; a request at the committed parameter costs no
     transport.  `refresh` replaces the state by a fresh transport from the
-    gamma point, discarding the accumulated path.
+    gamma point, discarding the accumulated path; where `state_at` answers in
+    closed form there is no path, and it does nothing.
     """
 
     def __init__(self, opts: OdeOptions | None = None):
@@ -96,7 +98,8 @@ class UniHoloProvider:
         return extend_derivatives(self._state, M)
 
     def refresh(self, theta: ThetaUni) -> None:
-        self._state = holo_uni.state_at(theta, self.opts)
+        if not holo_uni._closed_form(effective_theta(theta)):
+            self._state = holo_uni.state_at(theta, self.opts)
 
     def derivative_bounds(self, M: int) -> np.ndarray:
         """Absolute error bounds of `derivs` through order M at the committed state."""
@@ -277,6 +280,57 @@ def _mom_start_uni(stats: SuffStats, d: int, support: Support) -> ThetaUni:
     return ThetaUni(coeffs, support)
 
 
+def _start_moment_order(d: int, support: Support) -> int:
+    """Highest sample moment the score-matching start of an order-d fit
+    reads: 2d-1 on the half line, 2d-2 on the whole line."""
+    return 2 * d - 1 if support is Support.HALF_LINE else 2 * d - 2
+
+
+def _stats_order(d: int, support: Support) -> int:
+    """Order of the statistics of a raw sample that an order-d univariate fit
+    reads: d for the likelihood, and the score-matching start's top moment
+    where `suff_stats` goes that far."""
+    return max(d, min(_start_moment_order(d, support), _MAX_MOMENT_ORDER))
+
+
+def _score_matching_start(stats: SuffStats, d: int, support: Support) -> Optional[ThetaUni]:
+    """Score-matching estimate of an order-d univariate theta, or None.
+
+    Score matching needs no normalizing constant (Hyvarinen 2005; 2007 for
+    non-negative data): with psi = d/dx log p = sum_k k theta_k x^(k-1) and
+    weight h(x) = x on the half line, h = 1 on the whole line, the sample
+    objective mean(h psi^2 / 2 + (h psi)') is the quadratic
+    theta' G theta / 2 + b' theta.  On the half line G_kl = k l m_(k+l-1)
+    and b_k = k^2 m_(k-1); on the whole line G_kl = k l m_(k+l-2) and
+    b_k = k (k-1) m_(k-2), with m_0 = 1.  The system is solved in units
+    x / 2^e, with the integer e that brings the top moment nearest 1, and
+    theta is mapped back exactly, so the start is bit-equivariant under
+    x -> 2^k x.  None when the statistics stop short of the top moment, or
+    the solution is not finite or not interior.
+    """
+    top = _start_moment_order(d, support)
+    if stats.order < top:
+        return None
+    m_top = stats.moment(top)
+    if not (0.0 < m_top < math.inf):
+        return None
+    e = (2 * math.frexp(m_top)[1] - 1 + top) // (2 * top)
+    mom = [1.0] + [math.ldexp(stats.moment(j), -e * j) for j in range(1, top + 1)]
+    s = 1 if support is Support.HALF_LINE else 2
+    ks = range(1, d + 1)
+    gram = [[k * l * mom[k + l - s] for l in ks] for k in ks]
+    rhs = [-k * (k + 1 - s) * mom[k - s] if k >= s else 0.0 for k in ks]
+    try:
+        scaled = np.linalg.solve(np.array(gram), np.array(rhs)).tolist()
+        coeffs = [math.ldexp(t, -e * j) for j, t in enumerate(scaled, 1)]
+    except (np.linalg.LinAlgError, OverflowError):
+        return None
+    if not all(map(math.isfinite, coeffs)):
+        return None
+    start = ThetaUni(coeffs, support)
+    return start if _is_interior(start) else None
+
+
 def _mom_start_bi(stats: SuffStats, d: int) -> ThetaBi:
     c1 = 1.0 / (d * stats.moment_bi(d, 0))
     c2 = 1.0 / (d * stats.moment_bi(0, d))
@@ -309,7 +363,14 @@ def fit_mle(
 ) -> FitResult:
     """Maximum likelihood fit by Fisher scoring.
 
-    Iterates theta <- theta + I(theta)^-1 grad with step halving whenever the
+    A univariate fit starts at the score-matching estimate
+    (`_score_matching_start`) when `stats` carries its moments, through
+    order 2d-1 on the half line and 2d-2 on the whole line.  It starts at
+    the gamma point whose d-th moment is the sample's when they are
+    missing, when that estimate is not interior, or when the provider
+    refuses it (`ToleranceNotMet`, `OdeDivergence`); a bivariate fit always
+    starts at the product of the axis gamma points.  From there it
+    iterates theta <- theta + I(theta)^-1 grad with step halving whenever the
     proposal leaves the domain or lowers the likelihood.  Each evaluated
     point costs one order-2d provider request, whose Fisher matrix is the
     next step's when the point is accepted.  Non-convergence and boundary
@@ -334,7 +395,17 @@ def fit_mle(
     pos = _positions(theta)
     sample = _sample_moments(stats, theta)
 
-    lbar, grad, info = _likelihood(theta, sample, provider.derivs(theta, 2 * d), pos)
+    first = None
+    start = None if stats.is_bivariate else _score_matching_start(stats, d, support)
+    if start is not None:
+        try:
+            first = _likelihood(start, sample, provider.derivs(start, 2 * d), pos)
+            theta = start
+        except (ToleranceNotMet, OdeDivergence):
+            pass  # the engine refuses the start; begin at the gamma point
+    if first is None:
+        first = _likelihood(theta, sample, provider.derivs(theta, 2 * d), pos)
+    lbar, grad, info = first
     hit_boundary = False
     converged = False
     iterations = 0
@@ -573,7 +644,11 @@ def select_order(
 
     Starting from the smallest model, test the current order against the next
     one (next even order on the whole line) and stop at the first
-    non-rejection; if every test rejects, d_max is chosen.
+    non-rejection; if every test rejects, d_max is chosen.  A raw sample's
+    statistics go through order d_max and the moments the score-matching
+    start of the largest null fit reads (see `fit_mle`); given `SuffStats`
+    are used as they are, so null fits whose start needs more moments
+    start at the gamma point.
     """
     support = Support(support)
     step = 2 if support is Support.REAL_LINE else 1
@@ -582,7 +657,10 @@ def select_order(
         raise UnsupportedOrder(f"d_max must be at least {d_min}")
     if support is Support.REAL_LINE and d_max % 2 != 0:
         raise UnsupportedOrder("whole-line d_max must be even")
-    stats = suff_stats(sample, d_max, support) if not isinstance(sample, SuffStats) else sample
+    if not isinstance(sample, SuffStats):
+        stats = suff_stats(sample, max(d_max, _stats_order(d_max - step, support)), support)
+    else:
+        stats = sample
     trail: list[TestResult] = []
     k = d_min
     while k + step <= d_max:

@@ -466,3 +466,12 @@ def test_transport_commands_do_not_load_scipy():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
     assert result["scipy"] == []
+
+
+def test_fit_seed_7_quartic_writes_standard_errors(capsys, tmp_path):
+    x = sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=7)
+    code, out, _ = run(capsys, ["fit", write_sample(tmp_path, x), "--d", "4"])
+    assert code == 0
+    assert out["converged"] is True and out["hit_boundary"] is False
+    np.testing.assert_allclose(out["theta_hat"], [-0.835, 2.087, -0.881, -0.407], atol=5e-4)
+    assert len(out["standard_errors"]) == 4

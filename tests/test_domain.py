@@ -76,6 +76,11 @@ def test_effective_theta_drops_trailing_zeros():
         effective_theta(ThetaUni((0.0, 1.0)))
 
 
+def test_effective_theta_keeps_a_theta_at_its_order():
+    theta = ThetaUni((0.0, 3.0, -1.0))
+    assert effective_theta(theta) is theta
+
+
 def test_monomials_bi_canonical_order():
     assert monomials_bi(2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert monomials_bi(1) == [(1, 0), (0, 1)]

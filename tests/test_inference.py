@@ -294,7 +294,10 @@ def test_fit_options_accepts_numpy_integers():
 
 
 def test_fit_exponential_closed_form():
-    res = fit_mle(stats_from_moments([2.0]))
+    # the score-matching start is the exact MLE, so the fit runs 0 iterations
+    st = stats_from_moments([2.0])
+    assert inference._score_matching_start(st, 1, Support.HALF_LINE).coeffs == (-0.5,)
+    res = fit_mle(st)
     assert res.converged and not res.hit_boundary
     assert res.iterations == 0
     assert res.theta_hat.coeffs[0] == pytest.approx(-0.5, rel=1e-12)
@@ -346,11 +349,11 @@ def test_fit_realline_gaussian_closed_form():
     # normal with mean m and variance s^2: theta = (m/s^2, -1/(2 s^2))
     m, s2 = 0.7, 1.3
     st = stats_from_moments([m, s2 + m * m], support=Support.REAL_LINE)
+    start = inference._score_matching_start(st, 2, Support.REAL_LINE)
+    np.testing.assert_allclose(start.coeffs, [m / s2, -1.0 / (2 * s2)], rtol=1e-12)
     res = fit_mle(st)
-    assert res.converged
-    np.testing.assert_allclose(
-        res.theta_hat.coeffs, [m / s2, -1.0 / (2 * s2)], rtol=1e-8
-    )
+    assert res.converged and res.iterations == 0
+    assert res.theta_hat == start
 
 
 def test_fit_bivariate_self_consistent():
@@ -546,3 +549,115 @@ def test_select_order_validation():
         select_order(np.array([0.5, 1.0]), 0)
     with pytest.raises(UnsupportedOrder):
         select_order(np.array([0.5, -1.0]), 3, support=Support.REAL_LINE)
+
+
+# The score-matching start of univariate fits.
+
+
+def _scaled_stats(stats, k):
+    """The statistics of the sample x * 2^k, exactly."""
+    moments = tuple(math.ldexp(m, k * j) for j, m in enumerate(stats.moments, 1))
+    return SuffStats(n=stats.n, order=stats.order, support=stats.support, moments=moments)
+
+
+def _start_samples():
+    half = sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=1)
+    whole = sample_uni(ThetaUni((1.0, 4.0, -2.0, -3.0), Support.REAL_LINE), 1000, seed=1)
+    return {
+        Support.HALF_LINE: (suff_stats(half, 7), (1, 2, 3, 4)),
+        Support.REAL_LINE: (suff_stats(whole, 6, Support.REAL_LINE), (2, 4)),
+    }
+
+
+START_SAMPLES = _start_samples()
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from([(s, d) for s, (_, ds) in START_SAMPLES.items() for d in ds]),
+    st.integers(-30, 30),
+)
+def test_start_is_scale_equivariant(case, k):
+    support, d = case
+    stats = START_SAMPLES[support][0]
+    start = inference._score_matching_start(stats, d, support)
+    assert start is not None
+    scaled = inference._score_matching_start(_scaled_stats(stats, k), d, support)
+    assert scaled.coeffs == tuple(math.ldexp(c, -k * j) for j, c in enumerate(start.coeffs, 1))
+
+
+# x = sample_uni((-1, 3, -2), 1000, seed=1) through order 4, and the fits
+# of the gamma-point start made before the score-matching start existed
+SEED1_MOMENTS = (0.7039776483106283, 0.6650345442853872, 0.7220306276637006, 0.8553622434422008)
+GAMMA_START_FITS = {
+    3: (5, ("-0x1.35fc91f1a1f1bp-1", "0x1.30b50629c52d4p+1", "-0x1.ba04909dc5985p+0"), "-0x1.cb3c7d68dc68bp-2"),
+    4: (
+        5,
+        ("0x1.ff9454d24fe64p-1", "-0x1.d980bcb6dea36p+0", "0x1.1355137d92685p+1", "-0x1.24006fd74f2b1p+0"),
+        "-0x1.c9ec1178209e1p-2",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_too_few_moments_keep_the_gamma_start(d):
+    # order-3 and order-4 starts read moments through 5 and 7
+    stats = SuffStats(n=1000, order=4, support=Support.HALF_LINE, moments=SEED1_MOMENTS)
+    assert inference._score_matching_start(stats, d, Support.HALF_LINE) is None
+    res = fit_mle(stats, d)
+    iterations, theta_hat, loglik = GAMMA_START_FITS[d]
+    assert res.converged and not res.hit_boundary
+    assert res.iterations == iterations
+    assert tuple(c.hex() for c in res.theta_hat.coeffs) == theta_hat
+    assert res.loglik_bar.hex() == loglik
+
+
+def test_refused_start_falls_back_to_the_gamma_start():
+    x = sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=2)
+    stats = suff_stats(x, 7)
+    start = inference._score_matching_start(stats, 4, Support.HALF_LINE)
+    assert start is not None
+    with pytest.raises(ToleranceNotMet):
+        UniHoloProvider().derivs(start, 8)
+    res = fit_mle(stats, 4)
+    assert res.converged and not res.hit_boundary
+    gamma = fit_mle(suff_stats(x, 4), 4)
+    assert res.theta_hat == gamma.theta_hat and res.iterations == gamma.iterations
+
+
+class QuadProvider:
+    """Answers every request by quadrature: A and its moments 1..M."""
+
+    def derivs(self, theta, M):
+        return np.array([quad_moment_uni(theta, m) for m in range(M + 1)])
+
+    def refresh(self, theta):
+        pass
+
+    def derivative_bounds(self, M):
+        return None
+
+
+def test_seed_7_quartic_fit_converges_at_the_quadrature_fit():
+    # transport refuses most points on the gamma start's path to this MLE
+    x = sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=7)
+    stats = suff_stats(x, 7)
+    res = fit_mle(stats, 4)
+    assert res.converged and not res.hit_boundary
+    quad = fit_mle(stats, 4, provider=QuadProvider())
+    assert quad.converged
+    # the Fisher matrix's smallest eigenvalue is about 6e-5, so scores within
+    # grad_tol leave each estimate a few 1e-6 from the exact MLE
+    se = res.standard_errors(stats.n)
+    assert np.all(np.abs(res.theta_hat.as_array() - quad.theta_hat.as_array()) <= 1e-5 * se)
+    np.testing.assert_allclose(res.theta_hat.coeffs, [-0.835, 2.087, -0.881, -0.407], atol=5e-4)
+
+
+def test_refresh_skips_closed_form_states():
+    provider = UniHoloProvider()
+    for theta in (ThetaUni((0.5, -1.0)), ThetaUni((0.0, 0.0, -2.0))):
+        derivs = provider.derivs(theta, 4)
+        state = provider._state
+        provider.refresh(theta)
+        assert provider._state is state
+        np.testing.assert_array_equal(provider.derivs(theta, 4), derivs)
