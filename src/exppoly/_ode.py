@@ -3,7 +3,9 @@
 Both transport engines, univariate and bivariate, step by Taylor series
 from exactly computed coefficients (`taylor`), with the step chosen from the
 last coefficients; each system supplies its own coefficient recursion, which
-hands back all of a step's coefficient rows as one ndarray.
+hands back all of a step's coefficient rows as one ndarray.  A linear system
+may step its variational equations in the same rows, and `taylor` then
+multiplies the steps' Jacobians into the segment's.
 
 The other steppers here propagate y' = f(s, y) across s in [0, 1] and no
 engine calls them: an embedded Dormand-Prince 5(4) pair with proportional
@@ -193,9 +195,15 @@ def dopri45(
 
 
 _EPS = 2.0**-52
-# Taylor steps stop short of the step whose last terms reach rtol |y|; at
-# order 24 the factor puts them about 200 times below it.
+# Taylor steps stop short of the step whose last terms reach rtol |y|; the
+# factor puts them 0.8^n times below it at order n (35 times at order 16).
 _SAFETY = 0.8
+
+
+def reach(norm: float, tol: float, n: int) -> float:
+    """The step t that `taylor` allows a coefficient row n of absolute sum
+    `norm` > 0: `_SAFETY` times the t at which norm t^n is tol."""
+    return _SAFETY * (tol / norm) ** (1.0 / n)
 
 
 def taylor(
@@ -203,33 +211,44 @@ def taylor(
     y0: Sequence[float],
     rtol: float,
     max_steps: int = 200_000,
-) -> tuple[list[float], float]:
-    """Taylor-series stepping over [0, 1]; returns (y(1), error estimate).
+    jacobian: bool = False,
+) -> tuple:
+    """Taylor-series stepping over [0, 1]; returns (y(1), error estimate),
+    and with `jacobian` also the matrix Phi = dy(1)/dy0.
 
     ``series(s, y, H)`` returns an ndarray whose rows a_0 = y, a_1, ..., a_N
     are the Taylor coefficients of the solution through (s, y) in
     t = (s' - s) / H, so that y(s + t H) is the sum of a_n t^n.  H is the
     previous step (1 at first), which keeps the rows within range where the
-    solution grows or decays by many orders of magnitude.
+    solution grows or decays by many orders of magnitude.  N may differ from
+    step to step.  With `jacobian` each row is a matrix whose first column
+    is that row and whose other columns are the same row's derivatives with
+    respect to the step's start y (the variational equations, stepped with
+    the solution); the system must be linear, so that those columns summed
+    at the accepted t are the step's exact Jacobian.  The steps' Jacobians
+    multiply into Phi.
 
     Each step is chosen after its coefficients are known, from the absolute
     sums of the last two rows (two, because a parity can zero every other
     one): t is `_SAFETY` times the largest step at which each of them
     contributes at most rtol |y|.  The step's error is the larger of those
-    two terms (the truncation tail) plus eps times the largest term
-    (rounding).  While it exceeds rtol times the new |y|, which caps the step
-    wherever a term would dwarf the sum, t is halved.  Each entry of the new
-    y is an exactly rounded sum (`math.fsum`) of its column's terms.  The
-    estimate adds the steps' errors, each relative to the smaller of |y|
-    after that step and at s = 1: an error is assumed to grow with the
-    solution but not to decay with it.  Non-finite coefficients raise
-    `OdeDivergence` (numpy's overflow and invalid-value warnings are off
-    while the rows are built and summed, so an overflow shows only as that),
-    as does a step budget exhausted before s = 1.
+    two terms (the truncation tail) plus the rows' own rounding: eps times
+    (n+1) times the n-th term, summed, since row n is n matrix products from
+    row 0 and each term's power rounds once more.  While it exceeds rtol
+    times the new |y|, which caps the step wherever a term would dwarf the
+    sum, t is halved.  Each entry of the new y is an exactly rounded sum
+    (`math.fsum`) of its column's terms.  The estimate adds the steps'
+    errors, each relative to the smaller of |y| after that step and at
+    s = 1: an error is assumed to grow with the solution but not to decay
+    with it.  Non-finite coefficients raise `OdeDivergence` (numpy's
+    overflow and invalid-value warnings are off while the rows are built and
+    summed, so an overflow shows only as that), as does a step budget
+    exhausted before s = 1.
     """
     y = [float(v) for v in y0]
+    phi = None
     if not y:
-        return y, 0.0
+        return (y, 0.0, np.eye(0)) if jacobian else (y, 0.0)
     s = 0.0
     H = 1.0
     errors = []  # (error, |y| after the step)
@@ -239,7 +258,8 @@ def taylor(
                 raise OdeDivergence(f"Taylor transport exceeded {max_steps} steps")
             rows = series(s, y, H)
             N = len(rows) - 1
-            norms = np.abs(rows).sum(1).tolist()
+            state = rows[:, :, 0] if jacobian else rows
+            norms = np.abs(state).sum(1).tolist()
             if not math.isfinite(sum(norms)):
                 raise OdeDivergence(f"non-finite Taylor coefficients at s = {s:.6g}")
             tol = rtol * max(map(abs, y))
@@ -247,21 +267,26 @@ def taylor(
             t = t_end
             for n in (N - 1, N):
                 if norms[n] > 0.0:
-                    t = min(t, _SAFETY * (tol / norms[n]) ** (1.0 / n))
-            cols = rows.T.tolist()
+                    t = min(t, reach(norms[n], tol, n))
+            cols = state.T.tolist()
+            weights = range(1, N + 2)
             while True:
                 if t * H < 1e-14:
                     raise OdeDivergence("step size underflow in Taylor transport")
                 powers = [t**n for n in range(N + 1)]
                 y_new = [math.fsum(map(mul, col, powers)) for col in cols]
                 terms = list(map(mul, norms, powers))
-                err = max(terms[N - 1], terms[N]) + _EPS * max(terms)
+                err = max(terms[N - 1], terms[N]) + _EPS * sum(map(mul, weights, terms))
                 ymag = max(max(map(abs, y_new)), 1e-300)
                 if err <= rtol * ymag and math.isfinite(ymag):
                     break
                 t *= 0.5
+            if jacobian:
+                step = np.dot(powers, rows.reshape(N + 1, -1)).reshape(rows.shape[1:])[:, 1:]
+                phi = step if phi is None else step.dot(phi)
             errors.append((err, ymag))
             s = 1.0 if t == t_end else s + t * H
             H = t * H
             y = y_new
-    return y, sum(e / min(m, ymag) for e, m in errors)
+    est = sum(e / min(m, ymag) for e, m in errors)
+    return (y, est, phi) if jacobian else (y, est)

@@ -53,7 +53,7 @@ class ThetaUni:
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 1:
             raise UnsupportedOrder("theta must have order d >= 1")
-        if not all(np.isfinite(coeffs)):
+        if not all(map(math.isfinite, coeffs)):
             raise InputError("theta coefficients must be finite")
         if self.support is Support.REAL_LINE and len(coeffs) % 2 != 0:
             raise UnsupportedOrder(

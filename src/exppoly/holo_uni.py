@@ -9,9 +9,18 @@ is therefore enough to reconstruct all of them, and moving theta along a
 segment turns the recursion into a linear ODE for the state (gradient
 transport).  The same recursion, applied to Taylor coefficients, gives the
 state's power series along the segment exactly, so adaptive transport steps
-by Taylor series of a fixed order (`_TAYLOR_ORDER`).  Starting values
+by Taylor series; a step's rows stop at the first of the orders `_ORDERS`
+whose last two rows already reach the segment's end.  Starting values
 come from the one-parameter scale family (0, ..., 0, -c), where everything
 reduces to gamma functions.
+
+A move from a state that carries an error of its own (any state but a gamma
+point's) steps the variational equations along: the unit columns of its
+free entries ride through the same step maps as the state, which gives the
+segment's exact Jacobian Phi.  The start's error, carried through Phi, is
+part of the moved state's estimate, and `state_at` redoes a move from the
+gamma point where that carried part outweighs what a fresh transport
+commits.
 
 At order 2 the density is a truncated normal (half line) or a normal (whole
 line), and `state_at` answers every interior point in closed form instead:
@@ -28,6 +37,7 @@ two axis states as two lanes of one such map.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -53,8 +63,11 @@ from .errors import (
 class OdeOptions:
     """Transport integrator settings.
 
-    Univariate and bivariate transport both step by Taylor series of order
-    `_TAYLOR_ORDER`, with adaptive steps.
+    Univariate and bivariate transport both step by Taylor series, with
+    adaptive steps.  Univariate rows stop at the first of the orders
+    `_ORDERS` (16 to 48) whose last two rows meet `rel_tol` at the segment's
+    end; the bivariate rows and their axis lanes are of order
+    `_TAYLOR_ORDER`.
 
     rel_tol: per-step relative tolerance.
     max_steps: step budget before giving up, an integer >= 1 (not a bool).
@@ -97,14 +110,19 @@ def _scale_arg(c: object, name: str) -> float:
     return float(c)
 
 
-# Order of the Taylor series that adaptive transport steps by: high enough
+# Order of the Taylor series that bivariate transport steps by: high enough
 # that a segment takes a few steps, low enough that a coefficient row stays
-# cheap next to the step it saves.  A row is one matrix-vector product: of
-# side 2w+1 for w carried entries in univariate transport, and per bivariate
-# order one product for both axis states and one for every level and the
-# next base row.  The matrices are formed once per step from shape tensors
-# built once per shape, so the rows are most of a step's cost.
+# cheap next to the step it saves.  A row is per order one matrix-vector
+# product for both axis states and one for every level and the next base
+# row; the matrices are formed once per step from shape tensors built once
+# per shape.
 _TAYLOR_ORDER = 24
+# The orders at which univariate transport's rows may stop: the first whose
+# last two rows already reach the segment's end.  A row is one product with
+# a matrix of side 2w+1 for w carried entries, cheap next to forming that
+# matrix, so a short move takes one step of 16 rows and a long one fewer
+# steps of 48.
+_ORDERS = (16, 24, 32, 40, 48)
 
 
 def state_length(d: int) -> int:
@@ -126,10 +144,15 @@ class HoloStateUni:
     estimate of the state: the integrator's for the move that produced it
     from `transport`, the full `state_at` estimate for a state from there,
     the closed form's own rounding bound for an order-2 state from
-    `state_at`, and zero for freshly initialized states.
+    `state_at`, and zero for freshly initialized states.  The full estimate
+    of a move from a carried start (one whose own estimate is not zero) is
+    the integrator's times the target's condition, plus the start's
+    absolute error carried through the move's Jacobian Phi: |Phi| (the
+    largest absolute row sum) times the start's estimate times its largest
+    free entry, over the moved state's largest free entry.
     """
 
-    __slots__ = ("theta", "F", "last_transport_error")
+    __slots__ = ("theta", "F", "last_transport_error", "_carried")
 
     def __init__(self, theta: ThetaUni, F: np.ndarray, last_transport_error: float = 0.0):
         arr = np.array(F, dtype=float)
@@ -137,10 +160,26 @@ class HoloStateUni:
             raise InputError(
                 f"state for order {theta.d} must have {state_length(theta.d)} entries"
             )
-        arr.flags.writeable = False
+        self._fill(theta, arr, float(last_transport_error), None)
+
+    @classmethod
+    def _built(
+        cls, theta: ThetaUni, F: Sequence[float], error: float, carried: float | None = None
+    ) -> HoloStateUni:
+        """A state the engine built itself, from state_length(d) floats,
+        without the constructor's checks or copy.  `carried` is the start's
+        error carried to it through the move's Jacobian (`transport`), None
+        where none was carried."""
+        state = object.__new__(cls)
+        state._fill(theta, np.asarray(F, dtype=float), error, carried)
+        return state
+
+    def _fill(self, theta: ThetaUni, F: np.ndarray, error: float, carried: float | None) -> None:
+        F.flags.writeable = False
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "F", arr)
-        object.__setattr__(self, "last_transport_error", float(last_transport_error))
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "last_transport_error", error)
+        object.__setattr__(self, "_carried", carried)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HoloStateUni is immutable")
@@ -180,7 +219,7 @@ def initial_state(d: int, c: float, support: Support = Support.HALF_LINE) -> Hol
         else:
             factor = 2.0 if support is Support.REAL_LINE else 1.0
             F[m] = factor / d * c ** (-(1 + m) / d) * math.gamma((1 + m) / d)
-    return HoloStateUni(theta, F)
+    return HoloStateUni._built(theta, F, 0.0)
 
 
 def _extend(coeffs: Sequence[float], support: Support, base: Sequence[float], M: int) -> list[float]:
@@ -341,6 +380,8 @@ class _StepMap:
         inhom: float,
         width: int,
         order: int = _TAYLOR_ORDER,
+        rtol: float | None = None,
+        jacobian: bool = False,
     ):
         coeffs = np.array(coeffs, dtype=float, ndmin=2)
         h = np.array(h, dtype=float, ndmin=2)
@@ -352,21 +393,40 @@ class _StepMap:
         self.PQ = [(PQ_lane[:, :n_x], PQ_lane[:, n_x:]) for PQ_lane in PQ]
         self.coeffs, self.h = coeffs, h
         self.lead = [(d * c, d * v) for c, v in zip(coeffs[:, -1].tolist(), h[:, -1].tolist())]
-        self.x0 = np.zeros(lanes * n_x)
-        self.x0[width::n_x] = inhom
+        self.rtol = rtol
+        self.stops = [order]  # the orders at which the rows may stop
+        if rtol is not None:
+            self.stops = [n for n in _ORDERS if n < order] + [order]
+        if jacobian:  # one lane: the state, then a unit column per free entry
+            self.x0 = np.eye(n_x, d, 1)
+            self.x0[width, 0] = inhom
+        else:
+            self.x0 = np.zeros(lanes * n_x)
+            self.x0[width::n_x] = inhom
 
     def series(self, s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
-        """Rows 0..order of coefficients in t of F[0..width-1] at
+        """Rows 0..N of coefficients in t of F[0..width-1] at
         theta(s + t H), lane after lane, given the free entries
-        y = F[0..d-2] at theta(s), lane after lane."""
+        y = F[0..d-2] at theta(s), lane after lane.
+
+        N is the map's order, unless it was built with a tolerance: then the
+        rows stop at the first of `_ORDERS` (or the order) whose last two
+        rows reach the segment's end s = 1 under `_ode.taylor`'s step rule.
+        A map built with `jacobian` returns each row as a matrix: the row,
+        then its derivatives with respect to each free entry."""
         d, width, lanes = self.d, self.width, self.lanes
         n_eq = width + 1
         n_x = width + n_eq
         weights = self.coeffs + s * self.h
         weights[:, -1] = 1.0  # the weight of the closure's constant part
         BU = np.dot(weights, self.tensors.closure).reshape(lanes, n_eq, -1)
-        x0 = self.x0.copy()
-        x0[self.tensors.free] = y
+        x = np.empty((self.stops[-1] + 1,) + self.x0.shape)
+        x[0] = self.x0
+        x0 = x[0]
+        if x0.ndim == 1:
+            x0[self.tensors.free] = y
+        else:
+            x0[self.tensors.free, 0] = y
         blocks = []
         for lane, ((c, v), (P, Q), BU_lane) in enumerate(zip(self.lead, self.PQ, BU)):
             minus_lead = -(c + s * v)  # -d*theta_d(s)
@@ -390,12 +450,26 @@ class _StepMap:
             M = np.zeros((lanes * n_x, lanes * n_x))
             for lane, block in enumerate(blocks):
                 M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
-        xn = x0
-        x = [xn]
-        for step in M * self.tensors.scale:
-            xn = step.dot(xn)
-            x.append(xn)
-        return np.array(x)[:, self.tensors.rows]
+        steps = M * self.tensors.scale
+        lo = 0
+        for stop in self.stops:
+            for n in range(lo, stop):
+                np.dot(steps[n], x[n], out=x[n + 1])
+            lo = stop
+            if stop < self.stops[-1] and self._reaches_end(s, y, H, x, stop):
+                break
+        return x[: lo + 1, self.tensors.rows]
+
+    def _reaches_end(self, s: float, y: Sequence[float], H: float, x: np.ndarray, N: int) -> bool:
+        """Whether one-lane rows N-1 and N of x let `_ode.taylor` step from
+        s to the segment's end s = 1."""
+        tol = self.rtol * max(map(abs, y))
+        t_end = (1.0 - s) / H
+        last = x[N - 1 : N + 1, : self.width]
+        norms = np.abs(last if last.ndim == 2 else last[:, :, 0]).sum(1).tolist()
+        return all(
+            norm == 0.0 or _ode.reach(norm, tol, n) >= t_end for n, norm in zip((N - 1, N), norms)
+        )
 
 
 def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
@@ -406,7 +480,7 @@ def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
     the result is always recursion-consistent).
     """
     M = _order_arg(M)
-    return np.array(_extend(state.theta.coeffs, state.support, state.F, M))
+    return np.array(_extend(state.theta.coeffs, state.support, state.F.tolist(), M))
 
 
 def derivative_bounds(state: HoloStateUni, M: int) -> np.ndarray:
@@ -425,7 +499,7 @@ def derivative_bounds(state: HoloStateUni, M: int) -> np.ndarray:
     gain = [1.0] * n_base + [0.0] * (M + 1 - n_base)
     weights = [(i, abs(kc)) for i, kc in _weights(coeffs)]
     _close(gain, d, -abs(_lead(coeffs)), weights, [0.0] * max(M - d + 2, 0))
-    scale = state.last_transport_error * float(np.max(np.abs(state.F[: d - 1]), initial=0.0))
+    scale = state.last_transport_error * max(map(abs, state.F[: d - 1].tolist()), default=0.0)
     return scale * np.array(gain)
 
 
@@ -436,7 +510,9 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
     leading coefficient is linear along the segment, the whole path is then
     interior as well.  The d-1 free entries step by Taylor series
     (`_ode.taylor`).  At d = 1 nothing is free, and the state follows from the
-    recursion at the target.
+    recursion at the target.  From a state with a nonzero estimate the
+    move also steps the free entries' unit columns, so that `state_at` can
+    carry that estimate through the move's Jacobian.
     """
     if opts is None:
         opts = OdeOptions()
@@ -449,18 +525,25 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
                 f"{name} parameter {point.coeffs} is not interior; transport undefined"
             )
     if target.coeffs == src.coeffs:
-        return HoloStateUni(target, state.F, 0.0)
+        return HoloStateUni._built(target, state.F, 0.0)
 
     d = src.d
     L = state_length(d)
     h = np.subtract(target.coeffs, src.coeffs)
-    step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1)
-    F, est = _ode.taylor(step_map.series, state.F[: d - 1], opts.rel_tol, opts.max_steps)
+    y0 = state.F[: d - 1].tolist()
+    carry = d > 1 and state.last_transport_error > 0.0
+    step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, _ORDERS[-1], opts.rel_tol, carry)
+    F, est, *phi = _ode.taylor(step_map.series, y0, opts.rel_tol, opts.max_steps, carry)
 
     # Re-derive the redundant tail entries so the final state satisfies the
     # recursion exactly at the target point.
     vals = _extend(target.coeffs, target.support, F, L - 1)
-    return HoloStateUni(target, np.array(vals), est)
+    carried = None
+    if carry:
+        # |Phi| times the start's absolute error, relative to the moved state
+        start_error = state.last_transport_error * max(map(abs, y0))
+        carried = max(map(sum, np.abs(phi[0]).tolist())) * start_error / max(*map(abs, F), 1e-300)
+    return HoloStateUni._built(target, vals, est, carried)
 
 
 # The general solution of the transport system contains integrals of exp(g)
@@ -495,9 +578,9 @@ def transport_condition(coeffs: Sequence[float], A: float) -> float:
 def _stationary_points(coeffs: list[float]) -> list[complex]:
     """Roots of g' = sum_k k*theta_k x^(k-1).
 
-    Linear and quadratic g' are solved in closed form (a complex pair by one
-    member: Re g agrees on both); higher degrees take the eigenvalues of the
-    companion matrix, as `np.roots` would.
+    Linear, quadratic and cubic g' are solved in closed form (a complex pair
+    by one member: Re g agrees on both); higher degrees take the eigenvalues
+    of the companion matrix, as `np.roots` would.
     """
     dg = [k * c for k, c in enumerate(coeffs, 1)]
     while dg and dg[-1] == 0.0:
@@ -514,10 +597,51 @@ def _stationary_points(coeffs: list[float]) -> list[complex]:
             return [complex(-b / (2.0 * a), math.sqrt(-disc) / (2.0 * a))]
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         return [q / a, c / q] if q != 0.0 else [0.0]
+    if n == 3:
+        roots = _cubic_roots(dg)
+        if roots is not None:
+            return roots
     companion = np.zeros((n, n))
     companion[0, :] = [-v / dg[n] for v in dg[n - 1 :: -1]]
     companion[np.arange(1, n), np.arange(n - 1)] = 1.0
     return np.linalg.eigvals(companion).tolist()
+
+
+def _cubic_roots(dg: list[float]) -> list[complex] | None:
+    """Roots of dg[0] + dg[1] x + dg[2] x^2 + dg[3] x^3 (a complex pair by
+    one member), from the depressed cubic w^3 + p w + q: Cardano's form
+    where it has one real root, the trigonometric form where it has three.
+    Two Newton steps polish each root; g is stationary there, so what error
+    is left moves Re g only to second order.  None where p and q overflow
+    or underflow (the caller then takes the companion matrix)."""
+    c, b, a = (v / dg[3] for v in dg[:3])
+    p = b - a * a / 3.0
+    q = (2.0 * a * a - 9.0 * b) * a / 27.0 + c
+    disc = q * q / 4.0 + p * p * p / 27.0
+    if not math.isfinite(disc):
+        return None
+    if disc > 0.0:
+        r = -q / 2.0 - math.copysign(math.sqrt(disc), q)  # the larger cube, without cancellation
+        u = math.copysign(abs(r) ** (1.0 / 3.0), r)
+        v = -p / (3.0 * u)
+        roots = [u + v, complex(-(u + v) / 2.0, math.sqrt(3.0) / 2.0 * (u - v))]
+    elif p == 0.0:
+        roots = [0.0]
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0) if p < 0.0 else 0.0
+        if p * m == 0.0:
+            return None
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+        roots = [m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    polished = []
+    for z in roots:
+        z -= a / 3.0
+        for _ in range(2):
+            slope = (3.0 * z + 2.0 * a) * z + b
+            if slope:
+                z -= (((z + a) * z + b) * z + c) / slope
+        polished.append(z)
+    return polished if all(map(cmath.isfinite, polished)) else None
 
 
 def state_at(
@@ -537,19 +661,22 @@ def state_at(
     form (`_gaussian_state`), with the closed form's rounding bound as its
     estimate and `OdeDivergence` where the state overflows; a `start` is
     not used there.  From order 3 on, transport starts from `start` when it
-    has the same order and support, else from the gamma point.  When the
-    result is not finite, or the homogeneous solutions of the system dwarf
-    A, the transport is retried from the gamma point at tight tolerance, and
+    has the same order and support, else from the gamma point.  A move from
+    a carried start (nonzero estimate) adds the start's error, carried
+    through the move's Jacobian Phi (see `HoloStateUni`), to its estimate;
+    where that carried part exceeds rel_tol times the target's condition,
+    the move is redone from the gamma point.  When the result is not
+    finite, or the homogeneous solutions of the system dwarf A, the
+    transport is retried from the gamma point at tight tolerance, and
     parameters whose condition exceeds what double precision can cancel are
-    refused rather than answered with noise.  The estimate includes the
-    start's own estimate, scaled up where the state shrinks along the way.
+    refused rather than answered with noise.
     """
     if not isinstance(theta, ThetaUni):
         theta = ThetaUni(theta, support)
-    cls = classify_theta_uni(theta)
-    if cls.membership is Membership.OUTSIDE:
+    membership = classify_theta_uni(theta).membership
+    if membership is Membership.OUTSIDE:
         raise DivergentIntegral(f"integral diverges at {theta.coeffs}")
-    eff = effective_theta(theta)
+    eff = theta if membership is Membership.INTERIOR else effective_theta(theta)
     if start is not None and start.theta == eff:
         return start
     if _closed_form(eff):
@@ -564,18 +691,30 @@ def state_at(
 def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloStateUni:
     """The `state_at` verdict on `moved`, a transport of `start` under `opts`.
 
-    The state's condition and moment check decide between keeping it,
+    The carried part of the estimate (the start's error through the move's
+    Jacobian) may send the move back to the gamma point first; then the
+    state's condition and moment check decide between keeping it,
     transporting again from the gamma point at tight tolerance, and refusing
-    the parameter; the accepted state's estimate carries the start's own.
+    the parameter.  The accepted state's estimate carries the start's own.
     `holo_bi.transport_bi` hands its axis states here too, transported
-    inside its own ODE.
+    inside its own ODE without a Jacobian: for them the start's error is
+    scaled up where the state shrinks along the way.
     """
     eff = moved.theta
     cond = _condition(moved)
+    carried = moved._carried
+    if carried is not None and carried > opts.rel_tol * cond:
+        # the start's error, carried through the move, outweighs what a
+        # fresh transport would commit
+        start = _gamma_state(eff)
+        moved = transport(start, eff, opts)
+        cond = _condition(moved)
+        carried = None
     if cond > _COND_DIRECT and _RETRY_TOL < opts.rel_tol:
         start = _gamma_state(eff)
         moved = transport(start, eff, OdeOptions(rel_tol=_RETRY_TOL, max_steps=opts.max_steps))
         cond = _condition(moved)
+        carried = None
     if cond > _COND_LIMIT:
         detail = (
             "the transported value lost all significant digits"
@@ -587,12 +726,14 @@ def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloS
             f"double-precision transport ({detail}); evaluate this point by "
             "quadrature instead"
         )
-    # the start's own error rides along, growing as the state shrinks
-    carried = start.last_transport_error * max(
-        1.0, float(np.max(np.abs(start.F)) / np.max(np.abs(moved.F)))
-    )
+    if carried is None:
+        # without the move's Jacobian the start's own error rides along,
+        # growing as the state shrinks
+        carried = start.last_transport_error * max(
+            1.0, float(np.max(np.abs(start.F)) / np.max(np.abs(moved.F)))
+        )
     est = (moved.last_transport_error + _EPS) * cond + carried
-    return HoloStateUni(moved.theta, moved.F, est)
+    return HoloStateUni._built(moved.theta, moved.F, est)
 
 
 def _closed_form(eff: ThetaUni) -> bool:
@@ -654,13 +795,14 @@ def _gaussian_state(theta: ThetaUni) -> HoloStateUni:
             f"normalizing constant at {tuple(theta.coeffs)} is not representable "
             "in double precision"
         )
-    return HoloStateUni(theta, F, _EPS * (exponent + 8.0))
+    return HoloStateUni._built(theta, F, _EPS * (exponent + 8.0))
 
 
 def _condition(state: HoloStateUni) -> float:
     """`transport_condition` of a transported state; infinite unless its
     entries are finite and could be moments of a positive density."""
-    if not (np.all(np.isfinite(state.F)) and _moment_like(state.F.tolist(), state.support)):
+    F = state.F.tolist()
+    if not (all(map(math.isfinite, F)) and _moment_like(F, state.support)):
         return math.inf
     return transport_condition(state.theta.coeffs, state.norm_const)
 

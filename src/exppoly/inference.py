@@ -83,9 +83,11 @@ class UniHoloProvider:
     from the previous point and follow the same retry and refusal policy as a
     direct evaluation.  A refused move raises `ToleranceNotMet` and leaves the
     last good state committed; a request at the committed parameter costs no
-    transport.  `refresh` replaces the state by a fresh transport from the
-    gamma point, discarding the accumulated path; where `state_at` answers in
-    closed form there is no path, and it does nothing.
+    transport.  Each move carries the committed state's error through its
+    Jacobian into the new estimate, and `state_at` redoes from the gamma
+    point a move whose carried error outweighs a fresh transport's, so the
+    committed state's estimate bounds its error whatever path led there.
+    `refresh` therefore keeps the committed state.
     """
 
     def __init__(self, opts: OdeOptions | None = None):
@@ -98,8 +100,7 @@ class UniHoloProvider:
         return extend_derivatives(self._state, M)
 
     def refresh(self, theta: ThetaUni) -> None:
-        if not holo_uni._closed_form(effective_theta(theta)):
-            self._state = holo_uni.state_at(theta, self.opts)
+        """Nothing to do: the committed state's estimate covers its path."""
 
     def derivative_bounds(self, M: int) -> np.ndarray:
         """Absolute error bounds of `derivs` through order M at the committed state."""
@@ -235,7 +236,7 @@ def _likelihood(
     low = mom[pos[0]]
     # theta . sample as a left-to-right float sum; np.dot may add in another order
     lbar = sum(t * s for t, s in zip(_theta_vector(theta).tolist(), sample)) - math.log(A)
-    return lbar, np.array(sample) - low, mom[pos[1]] - np.outer(low, low)
+    return lbar, np.array(sample) - low, mom[pos[1]] - low[:, None] * low
 
 
 def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, pos: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -245,7 +246,7 @@ def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, pos: tuple[np.ndarray,
     mom = np.abs(derivs / A)
     dmom = (bounds + mom * bounds[0]) / A
     low, dlow = mom[pos[0]], dmom[pos[0]]
-    return dmom[pos[1]] + (np.outer(low, dlow) + np.outer(dlow, low))
+    return dmom[pos[1]] + (low[:, None] * dlow + dlow[:, None] * low)
 
 
 def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[float, np.ndarray]:
@@ -346,7 +347,7 @@ def _is_interior(theta: Theta) -> bool:
 def _with_vector(theta: Theta, vec: np.ndarray) -> Theta:
     if isinstance(theta, ThetaBi):
         return ThetaBi.from_vector(theta.d, vec)
-    return ThetaUni(vec, theta.support)
+    return ThetaUni(vec.tolist(), theta.support)
 
 
 def _theta_vector(theta: Theta) -> np.ndarray:
@@ -373,9 +374,13 @@ def fit_mle(
     iterates theta <- theta + I(theta)^-1 grad with step halving whenever the
     proposal leaves the domain or lowers the likelihood.  Each evaluated
     point costs one order-2d provider request, whose Fisher matrix is the
-    next step's when the point is accepted.  Non-convergence and boundary
-    outcomes are reported through the result flags rather than exceptions,
-    so callers can inspect the partial fit.
+    next step's when the point is accepted.  The result is read from one
+    more request at the final iterate, after `provider.refresh`: a
+    univariate provider keeps its carried state, whose estimate already
+    covers the path, and a bivariate one transports afresh from the product
+    point.  Non-convergence and boundary outcomes are reported through the
+    result flags rather than exceptions, so callers can inspect the partial
+    fit.
     """
     if opts is None:
         opts = FitOptions()

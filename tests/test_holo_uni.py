@@ -307,6 +307,42 @@ def test_state_at_retries_from_gamma_point_when_start_given():
     assert abs(st.norm_const / HARD_QUARTIC_A - 1) <= 1e-7
 
 
+def _mp_error(state):
+    """Largest error of a half-line state's entries against 50-digit
+    `mpmath` quadrature, relative to the largest entry."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c) for c in state.theta.coeffs]
+
+        def moment(m):
+            return mpmath.quad(
+                lambda x: x**m * mpmath.exp(sum(c * x ** (k + 1) for k, c in enumerate(coeffs))),
+                [0, 0.5, 1, 2, 3, 4, 6, 8, mpmath.inf],
+            )
+
+        ref = [moment(m) for m in range(len(state.F))]
+        scale = max(abs(r) for r in ref)
+        return float(max(abs(mpmath.mpf(float(f)) - r) for f, r in zip(state.F, ref)) / scale)
+
+
+@pytest.mark.parametrize(
+    "target, start",
+    [
+        # moves from a carried start through points with many zero
+        # coefficients, sensitive to that start's error
+        ((0.0, 0.0, 0.0, 1e-3, -1.0), (0.0, 0.0, 1.0, -2.0, -0.75)),
+        ((0.1, 0.0, 0.0, 0.0, -1.0), (0.0, 0.0, 1.0, -2.0, -0.75)),
+        # a gamma transport whose rows round above eps times their largest term
+        ((0.0, 0.0, 0.0, 1.9325848639445198, -0.4), None),
+    ],
+    ids=["carried-theta4", "carried-theta1", "gamma"],
+)
+def test_estimate_covers_mpmath_error(target, start):
+    st_ = state_at(ThetaUni(target), start=None if start is None else state_at(start))
+    assert _mp_error(st_) <= st_.last_transport_error
+
+
 def _roots_condition(coeffs, A):
     """`transport_condition` as first written, on `np.roots` and `np.polyval`."""
     if not (math.isfinite(A) and A > 0.0):
@@ -337,16 +373,17 @@ def test_transport_condition_matches_roots_form():
             assert transport_condition(tuple(coeffs), A) == pytest.approx(want, rel=1e-12)
     assert complex_seen > 500
     assert transport_condition((-3.0,), 0.1) == 1.0
+    # cubic g' whose depressed form underflows
+    for coeffs in ((0.0, -1.2490029314546113e-137, 0.0, -1.0), (0.0, 0.0, 1.2490029314546113e-137, -1.0)):
+        assert transport_condition(coeffs, 0.5) == pytest.approx(_roots_condition(coeffs, 0.5), rel=1e-12)
 
 
 @st.composite
 def interior_theta(draw, d_max=6):
-    """Half-line parameters drawn like `random_theta_uni`, lower coefficients
-    in [-1, 1].  On [-2, 2] some dog legs through points with many zero
-    coefficients miss the summed estimates: a carried start's estimate does
-    not cover the segment's sensitivity to that start."""
+    """Half-line parameters drawn like `random_theta_uni`: lower coefficients
+    in [-2, 2], lead in [-2.5, -0.4]."""
     d = draw(st.integers(2, d_max))
-    coeffs = [draw(st.floats(-1.0, 1.0)) for _ in range(d - 1)]
+    coeffs = [draw(st.floats(-2.0, 2.0)) for _ in range(d - 1)]
     return ThetaUni((*coeffs, -draw(st.floats(0.4, 2.5))))
 
 

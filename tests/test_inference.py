@@ -587,14 +587,16 @@ def test_start_is_scale_equivariant(case, k):
 
 
 # x = sample_uni((-1, 3, -2), 1000, seed=1) through order 4, and the fits
-# of the gamma-point start made before the score-matching start existed
+# of the gamma-point start: iterations, theta_hat and log-likelihood, as
+# recorded when fits began to keep their carried state to the end (each
+# theta_hat within 1e-12 standard errors of a `QuadProvider` fit)
 SEED1_MOMENTS = (0.7039776483106283, 0.6650345442853872, 0.7220306276637006, 0.8553622434422008)
 GAMMA_START_FITS = {
-    3: (5, ("-0x1.35fc91f1a1f1bp-1", "0x1.30b50629c52d4p+1", "-0x1.ba04909dc5985p+0"), "-0x1.cb3c7d68dc68bp-2"),
+    3: (5, ("-0x1.35fc91f19ad0dp-1", "0x1.30b50629c34f2p+1", "-0x1.ba04909dc475bp+0"), "-0x1.cb3c7d68dc79dp-2"),
     4: (
         5,
-        ("0x1.ff9454d24fe64p-1", "-0x1.d980bcb6dea36p+0", "0x1.1355137d92685p+1", "-0x1.24006fd74f2b1p+0"),
-        "-0x1.c9ec1178209e1p-2",
+        ("0x1.ff9454d1f92c8p-1", "-0x1.d980bcb6dd322p+0", "0x1.1355137db17b3p+1", "-0x1.24006fd76e26dp+0"),
+        "-0x1.c9ec117820ae1p-2",
     ),
 }
 
@@ -623,6 +625,17 @@ def test_refused_start_falls_back_to_the_gamma_start():
     assert res.converged and not res.hit_boundary
     gamma = fit_mle(suff_stats(x, 4), 4)
     assert res.theta_hat == gamma.theta_hat and res.iterations == gamma.iterations
+
+
+def test_carried_path_fit_converges_at_the_gamma_start_fit():
+    # the score-matching start's first move is long and carried; its
+    # estimate must cover the start's error for the fit to find the MLE
+    x = sample_uni(ThetaUni((-0.3842548678369031, -0.3509459826453436, -1.6432570036522782)), 1000, seed=124)
+    res = fit_mle(suff_stats(x, 5), 3)
+    gamma = fit_mle(suff_stats(x, 3), 3)
+    assert res.converged and gamma.converged
+    se = gamma.standard_errors(x.size)
+    assert np.all(np.abs(res.theta_hat.as_array() - gamma.theta_hat.as_array()) <= 1e-4 * se)
 
 
 class QuadProvider:
