@@ -206,6 +206,17 @@ def reach(norm: float, tol: float, n: int) -> float:
     return _SAFETY * (tol / norm) ** (1.0 / n)
 
 
+def reaches_end(last: np.ndarray, y: Sequence[float], rtol: float, s: float, H: float, N: int) -> bool:
+    """Whether coefficient rows N-1 and N (`last`, one row each) of the
+    series through (s, y), in t with scale H, let `taylor` step to the
+    segment's end s = 1: the test by which a series builder may stop its
+    rows at order N."""
+    tol = rtol * max(map(abs, y))
+    t_end = (1.0 - s) / H
+    norms = np.abs(last).sum(1).tolist()
+    return all(norm == 0.0 or reach(norm, tol, n) >= t_end for n, norm in zip((N - 1, N), norms))
+
+
 def taylor(
     series: Callable[[float, list, float], np.ndarray],
     y0: Sequence[float],

@@ -26,20 +26,22 @@ a plan only puts theta into it.
 `transport_bi` steps the table by Taylor series: along a segment P and the
 levels' right-hand sides are affine in the parameter, so each row of Taylor
 coefficients follows from the previous one by the same window solves, against
-one factor of P per step.  The window solves of all levels and the next
-base row are composed into one matrix per step, so each row costs one
-matrix-vector product.  The two axis states ride in the same series, and
+one factor of P per step.  The two axis states ride in the same series, and
 at the end they go through the univariate acceptance step, not a second
-transport.  Before any step, the discriminant along the segment, a polynomial
-of degree 2d-2, is interpolated and its real roots in [0, 1] are counted, so
-a path that meets a wall anywhere is refused.
+transport.  The window solves of all levels, the next base row and the axis
+states' next rows are composed into one matrix per step, so each row costs
+one matrix-vector product, and the rows stop at the first order that
+reaches the segment's end.  Before any step, the discriminant along the
+segment, a polynomial of degree 2d-2, is sampled; unless its Chebyshev
+coefficients prove it free of zeros, its interpolant's real roots in
+[0, 1] are counted, so a path that meets a wall anywhere is refused.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,12 +122,14 @@ class DerivTableBi:
     at least 2d-4 (the transported state).  `entry`, `norm_const` and
     `values`, a dict keyed by (i, j), read it.
 
-    Tables made by `transport_bi` and `extend_table` also carry `axes`: the
-    x- and y-axis states that `holo_uni.state_at` accepted at theta, with
-    the options they were computed under.  `extend_table`, `boundary_consts`
-    and the next `transport_bi` from the table reuse them when called with
-    the same options, instead of transporting both axes again from their
-    gamma points.  Other tables carry None.
+    Tables made by `initial_state_bi`, `transport_bi` and `extend_table`
+    also carry `axes`: the x- and y-axis states that `holo_uni.state_at`
+    accepted at theta (at a product point, the gamma-point states it
+    returns there), with the options they were computed under.  `extend_table`,
+    `boundary_consts` and the next `transport_bi` from the table reuse them
+    when called with the same options, instead of transporting both axes
+    again from their gamma points.  Tables from `table_from_oracle` or the
+    constructor carry None unless given them.
     """
 
     __slots__ = ("theta", "F", "max_order", "last_transport_error", "axes")
@@ -190,6 +194,9 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
 
     The density factors, so every entry is a product of two univariate gamma
     moments: T[i, j] = (Gamma((i+1)/d) c1^{-(i+1)/d} / d) * (same in j, c2).
+    The axes are gamma points too, so the table carries their states for
+    the default options: `holo_uni.initial_state` at c1 and c2, bit for bit
+    what `holo_uni.state_at` returns there.
     """
     _require_order(d)
     c1, c2 = _scale_arg(c1, "c1"), _scale_arg(c2, "c2")
@@ -198,8 +205,9 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
     def gamma_moment(m: int, c: float) -> float:
         return c ** (-(m + 1) / d) * math.gamma((m + 1) / d) / d
 
+    axes = AxisStates(OdeOptions(), holo_uni.initial_state(d, c1), holo_uni.initial_state(d, c2))
     return DerivTableBi(
-        theta, [gamma_moment(i, c1) * gamma_moment(j, c2) for i, j in base_indices(d)]
+        theta, [gamma_moment(i, c1) * gamma_moment(j, c2) for i, j in base_indices(d)], 0.0, axes
     )
 
 
@@ -526,16 +534,30 @@ def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) ->
 
 
 class _TransportShape(NamedTuple):
-    """What `transport_bi` at degree d does not take from theta: the base
-    rows of dV/ds, sum_ab h_ab T[i+a, j+b], as a `_Scatter` over h into the
-    (nb, n_v) matrix D; the positions in V of the carried entries (base
-    table, then the free entries of the x- and y-axis states); and the
-    monomial indices of (theta_10, ..., theta_d0) above those of
-    (theta_01, ..., theta_0d)."""
+    """What `transport_bi` at degree d does not take from theta.
+
+    `shift` puts the base rows of dV/ds, sum_ab h_ab T[i+a, j+b], into the
+    (nb, n_v) matrix D as a `_Scatter` over h.  The Taylor rows live in one
+    flat buffer, a block of n_c + n_v entries per order: the carries of the
+    two axis lanes (`holo_uni._StepMap`'s c, x lane then y lane, n_c of
+    them), then V in `_LevelPlan`'s layout (axis constants, base entries,
+    levels).  `lanes` holds where each entry of the lanes' states (a, then
+    c, x lane then y lane) sits in a block, `lane_put` where the lanes'
+    step matrix goes in the per-order matrix (flat), `carried` where the
+    carried entries sit (base table, then the free entries of the x- and
+    y-axis states), and `scale[n]` the factor of order n+1's entries:
+    1/(n+1) on axis constants and base entries, 1 on levels and carries.
+    `axes` holds the monomial indices of (theta_10, ..., theta_d0) above
+    those of (theta_01, ..., theta_0d).
+    """
 
     nb: int
+    n_c: int
     shift: _Scatter
+    lanes: np.ndarray
+    lane_put: np.ndarray
     carried: np.ndarray
+    scale: np.ndarray
     axes: np.ndarray
 
 
@@ -553,10 +575,80 @@ def _transport_shape(d: int) -> _TransportShape:
             for m, (a, b) in enumerate(monos)
         ]
     )
-    carried = np.array([*range(t_off, t_off + nb), *range(free), *range(m_ax + 1, m_ax + 1 + free)])
+    w = m_ax + 1  # entries of an axis lane, each with w + 1 carries
+    n_c = 2 * (w + 1)
+    n_lev = n_v - t_off - nb
+    n_in = 2 * n_c + n_v + t_off + nb  # a block and the next one's entries below the levels
+    lanes = np.array(
+        [n_c + lane * w + i if i < w else lane * (w + 1) + i - w for lane in (0, 1) for i in range(2 * w + 1)]
+    )
+    lane_put = ((n_lev + lanes)[:, None] * n_in + n_c + n_v + lanes).ravel()
+    carried = n_c + np.array([*range(t_off, t_off + nb), *range(free), *range(w, w + free)])
+    scale = np.ones((holo_uni._ORDERS[-1], n_c + n_v))
+    scale[:, n_lev + n_c :] = 1.0 / np.arange(1.0, holo_uni._ORDERS[-1] + 1)[:, None]
     axes = np.array([[monos.index(ij) for ij in ((k, 0), (0, k))] for k in range(1, d + 1)]).T
-    carried.flags.writeable = axes.flags.writeable = False  # shared through the cache
-    return _TransportShape(nb, shift, carried, axes)
+    for arr in (lanes, lane_put, carried, scale, axes):
+        arr.flags.writeable = False  # shared through the cache
+    return _TransportShape(nb, n_c, shift, lanes, lane_put, carried, scale, axes)
+
+
+def _transport_series(
+    d: int, src_vec: np.ndarray, h_vec: np.ndarray, rtol: float, stops: Sequence[int] = holo_uni._ORDERS
+) -> Callable[[float, list[float], float], np.ndarray]:
+    """`transport_bi`'s series builder along src_vec + s*h_vec for
+    `_ode.taylor`: the rows of the carried entries at theta(s + t*H), from
+    their values y at theta(s).
+
+    Each step forms one matrix Z, which takes (V_{n-1} with its carries,
+    the carries, axis constants and base entries of V_n) to (the levels of
+    V_n, the carries, axis constants and base entries of V_{n+1}): the
+    level and base rows of `_LevelPlan.composed` and the axis lanes' step
+    matrix of `holo_uni._StepMap.step`.  Block n of the flat row buffer
+    holds order n, so each order is one product between contiguous slices
+    and one multiply by that order's scale.  The rows stop at the first of
+    `stops` whose last two carried rows reach the segment's end under
+    `_ode.taylor`'s step rule (`_ode.reaches_end`), at the last one anyway.
+    """
+    shape = _transport_shape(d)
+    nb, n_c = shape.nb, shape.n_c
+    m_ax = 2 * d - 3  # axis orders the levels read
+    plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, m_ax, src_vec, h_vec)
+    n_v = plan.n_v
+    first = plan.t_off + nb  # V's entries below the levels
+    n_lev = n_v - first
+    n_b, n_e = n_c + n_v, n_c + first  # a block, and its entries below the levels
+    base = n_b - nb  # the base rows of Z
+    axis_map = holo_uni._StepMap(src_vec[shape.axes], h_vec[shape.axes], 1.0, m_ax + 1, stops[-1])
+    D = shape.shift.put(np.zeros(nb * n_v), h_vec).reshape(nb, n_v)
+
+    def series(s: float, y: list[float], H: float) -> np.ndarray:
+        W = plan.composed(s, H, plan.factor(s), H * D)
+        M, x0 = axis_map.step(s, y[nb:], H)
+        Z = np.zeros((n_b, n_b + n_e))
+        for rows, W_rows in ((slice(0, n_lev), W[:n_lev]), (slice(base, n_b), W[n_lev:])):
+            Z[rows, n_c:n_b] = W_rows[:, :n_v]
+            Z[rows, n_b + n_c :] = W_rows[:, n_v : n_v + first]
+        Z.flat[shape.lane_put] = M.ravel()
+        buf = np.empty((stops[-1] + 2) * n_b)  # block n+1 holds order n
+        buf[:n_b] = 0.0  # order -1
+        buf[n_b + shape.lanes] = x0
+        buf[n_b + n_e - nb : n_b + n_e] = y[:nb]
+        blocks, scale = buf.reshape(-1, n_b), shape.scale
+        lo = 0
+        for stop in stops:
+            for n in range(lo, stop):
+                i = (n + 1) * n_b
+                out = buf[i + n_e : i + n_e + n_b]
+                np.dot(Z, buf[i - n_b : i + n_e], out=out)
+                out *= scale[n]
+            lo = stop
+            if stop < stops[-1] and _ode.reaches_end(
+                blocks[stop : stop + 2, shape.carried], y, rtol, s, H, stop  # orders stop-1, stop
+            ):
+                break
+        return blocks[1 : lo + 2, shape.carried]
+
+    return series
 
 
 def transport_bi(
@@ -571,16 +663,17 @@ def transport_bi(
     above order 2d-4 supplied by level solves at the moving parameter; the
     free entries of the two univariate axis states ride along in the same
     ODE, so the level solves always have current boundary constants.  The
-    ODE steps by Taylor series (`_ode.taylor`, order
-    `holo_uni._TAYLOR_ORDER`), whose rows are built exactly at each step
-    start s: the axis rows by one `holo_uni._StepMap` with a lane per axis,
-    built once per segment, the base rows from
-    (n+1) T_{n+1}[i,j] = sum_ab H h_ab T_n[i+a, j+b], and the level rows
-    window by window against one inverse of P(theta(s)) (`_LevelPlan`),
-    which `_factor` tests for singularity first.  The level solves and the
-    base rows are composed once per step (`_LevelPlan.composed`), so every
-    level of one order and the next base row come from one product.  The
-    shift D, the carried entries and the axis indices are built once per d
+    ODE steps by Taylor series (`_ode.taylor`), whose rows are built exactly
+    at each step start s (`_transport_series`): the axis rows by one
+    `holo_uni._StepMap` with a lane per axis, built once per segment, the
+    base rows from (n+1) T_{n+1}[i,j] = sum_ab H h_ab T_n[i+a, j+b], and the
+    level rows window by window against one inverse of P(theta(s))
+    (`_LevelPlan`), which `_factor` tests for singularity first.  All three
+    are composed once per step into one matrix, so every level of one order
+    and the next axis and base rows come from one product.  Like the
+    univariate rows, the rows stop at the first of the orders
+    `holo_uni._ORDERS` (16 to 48) whose last two rows reach the segment's
+    end.  The shift D and the layout of the rows are built once per d
     (`_transport_shape`).
 
     The segment must not meet the discriminant locus; `_check_wall` counts
@@ -608,33 +701,11 @@ def transport_bi(
     src_top = np.array(src.top_coeffs())
     _check_wall(src_top, np.array(theta_target.top_coeffs()) - src_top)
 
-    shape = _transport_shape(d)
-    nb = shape.nb
+    nb = _transport_shape(d).nb
     free = d - 1  # free entries of an axis state
-    m_ax = 2 * d - 3  # axis orders the levels read
-    plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, m_ax, src_vec, h_vec)
-    tab = slice(plan.t_off, plan.t_off + nb)
-    n_lev = plan.n_v - tab.stop  # the levels follow the base entries
-    axis_map = holo_uni._StepMap(src_vec[shape.axes], h_vec[shape.axes], 1.0, m_ax + 1)
-    D = shape.shift.put(np.zeros(nb * plan.n_v), h_vec).reshape(nb, plan.n_v)
-
+    series = _transport_series(d, src_vec, h_vec, opts.rel_tol)
     axes = _axes_for(table, opts)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
-    order = holo_uni._TAYLOR_ORDER
-
-    def series(s: float, y: list[float], H: float) -> np.ndarray:
-        # rows[n + 1] holds V_n, the t^n coefficients at theta(s + t*H);
-        # rows[0] stays zero as V_{-1}
-        rows = np.zeros((order + 2, plan.n_v))
-        rows[1:, : plan.t_off] = axis_map.series(s, y[nb:], H)
-        rows[1, tab] = y[:nb]
-        W = plan.composed(s, H, plan.factor(s), H * D)
-        for n in range(order):
-            out = W.dot(rows[n : n + 2].ravel())
-            rows[n + 1, tab.stop :] = out[:n_lev]
-            rows[n + 2, tab] = out[n_lev:] / (n + 1)
-        return rows[1:, shape.carried]
-
     try:
         yf, est = _ode.taylor(series, y0, opts.rel_tol, opts.max_steps)
     except SingularSystem as exc:
@@ -689,61 +760,109 @@ def _accept_axis(
     return holo_uni._accept(start, moved, opts)
 
 
-def _wall_poly(top0: np.ndarray, h_top: np.ndarray) -> tuple[list[float], list[float]]:
-    """D(s) = discriminant(top0 + s*h_top) at the Chebyshev points on [0, 1],
-    and its interpolant in u = 2s - 1, descending coefficients.
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _wall_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n Chebyshev points u_k = cos(k pi / (n-1)) on [-1, 1], both ends
+    included, their Vandermonde matrix, and the matrix C that takes the
+    values there of a polynomial of degree n-1 at most to its Chebyshev
+    coefficients: a_j = 2/(n-1) sum_k f_k T_j(u_k), the sum's two end terms
+    halved, and a_0 and a_{n-1} halved again."""
+    N = n - 1
+    u = np.cos(np.arange(n) * math.pi / N)
+    C = np.cos(np.outer(np.arange(n), np.arange(n)) * (math.pi / N)) * (2.0 / N)
+    C[:, [0, N]] *= 0.5
+    C[[0, N]] *= 0.5
+    vander = np.vander(u)
+    for arr in (u, vander, C):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return u, vander, C
+
+
+def _wall_samples(top0: np.ndarray, h_top: np.ndarray) -> np.ndarray:
+    """D(s) = discriminant(top0 + s*h_top) at the Chebyshev points on [0, 1].
 
     D is a polynomial of degree at most 2d-2 in s, so its values at the
-    2d-1 points u_k = cos(k pi / (2d-2)), both ends included, determine it
-    up to rounding.  All 2d-1 samples go through the batched discriminant
-    kernel as one stack, bit for bit what one `polyalg.discriminant` call
-    per point returns.
+    2d-1 points u_k of `_wall_nodes`, in u = 2s - 1, determine it up to
+    rounding.  All 2d-1 samples go through the batched discriminant kernel
+    as one stack, bit for bit what one `polyalg.discriminant` call per
+    point returns.
     """
-    n = 2 * len(top0) - 3
-    u = np.cos(np.arange(n) * math.pi / (n - 1))
-    vals = polyalg._discriminants(top0 + (0.5 + 0.5 * u)[:, None] * h_top)
-    return vals.tolist(), np.linalg.solve(np.vander(u), vals).tolist()
+    u = _wall_nodes(2 * len(top0) - 3)[0]
+    return polyalg._discriminants(top0 + (0.5 + 0.5 * u)[:, None] * h_top)
+
+
+def _wall_poly(
+    top0: np.ndarray, h_top: np.ndarray, vals: np.ndarray | None = None
+) -> tuple[list[float], list[float]]:
+    """The samples of `_wall_samples` (unless they are given as `vals`) and
+    their interpolant in u = 2s - 1, descending coefficients, by a solve
+    with the points' Vandermonde matrix."""
+    if vals is None:
+        vals = _wall_samples(top0, h_top)
+    return vals.tolist(), np.linalg.solve(_wall_nodes(len(vals))[1], vals).tolist()
+
+
+def _wall_certified(vals: np.ndarray) -> bool:
+    """Whether the Chebyshev coefficients a_k of the interpolant of the
+    samples `vals` prove it free of zeros on [-1, 1]: |T_k| <= 1 there, so
+    where |a_0| exceeds sum_{k>=1} |a_k| by more than `_DETP_RTOL` of their
+    sum, D keeps the sign of a_0, which must be the samples' sign."""
+    a = _wall_nodes(len(vals))[2].dot(vals).tolist()
+    lead, rest = abs(a[0]), sum(map(abs, a[1:]))
+    return a[0] * vals[0] > 0.0 and lead - rest > _DETP_RTOL * (lead + rest)
+
+
+def _sturm_count(coeffs: list[float]) -> int:
+    """Real roots in [-1, 1] of the wall interpolant (descending
+    coefficients, finite), by a Sturm count.  Leading coefficients below
+    `_DETP_RTOL` of the largest are rounding and are dropped first (a top
+    form that does not move leaves D constant).  A repeated root makes the
+    chain degenerate: the count is then taken on the square-free part, and
+    a chain that degenerates there as well counts as a root, since a
+    tangency to the wall is as singular as a crossing."""
+    scale = max(map(abs, coeffs))
+    while abs(coeffs[0]) <= _DETP_RTOL * scale:
+        coeffs.pop(0)
+    try:
+        return polyalg.count_real_roots(coeffs, -1.0, 1.0)
+    except NonSquarefree:
+        try:
+            return polyalg.count_real_roots(polyalg.squarefree_part(coeffs), -1.0, 1.0)
+        except NonSquarefree:
+            return 1
 
 
 def _check_wall(top0: np.ndarray, h_top: np.ndarray) -> None:
     """Refuse the segment top0 + s*h_top, s in [0, 1], if it meets a chamber wall.
 
-    The walls are the zeros of the discriminant D.  D vanishing at a sample
-    point of `_wall_poly` (the endpoints among them) or changing sign between
-    two refuses the segment outright; otherwise a Sturm count of the
-    interpolant's roots in [0, 1] decides, which also finds a wall the
-    segment enters and leaves between two samples.  Leading coefficients
-    below `_DETP_RTOL` of the largest are rounding and are dropped first (a
-    top form that does not move leaves D constant).  A repeated root makes
-    the Sturm chain degenerate: the count is then taken on the square-free
-    part, and a chain that degenerates there as well counts as a crossing,
-    since a tangency to the wall is as singular as a crossing.  A D that
-    overflows (a sample or a coefficient not finite) cannot be tested and
-    refuses the segment too.
+    The walls are the zeros of the discriminant D, sampled once at the
+    Chebyshev points of `_wall_samples` (the endpoints among them).  Where
+    the samples keep one sign and their Chebyshev coefficients certify
+    that D has no zero at all (`_wall_certified`), the segment passes.
+    Otherwise D vanishing at a sample point or changing sign between two
+    refuses the segment outright, and a Sturm count of the roots in [0, 1]
+    of the samples' interpolant (`_wall_poly`) decides the rest
+    (`_sturm_count`), which also finds a wall the segment enters and leaves
+    between two samples.  A D that overflows (a sample or a coefficient
+    not finite) cannot be tested and refuses the segment too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, coeffs = _wall_poly(top0, h_top)
-    if not all(map(math.isfinite, vals + coeffs)):
+        vals = _wall_samples(top0, h_top)
+        samples = vals.tolist()
+        one_sign = min(samples) > 0.0 or max(samples) < 0.0
+        # samples that are not finite fail the certificate and are refused below
+        if one_sign and _wall_certified(vals):
+            return
+        _, coeffs = _wall_poly(top0, h_top, vals)
+    if not all(map(math.isfinite, samples + coeffs)):
         raise PathCrossesSingularity("the discriminant along the segment overflows")
-    if min(vals) <= 0.0 <= max(vals):
-        n_roots = 1
-    else:
-        scale = max(map(abs, coeffs))
-        while abs(coeffs[0]) <= _DETP_RTOL * scale:
-            coeffs.pop(0)
-        try:
-            n_roots = polyalg.count_real_roots(coeffs, -1.0, 1.0)
-        except NonSquarefree:
-            try:
-                n_roots = polyalg.count_real_roots(polyalg.squarefree_part(coeffs), -1.0, 1.0)
-            except NonSquarefree:
-                n_roots = 1
-    if n_roots:
-        raise PathCrossesSingularity(
-            "the discriminant vanishes along the segment; the endpoints lie in "
-            "different chambers or the path leaves one and returns, use another "
-            "initial point"
-        )
+    if one_sign and not _sturm_count(coeffs):
+        return
+    raise PathCrossesSingularity(
+        "the discriminant vanishes along the segment; the endpoints lie in "
+        "different chambers or the path leaves one and returns, use another "
+        "initial point"
+    )
 
 
 def _axes_for(source: ThetaBi | DerivTableBi, opts: OdeOptions | None) -> AxisStates:

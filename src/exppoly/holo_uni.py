@@ -32,7 +32,8 @@ of entries carried, so that structure is built once per shape
 (`_step_tensors`) and shared.  A segment contracts it with its direction,
 and each step with theta at the step start, into one matrix from a
 coefficient row to the next (`_StepMap`); the bivariate engine carries its
-two axis states as two lanes of one such map.
+two axis states as two lanes of one such map, whose step matrix
+(`_StepMap.step`) goes into the matrix of its own rows.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ class OdeOptions:
     """Transport integrator settings.
 
     Univariate and bivariate transport both step by Taylor series, with
-    adaptive steps.  Univariate rows stop at the first of the orders
-    `_ORDERS` (16 to 48) whose last two rows meet `rel_tol` at the segment's
-    end; the bivariate rows and their axis lanes are of order
-    `_TAYLOR_ORDER`.
+    adaptive steps.  The rows of both stop at the first of the orders
+    `_ORDERS` (16 to 48) whose last two rows meet `rel_tol` at the
+    segment's end (`_ode.reaches_end`).
 
     rel_tol: per-step relative tolerance.
     max_steps: step budget before giving up, an integer >= 1 (not a bool).
@@ -110,18 +110,14 @@ def _scale_arg(c: object, name: str) -> float:
     return float(c)
 
 
-# Order of the Taylor series that bivariate transport steps by: high enough
-# that a segment takes a few steps, low enough that a coefficient row stays
-# cheap next to the step it saves.  A row is per order one matrix-vector
-# product for both axis states and one for every level and the next base
-# row; the matrices are formed once per step from shape tensors built once
-# per shape.
+# Order of a `_StepMap` built without a tolerance, whose rows do not stop
+# early; no transport builds one, and the step maps' tests compare rows of
+# this fixed order.
 _TAYLOR_ORDER = 24
-# The orders at which univariate transport's rows may stop: the first whose
+# The orders at which the rows of both transports may stop: the first whose
 # last two rows already reach the segment's end.  A row is one product with
-# a matrix of side 2w+1 for w carried entries, cheap next to forming that
-# matrix, so a short move takes one step of 16 rows and a long one fewer
-# steps of 48.
+# a matrix formed once per step, cheap next to forming that matrix, so a
+# short move takes one step of 16 rows and a long one fewer steps of 48.
 _ORDERS = (16, 24, 32, 40, 48)
 
 
@@ -364,13 +360,15 @@ class _StepMap:
     The map from x_n = (a[.][n], c[.][n]) to x_{n+1} is therefore linear,
     and the same at every order but for the factor 1/(n+1) on its a part.
     The shape's tensors (`_step_tensors`) are shared, and each map contracts
-    the shift with h once.  Each step contracts the closure with theta(s),
-    solves it by forward substitution for K (the closure is lower triangular,
-    with the leading factor on its diagonal) and forms M = H (P + Q K), P
-    and Q being the shift on the free entries and on the closed ones.  The
-    lanes' maps go on the diagonal of one matrix, so each order is one
-    matrix-vector product for all of them; x_0 holds the boundary term
-    `inhom` as c[0][0], and row 0 is the free entries closed to `width`.
+    the shift with h once.  Each step (`step`) contracts the closure with
+    theta(s), solves it by forward substitution for K (the closure is lower
+    triangular, with the leading factor on its diagonal) and forms
+    M = H (P + Q K), P and Q being the shift on the free entries and on the
+    closed ones.  The lanes' maps go on the diagonal of one matrix, so each
+    order is one matrix-vector product for all of them; x_0 holds the
+    boundary term `inhom` as c[0][0], and row 0 is the free entries closed
+    to `width`.  `series` runs those products itself; the bivariate
+    transport takes M and x_0 from `step` into a matrix of its own rows.
     """
 
     def __init__(
@@ -404,25 +402,20 @@ class _StepMap:
             self.x0 = np.zeros(lanes * n_x)
             self.x0[width::n_x] = inhom
 
-    def series(self, s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
-        """Rows 0..N of coefficients in t of F[0..width-1] at
-        theta(s + t H), lane after lane, given the free entries
-        y = F[0..d-2] at theta(s), lane after lane.
-
-        N is the map's order, unless it was built with a tolerance: then the
-        rows stop at the first of `_ORDERS` (or the order) whose last two
-        rows reach the segment's end s = 1 under `_ode.taylor`'s step rule.
-        A map built with `jacobian` returns each row as a matrix: the row,
-        then its derivatives with respect to each free entry."""
+    def step(self, s: float, y: Sequence[float], H: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """The step matrix M = H (P + Q K) at the step start s, all lanes on
+        its diagonal, and x_0: the free entries y = F[0..d-2] at theta(s),
+        lane after lane, closed to `width`.  M takes x_n to x_{n+1} but for
+        the factor 1/(n+1) on the a rows (`_step_tensors`' scale); a map
+        built with `jacobian` returns x_0 as a matrix, the state and then a
+        unit column per free entry."""
         d, width, lanes = self.d, self.width, self.lanes
         n_eq = width + 1
         n_x = width + n_eq
         weights = self.coeffs + s * self.h
         weights[:, -1] = 1.0  # the weight of the closure's constant part
         BU = np.dot(weights, self.tensors.closure).reshape(lanes, n_eq, -1)
-        x = np.empty((self.stops[-1] + 1,) + self.x0.shape)
-        x[0] = self.x0
-        x0 = x[0]
+        x0 = self.x0.copy()
         if x0.ndim == 1:
             x0[self.tensors.free] = y
         else:
@@ -445,31 +438,37 @@ class _StepMap:
                 x0_lane = x0[lane * n_x : (lane + 1) * n_x]
                 x0_lane[d - 1 : width] = K[: width - d + 1].dot(x0_lane)
         if lanes == 1:
-            M = blocks[0]
-        else:
-            M = np.zeros((lanes * n_x, lanes * n_x))
-            for lane, block in enumerate(blocks):
-                M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
+            return blocks[0], x0
+        M = np.zeros((lanes * n_x, lanes * n_x))
+        for lane, block in enumerate(blocks):
+            M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
+        return M, x0
+
+    def series(self, s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
+        """Rows 0..N of coefficients in t of F[0..width-1] at
+        theta(s + t H), lane after lane, given the free entries
+        y = F[0..d-2] at theta(s), lane after lane.
+
+        N is the map's order, unless it was built with a tolerance: then the
+        rows stop at the first of `_ORDERS` (or the order) whose last two
+        rows reach the segment's end s = 1 under `_ode.taylor`'s step rule
+        (`_ode.reaches_end`).  A map built with `jacobian` returns each row
+        as a matrix: the row, then its derivatives with respect to each free
+        entry."""
+        M, x0 = self.step(s, y, H)
+        x = np.empty((self.stops[-1] + 1,) + x0.shape)
+        x[0] = x0
         steps = M * self.tensors.scale
         lo = 0
         for stop in self.stops:
             for n in range(lo, stop):
                 np.dot(steps[n], x[n], out=x[n + 1])
             lo = stop
-            if stop < self.stops[-1] and self._reaches_end(s, y, H, x, stop):
-                break
+            if stop < self.stops[-1]:
+                last = x[stop - 1 : stop + 1, : self.width]
+                if _ode.reaches_end(last if last.ndim == 2 else last[:, :, 0], y, self.rtol, s, H, stop):
+                    break
         return x[: lo + 1, self.tensors.rows]
-
-    def _reaches_end(self, s: float, y: Sequence[float], H: float, x: np.ndarray, N: int) -> bool:
-        """Whether one-lane rows N-1 and N of x let `_ode.taylor` step from
-        s to the segment's end s = 1."""
-        tol = self.rtol * max(map(abs, y))
-        t_end = (1.0 - s) / H
-        last = x[N - 1 : N + 1, : self.width]
-        norms = np.abs(last if last.ndim == 2 else last[:, :, 0]).sum(1).tolist()
-        return all(
-            norm == 0.0 or _ode.reach(norm, tol, n) >= t_end for n, norm in zip((N - 1, N), norms)
-        )
 
 
 def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:

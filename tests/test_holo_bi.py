@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from exppoly import _ode, holo_uni
+from exppoly import _ode, holo_uni, polyalg
 from exppoly.domain import (
     Support,
     ThetaBi,
@@ -37,8 +37,13 @@ from exppoly.holo_bi import (
     _flat,
     _level_shape,
     _p_matrices,
+    _sturm_count,
+    _transport_series,
     _transport_shape,
+    _wall_certified,
+    _wall_nodes,
     _wall_poly,
+    _wall_samples,
     base_indices,
     boundary_consts,
     extend_table,
@@ -79,6 +84,26 @@ def test_initial_state_cubic_product():
     assert tab.entry(1, 0) == pytest.approx(G23 * G13, rel=1e-14)
     assert tab.entry(1, 1) == pytest.approx(G23 * G23, rel=1e-14)
     assert tab.entry(2, 0) == pytest.approx(G13 / 3, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_initial_state_carries_its_axis_states(d, monkeypatch):
+    # the axes of a product point are gamma points: the table carries the
+    # states `state_at` returns there, bit for bit, and a transport from it
+    # makes no axis transport of its own
+    table = initial_state_bi(d, 1.0, 1.7)
+    assert table.axes.opts == OdeOptions()
+    axes = table.axes
+    for state, coeffs in ((axes.x, table.theta.x_axis_coeffs()), (axes.y, table.theta.y_axis_coeffs())):
+        want = holo_uni.state_at(ThetaUni(coeffs))
+        assert state.theta == want.theta
+        np.testing.assert_array_equal(state.F, want.F)
+        assert state.last_transport_error == want.last_transport_error
+    calls = []
+    real = holo_uni.state_at
+    monkeypatch.setattr(holo_uni, "state_at", lambda *a, **k: calls.append(a) or real(*a, **k))
+    transport_bi(table, random_theta_bi_proper(np.random.default_rng(d), d))
+    assert calls == []
 
 
 def test_initial_state_scales():
@@ -516,6 +541,48 @@ def test_wall_test_agrees_with_monitor_on_criterion_points():
         assert _wall_test_raises(top0, top1 - top0) == monitor, (top0, top1)
     assert not any(verdicts[:50])
     assert any(verdicts[50:]) and not all(verdicts[50:])
+
+
+def test_wall_nodes_give_chebyshev_coefficients():
+    # the cached matrix takes a polynomial's values at the points to its
+    # Chebyshev coefficients, as numpy's basis conversion does
+    rng = np.random.default_rng(7)
+    for n in (3, 5, 7):
+        u, vander, C = _wall_nodes(n)
+        for arr in (u, vander, C):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+        coeffs = rng.uniform(-1.0, 1.0, n)  # descending, degree n-1
+        want = np.polynomial.chebyshev.poly2cheb(coeffs[::-1])
+        np.testing.assert_allclose(C.dot(np.polyval(coeffs, u)), want, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(top_segment())
+def test_wall_certificate_passes_only_root_free_segments(segment):
+    # what the Chebyshev certificate passes, a dense scan and the Sturm
+    # count it skips pass as well
+    top0, h_top = segment
+    if not _wall_certified(_wall_samples(top0, h_top)):
+        return
+    assert not _scan_sees_wall(top0, h_top, np.linspace(0.0, 1.0, 401))[0]
+    assert _sturm_count(_wall_poly(top0, h_top)[1]) == 0
+
+
+def test_wall_root_near_an_end_reaches_the_sturm_count(monkeypatch):
+    # D(s) = (s - 0.98)^2 - 1e-4 up to sign, roots at s = 0.97 and 0.99: the
+    # samples at s = 0, 1/2, 1 keep one sign and the certificate fails, so
+    # the Sturm count finds both roots
+    top0, h_top = np.array([-1.0, -0.98, -2.5e-5]), np.array([0.0, 1.0, 0.0])
+    vals = _wall_samples(top0, h_top)
+    assert np.all(vals > 0.0) or np.all(vals < 0.0)
+    assert not _wall_certified(vals)
+    counts = []
+    real = polyalg.count_real_roots
+    monkeypatch.setattr(polyalg, "count_real_roots", lambda *a: counts.append(real(*a)) or counts[-1])
+    with pytest.raises(PathCrossesSingularity):
+        _check_wall(top0, h_top)
+    assert counts == [2]
 
 
 def test_transport_degree_mismatch():
@@ -984,6 +1051,72 @@ def test_composed_solve_matches_level_fill(d):
         n_lev = plan.n_v - first
         for got, want in ((out[:n_lev], rows[1, first:]), (out[n_lev:], DH.dot(rows[1]))):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _lane_and_level_rows(d, src, h, s, y, H, order):
+    """The transport's rows as they were built before one matrix per order:
+    the axis lanes' rows by `_StepMap.series`, then the levels and the next
+    base row from `composed`, one product per order."""
+    shape = _transport_shape(d)
+    nb, m_ax = shape.nb, 2 * d - 3
+    plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, m_ax, src, h)
+    tab = slice(plan.t_off, plan.t_off + nb)
+    n_lev = plan.n_v - tab.stop
+    axis_map = holo_uni._StepMap(src[shape.axes], h[shape.axes], 1.0, m_ax + 1, order)
+    D = shape.shift.put(np.zeros(nb * plan.n_v), h).reshape(nb, plan.n_v)
+    rows = np.zeros((order + 2, plan.n_v))  # rows[n + 1] holds V_n
+    rows[1:, : plan.t_off] = axis_map.series(s, y[nb:], H)
+    rows[1, tab] = y[:nb]
+    W = plan.composed(s, H, plan.factor(s), H * D)
+    for n in range(order):
+        out = W.dot(rows[n : n + 2].ravel())
+        rows[n + 1, tab.stop :] = out[:n_lev]
+        rows[n + 2, tab] = out[n_lev:] / (n + 1)
+    free, w = d - 1, m_ax + 1
+    return rows[1:, [*range(tab.start, tab.stop), *range(free), *range(w, w + free)]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fused_rows_match_lane_and_level_rows(d):
+    # one matrix per order for axes, levels and base rows, against the two
+    # lanes' rows and the composed level loop, at a fixed order of 24
+    rng = np.random.default_rng(300 + d)
+    order = holo_uni._TAYLOR_ORDER
+    for _ in range(5):
+        theta = random_theta_bi_proper(rng, d)
+        top = theta.top_coeffs()
+        start = initial_state_bi(d, abs(top[0]), abs(top[-1]))
+        src = start.theta.as_vector()
+        h = theta.as_vector() - src
+        y = start.F.tolist() + start.axes.x.F[: d - 1].tolist() + start.axes.y.F[: d - 1].tolist()
+        s, H = rng.uniform(0.0, 0.5), rng.uniform(0.1, 1.0)
+        got = _transport_series(d, src, h, 1e-10, (order,))(s, y, H)
+        want = _lane_and_level_rows(d, src, h, s, y, H, order)
+        assert got.shape == want.shape == (order + 1, len(y))
+        assert np.all(np.abs(got - want).max(1) <= 1e-12 * np.abs(want).max(1))
+
+
+def test_short_move_takes_one_step_of_order_16(monkeypatch):
+    # a move of length 1e-3 from a transported table: the rows stop at the
+    # first of the orders, 16 (rows 0..16), and one step reaches the end
+    table = transport_bi(initial_state_bi(2, 1.0, 1.3), CLI_THETA)
+    h = np.zeros(len(monomials_bi(2)))
+    h[monomials_bi(2).index((1, 1))] = 1e-3
+    target = ThetaBi.from_vector(2, CLI_THETA.as_vector() + h)
+    steps = []
+    real = _ode.taylor
+
+    def counting(series, *args, **kwargs):
+        def rows(s, y, H):
+            out = series(s, y, H)
+            steps.append(len(out) - 1)
+            return out
+
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(_ode, "taylor", counting)
+    transport_bi(table, target)
+    assert steps == [16]
 
 
 def test_cached_shapes_are_read_only():
