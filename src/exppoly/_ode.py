@@ -2,10 +2,12 @@
 
 Both transport engines, univariate and bivariate, step by Taylor series
 from exactly computed coefficients (`taylor`), with the step chosen from the
-last coefficients; each system supplies its own coefficient recursion, which
-hands back all of a step's coefficient rows as one ndarray.  A linear system
-may step its variational equations in the same rows, and `taylor` then
-multiplies the steps' Jacobians into the segment's.
+last coefficients.  Each system supplies its own coefficient recursion,
+which extends a step's rows on request through a given order; `taylor`
+alone decides where they stop: at the first of the orders `_ORDERS` whose
+last two rows let the step reach the segment's end (variable-order Taylor
+stepping).  A linear system may step its variational equations in the same
+rows, and `taylor` then multiplies the steps' Jacobians into the segment's.
 
 The other steppers here propagate y' = f(s, y) across s in [0, 1] and no
 engine calls them: an embedded Dormand-Prince 5(4) pair with proportional
@@ -198,6 +200,12 @@ _EPS = 2.0**-52
 # Taylor steps stop short of the step whose last terms reach rtol |y|; the
 # factor puts them 0.8^n times below it at order n (35 times at order 16).
 _SAFETY = 0.8
+# The orders at which a step's rows may stop: the first whose last two rows
+# already reach the segment's end.  A row is one product with a matrix formed
+# once per step, cheap next to forming that matrix, so a short move takes one
+# step of 16 rows and a long one fewer steps of 48.  A series builder sizes
+# its buffers by the last.
+_ORDERS = (16, 24, 32, 40, 48)
 
 
 def reach(norm: float, tol: float, n: int) -> float:
@@ -206,19 +214,8 @@ def reach(norm: float, tol: float, n: int) -> float:
     return _SAFETY * (tol / norm) ** (1.0 / n)
 
 
-def reaches_end(last: np.ndarray, y: Sequence[float], rtol: float, s: float, H: float, N: int) -> bool:
-    """Whether coefficient rows N-1 and N (`last`, one row each) of the
-    series through (s, y), in t with scale H, let `taylor` step to the
-    segment's end s = 1: the test by which a series builder may stop its
-    rows at order N."""
-    tol = rtol * max(map(abs, y))
-    t_end = (1.0 - s) / H
-    norms = np.abs(last).sum(1).tolist()
-    return all(norm == 0.0 or reach(norm, tol, n) >= t_end for n, norm in zip((N - 1, N), norms))
-
-
 def taylor(
-    series: Callable[[float, list, float], np.ndarray],
+    series: Callable[[float, list, float], Callable[[int], np.ndarray]],
     y0: Sequence[float],
     rtol: float,
     max_steps: int = 200_000,
@@ -227,34 +224,36 @@ def taylor(
     """Taylor-series stepping over [0, 1]; returns (y(1), error estimate),
     and with `jacobian` also the matrix Phi = dy(1)/dy0.
 
-    ``series(s, y, H)`` returns an ndarray whose rows a_0 = y, a_1, ..., a_N
-    are the Taylor coefficients of the solution through (s, y) in
-    t = (s' - s) / H, so that y(s + t H) is the sum of a_n t^n.  H is the
-    previous step (1 at first), which keeps the rows within range where the
-    solution grows or decays by many orders of magnitude.  N may differ from
-    step to step.  With `jacobian` each row is a matrix whose first column
-    is that row and whose other columns are the same row's derivatives with
-    respect to the step's start y (the variational equations, stepped with
-    the solution); the system must be linear, so that those columns summed
-    at the accepted t are the step's exact Jacobian.  The steps' Jacobians
-    multiply into Phi.
+    ``series(s, y, H)`` returns a function ``rows(N)``: it extends the
+    step's coefficient rows through order N, continuing from where an
+    earlier call stopped, and returns rows a_0 = y, a_1, ..., a_N as one
+    ndarray.  They are the Taylor coefficients of the solution through
+    (s, y) in t = (s' - s) / H, so that y(s + t H) is the sum of a_n t^n.
+    H is the previous step (1 at first), which keeps the rows within range
+    where the solution grows or decays by many orders of magnitude.  With
+    `jacobian` each row is a matrix whose first column is that row and whose
+    other columns are the same row's derivatives with respect to the step's
+    start y (the variational equations, stepped with the solution); the
+    system must be linear, so that those columns summed at the accepted t
+    are the step's exact Jacobian.  The steps' Jacobians multiply into Phi.
 
-    Each step is chosen after its coefficients are known, from the absolute
-    sums of the last two rows (two, because a parity can zero every other
-    one): t is `_SAFETY` times the largest step at which each of them
-    contributes at most rtol |y|.  The step's error is the larger of those
-    two terms (the truncation tail) plus the rows' own rounding: eps times
-    (n+1) times the n-th term, summed, since row n is n matrix products from
-    row 0 and each term's power rounds once more.  While it exceeds rtol
-    times the new |y|, which caps the step wherever a term would dwarf the
-    sum, t is halved.  Each entry of the new y is an exactly rounded sum
-    (`math.fsum`) of its column's terms.  The estimate adds the steps'
-    errors, each relative to the smaller of |y| after that step and at
-    s = 1: an error is assumed to grow with the solution but not to decay
-    with it.  Non-finite coefficients raise `OdeDivergence` (numpy's
-    overflow and invalid-value warnings are off while the rows are built and
-    summed, so an overflow shows only as that), as does a step budget
-    exhausted before s = 1.
+    Each step's t comes from the absolute sums of its last two rows (two,
+    because a parity can zero every other one): `_SAFETY` times the largest
+    step at which each of them contributes at most rtol |y| (`reach`), and
+    at most the rest of the segment.  The rows stop at the first order of
+    `_ORDERS` whose t reaches the segment's end, else at the last one.  The
+    step's error is the larger of those two terms (the truncation tail) plus
+    the rows' own rounding: eps times (n+1) times the n-th term, summed,
+    since row n is n matrix products from row 0 and each term's power rounds
+    once more.  While it exceeds rtol times the new |y|, which caps the step
+    wherever a term would dwarf the sum, t is halved.  Each entry of the new
+    y is an exactly rounded sum (`math.fsum`) of its column's terms.  The
+    estimate adds the steps' errors, each relative to the smaller of |y|
+    after that step and at s = 1: an error is assumed to grow with the
+    solution but not to decay with it.  Non-finite coefficients raise
+    `OdeDivergence` (numpy's overflow and invalid-value warnings are off
+    while the rows are built and summed, so an overflow shows only as that),
+    as does a step budget exhausted before s = 1.
     """
     y = [float(v) for v in y0]
     phi = None
@@ -267,18 +266,21 @@ def taylor(
         while s < 1.0:
             if len(errors) == max_steps:
                 raise OdeDivergence(f"Taylor transport exceeded {max_steps} steps")
-            rows = series(s, y, H)
-            N = len(rows) - 1
-            state = rows[:, :, 0] if jacobian else rows
+            rows_through = series(s, y, H)
+            tol = rtol * max(map(abs, y))
+            t_end = (1.0 - s) / H
+            for N in _ORDERS:
+                rows = rows_through(N)
+                state = rows[:, :, 0] if jacobian else rows
+                t = t_end
+                for n, norm in zip((N - 1, N), np.abs(state[N - 1 :]).sum(1).tolist()):
+                    if norm > 0.0:
+                        t = min(t, reach(norm, tol, n))
+                if t == t_end:
+                    break
             norms = np.abs(state).sum(1).tolist()
             if not math.isfinite(sum(norms)):
                 raise OdeDivergence(f"non-finite Taylor coefficients at s = {s:.6g}")
-            tol = rtol * max(map(abs, y))
-            t_end = (1.0 - s) / H
-            t = t_end
-            for n in (N - 1, N):
-                if norms[n] > 0.0:
-                    t = min(t, reach(norms[n], tol, n))
             cols = state.T.tolist()
             weights = range(1, N + 2)
             while True:

@@ -453,6 +453,10 @@ def cmd_chambers(args: argparse.Namespace) -> int:
             raise InputError("the grid sweep is defined on the cubic slice (--d 3)")
         lo, hi = args.grid_range
         step = args.grid_step
+        if not (math.isfinite(step) and step > 0.0):
+            raise InputError(f"--grid-step must be positive and finite, got {step!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InputError(f"--grid-range needs finite ends with lo < hi, got {lo!r} {hi!r}")
         ticks = np.arange(lo, hi + 0.5 * step, step)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -247,8 +247,8 @@ def _p_matrices(tops: np.ndarray) -> np.ndarray:
     return polyalg._sylvester_stack(*polyalg._partials(tops))
 
 
-def _factor(P: np.ndarray) -> tuple[float, np.ndarray]:
-    """det P and its inverse, by `np.linalg.det` and `np.linalg.inv`.
+def _factor(P: np.ndarray) -> np.ndarray:
+    """The inverse of P, by `np.linalg.inv`, after a test of `np.linalg.det`.
 
     Refuses a numerically singular P (|det P| below 1e-12 of its Frobenius
     norm, floored at one) with `SingularSystem` before inverting it.  Each
@@ -261,7 +261,7 @@ def _factor(P: np.ndarray) -> tuple[float, np.ndarray]:
             f"det P = {det:.3e} is below threshold; parameter lies on or near "
             "the discriminant locus"
         )
-    return det, np.linalg.inv(P)
+    return np.linalg.inv(P)
 
 
 # Level shapes are built once per (d, lo, hi, m_ax) and shared by every plan
@@ -437,7 +437,7 @@ class _LevelPlan:
 
     def factor(self, s: float) -> np.ndarray:
         """Inverse of P(theta(s)), after the singularity test."""
-        return _factor(self.P0 if self.Ph is None else self.P0 + s * self.Ph)[1]
+        return _factor(self.P0 if self.Ph is None else self.P0 + s * self.Ph)
 
     def _windows(self, s: float, H: float, pinv: np.ndarray) -> np.ndarray:
         """The matrix taking (V_{n-1}, V_n) to every level entry of X_n, each
@@ -545,8 +545,9 @@ class _TransportShape(NamedTuple):
     c, x lane then y lane) sits in a block, `lane_put` where the lanes'
     step matrix goes in the per-order matrix (flat), `carried` where the
     carried entries sit (base table, then the free entries of the x- and
-    y-axis states), and `scale[n]` the factor of order n+1's entries:
-    1/(n+1) on axis constants and base entries, 1 on levels and carries.
+    y-axis states), and `scale[n]` the factor of order n+1's entries
+    through the last of `_ode._ORDERS`: 1/(n+1) on axis constants and base
+    entries, 1 on levels and carries.
     `axes` holds the monomial indices of (theta_10, ..., theta_d0) above
     those of (theta_01, ..., theta_0d).
     """
@@ -584,8 +585,9 @@ def _transport_shape(d: int) -> _TransportShape:
     )
     lane_put = ((n_lev + lanes)[:, None] * n_in + n_c + n_v + lanes).ravel()
     carried = n_c + np.array([*range(t_off, t_off + nb), *range(free), *range(w, w + free)])
-    scale = np.ones((holo_uni._ORDERS[-1], n_c + n_v))
-    scale[:, n_lev + n_c :] = 1.0 / np.arange(1.0, holo_uni._ORDERS[-1] + 1)[:, None]
+    order = _ode._ORDERS[-1]
+    scale = np.ones((order, n_c + n_v))
+    scale[:, n_lev + n_c :] = 1.0 / np.arange(1.0, order + 1)[:, None]
     axes = np.array([[monos.index(ij) for ij in ((k, 0), (0, k))] for k in range(1, d + 1)]).T
     for arr in (lanes, lane_put, carried, scale, axes):
         arr.flags.writeable = False  # shared through the cache
@@ -593,11 +595,11 @@ def _transport_shape(d: int) -> _TransportShape:
 
 
 def _transport_series(
-    d: int, src_vec: np.ndarray, h_vec: np.ndarray, rtol: float, stops: Sequence[int] = holo_uni._ORDERS
-) -> Callable[[float, list[float], float], np.ndarray]:
+    d: int, src_vec: np.ndarray, h_vec: np.ndarray
+) -> Callable[[float, list[float], float], Callable[[int], np.ndarray]]:
     """`transport_bi`'s series builder along src_vec + s*h_vec for
-    `_ode.taylor`: the rows of the carried entries at theta(s + t*H), from
-    their values y at theta(s).
+    `_ode.taylor`: the step's `rows(N)`, rows 0..N of the carried entries
+    at theta(s + t*H), from their values y at theta(s).
 
     Each step forms one matrix Z, which takes (V_{n-1} with its carries,
     the carries, axis constants and base entries of V_n) to (the levels of
@@ -605,9 +607,8 @@ def _transport_series(
     level and base rows of `_LevelPlan.composed` and the axis lanes' step
     matrix of `holo_uni._StepMap.step`.  Block n of the flat row buffer
     holds order n, so each order is one product between contiguous slices
-    and one multiply by that order's scale.  The rows stop at the first of
-    `stops` whose last two carried rows reach the segment's end under
-    `_ode.taylor`'s step rule (`_ode.reaches_end`), at the last one anyway.
+    and one multiply by that order's scale; `rows(N)` runs them from where
+    the last call stopped.
     """
     shape = _transport_shape(d)
     nb, n_c = shape.nb, shape.n_c
@@ -618,35 +619,36 @@ def _transport_series(
     n_lev = n_v - first
     n_b, n_e = n_c + n_v, n_c + first  # a block, and its entries below the levels
     base = n_b - nb  # the base rows of Z
-    axis_map = holo_uni._StepMap(src_vec[shape.axes], h_vec[shape.axes], 1.0, m_ax + 1, stops[-1])
+    axis_map = holo_uni._StepMap(src_vec[shape.axes], h_vec[shape.axes], 1.0, m_ax + 1)
     D = shape.shift.put(np.zeros(nb * n_v), h_vec).reshape(nb, n_v)
 
-    def series(s: float, y: list[float], H: float) -> np.ndarray:
+    def series(s: float, y: list[float], H: float) -> Callable[[int], np.ndarray]:
         W = plan.composed(s, H, plan.factor(s), H * D)
         M, x0 = axis_map.step(s, y[nb:], H)
         Z = np.zeros((n_b, n_b + n_e))
-        for rows, W_rows in ((slice(0, n_lev), W[:n_lev]), (slice(base, n_b), W[n_lev:])):
-            Z[rows, n_c:n_b] = W_rows[:, :n_v]
-            Z[rows, n_b + n_c :] = W_rows[:, n_v : n_v + first]
+        for at, W_rows in ((slice(0, n_lev), W[:n_lev]), (slice(base, n_b), W[n_lev:])):
+            Z[at, n_c:n_b] = W_rows[:, :n_v]
+            Z[at, n_b + n_c :] = W_rows[:, n_v : n_v + first]
         Z.flat[shape.lane_put] = M.ravel()
-        buf = np.empty((stops[-1] + 2) * n_b)  # block n+1 holds order n
+        scale = shape.scale
+        buf = np.empty((len(scale) + 2) * n_b)  # block n+1 holds order n
         buf[:n_b] = 0.0  # order -1
         buf[n_b + shape.lanes] = x0
         buf[n_b + n_e - nb : n_b + n_e] = y[:nb]
-        blocks, scale = buf.reshape(-1, n_b), shape.scale
-        lo = 0
-        for stop in stops:
-            for n in range(lo, stop):
+        blocks = buf.reshape(-1, n_b)
+        done = 0
+
+        def rows(N: int) -> np.ndarray:
+            nonlocal done
+            for n in range(done, N):
                 i = (n + 1) * n_b
                 out = buf[i + n_e : i + n_e + n_b]
                 np.dot(Z, buf[i - n_b : i + n_e], out=out)
                 out *= scale[n]
-            lo = stop
-            if stop < stops[-1] and _ode.reaches_end(
-                blocks[stop : stop + 2, shape.carried], y, rtol, s, H, stop  # orders stop-1, stop
-            ):
-                break
-        return blocks[1 : lo + 2, shape.carried]
+            done = max(done, N)
+            return blocks[1 : N + 2, shape.carried]
+
+        return rows
 
     return series
 
@@ -670,11 +672,11 @@ def transport_bi(
     level rows window by window against one inverse of P(theta(s))
     (`_LevelPlan`), which `_factor` tests for singularity first.  All three
     are composed once per step into one matrix, so every level of one order
-    and the next axis and base rows come from one product.  Like the
-    univariate rows, the rows stop at the first of the orders
-    `holo_uni._ORDERS` (16 to 48) whose last two rows reach the segment's
-    end.  The shift D and the layout of the rows are built once per d
-    (`_transport_shape`).
+    and the next axis and base rows come from one product.  `_ode.taylor`
+    stops the rows as it stops the univariate ones, at the first of the
+    orders `_ode._ORDERS` (16 to 48) whose last two rows reach the
+    segment's end.  The shift D and the layout of the rows are built once
+    per d (`_transport_shape`).
 
     The segment must not meet the discriminant locus; `_check_wall` counts
     the roots of D along it exactly, once, before any step.  The source's
@@ -703,7 +705,7 @@ def transport_bi(
 
     nb = _transport_shape(d).nb
     free = d - 1  # free entries of an axis state
-    series = _transport_series(d, src_vec, h_vec, opts.rel_tol)
+    series = _transport_series(d, src_vec, h_vec)
     axes = _axes_for(table, opts)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     try:
@@ -791,15 +793,11 @@ def _wall_samples(top0: np.ndarray, h_top: np.ndarray) -> np.ndarray:
     return polyalg._discriminants(top0 + (0.5 + 0.5 * u)[:, None] * h_top)
 
 
-def _wall_poly(
-    top0: np.ndarray, h_top: np.ndarray, vals: np.ndarray | None = None
-) -> tuple[list[float], list[float]]:
-    """The samples of `_wall_samples` (unless they are given as `vals`) and
-    their interpolant in u = 2s - 1, descending coefficients, by a solve
-    with the points' Vandermonde matrix."""
-    if vals is None:
-        vals = _wall_samples(top0, h_top)
-    return vals.tolist(), np.linalg.solve(_wall_nodes(len(vals))[1], vals).tolist()
+def _wall_poly(vals: np.ndarray) -> list[float]:
+    """The interpolant in u = 2s - 1 of the samples `vals` of
+    `_wall_samples`, descending coefficients, by a solve with the points'
+    Vandermonde matrix."""
+    return np.linalg.solve(_wall_nodes(len(vals))[1], vals).tolist()
 
 
 def _wall_certified(vals: np.ndarray) -> bool:
@@ -853,7 +851,7 @@ def _check_wall(top0: np.ndarray, h_top: np.ndarray) -> None:
         # samples that are not finite fail the certificate and are refused below
         if one_sign and _wall_certified(vals):
             return
-        _, coeffs = _wall_poly(top0, h_top, vals)
+        coeffs = _wall_poly(vals)
     if not all(map(math.isfinite, samples + coeffs)):
         raise PathCrossesSingularity("the discriminant along the segment overflows")
     if one_sign and not _sturm_count(coeffs):

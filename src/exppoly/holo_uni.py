@@ -9,10 +9,9 @@ is therefore enough to reconstruct all of them, and moving theta along a
 segment turns the recursion into a linear ODE for the state (gradient
 transport).  The same recursion, applied to Taylor coefficients, gives the
 state's power series along the segment exactly, so adaptive transport steps
-by Taylor series; a step's rows stop at the first of the orders `_ORDERS`
-whose last two rows already reach the segment's end.  Starting values
-come from the one-parameter scale family (0, ..., 0, -c), where everything
-reduces to gamma functions.
+by Taylor series (`_ode.taylor`, which also decides at which order a step's
+rows stop).  Starting values come from the one-parameter scale family
+(0, ..., 0, -c), where everything reduces to gamma functions.
 
 A move from a state that carries an error of its own (any state but a gamma
 point's) steps the variational equations along: the unit columns of its
@@ -33,7 +32,9 @@ of entries carried, so that structure is built once per shape
 and each step with theta at the step start, into one matrix from a
 coefficient row to the next (`_StepMap`); the bivariate engine carries its
 two axis states as two lanes of one such map, whose step matrix
-(`_StepMap.step`) goes into the matrix of its own rows.
+(`_StepMap.step`) goes into the matrix of its own rows, while the
+univariate transport takes its rows from the map's one lane
+(`_StepMap.series`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,9 +66,9 @@ class OdeOptions:
     """Transport integrator settings.
 
     Univariate and bivariate transport both step by Taylor series, with
-    adaptive steps.  The rows of both stop at the first of the orders
-    `_ORDERS` (16 to 48) whose last two rows meet `rel_tol` at the
-    segment's end (`_ode.reaches_end`).
+    adaptive steps (`_ode.taylor`).  A step's rows stop at the first of the
+    orders `_ode._ORDERS` (16 to 48) whose last two rows let it reach the
+    segment's end under `rel_tol`.
 
     rel_tol: per-step relative tolerance.
     max_steps: step budget before giving up, an integer >= 1 (not a bool).
@@ -108,17 +109,6 @@ def _scale_arg(c: object, name: str) -> float:
     if not (isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c) and c > 0):
         raise NonPositiveScale(f"{name} must be positive and finite, got {c!r}")
     return float(c)
-
-
-# Order of a `_StepMap` built without a tolerance, whose rows do not stop
-# early; no transport builds one, and the step maps' tests compare rows of
-# this fixed order.
-_TAYLOR_ORDER = 24
-# The orders at which the rows of both transports may stop: the first whose
-# last two rows already reach the segment's end.  A row is one product with
-# a matrix formed once per step, cheap next to forming that matrix, so a
-# short move takes one step of 16 rows and a long one fewer steps of 48.
-_ORDERS = (16, 24, 32, 40, 48)
 
 
 def state_length(d: int) -> int:
@@ -296,21 +286,20 @@ class _StepTensors(NamedTuple):
     `shift` holds, for each of h_1..h_d, the flattened map from a closed
     row to the next state: a[m] gains h_k F[m+k] and c[m] gains
     k*h_k F[m+k-1]; its columns are (P | Q), the free entries placed on the
-    state's a columns, then the closed ones.  The
-    lanes' states sit one after the other; `scale` is 1/(n+1) on the a rows
-    of order n+1 and 1 on the carries, `rows` picks the lanes' a parts and
-    `free` their free entries.
+    state's a columns, then the closed ones.  The lanes' states sit one
+    after the other and `free` picks their free entries.  `scale[n]` is
+    1/(n+1) on the a rows of one lane's order n+1 and 1 on its carries,
+    through the last order of `_ode._ORDERS`.
     """
 
     closure: np.ndarray
     shift: np.ndarray
     scale: np.ndarray
-    rows: slice | np.ndarray
     free: slice | np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _step_tensors(d: int, width: int, order: int, lanes: int) -> _StepTensors:
+def _step_tensors(d: int, width: int, lanes: int) -> _StepTensors:
     n_eq = width + 1
     n_x = width + n_eq
     closure = np.zeros((d, n_eq, n_x + n_eq))
@@ -326,18 +315,17 @@ def _step_tensors(d: int, width: int, order: int, lanes: int) -> _StepTensors:
             (width + m, m + k - 1, k) for m in range(n_eq)
         ]:
             shift[k - 1, m, p if p < d - 1 else n_x + p - (d - 1)] = factor
-    scale = np.ones((order, lanes, n_x))
-    scale[:, :, :width] = (1.0 / np.arange(1.0, order + 1))[:, None, None]
-    scale = scale.reshape(order, lanes * n_x, 1)
-    rows, free = slice(0, width), slice(0, d - 1)
+    order = _ode._ORDERS[-1]
+    scale = np.ones((order, n_x, 1))
+    scale[:, :width] = (1.0 / np.arange(1.0, order + 1))[:, None, None]
+    free = slice(0, d - 1)
     if lanes > 1:
-        rows = (np.arange(lanes)[:, None] * n_x + np.arange(width)).ravel()
         free = (np.arange(lanes)[:, None] * n_x + np.arange(d - 1)).ravel()
-        rows.flags.writeable = free.flags.writeable = False
+        free.flags.writeable = False
     closure, shift = closure.reshape(d, -1), shift.reshape(d, -1)  # one row per weight
     for arr in (closure, shift, scale):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return _StepTensors(closure, shift, scale, rows, free)
+    return _StepTensors(closure, shift, scale, free)
 
 
 class _StepMap:
@@ -364,37 +352,27 @@ class _StepMap:
     theta(s), solves it by forward substitution for K (the closure is lower
     triangular, with the leading factor on its diagonal) and forms
     M = H (P + Q K), P and Q being the shift on the free entries and on the
-    closed ones.  The lanes' maps go on the diagonal of one matrix, so each
-    order is one matrix-vector product for all of them; x_0 holds the
-    boundary term `inhom` as c[0][0], and row 0 is the free entries closed
-    to `width`.  `series` runs those products itself; the bivariate
-    transport takes M and x_0 from `step` into a matrix of its own rows.
+    closed ones.  The lanes' maps go on the diagonal of one matrix; x_0
+    holds the boundary term `inhom` as c[0][0], and row 0 is the free
+    entries closed to `width`.  `series` runs the products of a map of one
+    lane, through the orders `_ode.taylor` asks for; the bivariate transport
+    takes M and x_0 of its two lanes from `step` into a matrix of its own
+    rows.
     """
 
     def __init__(
-        self,
-        coeffs: np.ndarray,
-        h: np.ndarray,
-        inhom: float,
-        width: int,
-        order: int = _TAYLOR_ORDER,
-        rtol: float | None = None,
-        jacobian: bool = False,
+        self, coeffs: np.ndarray, h: np.ndarray, inhom: float, width: int, jacobian: bool = False
     ):
         coeffs = np.array(coeffs, dtype=float, ndmin=2)
         h = np.array(h, dtype=float, ndmin=2)
         self.lanes, self.d = lanes, d = coeffs.shape
         self.width = width
-        self.tensors = tensors = _step_tensors(d, width, order, lanes)
+        self.tensors = tensors = _step_tensors(d, width, lanes)
         n_x = 2 * width + 1
         PQ = np.dot(h, tensors.shift).reshape(lanes, n_x, -1)
         self.PQ = [(PQ_lane[:, :n_x], PQ_lane[:, n_x:]) for PQ_lane in PQ]
         self.coeffs, self.h = coeffs, h
         self.lead = [(d * c, d * v) for c, v in zip(coeffs[:, -1].tolist(), h[:, -1].tolist())]
-        self.rtol = rtol
-        self.stops = [order]  # the orders at which the rows may stop
-        if rtol is not None:
-            self.stops = [n for n in _ORDERS if n < order] + [order]
         if jacobian:  # one lane: the state, then a unit column per free entry
             self.x0 = np.eye(n_x, d, 1)
             self.x0[width, 0] = inhom
@@ -444,31 +422,28 @@ class _StepMap:
             M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
         return M, x0
 
-    def series(self, s: float, y: Sequence[float], H: float = 1.0) -> np.ndarray:
-        """Rows 0..N of coefficients in t of F[0..width-1] at
-        theta(s + t H), lane after lane, given the free entries
-        y = F[0..d-2] at theta(s), lane after lane.
-
-        N is the map's order, unless it was built with a tolerance: then the
-        rows stop at the first of `_ORDERS` (or the order) whose last two
-        rows reach the segment's end s = 1 under `_ode.taylor`'s step rule
-        (`_ode.reaches_end`).  A map built with `jacobian` returns each row
+    def series(self, s: float, y: Sequence[float], H: float = 1.0) -> Callable[[int], np.ndarray]:
+        """The step's `rows(N)` for `_ode.taylor`, given the free entries
+        y = F[0..d-2] at theta(s), for a map of one lane: rows 0..N of the
+        coefficients in t of F[0..width-1] at theta(s + t H), each order
+        one product with its pre-scaled step matrix, extended from where
+        the last call stopped.  A map built with `jacobian` returns each row
         as a matrix: the row, then its derivatives with respect to each free
         entry."""
         M, x0 = self.step(s, y, H)
-        x = np.empty((self.stops[-1] + 1,) + x0.shape)
-        x[0] = x0
         steps = M * self.tensors.scale
-        lo = 0
-        for stop in self.stops:
-            for n in range(lo, stop):
+        x = np.empty((len(steps) + 1,) + x0.shape)
+        x[0] = x0
+        done = 0
+
+        def rows(N: int) -> np.ndarray:
+            nonlocal done
+            for n in range(done, N):
                 np.dot(steps[n], x[n], out=x[n + 1])
-            lo = stop
-            if stop < self.stops[-1]:
-                last = x[stop - 1 : stop + 1, : self.width]
-                if _ode.reaches_end(last if last.ndim == 2 else last[:, :, 0], y, self.rtol, s, H, stop):
-                    break
-        return x[: lo + 1, self.tensors.rows]
+            done = max(done, N)
+            return x[: N + 1, : self.width]
+
+        return rows
 
 
 def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
@@ -531,7 +506,7 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
     h = np.subtract(target.coeffs, src.coeffs)
     y0 = state.F[: d - 1].tolist()
     carry = d > 1 and state.last_transport_error > 0.0
-    step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, _ORDERS[-1], opts.rel_tol, carry)
+    step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, carry)
     F, est, *phi = _ode.taylor(step_map.series, y0, opts.rel_tol, opts.max_steps, carry)
 
     # Re-derive the redundant tail entries so the final state satisfies the

@@ -58,21 +58,22 @@ from .holo_uni import transport  # noqa: F401
 
 Theta = Union[ThetaUni, ThetaBi]
 
+# A Fisher-scoring step is halved down to this factor at most; a step that
+# no factor down to it makes acceptable ends the fit.
+_MIN_STEP_FACTOR = 2.0**-40
+
 
 @dataclass(frozen=True)
 class FitOptions:
     grad_tol: float = 1e-8
     max_iter: int = 200
     ode: OdeOptions = field(default_factory=OdeOptions)
-    min_step_factor: float = 2.0**-40
 
     def __post_init__(self) -> None:
         if not (self.grad_tol > 0.0 and math.isfinite(self.grad_tol)):
             raise InputError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         if not _is_count(self.max_iter):
             raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not 0.0 < self.min_step_factor < 1.0:
-            raise InputError(f"min_step_factor must lie in (0, 1), got {self.min_step_factor!r}")
 
 
 class UniHoloProvider:
@@ -429,7 +430,7 @@ def fit_mle(
         lam = 1.0
         boundary_limited = False
         accepted = False
-        while lam >= opts.min_step_factor:
+        while lam >= _MIN_STEP_FACTOR:
             cand = _with_vector(theta, vec + lam * step)
             if not _is_interior(cand):
                 boundary_limited = True

@@ -408,6 +408,25 @@ def test_chambers_grid_readme_defaults(capsys, tmp_path):
     assert out["grid"]["chamber_counts"]["boundary"] >= 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid-step", "0"],
+        ["--grid-step", "nan"],
+        ["--grid-step=-0.1"],
+        ["--grid-range", "6", "-6"],
+        ["--grid-range", "-6", "inf"],
+    ],
+    ids=["zero-step", "nan-step", "negative-step", "reversed-range", "infinite-end"],
+)
+def test_chambers_grid_rejects_bad_grid(capsys, tmp_path, argv):
+    out_dir = tmp_path / "ch"
+    code, out, err = run(capsys, ["chambers", "--grid", *argv, "--out", str(out_dir)])
+    assert code == 2 and out is None
+    assert "InputError" in err
+    assert not out_dir.exists()
+
+
 def test_chambers_requires_work(capsys):
     code, _, err = run(capsys, ["chambers"])
     assert code == 2 and err

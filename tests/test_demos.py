@@ -1,4 +1,4 @@
-"""Smoke tests: every demo runs to completion."""
+"""Smoke tests: every demo runs to completion, with no RuntimeWarning."""
 
 import os
 import subprocess
@@ -22,9 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_demo_runs(demo):
+    # under the suite's warning policy: a numpy overflow or invalid value fails
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
         env=env, capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,6 @@ from exppoly.errors import (
     ToleranceNotMet,
 )
 from exppoly.holo_uni import (
-    _TAYLOR_ORDER,
     OdeOptions,
     _accept,
     _close,
@@ -474,6 +473,11 @@ def test_extend_derivatives_recursion_property(theta, data):
         assert abs(lhs + math.fsum(terms)) <= (d + 2) * ulp
 
 
+# The order through which the step maps' rows are compared with the scalar
+# references below (`rows(TAYLOR_ORDER)`).
+TAYLOR_ORDER = 24
+
+
 def _series_reference(coeffs, h, inhom, y, order):
     """The step map's rows one coefficient row at a time in Python floats:
     each order closes the row with `_close`, then forms the next row and the
@@ -546,8 +550,8 @@ def assert_series_matches_reference(coeffs, h, inhom, y):
     negative), in which nothing cancels: row n agrees within (n+1)(d+2) ulps
     of the absolute sum of that run's row n.  Row 0 closes the free entries
     y[:d-1] itself, so beyond them it holds y only to that bound."""
-    d, order = len(coeffs), _TAYLOR_ORDER
-    rows = _StepMap(coeffs, h, inhom, len(y)).series(0.0, y[: d - 1])
+    d, order = len(coeffs), TAYLOR_ORDER
+    rows = _StepMap(coeffs, h, inhom, len(y)).series(0.0, y[: d - 1])(order)
     assert isinstance(rows, np.ndarray) and rows.shape == (order + 1, len(y))
     assert rows[0, : d - 1].tolist() == [float(v) for v in y[: d - 1]]
     ref = _series_reference(coeffs, h, inhom, y, order)
@@ -632,13 +636,27 @@ def test_step_map_matches_unit_closure_property(draw, support, H, axis, even):
     h = [H * v for v in h]
     width = max(2 * d - 2 if axis else d - 1, 1)
     y = _extend(coeffs, support, base, width - 1)
-    rows = _StepMap(coeffs, h, _inhom(support), width).series(0.0, base)
-    ref = _unit_closure_series(coeffs, h, _inhom(support), y, _TAYLOR_ORDER)
-    assert rows.shape == ref.shape == (_TAYLOR_ORDER + 1, width)
+    rows = _StepMap(coeffs, h, _inhom(support), width).series(0.0, base)(TAYLOR_ORDER)
+    ref = _unit_closure_series(coeffs, h, _inhom(support), y, TAYLOR_ORDER)
+    assert rows.shape == ref.shape == (TAYLOR_ORDER + 1, width)
     norms = np.abs(ref).max(1)
     assert np.all(np.abs(rows - ref).max(1) <= 1e-13 * norms)
     if even:
         assert not np.any(rows[:, 1::2])
+
+
+def test_short_move_takes_one_step_of_order_16(taylor_steps):
+    # a move of length 1e-3 from a carried order-4 state: the rows stop at
+    # the first of the orders, 16, and one step reaches the end; a
+    # gamma-point transport of a half-line sextic asks for more rows
+    start = state_at((0.5, -0.2, 0.3, -1.0))
+    assert start.last_transport_error > 0.0
+    taylor_steps.clear()
+    transport(start, ThetaUni((0.5, -0.2, 0.301, -1.0)))
+    assert [[N for N, _ in step[-1]] for step in taylor_steps] == [[16]]
+    taylor_steps.clear()
+    transport(initial_state(6, 1.0), ThetaUni((1.0, -0.5, 0.5, 0.3, 0.2, -1.0)))
+    assert max(N for step in taylor_steps for N, _ in step[-1]) > 16
 
 
 @pytest.mark.parametrize(

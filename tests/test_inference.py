@@ -277,10 +277,6 @@ def test_fit_makes_one_request_per_point(stats, provider):
         {"grad_tol": math.inf},  # used to converge in 0 iterations
         {"grad_tol": 0.0},
         {"grad_tol": math.nan},
-        {"min_step_factor": 0.0},
-        {"min_step_factor": 1.0},
-        {"min_step_factor": -0.5},
-        {"min_step_factor": math.nan},
     ],
     ids=str,
 )
@@ -290,7 +286,7 @@ def test_fit_options_validation(kwargs):
 
 
 def test_fit_options_accepts_numpy_integers():
-    assert FitOptions(max_iter=np.int64(50), min_step_factor=0.5).max_iter == 50
+    assert FitOptions(max_iter=np.int64(50)).max_iter == 50
 
 
 def test_fit_exponential_closed_form():

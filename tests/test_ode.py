@@ -5,10 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from exppoly import _ode, holo_uni
+from exppoly import _ode, holo_bi, holo_uni
 from exppoly.domain import Support, ThetaUni
-from exppoly.errors import OdeDivergence
+from exppoly.errors import ExpPolyError, OdeDivergence
+from exppoly.verify import random_theta_bi_proper
 
 OMEGA = 3.0
 
@@ -129,8 +132,8 @@ def _segment_rhs(support, coeffs):
     theta = ThetaUni(coeffs, support)
     start = holo_uni.initial_state(theta.d, abs(coeffs[-1]), support)
     h = np.subtract(theta.coeffs, start.theta.coeffs)
-    step_map = holo_uni._StepMap(start.theta.coeffs, h, holo_uni._inhom(support), len(start.F), 1)
-    return start, theta, lambda s, y: step_map.series(s, y[: theta.d - 1])[1]
+    step_map = holo_uni._StepMap(start.theta.coeffs, h, holo_uni._inhom(support), len(start.F))
+    return start, theta, lambda s, y: step_map.series(s, y[: theta.d - 1])(1)[1]
 
 
 def test_dopri45_matches_array_arithmetic_bitwise():
@@ -281,21 +284,92 @@ def test_transport_step_budget_raises():
 
 def test_taylor_non_finite_coefficients_raise():
     with pytest.raises(OdeDivergence):
-        _ode.taylor(lambda s, y, H: np.array([y, [math.inf]]), [1.0], 1e-10)
+        _ode.taylor(lambda s, y, H: lambda N: np.array([y] + [[math.inf]] * N), [1.0], 1e-10)
 
 
 def test_taylor_exponential():
-    # y' = y: rows y H^n / n!; one step covers [0, 1] at order 24
+    # y' = y: rows y H^n / n!; order 16 falls short of s = 1, and one step
+    # covers [0, 1] at order 24
+    asked = []
+
     def series(s, y, H):
-        rows = [list(y)]
-        for n in range(1, 25):
-            rows.append([rows[-1][0] * H / n])
-        return np.array(rows)
+        def rows(N):
+            asked.append(N)
+            out = [list(y)]
+            for n in range(1, N + 1):
+                out.append([out[-1][0] * H / n])
+            return np.array(out)
+
+        return rows
 
     y, est = _ode.taylor(series, [1.0], 1e-12)
     assert y[0] == pytest.approx(math.e, rel=1e-15)
     assert est < 1e-14
+    assert asked == [16, 24]
     assert _ode.taylor(series, [], 1e-12) == ([], 0.0)
+
+
+def assert_rows_stop_by_the_rule(steps):
+    """Each recorded step (the `taylor_steps` fixture) asked for rows
+    through the members of `_ode._ORDERS` in turn and stopped at the first
+    whose last two rows pass `_ode.reach(...) >= t_end`, or at the last."""
+    for s, y, H, rtol, requests in steps:
+        tol = rtol * max(map(abs, y))
+        t_end = (1.0 - s) / H
+        asked = [N for N, _ in requests]
+        assert asked == list(_ode._ORDERS[: len(asked)])
+        for N, last in requests:
+            state = last[:, :, 0] if last.ndim == 3 else last  # a Jacobian's rows
+            norms = np.abs(state).sum(1).tolist()
+            reaches = all(
+                norm == 0.0 or _ode.reach(norm, tol, n) >= t_end for n, norm in zip((N - 1, N), norms)
+            )
+            assert reaches == (N == asked[-1]) or N == _ode._ORDERS[-1]
+
+
+@st.composite
+def uni_segment(draw):
+    """A univariate segment's ends of order 3 to 6: both supports (even
+    order on the whole line), lower coefficients in [-1.5, 1.5] and the
+    lead in [-2.5, -0.4]."""
+    support = draw(st.sampled_from(list(Support)))
+    d = draw(st.sampled_from([3, 4, 5, 6] if support is Support.HALF_LINE else [4, 6]))
+
+    def theta():
+        coeffs = [draw(st.floats(-1.5, 1.5)) for _ in range(d - 1)]
+        return ThetaUni((*coeffs, -draw(st.floats(0.4, 2.5))), support)
+
+    return theta(), theta()
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        st.tuples(st.just("uni"), uni_segment(), st.booleans()),
+        st.tuples(st.just("bi"), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)),
+    )
+)
+def test_rows_stop_at_the_first_order_that_reaches_the_end_property(taylor_steps, case):
+    # univariate segments from the gamma point or from a carried state (whose
+    # rows are matrices), and bivariate ones from the product point
+    kind, *args = case
+    try:
+        if kind == "uni":
+            (src, target), carried = args
+            start = holo_uni.initial_state(target.d, -target.coeffs[-1], target.support)
+            if carried:
+                start = holo_uni.state_at(src)
+                assume(start.last_transport_error > 0.0)  # not a gamma point
+            taylor_steps.clear()
+            holo_uni.transport(start, target)
+        else:
+            d, seed = args
+            taylor_steps.clear()
+            holo_bi.table_at(random_theta_bi_proper(np.random.default_rng(seed), d))
+    except ExpPolyError:
+        assume(False)
+    assume(taylor_steps)  # a move to the start itself takes no step
+    assert_rows_stop_by_the_rule(taylor_steps)
 
 
 def test_transport_order_one():
