@@ -85,26 +85,44 @@ def _parse_coeff_list(text: str) -> list[float]:
         raise InputError(f"could not parse coefficient list {text!r}") from exc
 
 
+_UNI_FILE_SHAPE = '{"coeffs": [theta_1, ..., theta_d]}'
+_BI_FILE_SHAPE = '{"d": d, "coeffs": {"ij": theta_ij, ...}} with two-digit keys ij'
+
+
+def _theta_from_file(payload: object, mode: str) -> ThetaUni | ThetaBi:
+    """The parameter a parsed --theta-file holds, or InputError naming the
+    shape it must have.  JSON numbers parse to int or float (a bool is
+    neither type)."""
+    fields = payload if isinstance(payload, dict) else {}
+    coeffs = fields.get("coeffs")
+    if mode == "bivariate":
+        if not (
+            type(fields.get("d")) is int
+            and isinstance(coeffs, dict)
+            and all(len(k) == 2 and k.isascii() and k.isdigit() for k in coeffs)
+            and all(type(v) in (int, float) for v in coeffs.values())
+        ):
+            raise InputError(f"a bivariate --theta-file holds {_BI_FILE_SHAPE}")
+        return ThetaBi(fields["d"], coeffs)
+    if not (isinstance(coeffs, list) and all(type(v) in (int, float) for v in coeffs)):
+        raise InputError(f"a univariate --theta-file holds {_UNI_FILE_SHAPE}")
+    return ThetaUni(coeffs, _SUPPORTS[mode])
+
+
 def _theta_from_args(args: argparse.Namespace) -> ThetaUni | ThetaBi:
     """Build the parameter from --theta / --theta-file according to --mode."""
-    payload = None
     if getattr(args, "theta_file", None):
         with open(args.theta_file) as fh:
-            payload = json.load(fh)
+            return _theta_from_file(json.load(fh), args.mode)
     if args.mode == "bivariate":
-        if payload is not None:
-            return ThetaBi(int(payload["d"]), payload["coeffs"])
         if args.theta is None:
             raise InputError("bivariate mode needs --theta or --theta-file")
         if args.d is None:
             raise InputError("bivariate --theta needs --d to fix the order")
         return ThetaBi.from_vector(args.d, _parse_coeff_list(args.theta))
-    support = _SUPPORTS[args.mode]
-    if payload is not None:
-        return ThetaUni(payload["coeffs"], support)
     if args.theta is None:
         raise InputError("need --theta or --theta-file")
-    return ThetaUni(_parse_coeff_list(args.theta), support)
+    return ThetaUni(_parse_coeff_list(args.theta), _SUPPORTS[args.mode])
 
 
 def _require_integrable_uni(theta: ThetaUni) -> None:
@@ -325,7 +343,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     fit_opts = FitOptions()
     for rep in range(args.reps):
         x = sample_uni(theta_star, args.n, seed=_rep_seed(args.seed, rep))
-        stats = suff_stats(x, max(2 * d, d), support)
+        stats = suff_stats(x, _stats_order(d, support), support)
         try:
             if stat_kind == "p":
                 fit = fit_mle(stats, d, fit_opts)
@@ -508,7 +526,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_theta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", help="comma-separated coefficients theta_1,...,theta_d")
-    p.add_argument("--theta-file", help='JSON {"d": ..., "coeffs": [...] or {"ij": ...}}')
+    p.add_argument("--theta-file", help=f"JSON {_UNI_FILE_SHAPE}; bivariate {_BI_FILE_SHAPE}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_INPUT)
     except (TransportError, LinearSystemError, ToleranceNotMet, NotConverged) as exc:
         return _fail(f"{type(exc).__name__}: {exc}", EXIT_NOT_CONVERGED)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
 

@@ -709,7 +709,7 @@ def transport_bi(
     axes = _axes_for(table, opts)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     try:
-        yf, est = _ode.taylor(series, y0, opts.rel_tol, opts.max_steps)
+        yf, est = _ode.taylor(series, y0, opts.rel_tol)
     except SingularSystem as exc:
         raise PathCrossesSingularity(
             f"transport hit a singular level system: {exc}"

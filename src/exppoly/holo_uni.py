@@ -63,25 +63,21 @@ from .errors import (
 
 @dataclass(frozen=True)
 class OdeOptions:
-    """Transport integrator settings.
+    """Transport tolerance.
 
     Univariate and bivariate transport both step by Taylor series, with
     adaptive steps (`_ode.taylor`).  A step's rows stop at the first of the
     orders `_ode._ORDERS` (16 to 48) whose last two rows let it reach the
     segment's end under `rel_tol`.
 
-    rel_tol: per-step relative tolerance.
-    max_steps: step budget before giving up, an integer >= 1 (not a bool).
+    rel_tol: per-step relative tolerance, positive and finite.
     """
 
     rel_tol: float = 1e-10
-    max_steps: int = 200_000
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise InputError("rel_tol must be positive and finite")
-        if not _is_count(self.max_steps):
-            raise InputError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 def _is_int(v: object) -> bool:
@@ -507,7 +503,7 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
     y0 = state.F[: d - 1].tolist()
     carry = d > 1 and state.last_transport_error > 0.0
     step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, carry)
-    F, est, *phi = _ode.taylor(step_map.series, y0, opts.rel_tol, opts.max_steps, carry)
+    F, est, *phi = _ode.taylor(step_map.series, y0, opts.rel_tol, carry)
 
     # Re-derive the redundant tail entries so the final state satisfies the
     # recursion exactly at the target point.
@@ -686,7 +682,7 @@ def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloS
         carried = None
     if cond > _COND_DIRECT and _RETRY_TOL < opts.rel_tol:
         start = _gamma_state(eff)
-        moved = transport(start, eff, OdeOptions(rel_tol=_RETRY_TOL, max_steps=opts.max_steps))
+        moved = transport(start, eff, OdeOptions(rel_tol=_RETRY_TOL))
         cond = _condition(moved)
         carried = None
     if cond > _COND_LIMIT:

@@ -113,6 +113,28 @@ def test_normconst_bivariate_derivs_order(capsys, tmp_path):
     assert out["A"] == table.norm_const
 
 
+@pytest.mark.parametrize("mode", ["halfline", "bivariate"])
+@pytest.mark.parametrize(
+    "payload", [[1, -2], {"d": 2}, {"coeffs": "abc"}], ids=["list", "no-coeffs", "string-coeffs"]
+)
+def test_normconst_malformed_theta_file_exits_2(capsys, tmp_path, payload, mode):
+    # one error line naming the shape the file must have, not a traceback
+    theta_file = tmp_path / "theta.json"
+    theta_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["normconst", "--mode", mode, "--theta-file", str(theta_file)])
+    assert code == 2 and out is None
+    message = json.loads(err)["error"]
+    assert message.startswith("InputError: ") and '"coeffs"' in message
+
+
+def test_normconst_theta_file_not_utf8_exits_2(capsys, tmp_path):
+    theta_file = tmp_path / "theta.json"
+    theta_file.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["normconst", "--theta-file", str(theta_file)])
+    assert code == 2 and out is None
+    assert "utf-8" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("tol", ["0", "-1"])
 def test_normconst_rejects_nonpositive_tol(capsys, tol):
     # --tol 0 used to read as no --tol and ran at the default tolerance

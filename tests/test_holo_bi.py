@@ -765,8 +765,9 @@ def test_transport_matches_lstsq_reference(reference_points):
 
 
 def test_transport_matches_mpmath():
-    # the tenth d=2 reference point, where the default-tolerance DOPRI
-    # reference was off by 2.8e-7: A by mpmath, the y-integral in closed form
+    # the tenth d=2 reference point, where an integrator at the default
+    # tolerance misses A by 2.8e-7, so the engine is held to an independent
+    # value there: A by mpmath, the y-integral in closed form
     import mpmath
 
     rng = np.random.default_rng(20261020)

@@ -1,4 +1,4 @@
-"""Transport integrators: accuracy, bad values, call pattern, pinned transports."""
+"""Taylor transport: pinned and mpmath accuracy, bad values, step budget, row stops."""
 
 import math
 
@@ -13,140 +13,9 @@ from exppoly.domain import Support, ThetaUni
 from exppoly.errors import ExpPolyError, OdeDivergence
 from exppoly.verify import random_theta_bi_proper
 
-OMEGA = 3.0
-
-
-def damped_rotation(s, y):
-    # y' = [[-1, w], [-w, -1]] y
-    return [-y[0] + OMEGA * y[1], -OMEGA * y[0] - y[1]]
-
-
-def damped_rotation_exact(s):
-    return [math.exp(-s) * math.cos(OMEGA * s), -math.exp(-s) * math.sin(OMEGA * s)]
-
-
-class Counted:
-    """Counts RHS evaluations and accepted-step callbacks."""
-
-    def __init__(self, f):
-        self.f = f
-        self.evals = 0
-        self.accepted = 0
-
-    def __call__(self, s, y):
-        self.evals += 1
-        return self.f(s, y)
-
-    def callback(self, s, y):
-        self.accepted += 1
-
-
-def test_dopri45_linear_system():
-    f = Counted(damped_rotation)
-    y, est = _ode.dopri45(f, [1.0, 0.0], 1e-10, callback=f.callback)
-    np.testing.assert_allclose(y, damped_rotation_exact(1.0), rtol=0, atol=1e-9)
-    assert 0.0 < est < 1e-8
-    # one evaluation up front, then six per attempted step (first-same-as-last)
-    assert (f.evals - 1) % 6 == 0
-    assert f.accepted == (f.evals - 1) // 6
-
-
-def test_rk4_linear_system():
-    y = _ode.rk4_fixed(damped_rotation, [1.0, 0.0], 200)
-    np.testing.assert_allclose(y, damped_rotation_exact(1.0), rtol=0, atol=1e-9)
-    y, est = _ode.rk4_with_estimate(damped_rotation, [1.0, 0.0], 100)
-    err = max(abs(a - b) for a, b in zip(y, damped_rotation_exact(1.0)))
-    # the Richardson estimate is relative to max|y| and within a small factor
-    assert err < 1e-8
-    assert 0.1 * err / max(map(abs, y)) < est < 10 * err / max(map(abs, y))
-
-
-def test_dopri45_rejects_nan_stages_off_path():
-    # y' = y, but the RHS refuses stage states that stray from e^s by more
-    # than 1e-6 relative: long steps are rejected until they fit
-    def f(s, y):
-        if abs(y[0] - math.exp(s)) > 1e-6 * math.exp(s):
-            return [math.nan]
-        return [y[0]]
-
-    counted = Counted(f)
-    y, _ = _ode.dopri45(counted, [1.0], 1e-3, callback=counted.callback)
-    attempted = (counted.evals - 1) // 6
-    assert attempted > counted.accepted
-    assert y[0] == pytest.approx(math.e, rel=1e-5)
-
-
-def test_dopri45_step_underflow_raises():
-    with pytest.raises(OdeDivergence):
-        _ode.dopri45(lambda s, y: [math.nan], [1.0], 1e-10)
-
-
-def test_dopri45_underflowing_error_scale_rejects_steps():
-    # rtol * |y| underflows to zero: every step is rejected as with an
-    # infinite error ratio, until the step size underflows
-    with pytest.raises(OdeDivergence):
-        _ode.dopri45(lambda s, y: [-y[0]], [1e-30], 1e-300)
-
-
-@pytest.mark.parametrize("wrap", [list, np.array, tuple])
-def test_dopri45_accepts_any_float_sequence(wrap):
-    y_list, est_list = _ode.dopri45(damped_rotation, np.array([1.0, 0.0]), 1e-10)
-    y, est = _ode.dopri45(lambda s, y: wrap(damped_rotation(s, y)), [1.0, 0.0], 1e-10)
-    assert y == y_list and est == est_list
-    assert all(type(v) is float for v in y)
-    y4 = _ode.rk4_fixed(lambda s, y: wrap(damped_rotation(s, y)), [1.0, 0.0], 20)
-    assert y4 == _ode.rk4_fixed(damped_rotation, [1.0, 0.0], 20)
-
-
-def _dopri45_arrays(f, y0, rtol):
-    """The integrator as written on numpy arrays, the reference for the
-    float stages: same tableau, same controller, same operation order."""
-    y = np.array(y0, dtype=float)
-    s, h, accum = 0.0, 0.01, 0.0
-    k1 = np.asarray(f(s, y))
-    while s < 1.0:
-        h = min(h, 1.0 - s)
-        ks = [k1]
-        for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_ode._A[i], ks))
-            ks.append(np.asarray(f(s + _ode._C[i] * h, yi)))
-        y5 = y + h * sum(b * k for b, k in zip(_ode._B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_ode._B4, ks))
-        if not np.all(np.isfinite(y5)):
-            h *= 0.2
-            continue
-        err = np.abs(y5 - y4)
-        ymag = max(float(np.max(np.abs(y))), float(np.max(np.abs(y5))), 1e-300)
-        denom = rtol * np.maximum(np.maximum(np.abs(y), np.abs(y5)), 1e-3 * ymag)
-        ratio = float(np.max(err / denom))
-        if ratio <= 1.0:
-            s, y, k1 = s + h, y5, ks[6]
-            accum += float(np.max(err)) / ymag
-        h *= min(5.0, max(0.2, 0.9 * (max(ratio, 1e-10)) ** -0.2))
-    return y.tolist(), accum
-
-
-def _segment_rhs(support, coeffs):
-    """Gamma point, target and the order-1 recurrence right-hand side of the
-    segment between them, over the full state (the DOPRI transport's system)."""
-    theta = ThetaUni(coeffs, support)
-    start = holo_uni.initial_state(theta.d, abs(coeffs[-1]), support)
-    h = np.subtract(theta.coeffs, start.theta.coeffs)
-    step_map = holo_uni._StepMap(start.theta.coeffs, h, holo_uni._inhom(support), len(start.F))
-    return start, theta, lambda s, y: step_map.series(s, y[: theta.d - 1])(1)[1]
-
-
-def test_dopri45_matches_array_arithmetic_bitwise():
-    start, _, f = _segment_rhs(Support.HALF_LINE, (-0.5, 0.8, 0.3, -0.4, 0.1, -1.5))
-    y0 = start.F.tolist()
-    assert _ode.dopri45(f, y0, 1e-10) == _dopri45_arrays(f, y0, 1e-10)
-    for rhs in (damped_rotation, lambda s, y: [y[0], math.sin(s) * y[0] - y[1]]):
-        assert _ode.dopri45(rhs, [1.0, 0.5], 1e-9) == _dopri45_arrays(rhs, [1.0, 0.5], 1e-9)
-
-
-# DOPRI transports (F and the error accumulator) of the full state from the
-# gamma point (0, ..., 0, theta_d) to theta, recorded before the stages ran
-# on floats; `holo_uni.transport` now steps by Taylor series instead.
+# Transports of the full state from the gamma point (0, ..., 0, theta_d) to
+# theta by an adaptive Dormand-Prince 5(4) pair at rel_tol 1e-10: F and the
+# error accumulator.  The Taylor transport must be at least as accurate.
 PINNED = [
     (Support.HALF_LINE, (0.5, -1.0), [1.2040654504472765, 0.8010163626118192], 2.458730280919972e-10),
     (Support.HALF_LINE, (-1.0, 3.0, -2.0), [1.344405058665804, 0.9398792572023397], 1.7392707390919355e-09),
@@ -182,15 +51,6 @@ PINNED = [
         2.931075624414522e-10,
     ),
 ]
-
-
-@pytest.mark.parametrize("support, coeffs, F, est", PINNED, ids=lambda v: str(v))
-def test_transport_pinned(support, coeffs, F, est):
-    start, theta, f = _segment_rhs(support, coeffs)
-    y, accum = _ode.dopri45(f, start.F.tolist(), 1e-10)
-    F_moved = holo_uni._extend(theta.coeffs, support, y, holo_uni.state_length(theta.d) - 1)
-    np.testing.assert_allclose(F_moved, F, rtol=1e-14, atol=0)
-    assert accum == pytest.approx(est, rel=1e-14)
 
 
 def mp_moments(coeffs, support, count):
@@ -274,12 +134,14 @@ def test_transport_whole_line_parity(coeffs):
         assert all(v == 0.0 for v in moved.F[1::2])
 
 
-def test_transport_step_budget_raises():
+def test_transport_step_budget_raises(monkeypatch):
     start = holo_uni.initial_state(4, 3.0, Support.REAL_LINE)
     target = ThetaUni((1.0, 4.0, -2.0, -3.0), Support.REAL_LINE)
-    holo_uni.transport(start, target, holo_uni.OdeOptions(max_steps=50))
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 50)
+    holo_uni.transport(start, target)
+    monkeypatch.setattr(_ode, "_MAX_STEPS", 1)
     with pytest.raises(OdeDivergence):
-        holo_uni.transport(start, target, holo_uni.OdeOptions(max_steps=1))
+        holo_uni.transport(start, target)
 
 
 def test_taylor_non_finite_coefficients_raise():

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import exppoly
+from exppoly import _ode
 
 # bindings nothing in the package reads: bench/tracing.py wraps each by name
 TRACER_BINDINGS = {
@@ -11,6 +14,8 @@ TRACER_BINDINGS = {
     ("inference", "transport"),
     ("inference", "transport_bi"),
 }
+# `_ode` functions that only raise, kept because bench/tracing.py wraps each
+TRACER_STUBS = ("dopri45", "rk4_with_estimate")
 
 
 def test_exports_resolve_once():
@@ -37,15 +42,17 @@ def test_modules_read_every_import():
     assert unread == TRACER_BINDINGS
 
 
-def test_private_module_names_are_read():
-    # a module-level private function, class or constant that nothing in
-    # the package reads is dead code, even when a test still imports it
-    trees = {
+def _package_trees():
+    return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(exppoly.__file__).parent.glob("*.py"))
     }
+
+
+def _names_read(trees):
+    """Names loaded, attributes read and names imported anywhere in trees."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -53,6 +60,14 @@ def test_private_module_names_are_read():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_module_names_are_read():
+    # a module-level private function, class or constant that nothing in
+    # the package reads is dead code, even when a test still imports it
+    trees = _package_trees()
+    read = _names_read(trees.values())
     defined = set()
     for stem, tree in trees.items():
         for node in tree.body:
@@ -66,3 +81,10 @@ def test_private_module_names_are_read():
             private = [name for name in names if name.startswith("_") and not name.startswith("__")]
             defined.update((stem, name) for name in private)
     assert sorted(name for name in defined if name[1] not in read) == []
+
+
+def test_tracer_stubs_are_unread_and_raise():
+    assert _names_read(_package_trees().values()).isdisjoint(TRACER_STUBS)
+    for name in TRACER_STUBS:
+        with pytest.raises(NotImplementedError):
+            getattr(_ode, name)()
