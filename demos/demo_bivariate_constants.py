@@ -62,8 +62,10 @@ print(f"tilted: A = {moved.norm_const:.12f}, rel diff vs quadrature = "
 
 # ------------------------------------------------------------------
 # 5. Parameter segments may not cross the discriminant walls: the system's
-#    coefficient matrix degenerates there and transport refuses.  The wall
-#    for d = 2 sits at theta_11^2 = 4 theta_20 theta_02.
+#    coefficient matrix P degenerates there.  Along a segment P is a linear
+#    pencil, and transport refuses, before any step, a segment on which one
+#    of the pencil's zeros lies.  The wall for d = 2 sits at
+#    theta_11^2 = 4 theta_20 theta_02.
 
 beyond = ThetaBi(2, {(2, 0): -1.0, (1, 1): -3.0, (0, 2): -1.0})
 try:

@@ -35,12 +35,10 @@ from .errors import (
 )
 from .holo_bi import (
     DerivTableBi,
-    base_indices,
     extend_table,
     initial_state_bi,
     pfaffian_det,
     table_at,
-    table_from_oracle,
     transport_bi,
 )
 from .holo_uni import (
@@ -50,7 +48,6 @@ from .holo_uni import (
     initial_state,
     norm_const_and_derivs,
     state_at,
-    state_length,
     transport,
     transport_condition,
 )
@@ -84,7 +81,6 @@ from .polyalg import (
     discriminant,
     sylvester_resultant,
     squarefree_part,
-    sylvester_matrix,
 )
 from .verify import SuiteResult, run_suites, suite_names
 
@@ -126,17 +122,14 @@ __all__ = [
     "initial_state",
     "norm_const_and_derivs",
     "state_at",
-    "state_length",
     "transport",
     "transport_condition",
     # bivariate engine
     "DerivTableBi",
-    "base_indices",
     "extend_table",
     "initial_state_bi",
     "pfaffian_det",
     "table_at",
-    "table_from_oracle",
     "transport_bi",
     # inference
     "BiHoloProvider",
@@ -166,7 +159,6 @@ __all__ = [
     "discriminant",
     "sylvester_resultant",
     "squarefree_part",
-    "sylvester_matrix",
     # verification
     "SuiteResult",
     "run_suites",

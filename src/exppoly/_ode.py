@@ -89,7 +89,9 @@ def taylor(
     solution but not to decay with it.  Non-finite coefficients raise
     `OdeDivergence` (numpy's overflow and invalid-value warnings are off
     while the rows are built and summed, so an overflow shows only as that),
-    as does a segment that needs more than `_MAX_STEPS` steps.
+    as do finite terms whose sum overflows (`math.fsum` raises
+    `OverflowError` there) and a segment that needs more than `_MAX_STEPS`
+    steps.
     """
     y = [float(v) for v in y0]
     phi = None
@@ -122,8 +124,11 @@ def taylor(
             while True:
                 if t * H < 1e-14:
                     raise OdeDivergence("step size underflow in Taylor transport")
-                powers = [t**n for n in range(N + 1)]
-                y_new = [math.fsum(map(mul, col, powers)) for col in cols]
+                try:
+                    powers = [t**n for n in range(N + 1)]
+                    y_new = [math.fsum(map(mul, col, powers)) for col in cols]
+                except OverflowError as exc:  # finite terms whose sum overflows
+                    raise OdeDivergence(f"Taylor sum overflows at s = {s:.6g}") from exc
                 terms = list(map(mul, norms, powers))
                 err = max(terms[N - 1], terms[N]) + _EPS * sum(map(mul, weights, terms))
                 ymag = max(max(map(abs, y_new)), 1e-300)

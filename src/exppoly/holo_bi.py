@@ -31,10 +31,11 @@ at the end they go through the univariate acceptance step, not a second
 transport.  The window solves of all levels, the next base row and the axis
 states' next rows are composed into one matrix per step, so each row costs
 one matrix-vector product, and the rows stop at the first order that
-reaches the segment's end.  Before any step, the discriminant along the
-segment, a polynomial of degree 2d-2, is sampled; unless its Chebyshev
-coefficients prove it free of zeros, its interpolant's real roots in
-[0, 1] are counted, so a path that meets a wall anywhere is refused.
+reaches the segment's end.  Along the segment P(theta(s)) = P0 + s P(h) is
+a pencil, and the walls it meets are its generalized eigenvalues: before any
+step they are found as -1/lambda over the eigenvalues lambda of
+P0^-1 P(h), complex ones included, so a path that meets a wall anywhere is
+refused.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .errors import (
     AxisOutsideDomain,
     InconsistentExtension,
     InputError,
-    NonSquarefree,
     OdeDivergence,
     PathCrossesSingularity,
     PathSingularity,
@@ -79,10 +79,17 @@ from .holo_uni import (
 # Axis constants go through `holo_uni.state_at` alone; this binding is kept
 # only because bench/tracing.py wraps `holo_bi.transport` by name.
 from .holo_uni import transport  # noqa: F401
-from .oracle import QuadOptions, quad_A_bi
 
 _DETP_RTOL = 1e-12
 _EXTENSION_RTOL = 1e-6
+# A segment is refused when a zero of D(theta(s)) lies this close to the
+# real interval [0, 1].  The zeros are eigenvalues, rounded at about eps
+# times the pencil's condition, and a double zero (a segment tangent to a
+# wall) splits under rounding into a pair about sqrt(eps) times the square
+# root of that condition off the real axis: up to 2.4e-7 on 6000 tangent
+# segments of degree 2 to 4.  The margin takes in both, and refusing such
+# a pair is safe.
+_WALL_MARGIN = 1e-6
 
 
 def _require_order(d: int) -> None:
@@ -128,8 +135,8 @@ class DerivTableBi:
     returns there), with the options they were computed under.  `extend_table`,
     `boundary_consts` and the next `transport_bi` from the table reuse them
     when called with the same options, instead of transporting both axes
-    again from their gamma points.  Tables from `table_from_oracle` or the
-    constructor carry None unless given them.
+    again from their gamma points.  Tables from the constructor carry None
+    unless given them.
     """
 
     __slots__ = ("theta", "F", "max_order", "last_transport_error", "axes")
@@ -211,19 +218,6 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
     )
 
 
-def table_from_oracle(theta: ThetaBi, opts: QuadOptions | None = None) -> DerivTableBi:
-    """Seed a transport state by direct quadrature of every base entry.
-
-    Intended for starting points in chambers that contain no product point,
-    where `initial_state_bi` cannot be used; one quadrature pass here replaces
-    per-iteration integration later.
-    """
-    _require_order(theta.d)
-    if opts is None:
-        opts = QuadOptions()
-    return DerivTableBi(theta, [quad_A_bi(theta, st, opts) for st in base_indices(theta.d)])
-
-
 def boundary_consts(
     theta: ThetaBi | DerivTableBi,
     M: int,
@@ -255,7 +249,8 @@ def _factor(P: np.ndarray) -> np.ndarray:
     call factors P twice, about 10 us more than one LU shared by both at
     n <= 2d-2; in return the transport path does not load scipy.
     """
-    det = float(np.linalg.det(P))
+    with np.errstate(over="ignore"):  # a det that overflows is far from singular
+        det = float(np.linalg.det(P))
     if abs(det) < _DETP_RTOL * max(1.0, math.sqrt(float(np.vdot(P, P)))):
         raise SingularSystem(
             f"det P = {det:.3e} is below threshold; parameter lies on or near "
@@ -424,6 +419,7 @@ class _LevelPlan:
         self.n, self.t_off, self.n_v = shape.n, shape.t_off, shape.n_v
         self.top0 = theta0[shape.top]
         self.P0 = _p_matrices(self.top0[None])[0]
+        self._inv0 = None
         G0 = shape.g_const.put(np.zeros(shape.g_rows * self.n_v), np.ones(1))
         self.G0 = shape.g_lin.put(G0, theta0).reshape(shape.g_rows, self.n_v)
         self.G0w = self.G0[shape.win_rows]
@@ -436,8 +432,27 @@ class _LevelPlan:
         self.Gx = shape.x_lin.put(self.Ghw.copy().ravel(), h).reshape(self.Ghw.shape)
 
     def factor(self, s: float) -> np.ndarray:
-        """Inverse of P(theta(s)), after the singularity test."""
-        return _factor(self.P0 if self.Ph is None else self.P0 + s * self.Ph)
+        """Inverse of P(theta(s)), after the singularity test.  The inverse
+        of P0 is kept: `zeros` and the first step both use it."""
+        if s != 0.0:
+            return _factor(self.P0 + s * self.Ph)
+        if self._inv0 is None:
+            self._inv0 = _factor(self.P0)
+        return self._inv0
+
+    def zeros(self) -> list[complex]:
+        """The s, complex in general, at which P(theta(s)) = P0 + s P(h) is
+        singular.
+
+        det P(theta(s)) = det P0 prod(1 + s lambda) over the eigenvalues
+        lambda of P0^-1 P(h), so the zeros are -1/lambda for each nonzero
+        lambda, with multiplicity: the zeros of D(theta(s)), since
+        det P = d^(d-2) D.  A singular P0 raises `SingularSystem`.  A list,
+        not an array: at most 2d-2 numbers, which numpy's per-call cost
+        would dominate.
+        """
+        lam = np.linalg.eigvals(self.factor(0.0).dot(self.Ph))
+        return [-1.0 / v for v in lam.tolist() if v != 0.0]
 
     def _windows(self, s: float, H: float, pinv: np.ndarray) -> np.ndarray:
         """The matrix taking (V_{n-1}, V_n) to every level entry of X_n, each
@@ -594,6 +609,22 @@ def _transport_shape(d: int) -> _TransportShape:
     return _TransportShape(nb, n_c, shift, lanes, lane_put, carried, scale, axes)
 
 
+def _refuse_walls(plan: _LevelPlan) -> None:
+    """Refuse the plan's segment, s in [0, 1], if it meets a chamber wall:
+    if a zero of D(theta(s)) (`_LevelPlan.zeros`) lies within `_WALL_MARGIN`
+    of [0, 1], or if P0 is singular, the source on a wall."""
+    try:
+        zeros = plan.zeros()
+    except SingularSystem as exc:
+        raise PathCrossesSingularity(f"the source lies on a chamber wall: {exc}") from exc
+    if any(abs(z - min(max(z.real, 0.0), 1.0)) <= _WALL_MARGIN for z in zeros):
+        raise PathCrossesSingularity(
+            "the discriminant vanishes along the segment; the endpoints lie in "
+            "different chambers or the path leaves one and returns, use another "
+            "initial point"
+        )
+
+
 def _transport_series(
     d: int, src_vec: np.ndarray, h_vec: np.ndarray
 ) -> Callable[[float, list[float], float], Callable[[int], np.ndarray]]:
@@ -608,12 +639,15 @@ def _transport_series(
     matrix of `holo_uni._StepMap.step`.  Block n of the flat row buffer
     holds order n, so each order is one product between contiguous slices
     and one multiply by that order's scale; `rows(N)` runs them from where
-    the last call stopped.
+    the last call stopped.  A segment that meets a wall is refused
+    (`_refuse_walls`) before the builder is returned, and the first step
+    reuses the inverse of P0 that the wall test took.
     """
     shape = _transport_shape(d)
     nb, n_c = shape.nb, shape.n_c
     m_ax = 2 * d - 3  # axis orders the levels read
     plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, m_ax, src_vec, h_vec)
+    _refuse_walls(plan)
     n_v = plan.n_v
     first = plan.t_off + nb  # V's entries below the levels
     n_lev = n_v - first
@@ -678,8 +712,10 @@ def transport_bi(
     segment's end.  The shift D and the layout of the rows are built once
     per d (`_transport_shape`).
 
-    The segment must not meet the discriminant locus; `_check_wall` counts
-    the roots of D along it exactly, once, before any step.  The source's
+    The segment must not meet the discriminant locus: before any step, the
+    zeros of D along it, the pencil's eigenvalues (`_LevelPlan.zeros`), are
+    found once, and one within `_WALL_MARGIN` of [0, 1] refuses the segment
+    with `PathCrossesSingularity`, as a source on a wall does.  The source's
     axis states come from the table when it carries them for `opts`; the
     ODE's final axis states go through the `holo_uni.state_at` acceptance
     (condition, moment check, retry, refusal) and ride on the result, so a
@@ -699,9 +735,6 @@ def transport_bi(
     h_vec = theta_target.as_vector() - src_vec
     if not np.any(h_vec):
         return table
-
-    src_top = np.array(src.top_coeffs())
-    _check_wall(src_top, np.array(theta_target.top_coeffs()) - src_top)
 
     nb = _transport_shape(d).nb
     free = d - 1  # free entries of an axis state
@@ -760,107 +793,6 @@ def _accept_axis(
     theta = ThetaUni(coeffs, Support.HALF_LINE)
     moved = HoloStateUni(theta, _extend(coeffs, Support.HALF_LINE, F, L - 1), est)
     return holo_uni._accept(start, moved, opts)
-
-
-@functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _wall_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n Chebyshev points u_k = cos(k pi / (n-1)) on [-1, 1], both ends
-    included, their Vandermonde matrix, and the matrix C that takes the
-    values there of a polynomial of degree n-1 at most to its Chebyshev
-    coefficients: a_j = 2/(n-1) sum_k f_k T_j(u_k), the sum's two end terms
-    halved, and a_0 and a_{n-1} halved again."""
-    N = n - 1
-    u = np.cos(np.arange(n) * math.pi / N)
-    C = np.cos(np.outer(np.arange(n), np.arange(n)) * (math.pi / N)) * (2.0 / N)
-    C[:, [0, N]] *= 0.5
-    C[[0, N]] *= 0.5
-    vander = np.vander(u)
-    for arr in (u, vander, C):
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return u, vander, C
-
-
-def _wall_samples(top0: np.ndarray, h_top: np.ndarray) -> np.ndarray:
-    """D(s) = discriminant(top0 + s*h_top) at the Chebyshev points on [0, 1].
-
-    D is a polynomial of degree at most 2d-2 in s, so its values at the
-    2d-1 points u_k of `_wall_nodes`, in u = 2s - 1, determine it up to
-    rounding.  All 2d-1 samples go through the batched discriminant kernel
-    as one stack, bit for bit what one `polyalg.discriminant` call per
-    point returns.
-    """
-    u = _wall_nodes(2 * len(top0) - 3)[0]
-    return polyalg._discriminants(top0 + (0.5 + 0.5 * u)[:, None] * h_top)
-
-
-def _wall_poly(vals: np.ndarray) -> list[float]:
-    """The interpolant in u = 2s - 1 of the samples `vals` of
-    `_wall_samples`, descending coefficients, by a solve with the points'
-    Vandermonde matrix."""
-    return np.linalg.solve(_wall_nodes(len(vals))[1], vals).tolist()
-
-
-def _wall_certified(vals: np.ndarray) -> bool:
-    """Whether the Chebyshev coefficients a_k of the interpolant of the
-    samples `vals` prove it free of zeros on [-1, 1]: |T_k| <= 1 there, so
-    where |a_0| exceeds sum_{k>=1} |a_k| by more than `_DETP_RTOL` of their
-    sum, D keeps the sign of a_0, which must be the samples' sign."""
-    a = _wall_nodes(len(vals))[2].dot(vals).tolist()
-    lead, rest = abs(a[0]), sum(map(abs, a[1:]))
-    return a[0] * vals[0] > 0.0 and lead - rest > _DETP_RTOL * (lead + rest)
-
-
-def _sturm_count(coeffs: list[float]) -> int:
-    """Real roots in [-1, 1] of the wall interpolant (descending
-    coefficients, finite), by a Sturm count.  Leading coefficients below
-    `_DETP_RTOL` of the largest are rounding and are dropped first (a top
-    form that does not move leaves D constant).  A repeated root makes the
-    chain degenerate: the count is then taken on the square-free part, and
-    a chain that degenerates there as well counts as a root, since a
-    tangency to the wall is as singular as a crossing."""
-    scale = max(map(abs, coeffs))
-    while abs(coeffs[0]) <= _DETP_RTOL * scale:
-        coeffs.pop(0)
-    try:
-        return polyalg.count_real_roots(coeffs, -1.0, 1.0)
-    except NonSquarefree:
-        try:
-            return polyalg.count_real_roots(polyalg.squarefree_part(coeffs), -1.0, 1.0)
-        except NonSquarefree:
-            return 1
-
-
-def _check_wall(top0: np.ndarray, h_top: np.ndarray) -> None:
-    """Refuse the segment top0 + s*h_top, s in [0, 1], if it meets a chamber wall.
-
-    The walls are the zeros of the discriminant D, sampled once at the
-    Chebyshev points of `_wall_samples` (the endpoints among them).  Where
-    the samples keep one sign and their Chebyshev coefficients certify
-    that D has no zero at all (`_wall_certified`), the segment passes.
-    Otherwise D vanishing at a sample point or changing sign between two
-    refuses the segment outright, and a Sturm count of the roots in [0, 1]
-    of the samples' interpolant (`_wall_poly`) decides the rest
-    (`_sturm_count`), which also finds a wall the segment enters and leaves
-    between two samples.  A D that overflows (a sample or a coefficient
-    not finite) cannot be tested and refuses the segment too.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _wall_samples(top0, h_top)
-        samples = vals.tolist()
-        one_sign = min(samples) > 0.0 or max(samples) < 0.0
-        # samples that are not finite fail the certificate and are refused below
-        if one_sign and _wall_certified(vals):
-            return
-        coeffs = _wall_poly(vals)
-    if not all(map(math.isfinite, samples + coeffs)):
-        raise PathCrossesSingularity("the discriminant along the segment overflows")
-    if one_sign and not _sturm_count(coeffs):
-        return
-    raise PathCrossesSingularity(
-        "the discriminant vanishes along the segment; the endpoints lie in "
-        "different chambers or the path leaves one and returns, use another "
-        "initial point"
-    )
 
 
 def _axes_for(source: ThetaBi | DerivTableBi, opts: OdeOptions | None) -> AxisStates:

@@ -11,11 +11,11 @@ partials ``F_a``, ``F_b`` of the top form (`_partials`), so
 ``det P = Res(F_a, F_b) = d^(d-2) * discriminant`` in this convention.
 
 One Sylvester builder serves a single pair of polynomials, a stack of
-them, and P: the discriminants of many forms (the wall samples of a
-bivariate step, a row of the chamber grid) cost one ``np.linalg.det``
-call, bit for bit what one call per form returns.  One Sturm chain gives
-the sign changes at every point, so `classify_chamber` builds one chain
-for both its positive and its negative root count.
+them, and P: the discriminants of many forms (a row of the chamber grid)
+cost one ``np.linalg.det`` call, bit for bit what one call per form
+returns.  One Sturm chain gives the sign changes at every point, so
+`classify_chamber` builds one chain for both its positive and its negative
+root count.
 """
 
 from __future__ import annotations

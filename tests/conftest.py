@@ -4,6 +4,8 @@ import pytest
 from hypothesis import settings
 
 from exppoly import _ode
+from exppoly.holo_bi import DerivTableBi, base_indices
+from exppoly.oracle import quad_A_bi
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written, and transports are too
@@ -38,3 +40,14 @@ def taylor_steps(monkeypatch):
 
     monkeypatch.setattr(_ode, "taylor", recording)
     return steps
+
+
+@pytest.fixture
+def oracle_table():
+    """A bivariate table at theta whose base entries come from quadrature:
+    a start in a chamber that holds no product point."""
+
+    def build(theta):
+        return DerivTableBi(theta, [quad_A_bi(theta, st) for st in base_indices(theta.d)])
+
+    return build

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from exppoly import _ode, holo_uni, polyalg
+from exppoly import _ode, holo_uni
 from exppoly.domain import (
     Support,
     ThetaBi,
@@ -21,42 +21,37 @@ from exppoly.errors import (
     AxisOutsideDomain,
     InconsistentExtension,
     InputError,
-    LeadingCoefficientZero,
     NonPositiveScale,
     OdeDivergence,
+    OnDiscriminant,
     PathCrossesSingularity,
     PathSingularity,
     SingularSystem,
+    ToleranceNotMet,
     UnsupportedOrder,
 )
 from exppoly.holo_bi import (
     DerivTableBi,
     _LevelPlan,
-    _check_wall,
     _factor,
     _flat,
     _level_shape,
     _p_matrices,
-    _sturm_count,
+    _refuse_walls,
     _transport_series,
     _transport_shape,
-    _wall_certified,
-    _wall_nodes,
-    _wall_poly,
-    _wall_samples,
     base_indices,
     boundary_consts,
     extend_table,
     initial_state_bi,
     pfaffian_det,
     table_at,
-    table_from_oracle,
     transport_bi,
 )
 from exppoly.holo_uni import OdeOptions, _extend, state_length
 from exppoly.inference import fit_mle
 from exppoly.oracle import quad_A_bi, sample_uni
-from exppoly.polyalg import _sylvester_layout, discriminant
+from exppoly.polyalg import _sylvester_layout, classify_chamber, discriminant
 from exppoly.verify import random_theta_bi_proper
 
 SQRT_PI = math.sqrt(math.pi)
@@ -269,9 +264,9 @@ def test_extend_table_cubic_product():
         assert v == pytest.approx(g[i] * g[j], rel=1e-8), (i, j)
 
 
-def test_extend_table_matches_quadrature():
+def test_extend_table_matches_quadrature(oracle_table):
     th = ThetaBi(2, {(2, 0): -1.0, (1, 1): -0.8, (0, 2): -1.3, (1, 0): 0.4})
-    tab = extend_table(table_from_oracle(th), 2)
+    tab = extend_table(oracle_table(th), 2)
     for (i, j), v in tab.values.items():
         assert v == pytest.approx(quad_A_bi(th, st=(i, j)), rel=1e-5), (i, j)
 
@@ -362,49 +357,79 @@ def test_transport_rejects_chamber_crossing_cubic():
         transport_bi(start, target)
 
 
-def test_oracle_seed_reaches_far_chamber():
+def test_oracle_seed_reaches_far_chamber(oracle_table):
     # same chamber as the blocked target above: seed there by quadrature
     theta0 = ThetaBi(3, {(3, 0): -1.0, (2, 1): -6.0, (1, 2): -11.0, (0, 3): -6.0})
     target = ThetaBi(3, {(3, 0): -1.0, (2, 1): -6.2, (1, 2): -11.6, (0, 3): -6.6})
-    tab = transport_bi(table_from_oracle(theta0), target)
+    tab = transport_bi(oracle_table(theta0), target)
     assert tab.norm_const == pytest.approx(quad_A_bi(target), rel=1e-5)
 
 
-def test_wall_test_refuses_double_crossing(monkeypatch):
-    # both endpoints have 4*t20*t02 - t11^2 < 0, the midpoint has it > 0: the
-    # segment enters the other chamber and comes back, which no sign test at
-    # the endpoints sees; the exact root count refuses it before any step
-    src = ThetaBi(2, {(2, 0): -0.25, (1, 1): -1.0, (0, 2): -0.5})
-    target = ThetaBi(2, {(2, 0): -3.0, (1, 1): -2.0, (0, 2): -0.25})
-    assert discriminant(src.top_coeffs()) < 0 and discriminant(target.top_coeffs()) < 0
-    table = table_from_oracle(src)
+def _wall_plan(top0, h_top):
+    """The transport plan of a segment whose top form is top0 + s*h_top and
+    whose lower coefficients are zero."""
+    d = len(top0) - 1
+    monos = monomials_bi(d)
+    theta0, h = np.zeros(len(monos)), np.zeros(len(monos))
+    for c in range(d + 1):
+        m = monos.index((d - c, c))
+        theta0[m], h[m] = top0[c], h_top[c]
+    return _LevelPlan(d, 2 * d - 3, 3 * d - 4, 2 * d - 3, theta0, h)
 
+
+def _no_step(monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("transport stepped before the wall test")
 
     monkeypatch.setattr(_ode, "taylor", no_step)
+
+
+def test_wall_test_refuses_double_crossing(monkeypatch, oracle_table):
+    # both endpoints have 4*t20*t02 - t11^2 < 0, the midpoint has it > 0: the
+    # segment enters the other chamber and comes back, which no sign test at
+    # the endpoints sees; the pencil's zeros refuse it before any step
+    src = ThetaBi(2, {(2, 0): -0.25, (1, 1): -1.0, (0, 2): -0.5})
+    target = ThetaBi(2, {(2, 0): -3.0, (1, 1): -2.0, (0, 2): -0.25})
+    assert discriminant(src.top_coeffs()) < 0 and discriminant(target.top_coeffs()) < 0
+    table = oracle_table(src)
+    _no_step(monkeypatch)
     with pytest.raises(PathCrossesSingularity):
         transport_bi(table, target)
     # an excursion between the sample points s = 0, 1/2, 1, where D is
     # negative: D(s) = 0.01 - (s - 1/4)^2 for top (-1, s - 1/4, -1/400)
     with pytest.raises(PathCrossesSingularity):
-        _check_wall(np.array([-1.0, -0.25, -0.0025]), np.array([0.0, 1.0, 0.0]))
+        _refuse_walls(_wall_plan(np.array([-1.0, -0.25, -0.0025]), np.array([0.0, 1.0, 0.0])))
 
 
-def test_wall_test_refuses_overflowing_discriminant(monkeypatch):
-    # every wall sample overflows to inf and the interpolant is NaN, whose
-    # Sturm count reads no root: the segment is refused, before any step
-    with pytest.raises(PathCrossesSingularity, match="overflows"):
-        _check_wall(
-            np.array([-1e60, 0.0, 0.0, 0.0, -1e60]), np.array([0.0, 0.0, -1e60, 0.0, -1e60])
-        )
+def test_wall_test_refuses_a_source_or_target_on_a_wall(monkeypatch):
+    # the README cubic slice's target (-1, -5, -4.25, -1) has D = 2.3e-14:
+    # it lies on the wall, so a zero of the pencil sits at s = 1
+    _no_step(monkeypatch)
+    top = (-1.0, -5.0, -4.25, -1.0)
+    with pytest.raises(OnDiscriminant):
+        classify_chamber(top)
+    target = ThetaBi(3, {(3, 0): -1.0, (2, 1): -5.0, (1, 2): -4.25, (0, 3): -1.0, (1, 0): -1.0, (0, 1): -1.0})
+    with pytest.raises(PathCrossesSingularity):
+        transport_bi(initial_state_bi(3, 1.0, 1.0), target)
+    top0 = np.array([-1.0, 0.0, 0.0, -1.0])
+    zeros = _wall_plan(top0, np.array(top) - top0).zeros()
+    assert min(abs(z - 1.0) for z in zeros) < 1e-12
+    # a source on the wall makes P0 singular: refused the same way
+    on_wall = ThetaBi(2, {(2, 0): -1.0, (1, 1): -2.0, (0, 2): -1.0})
+    with pytest.raises(PathCrossesSingularity, match="source lies on a chamber wall"):
+        transport_bi(DerivTableBi(on_wall, [1.0]), ThetaBi(2, {(2, 0): -1.0, (1, 1): -1.0, (0, 2): -1.0}))
 
-    def no_step(*args, **kwargs):
-        raise AssertionError("transport stepped before the wall test")
 
-    monkeypatch.setattr(_ode, "taylor", no_step)
+def test_wall_test_is_scale_free_on_a_1e60_segment():
+    # the discriminant of these top forms overflows a double, but the pencil
+    # does not: P0^-1 P(h) is the same at every scale, and its zeros pass
+    # the segment; the transport then ends in the axis acceptance's refusal
+    top0 = np.array([-1e60, 0.0, 0.0, 0.0, -1e60])
+    h_top = np.array([0.0, 0.0, -1e60, 0.0, -1e60])
+    _refuse_walls(_wall_plan(top0, h_top))
+    assert _wall_plan(top0, h_top).zeros() == _wall_plan(top0 / 1e60, h_top / 1e60).zeros()
     target = ThetaBi(4, {(4, 0): -1e60, (2, 2): -1e60, (0, 4): -2e60})
-    with pytest.raises(PathCrossesSingularity, match="overflows"):
+    with pytest.raises(ToleranceNotMet):
         transport_bi(initial_state_bi(4, 1e60, 1e60), target)
 
 
@@ -418,50 +443,7 @@ def test_wall_test_passes_walls_off_the_segment():
         ((-1.0, 0.0, -1.0), (-1.0, 1e-12, -1.0)),
     ):
         top0 = np.array(top0)
-        _check_wall(top0, np.array(top1) - top0)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_wall_poly_matches_exact_discriminant(d):
-    # the interpolant against sympy's discriminant of the parametrised top
-    # form, in the same variable u = 2s - 1, on three rational segments
-    import sympy
-
-    u = sympy.Symbol("u")
-    a = sympy.Symbol("a")
-    rng = np.random.default_rng(40 + d)
-    for _ in range(3):
-        top0 = [sympy.Rational(int(v), 4) for v in rng.integers(-12, 13, d + 1)]
-        top1 = [sympy.Rational(int(v), 4) for v in rng.integers(-12, 13, d + 1)]
-        top0[0], top1[0] = -sympy.Rational(int(rng.integers(1, 9)), 4), -1
-        s = (u + 1) / 2
-        p = sum((c0 + s * (c1 - c0)) * a ** (d - c) for c, (c0, c1) in enumerate(zip(top0, top1)))
-        disc = sympy.cancel(sympy.resultant(p, sympy.diff(p, a), a) / (top0[0] + s * (top1[0] - top0[0])))
-        want = [float(c) for c in sympy.Poly(disc, u).all_coeffs()]
-        t0 = np.array([float(c) for c in top0])
-        got = _wall_poly(_wall_samples(t0, np.array([float(c) for c in top1]) - t0))
-        want = [0.0] * (len(got) - len(want)) + want
-        scale = max(map(abs, want))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_wall_poly_equals_per_point_loop(d):
-    # one batched discriminant for the 2d-1 samples, bit for bit what one
-    # `discriminant` call per sample gives, and the same interpolant
-    rng = np.random.default_rng(90 + d)
-    n = 2 * d - 1
-    u = np.cos(np.arange(n) * math.pi / (n - 1))
-    for _ in range(25):
-        top0 = np.concatenate(([-rng.uniform(0.2, 3.0)], rng.uniform(-3.0, 3.0, d)))
-        h_top = rng.uniform(-1.5, 1.5, d + 1)
-        vals = _wall_samples(top0, h_top)
-        loop = [discriminant(top0 + (0.5 + 0.5 * uk) * h_top) for uk in u.tolist()]
-        assert vals.tolist() == loop
-        assert _wall_poly(vals) == np.linalg.solve(np.vander(u), loop).tolist()
-    # a sample whose lead is exactly zero is refused as a single call refuses it
-    with pytest.raises(LeadingCoefficientZero):
-        _wall_samples(np.array([-1.0, 0.5, -2.0]), np.array([1.0, 0.0, 0.0]))
+        _refuse_walls(_wall_plan(top0, np.array(top1) - top0))
 
 
 def _scan_sees_wall(top0, h_top, s):
@@ -472,7 +454,7 @@ def _scan_sees_wall(top0, h_top, s):
 
 def _wall_test_raises(top0, h_top):
     try:
-        _check_wall(top0, h_top)
+        _refuse_walls(_wall_plan(top0, h_top))
     except PathCrossesSingularity:
         return True
     return False
@@ -542,46 +524,71 @@ def test_wall_test_agrees_with_monitor_on_criterion_points():
     assert any(verdicts[50:]) and not all(verdicts[50:])
 
 
-def test_wall_nodes_give_chebyshev_coefficients():
-    # the cached matrix takes a polynomial's values at the points to its
-    # Chebyshev coefficients, as numpy's basis conversion does
-    rng = np.random.default_rng(7)
-    for n in (3, 5, 7):
-        u, vander, C = _wall_nodes(n)
-        for arr in (u, vander, C):
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1.0
-        coeffs = rng.uniform(-1.0, 1.0, n)  # descending, degree n-1
-        want = np.polynomial.chebyshev.poly2cheb(coeffs[::-1])
-        np.testing.assert_allclose(C.dot(np.polyval(coeffs, u)), want, rtol=0, atol=1e-14)
-
-
-@settings(max_examples=200, derandomize=True)
-@given(top_segment())
-def test_wall_certificate_passes_only_root_free_segments(segment):
-    # what the Chebyshev certificate passes, a dense scan and the Sturm
-    # count it skips pass as well
-    top0, h_top = segment
-    if not _wall_certified(_wall_samples(top0, h_top)):
-        return
-    assert not _scan_sees_wall(top0, h_top, np.linspace(0.0, 1.0, 401))[0]
-    assert _sturm_count(_wall_poly(_wall_samples(top0, h_top))) == 0
-
-
-def test_wall_root_near_an_end_reaches_the_sturm_count(monkeypatch):
+def test_wall_root_near_an_end_is_refused():
     # D(s) = (s - 0.98)^2 - 1e-4 up to sign, roots at s = 0.97 and 0.99: the
-    # samples at s = 0, 1/2, 1 keep one sign and the certificate fails, so
-    # the Sturm count finds both roots
+    # discriminant keeps one sign at s = 0, 1/2, 1, yet the pencil's zeros
+    # are those two roots, and the segment is refused
     top0, h_top = np.array([-1.0, -0.98, -2.5e-5]), np.array([0.0, 1.0, 0.0])
-    vals = _wall_samples(top0, h_top)
-    assert np.all(vals > 0.0) or np.all(vals < 0.0)
-    assert not _wall_certified(vals)
-    counts = []
-    real = polyalg.count_real_roots
-    monkeypatch.setattr(polyalg, "count_real_roots", lambda *a: counts.append(real(*a)) or counts[-1])
+    D = [discriminant(top0 + s * h_top) for s in (0.0, 0.5, 1.0)]
+    assert min(D) > 0.0 or max(D) < 0.0
+    zeros = _wall_plan(top0, h_top).zeros()
+    np.testing.assert_allclose(sorted(z.real for z in zeros), [0.97, 0.99], rtol=0, atol=1e-12)
+    assert all(z.imag == 0.0 for z in zeros)
     with pytest.raises(PathCrossesSingularity):
-        _check_wall(top0, h_top)
-    assert counts == [2]
+        _refuse_walls(_wall_plan(top0, h_top))
+
+
+def _matched(got, want):
+    """got reordered to pair each entry of want with its nearest unused one."""
+    got, out = list(got), []
+    for w in want:
+        k = min(range(len(got)), key=lambda i: abs(got[i] - w))
+        out.append(got.pop(k))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_wall_poly_matches_exact_discriminant(d):
+    # the wall polynomial D(theta(s)) as the pencil gives it, by its zeros,
+    # against sympy's roots of the discriminant of the parametrised top
+    # form, on three rational segments
+    import sympy
+
+    s = sympy.Symbol("s")
+    a = sympy.Symbol("a")
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        top0 = [sympy.Rational(int(v), 4) for v in rng.integers(-12, 13, d + 1)]
+        top1 = [sympy.Rational(int(v), 4) for v in rng.integers(-12, 13, d + 1)]
+        top0[0], top1[0] = -sympy.Rational(int(rng.integers(1, 9)), 4), -1
+        p = sum((c0 + s * (c1 - c0)) * a ** (d - c) for c, (c0, c1) in enumerate(zip(top0, top1)))
+        disc = sympy.cancel(sympy.resultant(p, sympy.diff(p, a), a) / (top0[0] + s * (top1[0] - top0[0])))
+        want = [complex(r) for r in sympy.Poly(disc, s).nroots(n=30)]
+        t0 = np.array([float(c) for c in top0])
+        got = _wall_plan(t0, np.array([float(c) for c in top1]) - t0).zeros()
+        assert len(got) == len(want)
+        want = np.array(want)
+        np.testing.assert_allclose(_matched(got, want), want, rtol=1e-9, atol=1e-12)
+
+
+@given(top_segment(), st.integers(-8, 8))
+@settings(max_examples=300)
+def test_pencil_zeros_are_scale_free(segment, k):
+    # scaling both ends of a segment by 2^k scales P0 and P(h) exactly, and
+    # with them the inverse: the zeros are bit for bit the same
+    top0, h_top = segment
+    try:
+        want = _wall_plan(top0, h_top).zeros()
+    except SingularSystem:
+        return  # the source is on a wall
+    try:
+        got = _wall_plan(top0 * 2.0**k, h_top * 2.0**k).zeros()
+    except SingularSystem:
+        # `_factor`'s threshold, 1e-12 max(1, |P|_F), is absolute below
+        # norm one, so it refuses some pencils it accepts at scale 1
+        assert k < 0
+        return
+    assert got == want
 
 
 def test_transport_degree_mismatch():

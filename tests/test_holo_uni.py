@@ -670,6 +670,15 @@ def test_series_overflow_is_ode_divergence(target):
             transport(start, theta)
 
 
+def test_carried_move_with_overflowing_sum_is_ode_divergence():
+    # every Taylor term of the move is finite, but a column's exact sum
+    # overflows: `math.fsum` raises OverflowError, which must surface typed
+    S = ThetaUni((-0.30476117990172724, 0.875039302255448, -0.6933951248699426, -0.15822930415157682))
+    T = ThetaUni((-0.525872966680245, 1.5744407256119342, -1.2006536301345634, -0.0643677107941049))
+    with pytest.raises(OdeDivergence, match="overflows"):
+        state_at(T, start=state_at(S))
+
+
 # ------------------------------------------------------ order-2 closed forms
 
 EPS = float(np.finfo(float).eps)

@@ -19,7 +19,7 @@ from exppoly.errors import (
     ToleranceNotMet,
     UnsupportedOrder,
 )
-from exppoly.holo_bi import extend_table, table_from_oracle
+from exppoly.holo_bi import extend_table
 from exppoly.holo_uni import derivative_bounds, extend_derivatives
 from exppoly.inference import (
     BiHoloProvider,
@@ -352,9 +352,9 @@ def test_fit_realline_gaussian_closed_form():
     assert res.theta_hat == start
 
 
-def test_fit_bivariate_self_consistent():
+def test_fit_bivariate_self_consistent(oracle_table):
     truth = ThetaBi(2, {(2, 0): -1.0, (1, 1): -0.8, (0, 2): -1.3, (1, 0): 0.4})
-    tab = extend_table(table_from_oracle(truth), 2)
+    tab = extend_table(oracle_table(truth), 2)
     A = tab.norm_const
     monos = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     st = SuffStats(
@@ -660,6 +660,15 @@ def test_seed_7_quartic_fit_converges_at_the_quadrature_fit():
     se = res.standard_errors(stats.n)
     assert np.all(np.abs(res.theta_hat.as_array() - quad.theta_hat.as_array()) <= 1e-5 * se)
     np.testing.assert_allclose(res.theta_hat.coeffs, [-0.835, 2.087, -0.881, -0.407], atol=5e-4)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_quartic_fit_whose_moves_overflow_returns_a_result(seed):
+    # candidates on these fits' paths reach Taylor sums that overflow; the
+    # refusal is typed, so the line search halves and the fit returns
+    x = sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=seed)
+    res = fit_mle(suff_stats(x, 7), 4)
+    assert res.iterations > 0 and np.all(np.isfinite(res.theta_hat.as_array()))
 
 
 def test_refresh_skips_closed_form_states():
