@@ -17,24 +17,24 @@ from exppoly import (
     PathCrossesSingularity,
     ThetaBi,
     extend_table,
-    initial_state_bi,
     quad_A_bi,
-    transport_bi,
+    table_at,
 )
 
 # ------------------------------------------------------------------
 # 1. A product start: exp(-x^2 - y^2) has A = pi/4, and the table entries
-#    are products of one-dimensional gamma moments.
+#    are products of one-dimensional gamma moments.  `table_at` with no
+#    start begins at such a product point, here the parameter itself.
 
-start = initial_state_bi(2, 1.0, 1.0)
+start = table_at(ThetaBi(2, {(2, 0): -1.0, (0, 2): -1.0}))
 print(f"product Gaussian: A = {start.norm_const:.12f}  (pi/4 = {math.pi / 4:.12f})")
 
 # ------------------------------------------------------------------
-# 2. Switch on a cross term and transport.  Quadrature over the quadrant
-#    confirms the moved constant.
+# 2. Switch on a cross term and transport from the product table.
+#    Quadrature over the quadrant confirms the moved constant.
 
 theta = ThetaBi(2, {(2, 0): -1.0, (1, 1): -0.8, (0, 2): -1.3})
-table = transport_bi(start, theta)
+table = table_at(theta, start=start)
 q = quad_A_bi(theta)
 print(f"with cross term: A = {table.norm_const:.12f}, quadrature = {q:.12f}, "
       f"rel diff = {abs(table.norm_const / q - 1):.2e}")
@@ -55,7 +55,7 @@ print(f"E[x] = {mean_x:.6f}, E[y] = {mean_y:.6f}, "
 
 tilted = ThetaBi(2, {(1, 0): 0.7, (0, 1): -0.4, (2, 0): -1.0,
                      (1, 1): -0.8, (0, 2): -1.3})
-moved = transport_bi(start, tilted)
+moved = table_at(tilted, start=start)
 q = quad_A_bi(tilted)
 print(f"tilted: A = {moved.norm_const:.12f}, rel diff vs quadrature = "
       f"{abs(moved.norm_const / q - 1):.2e}")
@@ -69,7 +69,7 @@ print(f"tilted: A = {moved.norm_const:.12f}, rel diff vs quadrature = "
 
 beyond = ThetaBi(2, {(2, 0): -1.0, (1, 1): -3.0, (0, 2): -1.0})
 try:
-    transport_bi(start, beyond)
+    table_at(beyond, start=start)
 except PathCrossesSingularity as exc:
     print(f"\nrefused wall crossing: {exc}")
 print(f"the constant there is still finite (quadrature): {quad_A_bi(beyond):.9f}")

@@ -36,24 +36,19 @@ from .errors import (
 from .holo_bi import (
     DerivTableBi,
     extend_table,
-    initial_state_bi,
     pfaffian_det,
     table_at,
-    transport_bi,
 )
 from .holo_uni import (
     HoloStateUni,
     OdeOptions,
     extend_derivatives,
-    initial_state,
     norm_const_and_derivs,
     state_at,
-    transport,
     transport_condition,
 )
 from .inference import (
     BiHoloProvider,
-    FitOptions,
     FitResult,
     TestNull,
     TestResult,
@@ -67,7 +62,6 @@ from .inference import (
     select_order,
 )
 from .oracle import (
-    QuadOptions,
     closed_form_A,
     numeric_cdf,
     quad_A_bi,
@@ -119,21 +113,16 @@ __all__ = [
     "HoloStateUni",
     "OdeOptions",
     "extend_derivatives",
-    "initial_state",
     "norm_const_and_derivs",
     "state_at",
-    "transport",
     "transport_condition",
     # bivariate engine
     "DerivTableBi",
     "extend_table",
-    "initial_state_bi",
     "pfaffian_det",
     "table_at",
-    "transport_bi",
     # inference
     "BiHoloProvider",
-    "FitOptions",
     "FitResult",
     "TestNull",
     "TestResult",
@@ -146,7 +135,6 @@ __all__ = [
     "score_test_realline",
     "select_order",
     # oracle
-    "QuadOptions",
     "closed_form_A",
     "numeric_cdf",
     "quad_A_bi",

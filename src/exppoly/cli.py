@@ -47,7 +47,6 @@ from .holo_uni import (
     state_at,
 )
 from .inference import (
-    FitOptions,
     _stats_order,
     fisher_info,
     fit_mle,
@@ -340,13 +339,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     rows: list[list[float]] = []
     excluded = 0
-    fit_opts = FitOptions()
     for rep in range(args.reps):
         x = sample_uni(theta_star, args.n, seed=_rep_seed(args.seed, rep))
         stats = suff_stats(x, _stats_order(d, support), support)
         try:
             if stat_kind == "p":
-                fit = fit_mle(stats, d, fit_opts)
+                fit = fit_mle(stats, d)
                 if not fit.converged:
                     excluded += 1
                     continue
@@ -354,9 +352,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 rows.append([rep, *(math.sqrt(args.n) * diff / se)])
             else:
                 if support is Support.REAL_LINE:
-                    res = score_test_realline(stats, d, args.alpha, fit_opts)
+                    res = score_test_realline(stats, d, args.alpha)
                 else:
-                    res = score_test_halfline(stats, d, args.alpha, fit_opts)
+                    res = score_test_halfline(stats, d, args.alpha)
                 rows.append([rep, res.statistic])
         except ExpPolyError:
             excluded += 1

@@ -86,11 +86,6 @@ def _is_int(v: object) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _is_count(v: object) -> bool:
-    """Whether v is an integer >= 1."""
-    return _is_int(v) and v >= 1
-
-
 def _order_arg(M: object) -> int:
     """M as an int, once it is known to be a derivative order: an integer
     >= 0.  Orders size the cached level shapes, so they are checked first."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .holo_bi import DerivTableBi, _flat, extend_table
-from .holo_uni import HoloStateUni, OdeOptions, _is_count, extend_derivatives, norm_const_and_derivs
+from .holo_uni import HoloStateUni, extend_derivatives, norm_const_and_derivs
 
 # Transport goes through `holo_uni.state_at` and `holo_bi.table_at` alone;
 # these bindings are kept only because bench/tracing.py wraps
@@ -61,19 +61,10 @@ Theta = Union[ThetaUni, ThetaBi]
 # A Fisher-scoring step is halved down to this factor at most; a step that
 # no factor down to it makes acceptable ends the fit.
 _MIN_STEP_FACTOR = 2.0**-40
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    grad_tol: float = 1e-8
-    max_iter: int = 200
-    ode: OdeOptions = field(default_factory=OdeOptions)
-
-    def __post_init__(self) -> None:
-        if not (self.grad_tol > 0.0 and math.isfinite(self.grad_tol)):
-            raise InputError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
-        if not _is_count(self.max_iter):
-            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+# A fit converges when the score's max-norm is at most this, and stops
+# unconverged after this many Fisher-scoring steps.
+_GRAD_TOL = 1e-8
+_MAX_ITER = 200
 
 
 class UniHoloProvider:
@@ -91,13 +82,12 @@ class UniHoloProvider:
     `refresh` therefore keeps the committed state.
     """
 
-    def __init__(self, opts: OdeOptions | None = None):
-        self.opts = opts if opts is not None else OdeOptions()
+    def __init__(self):
         self._state: Optional[HoloStateUni] = None
 
     def derivs(self, theta: ThetaUni, M: int) -> np.ndarray:
         """d^m A / d theta_1^m at theta for m = 0..M; entry 0 is A."""
-        self._state = holo_uni.state_at(theta, self.opts, start=self._state)
+        self._state = holo_uni.state_at(theta, start=self._state)
         return extend_derivatives(self._state, M)
 
     def refresh(self, theta: ThetaUni) -> None:
@@ -112,19 +102,18 @@ class BiHoloProvider:
     """Bivariate analogue of UniHoloProvider: each request moves the last
     committed derivative table to the new parameter through `holo_bi.table_at`."""
 
-    def __init__(self, opts: OdeOptions | None = None):
-        self.opts = opts if opts is not None else OdeOptions()
+    def __init__(self):
         self._table: Optional[DerivTableBi] = None
 
     def derivs(self, theta: ThetaBi, M: int) -> np.ndarray:
         """The table's `F` at theta, through total order M at least: entry
         `holo_bi._flat(i, j)` is d^(i+j) A / d theta_10^i d theta_01^j."""
-        self._table = holo_bi.table_at(theta, self.opts, start=self._table)
-        return extend_table(self._table, M, self.opts).F
+        self._table = holo_bi.table_at(theta, start=self._table)
+        return extend_table(self._table, M).F
 
     def refresh(self, theta: ThetaBi) -> None:
         try:
-            self._table = holo_bi.table_at(theta, self.opts)
+            self._table = holo_bi.table_at(theta)
         except (PathCrossesSingularity, OdeDivergence):
             # the fit wandered into a chamber the product point cannot reach
             # (or the fresh path is numerically worse); keep the incremental state
@@ -135,8 +124,8 @@ class BiHoloProvider:
         return None
 
 
-def _provider_for(theta: Theta, opts: OdeOptions | None = None):
-    return (BiHoloProvider if isinstance(theta, ThetaBi) else UniHoloProvider)(opts)
+def _provider_for(theta: Theta):
+    return (BiHoloProvider if isinstance(theta, ThetaBi) else UniHoloProvider)()
 
 
 @dataclass(frozen=True)
@@ -360,7 +349,6 @@ def _theta_vector(theta: Theta) -> np.ndarray:
 def fit_mle(
     stats: SuffStats,
     d: int | None = None,
-    opts: FitOptions | None = None,
     provider=None,
 ) -> FitResult:
     """Maximum likelihood fit by Fisher scoring.
@@ -373,9 +361,11 @@ def fit_mle(
     refuses it (`ToleranceNotMet`, `OdeDivergence`); a bivariate fit always
     starts at the product of the axis gamma points.  From there it
     iterates theta <- theta + I(theta)^-1 grad with step halving whenever the
-    proposal leaves the domain or lowers the likelihood.  Each evaluated
-    point costs one order-2d provider request, whose Fisher matrix is the
-    next step's when the point is accepted.  The result is read from one
+    proposal leaves the domain or lowers the likelihood, until the score's
+    max-norm is at most `_GRAD_TOL` (converged) or after `_MAX_ITER` steps
+    (not converged).  Each evaluated point costs one order-2d provider
+    request, whose Fisher matrix is the next step's when the point is
+    accepted.  The result is read from one
     more request at the final iterate, after `provider.refresh`: a
     univariate provider keeps its carried state, whose estimate already
     covers the path, and a bivariate one transports afresh from the product
@@ -383,8 +373,6 @@ def fit_mle(
     result flags rather than exceptions, so callers can inspect the partial
     fit.
     """
-    if opts is None:
-        opts = FitOptions()
     if d is None:
         d = stats.order
     if d < 1 or d > stats.order:
@@ -397,7 +385,7 @@ def fit_mle(
             raise UnsupportedOrder("whole-line fits need an even order")
         theta = _mom_start_uni(stats, d, support)
     if provider is None:
-        provider = _provider_for(theta, opts.ode)
+        provider = _provider_for(theta)
     pos = _positions(theta)
     sample = _sample_moments(stats, theta)
 
@@ -415,8 +403,8 @@ def fit_mle(
     hit_boundary = False
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        if float(np.max(np.abs(grad))) <= opts.grad_tol:
+    for iterations in range(1, _MAX_ITER + 1):
+        if float(np.max(np.abs(grad))) <= _GRAD_TOL:
             converged = True
             iterations -= 1
             break
@@ -451,7 +439,7 @@ def fit_mle(
             hit_boundary = boundary_limited
             break
     else:
-        iterations = opts.max_iter
+        iterations = _MAX_ITER
 
     provider.refresh(theta)
     derivs = provider.derivs(theta, 2 * d)
@@ -460,7 +448,7 @@ def fit_mle(
     fisher_bound = None if bounds is None else _fisher_bound(derivs, bounds, pos)
     grad_norm = float(np.max(np.abs(grad)))
     if converged:
-        converged = grad_norm <= 10 * opts.grad_tol
+        converged = grad_norm <= 10 * _GRAD_TOL
     elif not hit_boundary:
         # distinguish slow interior progress from an ascent pressing into the
         # boundary, where the supremum is not attained: the full scoring step
@@ -493,7 +481,6 @@ def fit_mle(
 def mle_existence_check(
     theta_hat_lower: ThetaUni | Sequence[float],
     stats: SuffStats,
-    opts: OdeOptions | None = None,
 ) -> bool:
     """Whether the order-d MLE exists in the open domain.
 
@@ -509,13 +496,13 @@ def mle_existence_check(
     if stats.order < d:
         raise InputError(f"need statistics of order >= {d}")
     eff = effective_theta(theta_hat_lower)
-    derivs = norm_const_and_derivs(eff, d, opts)
+    derivs = norm_const_and_derivs(eff, d)
     score_d = stats.moment(d) - derivs[d] / derivs[0]
     return score_d < 0.0
 
 
 def _null_information(
-    stats: SuffStats, d: int, step: int, opts: FitOptions
+    stats: SuffStats, d: int, step: int
 ) -> tuple[ThetaUni, int, np.ndarray, np.ndarray]:
     """Null fit, its order, extra scores and their conditional information
     for a score test of order d - step against order d.
@@ -527,10 +514,10 @@ def _null_information(
     of their block.  Raises NotConverged when the fit stopped in the interior
     without converging: a score evaluated there is not a score test statistic.
     """
-    provider = UniHoloProvider(opts.ode)
+    provider = UniHoloProvider()
     k = d - step
     while True:
-        result = fit_mle(stats, k, opts, provider)
+        result = fit_mle(stats, k, provider)
         if not result.hit_boundary or k - step < step:
             break
         k -= step
@@ -561,7 +548,6 @@ def score_test_halfline(
     stats: SuffStats,
     d: int,
     alpha: float = 0.05,
-    opts: FitOptions | None = None,
 ) -> TestResult:
     """Score test of H0: order d-1 against H1: order d on the half line.
 
@@ -571,15 +557,13 @@ def score_test_halfline(
     order-d score by the conditional information of coordinate d given the
     lower ones, all evaluated with the reduced-order engine.
     """
-    if opts is None:
-        opts = FitOptions()
     if d < 2:
         raise UnsupportedOrder("the half-line test compares orders d-1 >= 1 and d")
     if not 0.0 < alpha < 0.5:
         raise InputError("alpha must be in (0, 1/2)")
     if stats.order < d:
         raise InputError(f"need statistics of order >= {d}")
-    theta_null, k, score, info = _null_information(stats, d, 1, opts)
+    theta_null, k, score, info = _null_information(stats, d, 1)
     cond = float(info[0, 0])
     if cond <= 0.0:
         raise SingularInformation(f"conditional information {cond:.3e} is not positive")
@@ -600,7 +584,6 @@ def score_test_realline(
     stats: SuffStats,
     d_full: int,
     alpha: float = 0.05,
-    opts: FitOptions | None = None,
 ) -> TestResult:
     """Score test of H0: order d_full-2 against H1: order d_full, whole line.
 
@@ -611,8 +594,6 @@ def score_test_realline(
     standardized quadratic form, chi-square with 2 degrees of freedom under
     H0: reject when T >= the upper alpha quantile.
     """
-    if opts is None:
-        opts = FitOptions()
     if d_full < 4 or d_full % 2 != 0:
         raise UnsupportedOrder("the whole-line test needs an even order >= 4")
     if not 0.0 < alpha < 1.0:
@@ -621,7 +602,7 @@ def score_test_realline(
         raise InputError(f"need statistics of order >= {d_full}")
     if stats.support is not Support.REAL_LINE:
         raise InputError("whole-line test needs whole-line statistics")
-    theta_null, k, scores, cond = _null_information(stats, d_full, 2, opts)
+    theta_null, k, scores, cond = _null_information(stats, d_full, 2)
     try:
         T = float(stats.n * scores @ np.linalg.solve(cond, scores))
     except np.linalg.LinAlgError as exc:
@@ -644,7 +625,6 @@ def select_order(
     d_max: int,
     alpha: float = 0.05,
     support: Support = Support.HALF_LINE,
-    opts: FitOptions | None = None,
 ) -> tuple[int, list[TestResult]]:
     """Forward sequential order selection.
 
@@ -654,7 +634,9 @@ def select_order(
     statistics go through order d_max and the moments the score-matching
     start of the largest null fit reads (see `fit_mle`); given `SuffStats`
     are used as they are, so null fits whose start needs more moments
-    start at the gamma point.
+    start at the gamma point.  Each null fit is a `fit_mle` with its fixed
+    stop rule; one that stops in the interior without converging raises
+    `NotConverged`.
     """
     support = Support(support)
     step = 2 if support is Support.REAL_LINE else 1
@@ -671,9 +653,9 @@ def select_order(
     k = d_min
     while k + step <= d_max:
         if support is Support.REAL_LINE:
-            res = score_test_realline(stats, k + step, alpha, opts)
+            res = score_test_realline(stats, k + step, alpha)
         else:
-            res = score_test_halfline(stats, k + step, alpha, opts)
+            res = score_test_halfline(stats, k + step, alpha)
         trail.append(res)
         if not res.reject:
             return k, trail

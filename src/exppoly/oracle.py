@@ -4,9 +4,10 @@ Everything here is deliberately independent of the holonomic transport
 machinery: moments are computed by adaptive quadrature (QUADPACK) on a
 truncated window derived from the exponent, so these routines can certify the
 ODE results.  Truncation points are where the log-integrand has fallen
-``log(trunc_eps)`` below its maximum, found inside a bracket to the last
-float; integrands are rescaled by that maximum before quadrature so extreme
-exponents cannot overflow.
+``log(_TRUNC_EPS)`` below its maximum, found inside a bracket to the last
+float (`_window`); integrands are rescaled by that maximum before quadrature
+so extreme exponents cannot overflow.  The tolerances are module constants,
+not options: the oracle only checks the engine, at one accuracy.
 
 The sampler and the numeric CDF use numpy alone: a table of CDF values from
 Gauss-Legendre panels, and a monotone cubic (`_pchip`) through it.  scipy is
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,16 +41,14 @@ from .errors import (
 )
 from .polyalg import exponent
 
-
-@dataclass(frozen=True)
-class QuadOptions:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    trunc_eps: float = 1e-18
-    quad_limit: int = 200
-
-
-_DEFAULT_QUAD = QuadOptions()
+# QUADPACK's relative and absolute tolerances (on the peak-scaled
+# integrand), where the window cuts the log-integrand below its maximum,
+# and the subinterval limit.  `quad_A_bi`'s inner integrals run ten times
+# tighter than its outer one.
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-13
+_TRUNC_EPS = 1e-18
+_QUAD_LIMIT = 200
 
 
 def _real_roots(desc_coeffs: list[float]) -> list[float]:
@@ -111,48 +109,34 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
             kept = -1
 
 
-def _window_halfline(coeffs: tuple[float, ...], m: int, eps: float) -> tuple[float, float, list[float]]:
-    crit = [x for x in _crit_points(coeffs, m) if x > 0.0]
-    candidates = list(crit)
-    if m == 0:
-        candidates.append(0.0)
-    if not candidates:
-        candidates = [1e-8]
-    lmax = max(_log_integrand(coeffs, m, x) for x in candidates)
-    xpeak = max((x for x in candidates if _log_integrand(coeffs, m, x) == lmax), default=0.0)
-    target = lmax + math.log(eps)
-    lo_x = max(xpeak, max(crit) if crit else 0.0, 1e-6)
-    if _log_integrand(coeffs, m, lo_x) < target:
-        # already negligible at the outermost stationary point, and monotone
-        # decreasing beyond it: cut right there
-        return lmax, lo_x, crit
-    hi = lo_x
-    for _ in range(400):
-        hi = hi * 2.0 if hi > 0 else 1.0
-        if _log_integrand(coeffs, m, hi) < target:
-            break
-    else:
-        raise DivergentIntegral("could not bracket the integrand tail")
-    hi = _bracketed_root(lambda x: _log_integrand(coeffs, m, x) - target, lo_x, hi)
-    return lmax, hi, crit
-
-
-def _window_realline(coeffs: tuple[float, ...], m: int, eps: float) -> tuple[float, float, float, list[float]]:
+def _peak(coeffs: tuple[float, ...], m: int, support: Support) -> tuple[float, list[float]]:
+    """The maximum of m*log|x| + g(x) over the support, and the stationary
+    points on it (x > 0 on the half line).  The maximum is taken over those
+    points, and over x = 0 when m = 0; with neither, at x = 1e-8."""
     crit = _crit_points(coeffs, m)
-    candidates = list(crit)
-    if m == 0:
-        candidates.append(0.0)
-    if not candidates:
-        candidates = [0.0]
-    lmax = max(_log_integrand(coeffs, m, x) for x in candidates)
+    if support is Support.HALF_LINE:
+        crit = [x for x in crit if x > 0.0]
+    candidates = crit + [0.0] if m == 0 else crit or [1e-8]
+    return max(_log_integrand(coeffs, m, x) for x in candidates), crit
+
+
+def _window(
+    coeffs: tuple[float, ...], m: int, eps: float, support: Support
+) -> tuple[float, float, float, list[float]]:
+    """(lmax, lo, hi, crit): the log-integrand's maximum, the window outside
+    which it is below lmax + log(eps), and its stationary points on the
+    support (`_peak`).  lo = 0 on the half line.
+
+    Each side is cut past its outermost stationary point, where the
+    log-integrand decreases monotonically: right there if it is already
+    below the target, else at the last float above it.
+    """
+    lmax, crit = _peak(coeffs, m, support)
     target = lmax + math.log(eps)
 
     def cut(direction: float) -> float:
-        inner = max([x * direction for x in crit if x * direction > 0], default=0.0)
-        start = max(inner, 1e-6)
+        start = max([direction * x for x in crit if direction * x > 0.0] + [1e-6])
         if _log_integrand(coeffs, m, direction * start) < target:
-            # this side is already negligible past its outermost stationary
-            # point (or has no mass at all): cut right there
             return direction * start
         hi = start
         for _ in range(400):
@@ -163,7 +147,8 @@ def _window_realline(coeffs: tuple[float, ...], m: int, eps: float) -> tuple[flo
             raise DivergentIntegral("could not bracket the integrand tail")
         return direction * _bracketed_root(lambda x: _log_integrand(coeffs, m, direction * x) - target, start, hi)
 
-    return lmax, cut(-1.0), cut(+1.0), crit
+    lo = 0.0 if support is Support.HALF_LINE else cut(-1.0)
+    return lmax, lo, cut(1.0), crit
 
 
 def _quad_scaled(
@@ -173,9 +158,11 @@ def _quad_scaled(
     lo: float,
     hi: float,
     crit: list[float],
-    opts: QuadOptions,
+    rtol: float,
+    atol: float,
 ) -> tuple[float, float]:
-    """Integral of x^m exp(g(x) - lmax) over [lo, hi]; returns (value, abserr)."""
+    """Integral of x^m exp(g(x) - lmax) over [lo, hi] to QUADPACK's
+    tolerances rtol and atol; returns (value, abserr)."""
 
     def f(x: float) -> float:
         if x == 0.0:
@@ -188,14 +175,14 @@ def _quad_scaled(
     val, err = integrate.quad(
         f, lo, hi,
         points=interior or None,
-        epsabs=opts.abs_tol,
-        epsrel=opts.rel_tol,
-        limit=opts.quad_limit,
+        epsabs=atol,
+        epsrel=rtol,
+        limit=_QUAD_LIMIT,
     )
     return float(val), float(err)
 
 
-def quad_moment_uni(theta: ThetaUni, m: int = 0, opts: QuadOptions = _DEFAULT_QUAD) -> float:
+def quad_moment_uni(theta: ThetaUni, m: int = 0) -> float:
     """m-th moment integral of exp(theta.x) over the support, by quadrature.
 
     ``m = 0`` gives the normalizing constant A(theta).  theta may sit on a
@@ -210,21 +197,16 @@ def quad_moment_uni(theta: ThetaUni, m: int = 0, opts: QuadOptions = _DEFAULT_QU
         raise DivergentIntegral("exponent does not decay; integral diverges")
     theta = effective_theta(theta)
     coeffs = theta.coeffs
-    if theta.support is Support.HALF_LINE:
-        lmax, hi, crit = _window_halfline(coeffs, m, opts.trunc_eps)
-        val, err = _quad_scaled(coeffs, m, lmax, 0.0, hi, crit, opts)
-        scale_ref = abs(val)
+    lmax, lo, hi, crit = _window(coeffs, m, _TRUNC_EPS, theta.support)
+    if lo < 0.0 < hi:
+        v1, e1 = _quad_scaled(coeffs, m, lmax, lo, 0.0, crit, _REL_TOL, _ABS_TOL)
+        v2, e2 = _quad_scaled(coeffs, m, lmax, 0.0, hi, crit, _REL_TOL, _ABS_TOL)
+        val, err = v1 + v2, e1 + e2
+        scale_ref = abs(v1) + abs(v2)
     else:
-        lmax, lo, hi, crit = _window_realline(coeffs, m, opts.trunc_eps)
-        if lo < 0.0 < hi:
-            v1, e1 = _quad_scaled(coeffs, m, lmax, lo, 0.0, crit, opts)
-            v2, e2 = _quad_scaled(coeffs, m, lmax, 0.0, hi, crit, opts)
-            val, err = v1 + v2, e1 + e2
-            scale_ref = abs(v1) + abs(v2)
-        else:
-            val, err = _quad_scaled(coeffs, m, lmax, lo, hi, crit, opts)
-            scale_ref = abs(val)
-    if err > 50.0 * (opts.abs_tol + opts.rel_tol * scale_ref):
+        val, err = _quad_scaled(coeffs, m, lmax, lo, hi, crit, _REL_TOL, _ABS_TOL)
+        scale_ref = abs(val)
+    if err > 50.0 * (_ABS_TOL + _REL_TOL * scale_ref):
         raise ToleranceNotMet(f"quadrature error estimate {err:.2e} too large")
     return val * math.exp(lmax)
 
@@ -266,7 +248,7 @@ def closed_form_A(theta: ThetaUni) -> float:
     return A
 
 
-def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = _DEFAULT_QUAD) -> float:
+def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0)) -> float:
     """Moment integral of x^s y^t exp(sum theta_ij x^i y^j) over the quadrant.
 
     Nested adaptive quadrature: the inner x-integral reuses the univariate
@@ -292,14 +274,7 @@ def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = 
         return sum(theta[(0, j)] * y**j for j in range(1, d + 1))
 
     def envelope(y: float) -> float:
-        coeffs = x_coeffs_at(y)
-        crit = [x for x in _crit_points(coeffs, s) if x > 0.0]
-        cand = list(crit)
-        if s == 0:
-            cand.append(0.0)
-        if not cand:
-            cand = [1e-8]
-        base = max(_log_integrand(coeffs, s, x) for x in cand)
+        base, _ = _peak(x_coeffs_at(y), s, Support.HALF_LINE)
         ylog = 0.0 if t == 0 else (t * math.log(y) if y > 0 else -math.inf)
         return base + c0(y) + ylog
 
@@ -312,21 +287,14 @@ def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = 
         evals.append((y, e))
         if e > emax:
             emax, ypeak = e, y
-        if e < emax + math.log(opts.trunc_eps) and y > ypeak:
+        if e < emax + math.log(_TRUNC_EPS) and y > ypeak:
             break
     else:
         raise DivergentIntegral("bivariate envelope does not decay")
-    target = emax + math.log(opts.trunc_eps)
+    target = emax + math.log(_TRUNC_EPS)
     from scipy import optimize
 
     y_hi = float(optimize.brentq(lambda y: envelope(y) - target, ypeak, evals[-1][0]))
-
-    inner_opts = QuadOptions(
-        rel_tol=opts.rel_tol / 10.0,
-        abs_tol=opts.abs_tol / 10.0,
-        trunc_eps=opts.trunc_eps,
-        quad_limit=opts.quad_limit,
-    )
 
     def outer(y: float) -> float:
         if y == 0.0:
@@ -335,8 +303,8 @@ def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = 
 
     def _outer_at(y: float) -> float:
         coeffs = x_coeffs_at(y)
-        lmax, hi, crit = _window_halfline(coeffs, s, inner_opts.trunc_eps)
-        val, _ = _quad_scaled(coeffs, s, lmax, 0.0, hi, crit, inner_opts)
+        lmax, lo, hi, crit = _window(coeffs, s, _TRUNC_EPS, Support.HALF_LINE)
+        val, _ = _quad_scaled(coeffs, s, lmax, lo, hi, crit, _REL_TOL / 10.0, _ABS_TOL / 10.0)
         ylog = 0.0 if (t == 0 or y == 0.0) else t * math.log(y)
         return val * math.exp(lmax + c0(y) + ylog - emax)
 
@@ -344,11 +312,11 @@ def quad_A_bi(theta: ThetaBi, st: tuple[int, int] = (0, 0), opts: QuadOptions = 
 
     val, err = integrate.quad(
         outer, 0.0, y_hi,
-        epsabs=opts.abs_tol,
-        epsrel=opts.rel_tol,
-        limit=opts.quad_limit,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
+        limit=_QUAD_LIMIT,
     )
-    if err > 100.0 * (opts.abs_tol + opts.rel_tol * abs(val)):
+    if err > 100.0 * (_ABS_TOL + _REL_TOL * abs(val)):
         raise ToleranceNotMet(f"outer quadrature error estimate {err:.2e} too large")
     return float(val) * math.exp(emax)
 
@@ -433,19 +401,14 @@ def _cdf_nodes(theta: ThetaUni) -> tuple[np.ndarray, np.ndarray]:
     Two passes: 257 equispaced nodes, then those nodes together with 769
     approximate quantiles of the first pass.  Each interval's mass comes
     from `_density_integrals` (Gauss-Legendre panels, split where they miss
-    the tolerance), so no scipy is loaded.  The truncation (1e-16) and the
-    panel tolerances are fixed, so no `QuadOptions` applies.  Cached:
+    the tolerance), so no scipy is loaded.  Its truncation, 1e-16, is its
+    own, not the quadrature's `_TRUNC_EPS`.  Cached:
     replication studies draw repeatedly from one fixed theta and the node
     construction is the expensive part.  Returned arrays are read-only.
     """
     theta = effective_theta(theta)
     coeffs = theta.coeffs
-    eps = 1e-16
-    if theta.support is Support.HALF_LINE:
-        _, hi, crit = _window_halfline(coeffs, 0, eps)
-        lo = 0.0
-    else:
-        _, lo, hi, crit = _window_realline(coeffs, 0, eps)
+    _, lo, hi, crit = _window(coeffs, 0, 1e-16, theta.support)
     gmax = max(
         [_log_integrand(coeffs, 0, x) for x in crit if lo < x < hi] + [_log_integrand(coeffs, 0, lo), _log_integrand(coeffs, 0, hi)]
     )

@@ -305,15 +305,15 @@ class ChamberLabel:
         }.get((self.n_positive, self.n_negative, self.n_complex_pairs))
 
 
-def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -> ChamberLabel:
+def classify_chamber(theta_top: Sequence[float]) -> ChamberLabel:
     """Root signature of the top form p and properness of its chamber.
 
     Raises OnDiscriminant when theta_top lies on the discriminant zero set
-    within ``tol * scale`` (scale grows like coeff^(2d-2), matching the
-    degree of the discriminant polynomial), or when the Sturm chain finds a
-    repeated root there.  One Sturm chain of p gives both counts: with V(x)
-    its sign changes at x, n_pos = V(0) - V(+inf) and n_neg = V(-inf) - V(0),
-    a root at exactly zero taken out of the latter.
+    within ``_DEGENERACY_TOL * scale`` (scale grows like coeff^(2d-2),
+    matching the degree of the discriminant polynomial), or when the Sturm
+    chain finds a repeated root there.  One Sturm chain of p gives both
+    counts: with V(x) its sign changes at x, n_pos = V(0) - V(+inf) and
+    n_neg = V(-inf) - V(0), a root at exactly zero taken out of the latter.
     """
     top = [float(v) for v in theta_top]
     d = len(top) - 1
@@ -321,17 +321,15 @@ def classify_chamber(theta_top: Sequence[float], tol: float = _DEGENERACY_TOL) -
         raise UnsupportedOrder("chamber classification requires degree d >= 2")
     if top[0] == 0.0:
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    return _classify_with_discriminant(top, discriminant(top), tol)
+    return _classify_with_discriminant(top, discriminant(top))
 
 
-def _classify_with_discriminant(
-    top: Sequence[float], disc: float, tol: float = _DEGENERACY_TOL
-) -> ChamberLabel:
+def _classify_with_discriminant(top: Sequence[float], disc: float) -> ChamberLabel:
     """`classify_chamber` of a top form already checked (degree >= 2, lead
     non-zero, floats) whose discriminant ``disc`` is known."""
     d = len(top) - 1
     scale = max(1.0, max(map(abs, top))) ** (2 * d - 2)
-    if abs(disc) <= tol * scale:
+    if abs(disc) <= _DEGENERACY_TOL * scale:
         raise OnDiscriminant(f"discriminant {disc:.3e} within tolerance of zero")
     try:
         chain = _sturm_chain(top)

@@ -1,6 +1,8 @@
-"""Smoke tests: every demo runs to completion, with no RuntimeWarning."""
+"""Smoke tests: every demo and the README's Python run to completion, with
+no RuntimeWarning."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,13 @@ def test_demo_runs(demo):
         env=env, capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_runs():
+    # every fenced python block of the README, in a fresh namespace each:
+    # a name the quickstart imports that the package stops exporting fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

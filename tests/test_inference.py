@@ -23,7 +23,6 @@ from exppoly.holo_bi import extend_table
 from exppoly.holo_uni import derivative_bounds, extend_derivatives
 from exppoly.inference import (
     BiHoloProvider,
-    FitOptions,
     UniHoloProvider,
     fisher_info,
     fit_mle,
@@ -268,27 +267,6 @@ def test_fit_makes_one_request_per_point(stats, provider):
     np.testing.assert_array_equal(res.fisher, plain.fisher)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"max_iter": 2.5},  # used to fail inside fit_mle with a TypeError from range
-        {"max_iter": True},  # used to return iterations=True
-        {"max_iter": 0},
-        {"grad_tol": math.inf},  # used to converge in 0 iterations
-        {"grad_tol": 0.0},
-        {"grad_tol": math.nan},
-    ],
-    ids=str,
-)
-def test_fit_options_validation(kwargs):
-    with pytest.raises(InputError):
-        FitOptions(**kwargs)
-
-
-def test_fit_options_accepts_numpy_integers():
-    assert FitOptions(max_iter=np.int64(50)).max_iter == 50
-
-
 def test_fit_exponential_closed_form():
     # the score-matching start is the exact MLE, so the fit runs 0 iterations
     st = stats_from_moments([2.0])
@@ -447,13 +425,11 @@ def test_score_test_validation():
     rl = stats_from_moments([0.0, 0.5, 0.0, 0.75], support=Support.REAL_LINE)
     with pytest.raises(UnsupportedOrder):
         score_test_realline(rl, 3)
-    from exppoly.errors import InputError
-
     with pytest.raises(InputError):
         score_test_halfline(st, 2, alpha=0.7)
 
 
-def test_score_test_refuses_unconverged_null_fit():
+def test_score_test_refuses_unconverged_null_fit(monkeypatch):
     # calibration sample on which the order-4 fit once stopped after one
     # iteration: its full Fisher step landed on an ill-conditioned point
     # whose transported state was kept and poisoned every shorter step.  With
@@ -473,11 +449,11 @@ def test_score_test_refuses_unconverged_null_fit():
     score = [st.moment(m) - quad_moment_uni(fit.theta_hat, m) / A for m in range(1, 5)]
     assert max(map(abs, score)) < 1e-8
     # a null fit cut short in the interior is still refused
-    opts = FitOptions(max_iter=1)
+    monkeypatch.setattr(inference, "_MAX_ITER", 1)
     with pytest.raises(NotConverged):
-        score_test_halfline(st, 5, opts=opts)
+        score_test_halfline(st, 5)
     with pytest.raises(NotConverged):
-        select_order(st, 5, opts=opts)
+        select_order(st, 5)
 
 
 # Order-6 parameters from `random_theta_uni` (seed 20260816, draws 11, 122,

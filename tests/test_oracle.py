@@ -48,11 +48,7 @@ def _reference_cdf_nodes(theta):
     density)."""
     theta = effective_theta(theta)
     coeffs = theta.coeffs
-    if theta.support is HALF:
-        _, hi, crit = oracle._window_halfline(coeffs, 0, 1e-16)
-        lo = 0.0
-    else:
-        _, lo, hi, crit = oracle._window_realline(coeffs, 0, 1e-16)
+    _, lo, hi, crit = oracle._window(coeffs, 0, 1e-16, theta.support)
     gmax = max(
         [oracle._log_integrand(coeffs, 0, x) for x in crit if lo < x < hi]
         + [oracle._log_integrand(coeffs, 0, lo), oracle._log_integrand(coeffs, 0, hi)]
@@ -258,7 +254,7 @@ def test_panel_split_resolves_narrow_mode():
     # nodes around the mode either way.)
     a, x0 = 1e7, 2.0
     coeffs = (2.0 * a * x0, -a)
-    _, hi, _ = oracle._window_halfline(coeffs, 0, 1e-16)
+    _, _, hi, _ = oracle._window(coeffs, 0, 1e-16, HALF)
     edges = np.linspace(0.0, hi, 257)
     got = oracle._density_integrals(coeffs, exponent(coeffs, x0), edges)
     s = math.sqrt(a)
@@ -285,10 +281,7 @@ def test_tail_cut_within_brentq_tolerance(support):
     rng = np.random.default_rng(5)
     for d in (1, 2, 3, 4, 5, 6) if support is HALF else (2, 4, 6):
         coeffs = random_theta_uni(rng, d, support).coeffs
-        if support is HALF:
-            lmax, cut, crit = oracle._window_halfline(coeffs, 0, 1e-16)
-        else:
-            lmax, _, cut, crit = oracle._window_realline(coeffs, 0, 1e-16)
+        lmax, _, cut, crit = oracle._window(coeffs, 0, 1e-16, support)
         inner = max([x for x in crit if x > 0.0] + [1e-6])
         assert cut > inner
 
