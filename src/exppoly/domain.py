@@ -15,6 +15,7 @@ together with negative axis coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -126,6 +127,12 @@ def monomials_bi(d: int) -> list[tuple[int, int]]:
     return [(total - j, j) for total in range(1, d + 1) for j in range(total + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_set(d: int) -> frozenset[tuple[int, int]]:
+    """The keys a `ThetaBi` of order d accepts, built once per d."""
+    return frozenset(monomials_bi(d))
+
+
 @dataclass(frozen=True)
 class ThetaBi:
     """Bivariate exponent coefficients theta_ij for 1 <= i+j <= d."""
@@ -136,7 +143,7 @@ class ThetaBi:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise UnsupportedOrder("bivariate order d must be >= 1")
-        wanted = set(monomials_bi(self.d))
+        wanted = _monomial_set(self.d)
         cleaned = {}
         for key, value in dict(self.coeffs).items():
             ij = (int(key[0]), int(key[1]))

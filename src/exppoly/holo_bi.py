@@ -245,6 +245,12 @@ def _p_matrices(tops: np.ndarray) -> np.ndarray:
     return polyalg._sylvester_stack(*polyalg._partials(tops))
 
 
+def _p_matrix(top: Sequence[float]) -> np.ndarray:
+    """`_p_matrices` of the single form top, by one gather of the same
+    layout."""
+    return polyalg._sylvester_single(*polyalg._partials_single(top))
+
+
 def _factor(P: np.ndarray) -> np.ndarray:
     """The inverse of P, by `np.linalg.inv`, refused with `SingularSystem`
     when P is numerically singular: when the inversion fails, or the 1-norm
@@ -423,7 +429,7 @@ class _LevelPlan:
         self.shape = shape = _level_shape(d, lo, hi, m_ax)
         self.n, self.t_off, self.n_v = shape.n, shape.t_off, shape.n_v
         self.top0 = theta0[shape.top]
-        self.P0 = _p_matrices(self.top0[None])[0]
+        self.P0 = _p_matrix(self.top0.tolist())
         self._inv0 = None
         G0 = shape.g_const.put(np.zeros(shape.g_rows * self.n_v), np.ones(1))
         self.G0 = shape.g_lin.put(G0, theta0).reshape(shape.g_rows, self.n_v)
@@ -431,7 +437,7 @@ class _LevelPlan:
         if h is None:
             self.Ph = self.Ghw = self.Gx = None
             return
-        self.Ph = _p_matrices(h[shape.top][None])[0]
+        self.Ph = _p_matrix(h[shape.top].tolist())
         Gh = shape.g_lin.put(np.zeros(shape.g_rows * self.n_v), h).reshape(shape.g_rows, self.n_v)
         self.Ghw = Gh[shape.win_rows]
         self.Gx = shape.x_lin.put(self.Ghw.copy().ravel(), h).reshape(self.Ghw.shape)
@@ -524,7 +530,7 @@ def pfaffian_det(theta: ThetaBi) -> float:
     `UnsupportedOrder`.
     """
     _require_order(theta.d)
-    return float(np.linalg.det(_p_matrices(np.array([theta.top_coeffs()])))[0])
+    return float(np.linalg.det(_p_matrix(theta.top_coeffs())))
 
 
 def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) -> DerivTableBi:

@@ -10,12 +10,23 @@ layout; it differs from the school-book discriminant by the sign
 partials ``F_a``, ``F_b`` of the top form (`_partials`), so
 ``det P = Res(F_a, F_b) = d^(d-2) * discriminant`` in this convention.
 
-One Sylvester builder serves a single pair of polynomials, a stack of
-them, and P: the discriminants of many forms (a row of the chamber grid)
-cost one ``np.linalg.det`` call, bit for bit what one call per form
-returns.  One Sturm chain gives the sign changes at every point, so
-`classify_chamber` builds one chain for both its positive and its negative
-root count.
+One cached Sylvester layout (`_sylvester_layout`) serves two paths.  A
+question about one form -- its resultant, its discriminant, its chamber,
+its root count, or P at one theta -- builds the row ``[0, f, g]`` as one
+Python list, gathers it into the matrix with one numpy call
+(`_sylvester_single`) and takes one ``np.linalg.det``; the derivative
+coefficients, the coefficient checks and the Sturm chain run on Python
+floats, since numpy's per-call cost would dominate on a few coefficients.
+A question about many forms at once (a row of the chamber grid, the unit
+matrices of the level solves) gathers a stack of rows with the same layout
+(`_sylvester_stack`) and costs one ``np.linalg.det`` call, bit for bit what
+one call per form returns.  One Sturm chain gives the sign changes at
+every point, so `classify_chamber` builds one chain for both its positive
+and its negative root count, and reads its sign changes at 0, +inf and
+-inf in one pass (`_variation_counts`).
+
+Every public entry point converts its coefficients once (`_floats`) and
+raises `InputError` there for a coefficient that is not a finite number.
 """
 
 from __future__ import annotations
@@ -40,8 +51,20 @@ from .errors import (
 _DEGENERACY_TOL = 1e-12
 
 
+def _floats(coeffs: Sequence[float]) -> list[float]:
+    """The coefficients as Python floats; `InputError` unless each one is a
+    finite number."""
+    try:
+        c = [float(v) for v in coeffs]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"coefficients must be numbers: {exc}") from exc
+    if not all(map(math.isfinite, c)):
+        raise InputError(f"coefficients must be finite, got {c!r}")
+    return c
+
+
 def _trim_exact(coeffs: Sequence[float]) -> list[float]:
-    c = [float(v) for v in coeffs]
+    c = _floats(coeffs)
     i = 0
     while i < len(c) and c[i] == 0.0:
         i += 1
@@ -73,7 +96,7 @@ def sylvester_matrix(f: Sequence[float], g: Sequence[float]) -> np.ndarray:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
     if len(f) < 2 or len(g) < 2:
         raise UnsupportedOrder("both polynomials must have degree >= 1")
-    return _sylvester_stack(np.array([f]), np.array([g]))[0]
+    return _sylvester_single(f, g)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,6 +121,12 @@ def _powers(d: int) -> np.ndarray:
     return powers
 
 
+def _sylvester_single(f: list[float], g: list[float]) -> np.ndarray:
+    """The Sylvester matrix of one pair f, g (float lists, degrees >= 1), by
+    one gather from the row ``[0, f, g]``."""
+    return np.array([0.0, *f, *g]).take(_sylvester_layout(len(f) - 1, len(g) - 1))
+
+
 def _sylvester_stack(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Sylvester matrices of the rows of f (B, m+1) and g (B, n+1) as one
     (B, m+n, m+n) stack, by one gather from the rows ``[0, f, g]``."""
@@ -116,14 +145,27 @@ def discriminant(theta_top: Sequence[float]) -> float:
     """Discriminant R(p, p')/lead(p) of the top form, theorem convention.
 
     ``theta_top`` is ``(theta_d0, theta_{d-1,1}, ..., theta_0d)``, i.e. the
-    coefficients of ``p(a)`` in descending powers.
+    coefficients of ``p(a)`` in descending powers.  A coefficient that is
+    not a finite number raises `InputError`, degree d < 2
+    `UnsupportedOrder`, and a zero lead `LeadingCoefficientZero`.
     """
-    return float(_discriminants(np.array([[float(v) for v in theta_top]]))[0])
+    top = _floats(theta_top)
+    if len(top) < 3:
+        raise UnsupportedOrder("discriminant requires degree d >= 2")
+    if top[0] == 0.0:
+        raise LeadingCoefficientZero("theta_d0 must be non-zero")
+    return _discriminant(top)
+
+
+def _discriminant(top: list[float]) -> float:
+    """`discriminant` of a checked top form (floats, degree >= 2, lead
+    non-zero): one Sylvester matrix of p and p', one det."""
+    return float(np.linalg.det(_sylvester_single(top, poly_derivative(top)))) / top[0]
 
 
 def _discriminants(tops: np.ndarray) -> np.ndarray:
-    """`discriminant` of every row of tops (B, d+1), by one det of the
-    stack; raises as `discriminant` does."""
+    """`discriminant` of every row of tops (B, d+1), finite floats, by one
+    det of the stack; raises as `discriminant` does."""
     d = tops.shape[1] - 1
     if d < 2:
         raise UnsupportedOrder("discriminant requires degree d >= 2")
@@ -141,8 +183,15 @@ def _partials(tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tops[..., :-1] * powers, tops[..., 1:] * powers[::-1]
 
 
-def _sturm_chain(coeffs: Sequence[float]) -> list[list[float]]:
-    p0 = _trim_exact(coeffs)
+def _partials_single(top: Sequence[float]) -> tuple[list[float], list[float]]:
+    """`_partials` of one form, as float lists: the same products."""
+    d = len(top) - 1
+    return [top[c] * (d - c) for c in range(d)], [top[c + 1] * (c + 1) for c in range(d)]
+
+
+def _sturm_chain(p0: Sequence[float]) -> list[list[float]]:
+    """The Sturm chain of p0 (floats, no leading zero), each member scaled
+    by a positive factor."""
     if not p0:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
     if len(p0) == 1:
@@ -204,18 +253,47 @@ def _variations(chain: list[list[float]], x: float) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _variation_counts(chain: list[list[float]]) -> tuple[int, int, int]:
+    """`_variations` of the chain at 0, +inf and -inf, in one pass."""
+    v_zero = v_pos = v_neg = 0
+    # the last non-zero value at each point; 0.0 until there is one
+    zero = pos = neg = 0.0
+    for c in chain:
+        x = c[-1]
+        if x > 0.0 or x < 0.0:
+            if zero and (x > 0.0) != (zero > 0.0):
+                v_zero += 1
+            zero = x
+        x = c[0]
+        if x > 0.0 or x < 0.0:
+            if pos and (x > 0.0) != (pos > 0.0):
+                v_pos += 1
+            pos = x
+            if len(c) % 2 == 0:  # odd degree: the sign flips at -inf
+                x = -x
+            if neg and (x > 0.0) != (neg > 0.0):
+                v_neg += 1
+            neg = x
+    return v_zero, v_pos, v_neg
+
+
 def count_real_roots(coeffs: Sequence[float], a: float = -math.inf, b: float = math.inf) -> int:
     """Number of distinct real roots in (a, b], Sturm's theorem.
 
     Raises NonSquarefree when the polynomial has a repeated root (within
     floating-point tolerance), in which case the count is not defined by this
-    routine; see count_positive_roots_squarefree for a total variant.
+    routine; see count_positive_roots_squarefree for a total variant.  A
+    coefficient that is not a finite number raises `InputError`.  On
+    (0, inf) both sign-change counts come from one pass over the chain.
     """
     if not a < b:
         raise InputError("interval must satisfy a < b")
-    chain = _sturm_chain(coeffs)
+    chain = _sturm_chain(_trim_exact(coeffs))
     if len(chain) == 1:
         return 0
+    if a == 0.0 and b == math.inf:
+        v_zero, v_pos, _ = _variation_counts(chain)
+        return v_zero - v_pos
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -309,27 +387,36 @@ def classify_chamber(theta_top: Sequence[float]) -> ChamberLabel:
     """Root signature of the top form p and properness of its chamber.
 
     Raises OnDiscriminant when theta_top lies on the discriminant zero set
-    within ``_DEGENERACY_TOL * scale`` (scale grows like coeff^(2d-2),
+    within ``_DEGENERACY_TOL * scale`` (scale = max(1, max|c|)^(2d-2),
     matching the degree of the discriminant polynomial), or when the Sturm
-    chain finds a repeated root there.  One Sturm chain of p gives both
-    counts: with V(x) its sign changes at x, n_pos = V(0) - V(+inf) and
+    chain finds a repeated root there.  Where that scale is beyond double
+    range, the test is made on the form scaled by 2^-e (e the binary
+    exponent of max|c|), whose scale is 1: the same test, since D scales by
+    exactly 2^(-e(2d-2)).  One Sturm chain of p gives both counts: with
+    V(x) its sign changes at x, n_pos = V(0) - V(+inf) and
     n_neg = V(-inf) - V(0), a root at exactly zero taken out of the latter.
+    A coefficient that is not a finite number raises `InputError`.
     """
-    top = [float(v) for v in theta_top]
+    top = _floats(theta_top)
     d = len(top) - 1
     if d < 2:
         raise UnsupportedOrder("chamber classification requires degree d >= 2")
     if top[0] == 0.0:
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    return _classify_with_discriminant(top, discriminant(top))
+    return _classify_with_discriminant(top, _discriminant(top))
 
 
 def _classify_with_discriminant(top: Sequence[float], disc: float) -> ChamberLabel:
     """`classify_chamber` of a top form already checked (degree >= 2, lead
-    non-zero, floats) whose discriminant ``disc`` is known."""
+    non-zero, finite floats) whose discriminant ``disc`` is known."""
     d = len(top) - 1
-    scale = max(1.0, max(map(abs, top))) ** (2 * d - 2)
-    if abs(disc) <= _DEGENERACY_TOL * scale:
+    big = max(map(abs, top))
+    try:
+        on_wall = abs(disc) <= _DEGENERACY_TOL * max(1.0, big) ** (2 * d - 2)
+    except OverflowError:
+        # the same test on the form scaled by 2^-e, whose scale is 1
+        on_wall = abs(math.ldexp(disc, -math.frexp(big)[1] * (2 * d - 2))) <= _DEGENERACY_TOL
+    if on_wall:
         raise OnDiscriminant(f"discriminant {disc:.3e} within tolerance of zero")
     try:
         chain = _sturm_chain(top)
@@ -339,9 +426,9 @@ def _classify_with_discriminant(top: Sequence[float], disc: float) -> ChamberLab
         raise OnDiscriminant(
             f"discriminant {disc:.3e} is off zero but the root count sees a repeated root"
         ) from exc
-    v_zero = _variations(chain, 0.0)
-    n_pos = v_zero - _variations(chain, math.inf)
-    n_neg = _variations(chain, -math.inf) - v_zero
+    v_zero, v_pos, v_neg = _variation_counts(chain)
+    n_pos = v_zero - v_pos
+    n_neg = v_neg - v_zero
     # a root at exactly zero is counted by the (-inf, 0] interval
     n_zero = 1 if top[-1] == 0.0 else 0
     n_neg -= n_zero

@@ -382,6 +382,18 @@ def test_chambers_detp_tracks_discriminant(capsys):
     assert rep["detp"] == pytest.approx(3.0 * rep["D"], rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "d, point", [("3", "-1,1e80,0,-1"), ("3", "1e80,-1"), ("6", "-1,1e31,0,0,0,0,-1")]
+)
+def test_chambers_large_coefficients_report(capsys, d, point):
+    # max(1, max|c|)^(2d-2) is beyond double range at these points
+    code, out, _ = run(capsys, ["chambers", "--d", d, f"--point={point}"])
+    assert code == 0
+    (rep,) = out["points"]
+    assert rep["chamber"] == "boundary" and rep["boundary"] is True
+    assert math.isfinite(rep["D"])
+
+
 def test_chambers_grid(capsys, tmp_path):
     out_dir = tmp_path / "ch"
     code, out, _ = run(

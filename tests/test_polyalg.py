@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exppoly.errors import (
+    InputError,
     LeadingCoefficientZero,
     NonSquarefree,
     OnDiscriminant,
@@ -19,8 +20,10 @@ from exppoly.polyalg import (
     ChamberLabel,
     _discriminants,
     _sturm_chain,
+    _variation_counts,
     _variations,
     classify_chamber,
+    count_positive_roots_squarefree,
     count_real_roots,
     discriminant,
     exponent,
@@ -227,6 +230,22 @@ def test_classify_chamber_counts_match_two_interval_reference(top):
     assert label == _outcome(_classify_two_intervals, top)
 
 
+@st.composite
+def sign_chain(draw):
+    """A chain of degree d = 2..6: members of degree d, d-1, ..., 0 whose
+    coefficients, leads and constant terms included, are sometimes exactly
+    zero."""
+    d = draw(st.integers(2, 6))
+    return [[draw(_coefficient) for _ in range(k + 1)] for k in range(d, -1, -1)]
+
+
+@settings(max_examples=400)
+@given(sign_chain())
+def test_variation_counts_equal_variations_at_zero_and_infinities(chain):
+    want = tuple(_variations(chain, x) for x in (0.0, math.inf, -math.inf))
+    assert _variation_counts(chain) == want
+
+
 def _variations_horner(chain, x):
     """Sign changes along the chain with every value by Horner's rule."""
     signs = [v > 0 for v in (exponent(c[-2::-1], x) + c[-1] for c in chain) if v != 0]
@@ -308,3 +327,42 @@ def test_batched_discriminants_validate_like_single_calls():
         _discriminants(np.array([[-1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]))
     with pytest.raises(UnsupportedOrder):
         _discriminants(np.array([[-1.0, 2.0]]))
+
+
+_ENTRY_POINTS = {
+    "discriminant": lambda v: discriminant([-1.0, v, 0.0, -1.0]),
+    "classify_chamber": lambda v: classify_chamber([-1.0, v, 0.0, -1.0]),
+    "count_real_roots": lambda v: count_real_roots([1.0, v, -1.0]),
+    "count_real_roots_half_line": lambda v: count_real_roots([1.0, v, -1.0], 0.0, math.inf),
+    "count_positive_roots_squarefree": lambda v: count_positive_roots_squarefree([1.0, v, -1.0]),
+    "squarefree_part": lambda v: squarefree_part([1.0, v, 1.0]),
+    "sylvester_matrix": lambda v: sylvester_matrix([1.0, v], [1.0, 1.0]),
+    "sylvester_resultant": lambda v: sylvester_resultant([1.0, v], [1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "a"], ids=["nan", "inf", "text"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_reject_coefficients_that_are_not_finite_numbers(entry, bad):
+    with pytest.raises(InputError):
+        _ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize(
+    "top, on_wall",
+    [
+        ([-1.0, 1e80, 0.0, -1.0], True),
+        ([-1.0, -1.0, 1e80, -1.0], True),
+        ([-1.0, 1e31, 0.0, 0.0, 0.0, 0.0, -1.0], True),
+        # off the wall: D and det are finite although max|c|^(2d-2) is not
+        ([math.ldexp(-1.0, 12), math.ldexp(1e-3, 512), math.ldexp(-1.0, 512)], False),
+    ],
+)
+def test_large_forms_take_the_label_of_the_scaled_down_form(top, on_wall):
+    # the wall test's scale max(1, max|c|)^(2d-2) is beyond double range;
+    # the form scaled by 2^-e, e the binary exponent of max|c|, has scale 1
+    e = math.frexp(max(map(abs, top)))[1]
+    small = [math.ldexp(c, -e) for c in top]
+    label = _outcome(classify_chamber, top)
+    assert label == _outcome(classify_chamber, small)
+    assert (label is OnDiscriminant) == on_wall
