@@ -55,7 +55,7 @@ from .inference import (
     select_order,
 )
 from .oracle import quad_A_bi, quad_moment_uni, sample_uni
-from .polyalg import _classify_with_discriminant, _discriminants, discriminant
+from .polyalg import _classify_with_discriminant, _discriminant, discriminant
 from .verify import run_suites, suite_names
 
 EXIT_OK = 0
@@ -481,9 +481,9 @@ def cmd_chambers(args: argparse.Namespace) -> int:
         with open(grid_path, "w") as fh:
             row = ticks.tolist()
             for a in row:
-                # one batched discriminant per row keeps memory linear in the row
-                tops = [(-1.0, b, a, -1.0) for b in row]
-                for top, disc in zip(tops, _discriminants(np.array(tops)).tolist()):
+                for b in row:
+                    top = (-1.0, b, a, -1.0)
+                    disc = _discriminant(top)
                     try:
                         name = _classify_with_discriminant(top, disc).letter or "other"
                     except OnDiscriminant:

@@ -239,16 +239,10 @@ def boundary_consts(
     return extend_derivatives(axes.x, M), extend_derivatives(axes.y, M)
 
 
-def _p_matrices(tops: np.ndarray) -> np.ndarray:
-    """P at each row (theta_d0, ..., theta_0d) of tops, by `polyalg`'s
-    Sylvester builder: d-1 shifted rows of F_a above d-1 of F_b."""
-    return polyalg._sylvester_stack(*polyalg._partials(tops))
-
-
 def _p_matrix(top: Sequence[float]) -> np.ndarray:
-    """`_p_matrices` of the single form top, by one gather of the same
-    layout."""
-    return polyalg._sylvester_single(*polyalg._partials_single(top))
+    """P at the top form (theta_d0, ..., theta_0d), by `polyalg`'s Sylvester
+    builder: d-1 shifted rows of F_a above d-1 of F_b."""
+    return polyalg._sylvester(*polyalg._partials(top))
 
 
 def _factor(P: np.ndarray) -> np.ndarray:
@@ -319,7 +313,7 @@ class _LevelShape(NamedTuple):
     places -P(h) on each window's own columns (h the direction, indexed
     like theta).  `asm` picks, for each level entry of V in order, the
     window row that solves it (the later window where two overlap).
-    No left-hand side is stored: each window is P (`_p_matrices`) and each
+    No left-hand side is stored: each window is P (`_p_matrix`) and each
     level row a banded product with F_a or F_b.  Entries are kept as index
     lists, not dense tensors: a level's rows hold a few terms each among
     n_v columns.
@@ -348,7 +342,7 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
     t_off = 2 * (m_ax + 1)
     n_v = t_off + _flat(0, hi) + 1
     # P = sum_c top[c] P_c: (c, row, col, factor) of every entry
-    units = _p_matrices(np.eye(d + 1))
+    units = np.array([_p_matrix(unit) for unit in np.eye(d + 1).tolist()])
     p_entries = [(*e, units[e]) for e in zip(*np.nonzero(units))]
     g_const, g_lin, x_lin = [], [], []
     win_rows, asm, levels = [], [], []
@@ -504,7 +498,7 @@ class _LevelPlan:
     def lhs(self, V: np.ndarray) -> list[np.ndarray]:
         """Each level's left-hand side at theta0, level after level, as two
         banded products of its diagonal X with F_a and with F_b."""
-        fa, fb = polyalg._partials(self.top0)
+        fa, fb = polyalg._partials(self.top0.tolist())
         return [
             np.concatenate((np.correlate(V[lv.cols], fa), np.correlate(V[lv.cols], fb)))
             for lv in self.shape.levels

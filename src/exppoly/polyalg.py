@@ -10,20 +10,17 @@ layout; it differs from the school-book discriminant by the sign
 partials ``F_a``, ``F_b`` of the top form (`_partials`), so
 ``det P = Res(F_a, F_b) = d^(d-2) * discriminant`` in this convention.
 
-One cached Sylvester layout (`_sylvester_layout`) serves two paths.  A
-question about one form -- its resultant, its discriminant, its chamber,
-its root count, or P at one theta -- builds the row ``[0, f, g]`` as one
-Python list, gathers it into the matrix with one numpy call
-(`_sylvester_single`) and takes one ``np.linalg.det``; the derivative
-coefficients, the coefficient checks and the Sturm chain run on Python
-floats, since numpy's per-call cost would dominate on a few coefficients.
-A question about many forms at once (a row of the chamber grid, the unit
-matrices of the level solves) gathers a stack of rows with the same layout
-(`_sylvester_stack`) and costs one ``np.linalg.det`` call, bit for bit what
-one call per form returns.  One Sturm chain gives the sign changes at
-every point, so `classify_chamber` builds one chain for both its positive
-and its negative root count, and reads its sign changes at 0, +inf and
--inf in one pass (`_variation_counts`).
+Every question about one form -- its resultant, its discriminant, its
+chamber, its root count, or P at one theta -- builds the row
+``[0, f, g]`` as one Python list, gathers it into the matrix with one
+numpy call from the cached layout (`_sylvester_layout`) and takes one
+``np.linalg.det``; the derivative coefficients, the coefficient checks and
+the Sturm chain run on Python floats, since numpy's per-call cost would
+dominate on a few coefficients.  Callers with many forms (the chamber
+grid, the level shapes' unit matrices) ask once per form.  One Sturm chain
+gives the sign changes at every point, so `classify_chamber` builds one
+chain for both its positive and its negative root count, and reads its
+sign changes at 0, +inf and -inf in one pass (`_variation_counts`).
 
 Every public entry point converts its coefficients once (`_floats`) and
 raises `InputError` there for a coefficient that is not a finite number.
@@ -96,7 +93,7 @@ def sylvester_matrix(f: Sequence[float], g: Sequence[float]) -> np.ndarray:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
     if len(f) < 2 or len(g) < 2:
         raise UnsupportedOrder("both polynomials must have degree >= 1")
-    return _sylvester_single(f, g)
+    return _sylvester(f, g)
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,29 +109,10 @@ def _sylvester_layout(m: int, n: int) -> np.ndarray:
     return idx
 
 
-@functools.lru_cache(maxsize=None)
-def _powers(d: int) -> np.ndarray:
-    """d, d-1, ..., 1: the factors from descending coefficients to the
-    derivative's."""
-    powers = np.arange(d, 0, -1.0)
-    powers.flags.writeable = False  # shared by every caller through the cache
-    return powers
-
-
-def _sylvester_single(f: list[float], g: list[float]) -> np.ndarray:
-    """The Sylvester matrix of one pair f, g (float lists, degrees >= 1), by
-    one gather from the row ``[0, f, g]``."""
+def _sylvester(f: Sequence[float], g: Sequence[float]) -> np.ndarray:
+    """The Sylvester matrix of one pair f, g (floats, degrees >= 1), by one
+    gather from the row ``[0, f, g]``."""
     return np.array([0.0, *f, *g]).take(_sylvester_layout(len(f) - 1, len(g) - 1))
-
-
-def _sylvester_stack(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sylvester matrices of the rows of f (B, m+1) and g (B, n+1) as one
-    (B, m+n, m+n) stack, by one gather from the rows ``[0, f, g]``."""
-    m, n = f.shape[1] - 1, g.shape[1] - 1
-    rows = np.zeros((len(f), m + n + 3))
-    rows[:, 1 : m + 2] = f
-    rows[:, m + 2 :] = g
-    return rows.take(_sylvester_layout(m, n), axis=1)
 
 
 def sylvester_resultant(f: Sequence[float], g: Sequence[float]) -> float:
@@ -149,44 +127,31 @@ def discriminant(theta_top: Sequence[float]) -> float:
     not a finite number raises `InputError`, degree d < 2
     `UnsupportedOrder`, and a zero lead `LeadingCoefficientZero`.
     """
+    return _discriminant(_checked_top(theta_top, "discriminant"))
+
+
+def _checked_top(theta_top: Sequence[float], what: str) -> list[float]:
+    """The top form as floats, checked: finite coefficients (`InputError`),
+    degree >= 2 (`UnsupportedOrder`) and a non-zero lead
+    (`LeadingCoefficientZero`)."""
     top = _floats(theta_top)
     if len(top) < 3:
-        raise UnsupportedOrder("discriminant requires degree d >= 2")
+        raise UnsupportedOrder(f"{what} requires degree d >= 2")
     if top[0] == 0.0:
         raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    return _discriminant(top)
+    return top
 
 
-def _discriminant(top: list[float]) -> float:
+def _discriminant(top: Sequence[float]) -> float:
     """`discriminant` of a checked top form (floats, degree >= 2, lead
     non-zero): one Sylvester matrix of p and p', one det."""
-    return float(np.linalg.det(_sylvester_single(top, poly_derivative(top)))) / top[0]
+    return float(np.linalg.det(_sylvester(top, poly_derivative(top)))) / top[0]
 
 
-def _discriminants(tops: np.ndarray) -> np.ndarray:
-    """`discriminant` of every row of tops (B, d+1), finite floats, by one
-    det of the stack; raises as `discriminant` does."""
-    d = tops.shape[1] - 1
-    if d < 2:
-        raise UnsupportedOrder("discriminant requires degree d >= 2")
-    leads = tops[:, 0]
-    if 0.0 in leads.tolist():
-        raise LeadingCoefficientZero("theta_d0 must be non-zero")
-    F_a = tops[:, :-1] * _powers(d)  # p', the F_a of `_partials`
-    return np.linalg.det(_sylvester_stack(tops, F_a)) / leads
-
-
-def _partials(tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partials of F(a, b) = sum_c tops[..., c] a^(d-c) b^c at b = 1, in
-    descending powers of a: F_a[c] = (d-c) tops[c], F_b[c] = (c+1) tops[c+1]."""
-    powers = _powers(tops.shape[-1] - 1)
-    return tops[..., :-1] * powers, tops[..., 1:] * powers[::-1]
-
-
-def _partials_single(top: Sequence[float]) -> tuple[list[float], list[float]]:
-    """`_partials` of one form, as float lists: the same products."""
-    d = len(top) - 1
-    return [top[c] * (d - c) for c in range(d)], [top[c + 1] * (c + 1) for c in range(d)]
+def _partials(top: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Partials of F(a, b) = sum_c top[c] a^(d-c) b^c at b = 1, in
+    descending powers of a: F_a[c] = (d-c) top[c], F_b[c] = (c+1) top[c+1]."""
+    return poly_derivative(top), [top[c + 1] * (c + 1) for c in range(len(top) - 1)]
 
 
 def _sturm_chain(p0: Sequence[float]) -> list[list[float]]:
@@ -283,17 +248,13 @@ def count_real_roots(coeffs: Sequence[float], a: float = -math.inf, b: float = m
     Raises NonSquarefree when the polynomial has a repeated root (within
     floating-point tolerance), in which case the count is not defined by this
     routine; see count_positive_roots_squarefree for a total variant.  A
-    coefficient that is not a finite number raises `InputError`.  On
-    (0, inf) both sign-change counts come from one pass over the chain.
+    coefficient that is not a finite number raises `InputError`.
     """
     if not a < b:
         raise InputError("interval must satisfy a < b")
     chain = _sturm_chain(_trim_exact(coeffs))
     if len(chain) == 1:
         return 0
-    if a == 0.0 and b == math.inf:
-        v_zero, v_pos, _ = _variation_counts(chain)
-        return v_zero - v_pos
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -390,19 +351,14 @@ def classify_chamber(theta_top: Sequence[float]) -> ChamberLabel:
     within ``_DEGENERACY_TOL * scale`` (scale = max(1, max|c|)^(2d-2),
     matching the degree of the discriminant polynomial), or when the Sturm
     chain finds a repeated root there.  Where that scale is beyond double
-    range, the test is made on the form scaled by 2^-e (e the binary
-    exponent of max|c|), whose scale is 1: the same test, since D scales by
-    exactly 2^(-e(2d-2)).  One Sturm chain of p gives both counts: with
-    V(x) its sign changes at x, n_pos = V(0) - V(+inf) and
-    n_neg = V(-inf) - V(0), a root at exactly zero taken out of the latter.
+    range, both sides of the test are scaled by 2^(-e(2d-2)), with
+    max|c| = m 2^e (0.5 <= m < 1): the same test, without the overflow.
+    One Sturm chain of p gives both counts: with V(x) its sign changes at
+    x, n_pos = V(0) - V(+inf) and n_neg = V(-inf) - V(0), a root at exactly
+    zero taken out of the latter.
     A coefficient that is not a finite number raises `InputError`.
     """
-    top = _floats(theta_top)
-    d = len(top) - 1
-    if d < 2:
-        raise UnsupportedOrder("chamber classification requires degree d >= 2")
-    if top[0] == 0.0:
-        raise LeadingCoefficientZero("theta_d0 must be non-zero")
+    top = _checked_top(theta_top, "chamber classification")
     return _classify_with_discriminant(top, _discriminant(top))
 
 
@@ -410,12 +366,14 @@ def _classify_with_discriminant(top: Sequence[float], disc: float) -> ChamberLab
     """`classify_chamber` of a top form already checked (degree >= 2, lead
     non-zero, finite floats) whose discriminant ``disc`` is known."""
     d = len(top) - 1
+    k = 2 * d - 2
     big = max(map(abs, top))
     try:
-        on_wall = abs(disc) <= _DEGENERACY_TOL * max(1.0, big) ** (2 * d - 2)
+        on_wall = abs(disc) <= _DEGENERACY_TOL * max(1.0, big) ** k
     except OverflowError:
-        # the same test on the form scaled by 2^-e, whose scale is 1
-        on_wall = abs(math.ldexp(disc, -math.frexp(big)[1] * (2 * d - 2))) <= _DEGENERACY_TOL
+        # big = m 2^e: both sides scaled by 2^(-e k), exactly
+        m, e = math.frexp(big)
+        on_wall = abs(math.ldexp(disc, -e * k)) <= _DEGENERACY_TOL * m**k
     if on_wall:
         raise OnDiscriminant(f"discriminant {disc:.3e} within tolerance of zero")
     try:

@@ -361,6 +361,7 @@ def test_chambers_fixture_points(capsys):
             "--point=5,-3",
             "--point=0,0",
             "--point=-4,-4",
+            "--point=-3.5,-3.5",
             "--point=1,1",
         ],
     )
@@ -371,6 +372,8 @@ def test_chambers_fixture_points(capsys):
     assert reports[(0.0, 0.0)]["D"] == pytest.approx(27.0)
     assert reports[(0.0, 0.0)]["detp"] == pytest.approx(81.0)
     assert reports[(-4.0, -4.0)]["chamber"] == "C"
+    assert reports[(-3.5, -3.5)]["chamber"] == "C"
+    assert reports[(-3.5, -3.5)]["proper"] is True
     assert reports[(1.0, 1.0)]["chamber"] == "boundary"
     assert reports[(1.0, 1.0)]["boundary"] is True
 

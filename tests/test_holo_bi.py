@@ -36,7 +36,7 @@ from exppoly.holo_bi import (
     _factor,
     _flat,
     _level_shape,
-    _p_matrices,
+    _p_matrix,
     _refuse_walls,
     _transport_series,
     _transport_shape,
@@ -156,7 +156,7 @@ def _closed_form_level_matrix(top, k):
 
 def _P(top):
     """P(theta) at the top coefficients, as the engine builds it."""
-    return _p_matrices(np.array([top], dtype=float))[0]
+    return _p_matrix(np.asarray(top, dtype=float).tolist())
 
 
 def test_p_matrix_is_the_closed_form():
@@ -172,31 +172,16 @@ def test_p_matrix_is_the_closed_form():
             assert pfaffian_det(th) == np.linalg.det(want)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_pfaffian_det_equals_the_stacked_build(d):
-    # one form's P from float lists, against the stacked gather of
-    # `_p_matrices` and one det of the stack, to the bit
-    rng = np.random.default_rng(90 + d)
-    tops = rng.uniform(-3.0, 3.0, size=(200, d + 1))
-    tops[::4] = rng.integers(-3, 4, size=tops[::4].shape)
-    want = np.linalg.det(_p_matrices(tops)).tolist()
-    got = [
-        pfaffian_det(ThetaBi(d, {(d - c, c): v for c, v in enumerate(top)}))
-        for top in tops.tolist()
-    ]
-    assert got == want
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_level_plan_p_matrices_equal_the_stacked_build(d):
+def test_level_plan_p_matrices_are_the_closed_form(d):
     rng = np.random.default_rng(95 + d)
     for _ in range(20):
         theta0 = random_theta_bi_proper(rng, d).as_vector()
         h = rng.uniform(-3.0, 3.0, theta0.size)
         plan = _LevelPlan(d, 2 * d - 3, 3 * d - 4, 2 * d - 3, theta0, h)
-        top = plan.shape.top
-        np.testing.assert_array_equal(plan.P0, _p_matrices(theta0[top][None])[0])
-        np.testing.assert_array_equal(plan.Ph, _p_matrices(h[top][None])[0])
+        for got, coeffs in ((plan.P0, theta0), (plan.Ph, h)):
+            want = _closed_form_level_matrix(coeffs[plan.shape.top].tolist(), 2 * d - 3)
+            np.testing.assert_array_equal(got, np.array(want, dtype=float))
 
 
 def test_pfaffian_det_needs_degree_two():

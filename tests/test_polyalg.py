@@ -18,7 +18,6 @@ from exppoly.errors import (
 )
 from exppoly.polyalg import (
     ChamberLabel,
-    _discriminants,
     _sturm_chain,
     _variation_counts,
     _variations,
@@ -311,22 +310,14 @@ def test_batched_discriminants_equal_single_calls(d):
     tops = rng.uniform(-3, 3, size=(300, d + 1))
     tops[::3] = rng.integers(-3, 4, size=tops[::3].shape)
     tops[tops[:, 0] == 0.0, 0] = -1.0
-    batched = _discriminants(tops).tolist()
     singles = [discriminant(top) for top in tops.tolist()]
-    # and the row-by-row matrix of p and p' with one det per form
-    loop = [
-        float(np.linalg.det(_sylvester_loop(top, poly_derivative(top)))) / top[0]
-        for top in tops.tolist()
-    ]
+    # the row-by-row matrices of p and p', with one det per form and with
+    # one det of their stack
+    mats = [_sylvester_loop(top, poly_derivative(top)) for top in tops.tolist()]
+    loop = [float(np.linalg.det(s)) / top[0] for s, top in zip(mats, tops.tolist())]
+    batched = (np.linalg.det(np.array(mats)) / tops[:, 0]).tolist()
     assert batched == singles == loop
     assert any(v == 0.0 for v in batched)
-
-
-def test_batched_discriminants_validate_like_single_calls():
-    with pytest.raises(LeadingCoefficientZero):
-        _discriminants(np.array([[-1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]))
-    with pytest.raises(UnsupportedOrder):
-        _discriminants(np.array([[-1.0, 2.0]]))
 
 
 _ENTRY_POINTS = {
@@ -356,13 +347,17 @@ def test_entry_points_reject_coefficients_that_are_not_finite_numbers(entry, bad
         ([-1.0, 1e31, 0.0, 0.0, 0.0, 0.0, -1.0], True),
         # off the wall: D and det are finite although max|c|^(2d-2) is not
         ([math.ldexp(-1.0, 12), math.ldexp(1e-3, 512), math.ldexp(-1.0, 512)], False),
+        # |D| / max|c|^2 = 1.96e-12, just off the wall, but 2^-e max|c| = 0.5
+        # and a test at scale 1 would put the form on it
+        ([math.ldexp(-1.0, 12), math.ldexp(1.4e-6, 512), math.ldexp(-1.0, 512)], False),
     ],
 )
 def test_large_forms_take_the_label_of_the_scaled_down_form(top, on_wall):
     # the wall test's scale max(1, max|c|)^(2d-2) is beyond double range;
-    # the form scaled by 2^-e, e the binary exponent of max|c|, has scale 1
+    # scaled by 2^(1-e), e the binary exponent of max|c|, the form has
+    # 1 <= max|c| < 2 and its scale is in range
     e = math.frexp(max(map(abs, top)))[1]
-    small = [math.ldexp(c, -e) for c in top]
+    small = [math.ldexp(c, 1 - e) for c in top]
     label = _outcome(classify_chamber, top)
     assert label == _outcome(classify_chamber, small)
     assert (label is OnDiscriminant) == on_wall
