@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from exppoly import (
-    OdeOptions,
     ThetaUni,
     ToleranceNotMet,
     closed_form_A,
@@ -61,13 +60,17 @@ st = state_at(th)
 print(f"error estimate at the target: {st.last_transport_error:.2e}")
 
 # ------------------------------------------------------------------
-# 5. A tighter integrator tolerance gives a cross-check: the two values
-#    should differ by no more than the default run's error estimate.
+# 5. Another path gives a cross-check: transport to the same target from a
+#    nearby cubic instead of from the gamma point.  The start's own error
+#    rides along in the estimate, so the two values should differ by no
+#    more than the sum of the two estimates.
 
-tight = state_at(th, OdeOptions(rel_tol=1e-13))
-print(f"default rel_tol: A = {st.norm_const:.15f} (estimate {st.last_transport_error:.2e})")
-print(f"rel_tol = 1e-13: A = {tight.norm_const:.15f} (estimate {tight.last_transport_error:.2e})")
-print(f"relative difference {abs(tight.norm_const / st.norm_const - 1):.2e}")
+via = state_at(th, start=state_at(ThetaUni((-0.5, 2.0, -1.5))))
+print(f"from the gamma point: A = {st.norm_const:.15f} (estimate {st.last_transport_error:.2e})")
+print(f"via (-0.5, 2, -1.5):  A = {via.norm_const:.15f} (estimate {via.last_transport_error:.2e})")
+diff = abs(via.norm_const / st.norm_const - 1)
+print(f"relative difference {diff:.2e}")
+assert diff <= st.last_transport_error + via.last_transport_error
 
 # ------------------------------------------------------------------
 # 6. Some parameters are beyond double precision: when the exponent has a

@@ -41,7 +41,6 @@ from .holo_bi import (
 )
 from .holo_uni import (
     HoloStateUni,
-    OdeOptions,
     extend_derivatives,
     norm_const_and_derivs,
     state_at,
@@ -111,7 +110,6 @@ __all__ = [
     "UnsupportedOrder",
     # univariate engine
     "HoloStateUni",
-    "OdeOptions",
     "extend_derivatives",
     "norm_const_and_derivs",
     "state_at",

@@ -41,11 +41,7 @@ from .errors import (
     TransportError,
 )
 from .holo_bi import extend_table, pfaffian_det, table_at
-from .holo_uni import (
-    OdeOptions,
-    extend_derivatives,
-    state_at,
-)
+from .holo_uni import extend_derivatives, state_at
 from .inference import (
     _stats_order,
     fisher_info,
@@ -166,11 +162,10 @@ def _float_list(arr) -> list[float]:
 
 def cmd_normconst(args: argparse.Namespace) -> int:
     theta = _theta_from_args(args)
-    opts = OdeOptions(rel_tol=args.tol) if args.tol is not None else OdeOptions()
     order = args.order if args.order is not None else theta.d
     if isinstance(theta, ThetaBi):
         _require_proper_bi(theta)
-        table = extend_table(table_at(theta, opts), order, opts)
+        table = extend_table(table_at(theta), order)
         derivs = {
             f"{i}{j}": table.entry(i, j)
             for total in range(order + 1)
@@ -184,7 +179,7 @@ def cmd_normconst(args: argparse.Namespace) -> int:
         quad = quad_A_bi
     else:
         _require_integrable_uni(theta)
-        state = state_at(theta, opts)
+        state = state_at(theta)
         derivs = extend_derivatives(state, order)
         out = {
             "A": float(derivs[0]),
@@ -425,11 +420,15 @@ def _top_from_point(d: int, values: list[float]) -> tuple[float, ...]:
 
 def _chamber_report(d: int, top: tuple[float, ...]) -> dict:
     theta = ThetaBi(d, {(d - j, j): top[j] for j in range(d + 1)})
-    disc = discriminant(top)
+    # the determinants overflow for a large enough form; JSON has no
+    # infinity, so such a value is written as null
+    with np.errstate(over="ignore"):
+        disc = discriminant(top)
+        detp = pfaffian_det(theta)
     report = {
         "top": _float_list(top),
-        "D": disc,
-        "detp": pfaffian_det(theta),
+        "D": disc if math.isfinite(disc) else None,
+        "detp": detp if math.isfinite(detp) else None,
     }
     try:
         label = _classify_with_discriminant(top, disc)
@@ -542,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="order (bivariate --theta lists)")
     p.add_argument("--order", type=int, help="highest derivative order to print")
     p.add_argument("--verify", action="store_true", help="cross-check against quadrature")
-    p.add_argument("--tol", type=float, help="transport relative tolerance")
     p.set_defaults(func=cmd_normconst)
 
     p = sub.add_parser("fit", help="maximum likelihood fit from a CSV sample")

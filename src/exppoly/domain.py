@@ -43,13 +43,23 @@ class ThetaUni:
     """Coefficient vector (theta_1, ..., theta_d) of a univariate exponent.
 
     ``coeffs[k]`` multiplies ``x^(k+1)``; there is no constant term.  On
-    REAL_LINE support the stored order must be even.
+    REAL_LINE support the stored order must be even.  ``support`` may also
+    be given by its value, ``"halfline"`` or ``"realline"``; it is stored as
+    the `Support` member, and anything else raises `InputError`.
     """
 
     coeffs: tuple[float, ...]
     support: Support = Support.HALF_LINE
 
     def __post_init__(self) -> None:
+        if not isinstance(self.support, Support):
+            try:
+                object.__setattr__(self, "support", Support(self.support))
+            except ValueError:
+                raise InputError(
+                    f"support must be a Support or one of {[s.value for s in Support]}, "
+                    f"got {self.support!r}"
+                ) from None
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 1:

@@ -67,8 +67,8 @@ from .errors import (
     UnsupportedOrder,
 )
 from .holo_uni import (
+    _REL_TOL,
     HoloStateUni,
-    OdeOptions,
     _extend,
     _order_arg,
     _scale_arg,
@@ -118,9 +118,8 @@ def _flat(i: int, j: int) -> int:
 
 
 class AxisStates(NamedTuple):
-    """Axis states that `holo_uni.state_at` accepted under `opts`."""
+    """Axis states that `holo_uni.state_at` accepted."""
 
-    opts: OdeOptions
     x: HoloStateUni
     y: HoloStateUni
 
@@ -136,11 +135,10 @@ class DerivTableBi:
     Tables made by `initial_state_bi`, `transport_bi` and `extend_table`
     also carry `axes`: the x- and y-axis states that `holo_uni.state_at`
     accepted at theta (at a product point, the gamma-point states it
-    returns there), with the options they were computed under.  `extend_table`,
-    `boundary_consts` and the next `transport_bi` from the table reuse them
-    when called with the same options, instead of transporting both axes
-    again from their gamma points.  Tables from the constructor carry None
-    unless given them.
+    returns there).  `extend_table`, `boundary_consts` and the next
+    `transport_bi` from the table always reuse them, instead of transporting
+    both axes again from their gamma points.  Tables from the constructor
+    carry None unless given them.
     """
 
     __slots__ = ("theta", "F", "max_order", "last_transport_error", "axes")
@@ -205,9 +203,9 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
 
     The density factors, so every entry is a product of two univariate gamma
     moments: T[i, j] = (Gamma((i+1)/d) c1^{-(i+1)/d} / d) * (same in j, c2).
-    The axes are gamma points too, so the table carries their states for
-    the default options: `holo_uni.initial_state` at c1 and c2, bit for bit
-    what `holo_uni.state_at` returns there.
+    The axes are gamma points too, so the table carries their states:
+    `holo_uni.initial_state` at c1 and c2, bit for bit what
+    `holo_uni.state_at` returns there.
     """
     _require_order(d)
     c1, c2 = _scale_arg(c1, "c1"), _scale_arg(c2, "c2")
@@ -216,17 +214,13 @@ def initial_state_bi(d: int, c1: float, c2: float) -> DerivTableBi:
     def gamma_moment(m: int, c: float) -> float:
         return c ** (-(m + 1) / d) * math.gamma((m + 1) / d) / d
 
-    axes = AxisStates(OdeOptions(), holo_uni.initial_state(d, c1), holo_uni.initial_state(d, c2))
+    axes = AxisStates(holo_uni.initial_state(d, c1), holo_uni.initial_state(d, c2))
     return DerivTableBi(
         theta, [gamma_moment(i, c1) * gamma_moment(j, c2) for i, j in base_indices(d)], 0.0, axes
     )
 
 
-def boundary_consts(
-    theta: ThetaBi | DerivTableBi,
-    M: int,
-    opts: OdeOptions | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def boundary_consts(theta: ThetaBi | DerivTableBi, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Axis constants (A_x and theta_10-derivatives, A_y and theta_01-derivatives).
 
     A_x integrates the density restricted to y = 0 and depends only on the
@@ -235,7 +229,7 @@ def boundary_consts(
     refusal policy.  Given a table, the axis states it carries are reused.
     """
     M = _order_arg(M)
-    axes = _axes_for(theta, opts)
+    axes = _axes_for(theta)
     return extend_derivatives(axes.x, M), extend_derivatives(axes.y, M)
 
 
@@ -527,7 +521,7 @@ def pfaffian_det(theta: ThetaBi) -> float:
     return float(np.linalg.det(_p_matrix(theta.top_coeffs())))
 
 
-def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) -> DerivTableBi:
+def extend_table(table: DerivTableBi, M: int) -> DerivTableBi:
     """Fill the table through total order M by successive level solves.
 
     Each level is solved as square windows against one inverse of P(theta);
@@ -539,7 +533,7 @@ def extend_table(table: DerivTableBi, M: int, opts: OdeOptions | None = None) ->
     if M <= table.max_order:
         return table
     d = table.d
-    axes = _axes_for(table, opts)
+    axes = _axes_for(table)
     m_ax = M - d + 1
     theta0 = table.theta.as_vector()
     plan = _LevelPlan(d, table.max_order + 1, M, m_ax, theta0)
@@ -692,11 +686,7 @@ def _transport_series(
     return series
 
 
-def transport_bi(
-    table: DerivTableBi,
-    theta_target: ThetaBi,
-    opts: OdeOptions | None = None,
-) -> DerivTableBi:
+def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     """Move the table along the straight segment to `theta_target`; a table
     already at `theta_target` is returned as it is.
 
@@ -721,13 +711,11 @@ def transport_bi(
     zeros of D along it, the pencil's eigenvalues (`_LevelPlan.zeros`), are
     found once, and one within `_WALL_MARGIN` of [0, 1] refuses the segment
     with `PathCrossesSingularity`, as a source on a wall does.  The source's
-    axis states come from the table when it carries them for `opts`; the
+    axis states come from the table when it carries them; the
     ODE's final axis states go through the `holo_uni.state_at` acceptance
     (condition, moment check, retry, refusal) and ride on the result, so a
     following `extend_table` or transport needs no axis work.
     """
-    if opts is None:
-        opts = OdeOptions()
     d = table.d
     src = table.theta
     if theta_target.d != d:
@@ -744,31 +732,26 @@ def transport_bi(
     nb = _transport_shape(d).nb
     free = d - 1  # free entries of an axis state
     series = _transport_series(d, src_vec, h_vec)
-    axes = _axes_for(table, opts)
+    axes = _axes_for(table)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     try:
-        yf, est = _ode.taylor(series, y0, opts.rel_tol)
+        yf, est = _ode.taylor(series, y0, _REL_TOL)
     except SingularSystem as exc:
         raise PathCrossesSingularity(
             f"transport hit a singular level system: {exc}"
         ) from exc
 
     moved_axes = AxisStates(
-        opts,
-        _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est, opts),
-        _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est, opts),
+        _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est),
+        _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est),
     )
     moved = DerivTableBi(theta_target, yf[:nb], est, moved_axes)
     if table.max_order > moved.max_order:
-        moved = extend_table(moved, table.max_order, opts)
+        moved = extend_table(moved, table.max_order)
     return moved
 
 
-def table_at(
-    theta: ThetaBi,
-    opts: OdeOptions | None = None,
-    start: DerivTableBi | None = None,
-) -> DerivTableBi:
+def table_at(theta: ThetaBi, *, start: DerivTableBi | None = None) -> DerivTableBi:
     """Transported table at theta, the bivariate twin of `holo_uni.state_at`.
 
     Transport (`transport_bi`) starts from `start` when it has theta's
@@ -782,14 +765,14 @@ def table_at(
     if start is None or start.d != theta.d:
         top = theta.top_coeffs()
         start = initial_state_bi(theta.d, abs(top[0]), abs(top[-1]))
-    table = transport_bi(start, theta, opts)
+    table = transport_bi(start, theta)
     if not (np.all(np.isfinite(table.F)) and table.norm_const > 0.0):
         raise OdeDivergence(f"transport lost accuracy (A = {table.norm_const!r})")
     return table
 
 
 def _accept_axis(
-    start: HoloStateUni, coeffs: Sequence[float], F: Sequence[float], est: float, opts: OdeOptions
+    start: HoloStateUni, coeffs: Sequence[float], F: Sequence[float], est: float
 ) -> HoloStateUni:
     """An axis state moved from `start` inside `transport_bi`'s ODE: its free
     entries F are re-derived at the target, as `holo_uni.transport` does,
@@ -797,29 +780,23 @@ def _accept_axis(
     L = state_length(len(coeffs))
     theta = ThetaUni(coeffs, Support.HALF_LINE)
     moved = HoloStateUni(theta, _extend(coeffs, Support.HALF_LINE, F, L - 1), est)
-    return holo_uni._accept(start, moved, opts)
+    return holo_uni._accept(start, moved)
 
 
-def _axes_for(source: ThetaBi | DerivTableBi, opts: OdeOptions | None) -> AxisStates:
-    """Axis states at the source's parameter: a table's own when they were
-    accepted under the same options, else fresh ones from `holo_uni.state_at`."""
-    if opts is None:
-        opts = OdeOptions()
+def _axes_for(source: ThetaBi | DerivTableBi) -> AxisStates:
+    """Axis states at the source's parameter: a table's own when it carries
+    them, else fresh ones from `holo_uni.state_at`."""
     if isinstance(source, DerivTableBi):
-        if source.axes is not None and source.axes.opts == opts:
+        if source.axes is not None:
             return source.axes
         source = source.theta
-    return AxisStates(
-        opts,
-        _axis_state(source.x_axis_coeffs(), opts),
-        _axis_state(source.y_axis_coeffs(), opts),
-    )
+    return AxisStates(_axis_state(source.x_axis_coeffs()), _axis_state(source.y_axis_coeffs()))
 
 
-def _axis_state(coeffs: Sequence[float], opts: OdeOptions) -> HoloStateUni:
+def _axis_state(coeffs: Sequence[float]) -> HoloStateUni:
     axis = ThetaUni(coeffs, Support.HALF_LINE)
     if classify_theta_uni(axis).membership is not Membership.INTERIOR:
         raise AxisOutsideDomain(
             f"axis restriction {tuple(coeffs)} is not an interior univariate parameter"
         )
-    return holo_uni.state_at(axis, opts)
+    return holo_uni.state_at(axis)

@@ -43,7 +43,6 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,25 +58,6 @@ from .errors import (
     SingularLeadingCoefficient,
     ToleranceNotMet,
 )
-
-
-@dataclass(frozen=True)
-class OdeOptions:
-    """Transport tolerance.
-
-    Univariate and bivariate transport both step by Taylor series, with
-    adaptive steps (`_ode.taylor`).  A step's rows stop at the first of the
-    orders `_ode._ORDERS` (16 to 48) whose last two rows let it reach the
-    segment's end under `rel_tol`.
-
-    rel_tol: per-step relative tolerance, positive and finite.
-    """
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise InputError("rel_tol must be positive and finite")
 
 
 def _is_int(v: object) -> bool:
@@ -119,7 +99,8 @@ class HoloStateUni:
     they are kept so the state always exposes at least A and its first
     derivative directly.  `last_transport_error` is the relative error
     estimate of the state: the integrator's for the move that produced it
-    from `transport`, the full `state_at` estimate for a state from there,
+    from `transport` (at the per-step tolerance 1e-10, or at 1e-13 where
+    `state_at` retries), the full `state_at` estimate for a state from there,
     the closed form's own rounding bound for an order-2 state from
     `state_at`, and zero for freshly initialized states.  The full estimate
     of a move from a carried start (one whose own estimate is not zero) is
@@ -468,8 +449,25 @@ def derivative_bounds(state: HoloStateUni, M: int) -> np.ndarray:
     return scale * np.array(gain)
 
 
-def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = None) -> HoloStateUni:
-    """Move the state along the straight segment to `target`.
+# The general solution of the transport system contains integrals of exp(g)
+# over every admissible contour; a contour through a stationary point z* of g
+# contributes a solution of size ~ exp(Re g(z*)).  Integration error excites
+# those solutions, so their size relative to A bounds how much a transported
+# constant can have drifted.  Below _COND_DIRECT the per-step tolerance
+# _REL_TOL is trusted; up to _COND_LIMIT a retry at _RETRY_TOL recovers the
+# constant; beyond that double precision cannot represent the cancellation
+# on any path (the start of every segment from a gamma point carries full
+# weight).
+_COND_DIRECT = 1e5
+_COND_LIMIT = 1e9
+_REL_TOL = 1e-10
+_RETRY_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
+
+
+def transport(state: HoloStateUni, target: ThetaUni, *, rel_tol: float = _REL_TOL) -> HoloStateUni:
+    """Move the state along the straight segment to `target`, at per-step
+    relative tolerance `rel_tol`.
 
     Both endpoints must be interior (negative leading coefficient); since the
     leading coefficient is linear along the segment, the whole path is then
@@ -479,8 +477,6 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
     move also steps the free entries' unit columns, so that `state_at` can
     carry that estimate through the move's Jacobian.
     """
-    if opts is None:
-        opts = OdeOptions()
     src = state.theta
     if target.support is not src.support or target.d != src.d:
         raise InputError("transport endpoints must share support and order")
@@ -498,7 +494,7 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
     y0 = state.F[: d - 1].tolist()
     carry = d > 1 and state.last_transport_error > 0.0
     step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, carry)
-    F, est, *phi = _ode.taylor(step_map.series, y0, opts.rel_tol, carry)
+    F, est, *phi = _ode.taylor(step_map.series, y0, rel_tol, carry)
 
     # Re-derive the redundant tail entries so the final state satisfies the
     # recursion exactly at the target point.
@@ -509,20 +505,6 @@ def transport(state: HoloStateUni, target: ThetaUni, opts: OdeOptions | None = N
         start_error = state.last_transport_error * max(map(abs, y0))
         carried = max(map(sum, np.abs(phi[0]).tolist())) * start_error / max(*map(abs, F), 1e-300)
     return HoloStateUni._built(target, vals, est, carried)
-
-
-# The general solution of the transport system contains integrals of exp(g)
-# over every admissible contour; a contour through a stationary point z* of g
-# contributes a solution of size ~ exp(Re g(z*)).  Integration error excites
-# those solutions, so their size relative to A bounds how much a transported
-# constant can have drifted.  Below _COND_DIRECT the default tolerance is
-# trusted; up to _COND_LIMIT a tight-tolerance retry recovers the constant;
-# beyond that double precision cannot represent the cancellation on any path
-# (the start of every segment from a gamma point carries full weight).
-_COND_DIRECT = 1e5
-_COND_LIMIT = 1e9
-_RETRY_TOL = 1e-13
-_EPS = float(np.finfo(float).eps)
 
 
 def transport_condition(coeffs: Sequence[float], A: float) -> float:
@@ -611,7 +593,7 @@ def _cubic_roots(dg: list[float]) -> list[complex] | None:
 
 def state_at(
     theta: ThetaUni | Sequence[float],
-    opts: OdeOptions | None = None,
+    *,
     support: Support = Support.HALF_LINE,
     start: HoloStateUni | None = None,
 ) -> HoloStateUni:
@@ -629,12 +611,12 @@ def state_at(
     has the same order and support, else from the gamma point.  A move from
     a carried start (nonzero estimate) adds the start's error, carried
     through the move's Jacobian Phi (see `HoloStateUni`), to its estimate;
-    where that carried part exceeds rel_tol times the target's condition,
-    the move is redone from the gamma point.  When the result is not
-    finite, or the homogeneous solutions of the system dwarf A, the
-    transport is retried from the gamma point at tight tolerance, and
-    parameters whose condition exceeds what double precision can cancel are
-    refused rather than answered with noise.
+    where that carried part exceeds the per-step tolerance (1e-10) times
+    the target's condition, the move is redone from the gamma point.  When
+    the result is not finite, or the homogeneous solutions of the system
+    dwarf A, the transport is retried from the gamma point at the tighter
+    tolerance 1e-13, and parameters whose condition exceeds what double
+    precision can cancel are refused rather than answered with noise.
     """
     if not isinstance(theta, ThetaUni):
         theta = ThetaUni(theta, support)
@@ -648,18 +630,17 @@ def state_at(
         return _gaussian_state(eff) if any(eff.coeffs[:-1]) else _gamma_state(eff)
     if start is None or start.d != eff.d or start.support is not eff.support:
         start = _gamma_state(eff)
-    if opts is None:
-        opts = OdeOptions()
-    return _accept(start, transport(start, eff, opts), opts)
+    return _accept(start, transport(start, eff))
 
 
-def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloStateUni:
-    """The `state_at` verdict on `moved`, a transport of `start` under `opts`.
+def _accept(start: HoloStateUni, moved: HoloStateUni) -> HoloStateUni:
+    """The `state_at` verdict on `moved`, a transport of `start` at the
+    per-step tolerance `_REL_TOL`.
 
     The carried part of the estimate (the start's error through the move's
     Jacobian) may send the move back to the gamma point first; then the
     state's condition and moment check decide between keeping it,
-    transporting again from the gamma point at tight tolerance, and refusing
+    transporting again from the gamma point at `_RETRY_TOL`, and refusing
     the parameter.  The accepted state's estimate carries the start's own.
     `holo_bi.transport_bi` hands its axis states here too, transported
     inside its own ODE without a Jacobian: for them the start's error is
@@ -668,16 +649,16 @@ def _accept(start: HoloStateUni, moved: HoloStateUni, opts: OdeOptions) -> HoloS
     eff = moved.theta
     cond = _condition(moved)
     carried = moved._carried
-    if carried is not None and carried > opts.rel_tol * cond:
+    if carried is not None and carried > _REL_TOL * cond:
         # the start's error, carried through the move, outweighs what a
         # fresh transport would commit
         start = _gamma_state(eff)
-        moved = transport(start, eff, opts)
+        moved = transport(start, eff)
         cond = _condition(moved)
         carried = None
-    if cond > _COND_DIRECT and _RETRY_TOL < opts.rel_tol:
+    if cond > _COND_DIRECT:
         start = _gamma_state(eff)
-        moved = transport(start, eff, OdeOptions(rel_tol=_RETRY_TOL))
+        moved = transport(start, eff, rel_tol=_RETRY_TOL)
         cond = _condition(moved)
         carried = None
     if cond > _COND_LIMIT:
@@ -788,7 +769,7 @@ def _moment_like(F: list[float], support: Support) -> bool:
 def norm_const_and_derivs(
     theta: ThetaUni | Sequence[float],
     M: int = 0,
-    opts: OdeOptions | None = None,
+    *,
     support: Support = Support.HALF_LINE,
 ) -> np.ndarray:
     """A(theta) and its theta_1-derivatives up to order M, via `state_at`.
@@ -799,5 +780,5 @@ def norm_const_and_derivs(
     Parameters follow the `state_at` policy: closed form at order 2, retry
     and refusal of ill-conditioned points from order 3 on.
     """
-    return extend_derivatives(state_at(theta, opts, support), M)
+    return extend_derivatives(state_at(theta, support=support), M)
 

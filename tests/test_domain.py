@@ -22,6 +22,8 @@ from exppoly.errors import (
     NegativeDatum,
     UnsupportedOrder,
 )
+from exppoly.holo_uni import norm_const_and_derivs
+from exppoly.oracle import quad_moment_uni
 from exppoly.polyalg import exponent
 
 
@@ -39,6 +41,31 @@ def test_theta_uni_realline_needs_even_order():
     ThetaUni((0.0, -1.0), Support.REAL_LINE)
     with pytest.raises(UnsupportedOrder):
         ThetaUni((1.0, 2.0, -1.0), Support.REAL_LINE)
+
+
+@pytest.mark.parametrize(
+    "support, want",
+    [
+        (Support.HALF_LINE, Support.HALF_LINE),
+        ("halfline", Support.HALF_LINE),
+        ("realline", Support.REAL_LINE),
+        (None, None),
+        ("x", None),
+    ],
+)
+def test_theta_uni_support_is_a_support_member(support, want):
+    # a support given by its value is stored as the member, so the engine,
+    # which compares members by identity, reads the support asked for
+    coeffs = (-1.0, 3.0, -2.0, -1.0)
+    if want is None:
+        with pytest.raises(InputError):
+            ThetaUni(coeffs, support)
+        with pytest.raises(InputError):
+            norm_const_and_derivs(coeffs, 2, support=support)
+        return
+    assert ThetaUni(coeffs, support).support is want
+    A = norm_const_and_derivs(coeffs, 2, support=support)[0]
+    assert A == pytest.approx(quad_moment_uni(ThetaUni(coeffs, want)), rel=1e-9)
 
 
 def test_theta_uni_rejects_empty_and_nonfinite():

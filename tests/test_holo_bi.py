@@ -48,7 +48,7 @@ from exppoly.holo_bi import (
     table_at,
     transport_bi,
 )
-from exppoly.holo_uni import OdeOptions, _extend, state_length
+from exppoly.holo_uni import _extend, state_length
 from exppoly.inference import fit_mle
 from exppoly.oracle import quad_A_bi, sample_uni
 from exppoly.polyalg import _sylvester_layout, classify_chamber, discriminant
@@ -87,7 +87,6 @@ def test_initial_state_carries_its_axis_states(d, monkeypatch):
     # states `state_at` returns there, bit for bit, and a transport from it
     # makes no axis transport of its own
     table = initial_state_bi(d, 1.0, 1.7)
-    assert table.axes.opts == OdeOptions()
     axes = table.axes
     for state, coeffs in ((axes.x, table.theta.x_axis_coeffs()), (axes.y, table.theta.y_axis_coeffs())):
         want = holo_uni.state_at(ThetaUni(coeffs))
@@ -853,7 +852,7 @@ def test_extend_rejects_inconsistent_table():
 def test_axis_states_are_reused(monkeypatch):
     th = ThetaBi(3, {(3, 0): -1.0, (0, 3): -1.5, (2, 1): -0.3, (1, 0): 0.5, (0, 1): -0.2})
     moved = transport_bi(initial_state_bi(3, 1.0, 1.5), th)
-    assert moved.axes is not None and moved.axes.opts == OdeOptions()
+    assert moved.axes is not None
     bare = DerivTableBi(th, moved.F, moved.last_transport_error)
     fresh = extend_table(bare, 6)
     ax_fresh, _ = boundary_consts(th, 4)
@@ -867,9 +866,6 @@ def test_axis_states_are_reused(monkeypatch):
     np.testing.assert_array_equal(reused.F, fresh.F)
     np.testing.assert_array_equal(ax, ax_fresh)
     assert reused.axes is moved.axes
-    # other options: the carried states are not theirs, so fresh ones
-    extend_table(moved, 6, OdeOptions(rel_tol=1e-12))
-    assert len(calls) == 2
 
 
 def test_axis_states_must_match_theta():

@@ -19,7 +19,6 @@ from exppoly.errors import (
     ToleranceNotMet,
 )
 from exppoly.holo_uni import (
-    OdeOptions,
     _accept,
     _close,
     _extend,
@@ -191,11 +190,6 @@ def test_derivatives_positive_on_half_line():
     assert np.all(F > 0)
 
 
-def test_ode_options_validation():
-    with pytest.raises(InputError):
-        OdeOptions(rel_tol=0.0)
-
-
 def test_transport_condition_benign():
     # exponential: g' is constant, no stationary points
     assert transport_condition((-1.0,), 1.0) == 1.0
@@ -273,7 +267,7 @@ def test_state_at_retries_state_that_is_not_moment_like():
     # closed form, so the verdict is asked of `_accept` directly)
     via = state_at((0.0, 0.0, 0.0, -2.0, -0.5))
     target = ThetaUni((0.0, 0.0, 0.0, 0.0, -1.0))
-    st = _accept(via, transport(via, target), OdeOptions())
+    st = _accept(via, transport(via, target))
     want = [quad_moment_uni(st.theta, m) for m in range(4)]
     np.testing.assert_allclose(st.F, want, rtol=1e-10)
 

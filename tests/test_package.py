@@ -88,3 +88,27 @@ def test_tracer_stubs_are_unread_and_raise():
     for name in TRACER_STUBS:
         with pytest.raises(NotImplementedError):
             getattr(_ode, name)()
+
+
+def test_no_option_objects():
+    # tolerances and limits are module constants the engine picks; an
+    # option object or an `opts` parameter would be a second way to set them
+    exported = set(exppoly.__all__)
+    classes, with_opts = [], []
+    for stem, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Options"):
+                classes.append((stem, node.name))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                funcs = [node]
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
+                funcs = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            else:
+                continue
+            for f in funcs:
+                args = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+                if any(a.arg == "opts" for a in args):
+                    with_opts.append((stem, node.name))
+    assert classes == []
+    assert with_opts == []
