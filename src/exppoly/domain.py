@@ -32,6 +32,19 @@ class Support(Enum):
     REAL_LINE = "realline"
 
 
+def as_support(support: Support | str) -> Support:
+    """`support` as the `Support` member, given as one or by its value,
+    ``"halfline"`` or ``"realline"``; anything else raises `InputError`."""
+    if isinstance(support, Support):
+        return support
+    try:
+        return Support(support)
+    except ValueError:
+        raise InputError(
+            f"support must be a Support or one of {[s.value for s in Support]}, got {support!r}"
+        ) from None
+
+
 class Membership(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -45,21 +58,15 @@ class ThetaUni:
     ``coeffs[k]`` multiplies ``x^(k+1)``; there is no constant term.  On
     REAL_LINE support the stored order must be even.  ``support`` may also
     be given by its value, ``"halfline"`` or ``"realline"``; it is stored as
-    the `Support` member, and anything else raises `InputError`.
+    the `Support` member, and anything else raises `InputError`
+    (`as_support`).
     """
 
     coeffs: tuple[float, ...]
     support: Support = Support.HALF_LINE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.support, Support):
-            try:
-                object.__setattr__(self, "support", Support(self.support))
-            except ValueError:
-                raise InputError(
-                    f"support must be a Support or one of {[s.value for s in Support]}, "
-                    f"got {self.support!r}"
-                ) from None
+        object.__setattr__(self, "support", as_support(self.support))
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 1:
@@ -249,8 +256,9 @@ class SuffStats:
 def suff_stats(sample: Iterable, order: int, support: Support | str = Support.HALF_LINE) -> SuffStats:
     """Compute moment statistics of a sample up to the given order.
 
-    ``support`` may be a :class:`Support` value, or the string ``"bivariate"``
-    for two-column positive-quadrant data.  An order-d univariate fit reads
+    ``support`` may be a :class:`Support` member or its value, or the string
+    ``"bivariate"`` for two-column positive-quadrant data; anything else
+    raises `InputError`.  An order-d univariate fit reads
     moments 1..d for its likelihood; it starts at the score-matching
     estimate only when the statistics also carry moments through 2d-1 on the
     half line, 2d-2 on the whole line (``inference.fit_mle``).
@@ -274,7 +282,7 @@ def suff_stats(sample: Iterable, order: int, support: Support | str = Support.HA
         }
         return SuffStats(n=arr.shape[0], order=order, support=None, moments_bi=moments)
 
-    support = Support(support)
+    support = as_support(support)
     arr = arr.reshape(-1)
     if arr.size == 0:
         raise EmptySample("sample is empty")

@@ -638,9 +638,11 @@ def _transport_series(
     matrix of `holo_uni._StepMap.step`.  Block n of the flat row buffer
     holds order n, so each order is one product between contiguous slices
     and one multiply by that order's scale; `rows(N)` runs them from where
-    the last call stopped.  A segment that meets a wall is refused
-    (`_refuse_walls`) before the builder is returned, and the first step
-    reuses the inverse of P0 that the wall test took.
+    the last call stopped.  Z and the row buffer are this thread's for the
+    degree (`_RowBuffers`), so the rows hold until its next step.  A
+    segment that meets a wall is refused (`_refuse_walls`) before the
+    builder is returned, and the first step reuses the inverse of P0 that
+    the wall test took.
     """
     shape = _transport_shape(d)
     nb, n_c = shape.nb, shape.n_c
@@ -658,32 +660,48 @@ def _transport_series(
     def series(s: float, y: list[float], H: float) -> Callable[[int], np.ndarray]:
         W = plan.composed(s, H, plan.factor(s), H * D)
         M, x0 = axis_map.step(s, y[nb:], H)
-        Z = np.zeros((n_b, n_b + n_e))
+        rb = holo_uni._buffers(_RowBuffers, d, n_b, n_e)
+        Z, buf = rb.Z, rb.buf
         for at, W_rows in ((slice(0, n_lev), W[:n_lev]), (slice(base, n_b), W[n_lev:])):
             Z[at, n_c:n_b] = W_rows[:, :n_v]
             Z[at, n_b + n_c :] = W_rows[:, n_v : n_v + first]
         Z.flat[shape.lane_put] = M.ravel()
-        scale = shape.scale
-        buf = np.empty((len(scale) + 2) * n_b)  # block n+1 holds order n
-        buf[:n_b] = 0.0  # order -1
         buf[n_b + shape.lanes] = x0
         buf[n_b + n_e - nb : n_b + n_e] = y[:nb]
-        blocks = buf.reshape(-1, n_b)
+        Z_dot, products, blocks = Z.dot, rb.products, rb.blocks
         done = 0
 
         def rows(N: int) -> np.ndarray:
             nonlocal done
-            for n in range(done, N):
-                i = (n + 1) * n_b
-                out = buf[i + n_e : i + n_e + n_b]
-                np.dot(Z, buf[i - n_b : i + n_e], out=out)
-                out *= scale[n]
+            for window, out, scale_n in products[done:N]:
+                Z_dot(window, out=out)
+                out *= scale_n
             done = max(done, N)
             return blocks[1 : N + 2, shape.carried]
 
         return rows
 
     return series
+
+
+class _RowBuffers:
+    """Where `_transport_series` builds a step's rows at degree d, with
+    blocks of n_b entries of which the first n_e feed the next order: Z,
+    whose entries outside the rows each step writes stay zero; the flat row
+    buffer, block n+1 holding order n (block 0, order -1, is zero); and, per
+    order n, the views (the product's input window, its output, the scale
+    of order n+1's entries).  One per thread (`holo_uni._buffers`)."""
+
+    def __init__(self, d: int, n_b: int, n_e: int):
+        scale = _transport_shape(d).scale
+        self.Z = np.zeros((n_b, n_b + n_e))
+        self.buf = np.zeros((len(scale) + 2) * n_b)
+        self.blocks = self.buf.reshape(-1, n_b)
+        buf = self.buf
+        self.products = [
+            (buf[i - n_b : i + n_e], buf[i + n_e : i + n_e + n_b], scale[n])
+            for n, i in enumerate(range(n_b, (len(scale) + 1) * n_b, n_b))
+        ]
 
 
 def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:

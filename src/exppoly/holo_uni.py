@@ -34,7 +34,9 @@ coefficient row to the next (`_StepMap`); the bivariate engine carries its
 two axis states as two lanes of one such map, whose step matrix
 (`_StepMap.step`) goes into the matrix of its own rows, while the
 univariate transport takes its rows from the map's one lane
-(`_StepMap.series`).
+(`_StepMap.series`).  A step writes its matrices and rows into buffers
+that each thread keeps per shape (`_buffers`) and reuses, so a step
+allocates almost nothing and threads share none of them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import cmath
 import functools
 import math
 import numbers
+import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -165,18 +168,20 @@ def initial_state(d: int, c: float, support: Support = Support.HALF_LINE) -> Hol
     Gamma((1+m)/d) * c^(-(1+m)/d) / d; on the whole line (even d) even moments
     double that and odd moments vanish.
     """
-    c = _scale_arg(c, "initial scale")
+    return _initial_state(d, _scale_arg(c, "initial scale"), support)
+
+
+def _initial_state(d: int, c: float, support: Support) -> HoloStateUni:
+    """`initial_state` at a scale c already known to be a positive float."""
     coeffs = [0.0] * d
     coeffs[-1] = -c
     theta = ThetaUni(coeffs, support)
-    L = state_length(d)
-    F = np.empty(L)
-    for m in range(L):
-        if support is Support.REAL_LINE and m % 2 == 1:
-            F[m] = 0.0
-        else:
-            factor = 2.0 if support is Support.REAL_LINE else 1.0
-            F[m] = factor / d * c ** (-(1 + m) / d) * math.gamma((1 + m) / d)
+    real = theta.support is Support.REAL_LINE
+    factor = 2.0 if real else 1.0
+    F = [
+        0.0 if real and m % 2 == 1 else factor / d * c ** (-(1 + m) / d) * math.gamma((1 + m) / d)
+        for m in range(state_length(d))
+    ]
     return HoloStateUni._built(theta, F, 0.0)
 
 
@@ -358,41 +363,45 @@ class _StepMap:
         lane after lane, closed to `width`.  M takes x_n to x_{n+1} but for
         the factor 1/(n+1) on the a rows (`_step_tensors`' scale); a map
         built with `jacobian` returns x_0 as a matrix, the state and then a
-        unit column per free entry."""
+        unit column per free entry.  M lives in this thread's scratch for the
+        map's shape (`_buffers`) and holds until its next step."""
         d, width, lanes = self.d, self.width, self.lanes
-        n_eq = width + 1
-        n_x = width + n_eq
-        weights = self.coeffs + s * self.h
+        n_x = 2 * width + 1
+        scratch = _buffers(_StepScratch, d, width, lanes)
+        weights = scratch.weights
+        np.multiply(self.h, s, out=weights)
+        np.add(self.coeffs, weights, out=weights)
         weights[:, -1] = 1.0  # the weight of the closure's constant part
-        BU = np.dot(weights, self.tensors.closure).reshape(lanes, n_eq, -1)
+        np.dot(weights, self.tensors.closure, out=scratch.BU)
         x0 = self.x0.copy()
         if x0.ndim == 1:
             x0[self.tensors.free] = y
         else:
             x0[self.tensors.free, 0] = y
-        blocks = []
-        for lane, ((c, v), (P, Q), BU_lane) in enumerate(zip(self.lead, self.PQ, BU)):
-            minus_lead = -(c + s * v)  # -d*theta_d(s)
+        minus_lead = scratch.minus_lead
+        for lane, ((c, v), (P, Q), (B0, K0, subst), K, block) in enumerate(
+            zip(self.lead, self.PQ, scratch.subst, scratch.K, scratch.blocks)
+        ):
+            minus_lead[()] = -(c + s * v)  # -d*theta_d(s)
             if minus_lead == 0.0:
                 raise SingularLeadingCoefficient(
                     f"leading coefficient is zero at order {d}; extension undefined"
                 )
-            B, U = BU_lane[:, :n_x], BU_lane[:, n_x:]
-            K = np.empty((n_eq, n_x))
-            K[0] = B[0] / minus_lead
-            for m in range(1, n_eq):
-                j0 = max(m - d, 0)  # U is banded: equation m reaches back d rows
-                K[m] = (B[m] + U[m, j0:m].dot(K[j0:m])) / minus_lead
-            blocks.append(H * (P + Q.dot(K)))
+            np.divide(B0, minus_lead, out=K0)
+            for U_dot, K_back, Bm, Km in subst:  # K[m] = (B[m] + U[m] K) / minus_lead
+                U_dot(K_back, out=Km)
+                np.add(Km, Bm, out=Km)
+                np.divide(Km, minus_lead, out=Km)
+            Q.dot(K, out=block)
+            np.add(P, block, out=block)
+            np.multiply(block, H, out=block)
             if width >= d:
                 x0_lane = x0[lane * n_x : (lane + 1) * n_x]
                 x0_lane[d - 1 : width] = K[: width - d + 1].dot(x0_lane)
-        if lanes == 1:
-            return blocks[0], x0
-        M = np.zeros((lanes * n_x, lanes * n_x))
-        for lane, block in enumerate(blocks):
-            M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
-        return M, x0
+        if lanes > 1:
+            for lane, block in enumerate(scratch.blocks):
+                scratch.M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
+        return scratch.M, x0
 
     def series(self, s: float, y: Sequence[float], H: float = 1.0) -> Callable[[int], np.ndarray]:
         """The step's `rows(N)` for `_ode.taylor`, given the free entries
@@ -401,21 +410,95 @@ class _StepMap:
         one product with its pre-scaled step matrix, extended from where
         the last call stopped.  A map built with `jacobian` returns each row
         as a matrix: the row, then its derivatives with respect to each free
-        entry."""
+        entry.  The step matrices and rows live in this thread's workspace
+        for their shape (`_buffers`), so the rows hold until the next step
+        of that shape on the thread."""
         M, x0 = self.step(s, y, H)
-        steps = M * self.tensors.scale
-        x = np.empty((len(steps) + 1,) + x0.shape)
-        x[0] = x0
+        ws = _buffers(_Workspace, M.shape, x0.shape)
+        np.multiply(M, self.tensors.scale, out=ws.steps)
+        ws.x[0] = x0
+        products, views = ws.products, ws.rows
         done = 0
 
         def rows(N: int) -> np.ndarray:
             nonlocal done
-            for n in range(done, N):
-                np.dot(steps[n], x[n], out=x[n + 1])
+            for dot, x_n, x_next in products[done:N]:
+                dot(x_n, out=x_next)
             done = max(done, N)
-            return x[: N + 1, : self.width]
+            return views[N]
 
         return rows
+
+
+class _StepScratch:
+    """The buffers of `_StepMap.step` for maps of one (d, width, lanes):
+    the weights theta(s) and the closure they contract to (B | U), the
+    divisor -d*theta_d(s) (a 0-d array, which numpy takes faster than a
+    float), K and each lane's block of M, with the views of the forward
+    substitution made once: `subst[lane]` holds (B[0], K[0],
+    [(U[m, j0:m].dot, K[j0:m], B[m], K[m]) for m = 1..width]).  With more
+    than one lane, M holds the blocks on its diagonal and zeros elsewhere;
+    with one, M is the lane's block."""
+
+    def __init__(self, d: int, width: int, lanes: int):
+        n_eq = width + 1
+        n_x = width + n_eq
+        self.weights = np.empty((lanes, d))
+        self.minus_lead = np.empty(())
+        self.BU = np.empty((lanes, n_eq * (n_x + n_eq)))
+        self.K = np.empty((lanes, n_eq, n_x))
+        self.blocks = np.empty((lanes, n_x, n_x))
+        self.M = self.blocks[0] if lanes == 1 else np.zeros((lanes * n_x, lanes * n_x))
+        self.subst = []
+        for BU, K in zip(self.BU.reshape(lanes, n_eq, -1), self.K):
+            B, U = BU[:, :n_x], BU[:, n_x:]
+            back = []
+            for m in range(1, n_eq):
+                j0 = max(m - d, 0)  # U is banded: equation m reaches back d rows
+                back.append((U[m, j0:m].dot, K[j0:m], B[m], K[m]))
+            self.subst.append((B[0], K[0], back))
+
+
+class _Workspace:
+    """Where `_StepMap.series` builds the rows of a one-lane map, whose M is
+    (2 width + 1) square: the step matrices pre-scaled for each order,
+    (order, n_x, n_x), and the rows, (order + 1,) + x0.shape, through the
+    last of `_ode._ORDERS`; `products[n]`, the bound steps[n].dot with the
+    views of rows n and n+1, so that order n+1 is
+    products[n][0](x[n], out=x[n + 1]); and `rows[N]`, rows 0..N of the
+    first `width` entries."""
+
+    def __init__(self, M_shape: tuple, x0_shape: tuple):
+        order = _ode._ORDERS[-1]
+        width = (M_shape[0] - 1) // 2
+        self.steps = np.empty((order,) + M_shape)
+        self.x = np.empty((order + 1,) + x0_shape)
+        xs = list(self.x)
+        self.products = [(m.dot, x_n, x_next) for m, x_n, x_next in zip(self.steps, xs, xs[1:])]
+        self.rows = [self.x[: N + 1, :width] for N in range(order + 1)]
+
+
+class _ThreadBuffers(threading.local):
+    """Each thread's step buffers, by (class, shape)."""
+
+    def __init__(self):
+        self.by_key: dict[tuple, object] = {}
+
+
+_THREAD_BUFFERS = _ThreadBuffers()
+
+
+def _buffers(cls: type, *shape: object):
+    """This thread's ``cls(*shape)``, made on first use: the buffers that a
+    step of that shape writes (`_StepScratch`, `_Workspace`, and
+    `holo_bi._RowBuffers`) instead of allocating them.  They are reused by
+    every later step of the shape on the thread, and a transport on another
+    thread writes into its own."""
+    key = (cls, shape)
+    found = _THREAD_BUFFERS.by_key.get(key)
+    if found is None:
+        found = _THREAD_BUFFERS.by_key[key] = cls(*shape)
+    return found
 
 
 def extend_derivatives(state: HoloStateUni, M: int) -> np.ndarray:
@@ -496,9 +579,9 @@ def transport(state: HoloStateUni, target: ThetaUni, *, rel_tol: float = _REL_TO
     step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, carry)
     F, est, *phi = _ode.taylor(step_map.series, y0, rel_tol, carry)
 
-    # Re-derive the redundant tail entries so the final state satisfies the
-    # recursion exactly at the target point.
-    vals = _extend(target.coeffs, target.support, F, L - 1)
+    # Re-derive the redundant tail entries (d < 3) so the final state
+    # satisfies the recursion exactly at the target point.
+    vals = F if L == d - 1 else _extend(target.coeffs, target.support, F, L - 1)
     carried = None
     if carry:
         # |Phi| times the start's absolute error, relative to the moved state
@@ -548,9 +631,8 @@ def _stationary_points(coeffs: list[float]) -> list[complex]:
         roots = _cubic_roots(dg)
         if roots is not None:
             return roots
-    companion = np.zeros((n, n))
-    companion[0, :] = [-v / dg[n] for v in dg[n - 1 :: -1]]
-    companion[np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion = np.eye(n, k=-1)
+    companion[0] = [-v / dg[n] for v in dg[n - 1 :: -1]]
     return np.linalg.eigvals(companion).tolist()
 
 
@@ -675,9 +757,8 @@ def _accept(start: HoloStateUni, moved: HoloStateUni) -> HoloStateUni:
     if carried is None:
         # without the move's Jacobian the start's own error rides along,
         # growing as the state shrinks
-        carried = start.last_transport_error * max(
-            1.0, float(np.max(np.abs(start.F)) / np.max(np.abs(moved.F)))
-        )
+        size = max(map(abs, start.F.tolist())) / max(map(abs, moved.F.tolist()))
+        carried = start.last_transport_error * max(1.0, size)
     est = (moved.last_transport_error + _EPS) * cond + carried
     return HoloStateUni._built(moved.theta, moved.F, est)
 
@@ -691,7 +772,7 @@ def _closed_form(eff: ThetaUni) -> bool:
 
 def _gamma_state(theta: ThetaUni) -> HoloStateUni:
     """`initial_state` at the gamma point of theta's order, scale and support."""
-    return initial_state(theta.d, abs(theta.coeffs[-1]), theta.support)
+    return _initial_state(theta.d, abs(theta.coeffs[-1]), theta.support)
 
 
 # Above this z the half-line erfcx(z) = exp(z^2) erfc(z) comes from its
@@ -750,7 +831,7 @@ def _condition(state: HoloStateUni) -> float:
     F = state.F.tolist()
     if not (all(map(math.isfinite, F)) and _moment_like(F, state.support)):
         return math.inf
-    return transport_condition(state.theta.coeffs, state.norm_const)
+    return transport_condition(state.theta.coeffs, F[0])
 
 
 def _moment_like(F: list[float], support: Support) -> bool:

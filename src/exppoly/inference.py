@@ -31,6 +31,7 @@ from .domain import (
     Support,
     ThetaBi,
     ThetaUni,
+    as_support,
     classify_theta_uni,
     effective_theta,
     in_proper_bivariate_space,
@@ -638,7 +639,7 @@ def select_order(
     stop rule; one that stops in the interior without converging raises
     `NotConverged`.
     """
-    support = Support(support)
+    support = as_support(support)
     step = 2 if support is Support.REAL_LINE else 1
     d_min = 2 if support is Support.REAL_LINE else 1
     if d_max < d_min:

@@ -1,5 +1,8 @@
 """Settings and fixtures shared by every test module."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import settings
 
@@ -17,9 +20,9 @@ settings.load_profile("exppoly")
 @pytest.fixture
 def taylor_steps(monkeypatch):
     """The Taylor steps `_ode.taylor` takes while the test runs, in order:
-    (s, y, H, rtol, requests) for each, where `requests` lists (N, rows N-1
-    and N) for every `rows(N)` call of the step's series.  Clear it to
-    start over."""
+    (s, y, H, rtol, requests) for each, where `requests` lists (N, a copy
+    of rows 0..N) for every `rows(N)` call of the step's series.  Clear it
+    to start over."""
     steps = []
     real = _ode.taylor
 
@@ -31,7 +34,7 @@ def taylor_steps(monkeypatch):
 
             def rows(N):
                 out = rows_through(N)
-                requests.append((N, out[N - 1 :].copy()))
+                requests.append((N, out.copy()))
                 return out
 
             return rows
@@ -40,6 +43,35 @@ def taylor_steps(monkeypatch):
 
     monkeypatch.setattr(_ode, "taylor", recording)
     return steps
+
+
+@pytest.fixture
+def in_threads():
+    """Runs ``work(k)`` for every key k at once, one thread each, switching
+    threads every microsecond so that their steps interleave; returns the
+    results by key.  Each thread must finish within two minutes."""
+
+    def run(work, keys):
+        results = {}
+
+        def target(k):
+            results[k] = work(k)
+
+        threads = [threading.Thread(target=target, args=(k,)) for k in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == sorted(keys)
+        return results
+
+    return run
 
 
 @pytest.fixture

@@ -22,7 +22,8 @@ from exppoly.errors import (
     NegativeDatum,
     UnsupportedOrder,
 )
-from exppoly.holo_uni import norm_const_and_derivs
+from exppoly.holo_uni import initial_state, norm_const_and_derivs
+from exppoly.inference import select_order
 from exppoly.oracle import quad_moment_uni
 from exppoly.polyalg import exponent
 
@@ -62,8 +63,13 @@ def test_theta_uni_support_is_a_support_member(support, want):
             ThetaUni(coeffs, support)
         with pytest.raises(InputError):
             norm_const_and_derivs(coeffs, 2, support=support)
+        with pytest.raises(InputError):
+            suff_stats([0.5, 1.0, 2.0], 3, support=support)
+        with pytest.raises(InputError):
+            select_order([0.5, 1.0, 2.0], 3, support=support)
         return
     assert ThetaUni(coeffs, support).support is want
+    assert initial_state(4, 1.5, support).F.tolist() == initial_state(4, 1.5, want).F.tolist()
     A = norm_const_and_derivs(coeffs, 2, support=support)[0]
     assert A == pytest.approx(quad_moment_uni(ThetaUni(coeffs, want)), rel=1e-9)
 

@@ -19,6 +19,7 @@ from exppoly.domain import (
 )
 from exppoly.errors import (
     AxisOutsideDomain,
+    ExpPolyError,
     InconsistentExtension,
     InputError,
     NonPositiveScale,
@@ -1106,6 +1107,30 @@ def test_fused_rows_match_lane_and_level_rows(d):
         want = _lane_and_level_rows(d, src, h, s, y, H, order)
         assert got.shape == want.shape == (order + 1, len(y))
         assert np.all(np.abs(got - want).max(1) <= 1e-12 * np.abs(want).max(1))
+
+
+def _tables(points):
+    """`table_at` at each point, from the product point: entries and
+    estimate, or the refusal."""
+    out = []
+    for theta in points:
+        try:
+            table = table_at(theta)
+            out.append((table.F.tolist(), table.last_transport_error))
+        except ExpPolyError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_threads_transport_tables_as_one_thread_does(in_threads):
+    # each thread builds its rows in its own buffers: three threads, each
+    # starting at another point, give the serial tables bit for bit
+    rng = np.random.default_rng(17)
+    points = [random_theta_bi_proper(rng, d) for d in (2, 3) for _ in range(5)]
+    serial = _tables(points)
+    results = in_threads(lambda k: _tables(points[k:] + points[:k]), [0, 3, 7])
+    for k, got in results.items():
+        assert got == serial[k:] + serial[:k]
 
 
 def test_short_move_takes_one_step_of_order_16(taylor_steps):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from exppoly.domain import Support, ThetaUni
 from exppoly.errors import (
     DivergentIntegral,
+    ExpPolyError,
     InputError,
     NonPositiveScale,
     OdeDivergence,
@@ -19,8 +20,11 @@ from exppoly.errors import (
     ToleranceNotMet,
 )
 from exppoly.holo_uni import (
+    _EPS,
+    _RETRY_TOL,
     _accept,
     _close,
+    _condition,
     _extend,
     _inhom,
     _lead,
@@ -36,6 +40,7 @@ from exppoly.holo_uni import (
     transport_condition,
 )
 from exppoly.oracle import quad_moment_uni
+from exppoly.verify import random_theta_uni
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -292,6 +297,49 @@ def test_state_at_retries_from_gamma_point_when_start_given():
     st = state_at(HARD_QUARTIC, start=near)
     np.testing.assert_array_equal(st.F, state_at(HARD_QUARTIC).F)
     assert abs(st.norm_const / HARD_QUARTIC_A - 1) <= 1e-7
+
+
+def test_retry_after_a_transport_of_the_same_shape_is_unaffected():
+    # state_at's retry at _RETRY_TOL steps in the workspace that its first
+    # transport of HARD_QUARTIC, of the same order and support, has just
+    # filled; it must give what a transport from the gamma point gives after
+    # one to another point
+    st = state_at(HARD_QUARTIC)
+    gamma = initial_state(4, -HARD_QUARTIC[-1])
+    transport(gamma, ThetaUni((0.3, -0.2, 0.1, -1.5)))
+    moved = transport(gamma, ThetaUni(HARD_QUARTIC), rel_tol=_RETRY_TOL)
+    assert st.F.tolist() == moved.F.tolist()
+    assert st.last_transport_error == (moved.last_transport_error + _EPS) * _condition(moved)
+
+
+def _constants_and_moves(points):
+    """`norm_const_and_derivs` at each point, then a carried `state_at`
+    move to it from a transported state nearby (its rows are matrices):
+    values and estimates, or the refusal, point by point."""
+    out = []
+    for theta in points:
+        try:
+            A = norm_const_and_derivs(theta, 2 * theta.d).tolist()
+            near = state_at(ThetaUni([0.95 * c for c in theta.coeffs], theta.support))
+            moved = state_at(theta, start=near)
+            out.append((A, moved.F.tolist(), moved.last_transport_error))
+        except ExpPolyError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_threads_transport_as_one_thread_does(in_threads):
+    # each thread steps in its own buffers: four threads on two cores, each
+    # starting at another point, so that transports of every shape overlap,
+    # give the serial results
+    rng = np.random.default_rng(7)
+    kinds = [(d, Support.HALF_LINE) for d in (3, 4, 5, 6)]
+    kinds += [(d, Support.REAL_LINE) for d in (4, 6)]
+    points = [random_theta_uni(rng, d, support) for d, support in kinds for _ in range(6)]
+    serial = _constants_and_moves(points)
+    results = in_threads(lambda k: _constants_and_moves(points[k:] + points[:k]), [0, 7, 14, 21])
+    for k, got in results.items():
+        assert got == serial[k:] + serial[:k]
 
 
 def _mp_error(state):

@@ -1,6 +1,8 @@
-"""Taylor transport: pinned and mpmath accuracy, bad values, step budget, row stops."""
+"""Taylor transport: pinned and mpmath accuracy, bad values, step budget, row
+stops, and the one-pass steps against a stepper that climbs the orders."""
 
 import math
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -149,9 +151,61 @@ def test_taylor_non_finite_coefficients_raise():
         _ode.taylor(lambda s, y, H: lambda N: np.array([y] + [[math.inf]] * N), [1.0], 1e-10)
 
 
+def climbing_taylor(series, y0, rtol, jacobian=False):
+    """The Taylor stepper as it was before steps took their rows in one
+    pass: each step asks for rows through 16, 24, 32, ... in turn, checking
+    the stop after each request.  `_ode.taylor` must return the same values
+    bit for bit."""
+    y = [float(v) for v in y0]
+    phi = None
+    if not y:
+        return (y, 0.0, np.eye(0)) if jacobian else (y, 0.0)
+    s, H, errors = 0.0, 1.0, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < 1.0:
+            rows_through = series(s, y, H)
+            tol = rtol * max(map(abs, y))
+            t_end = (1.0 - s) / H
+            for N in _ode._ORDERS:
+                rows = rows_through(N)
+                state = rows[:, :, 0] if jacobian else rows
+                t = t_end
+                for n, norm in zip((N - 1, N), np.abs(state[N - 1 :]).sum(1).tolist()):
+                    if norm > 0.0:
+                        t = min(t, _ode.reach(norm, tol, n))
+                if t == t_end:
+                    break
+            norms = np.abs(state).sum(1).tolist()
+            if not math.isfinite(sum(norms)):
+                raise OdeDivergence("non-finite Taylor coefficients")
+            cols = state.T.tolist()
+            while True:
+                if t * H < 1e-14:
+                    raise OdeDivergence("step size underflow in Taylor transport")
+                powers = [t**n for n in range(N + 1)]
+                y_new = [math.fsum(map(mul, col, powers)) for col in cols]
+                terms = list(map(mul, norms, powers))
+                rounding = _ode._EPS * sum(map(mul, range(1, N + 2), terms))
+                err = max(terms[N - 1], terms[N]) + rounding
+                ymag = max(max(map(abs, y_new)), 1e-300)
+                if err <= rtol * ymag and math.isfinite(ymag):
+                    break
+                t *= 0.5
+            if jacobian:
+                step = np.dot(powers, rows.reshape(N + 1, -1)).reshape(rows.shape[1:])[:, 1:]
+                phi = step if phi is None else step.dot(phi)
+            errors.append((err, ymag))
+            s = 1.0 if t == t_end else s + t * H
+            H = t * H
+            y = y_new
+    est = sum(e / min(m, ymag) for e, m in errors)
+    return (y, est, phi) if jacobian else (y, est)
+
+
 def test_taylor_exponential():
-    # y' = y: rows y H^n / n!; order 16 falls short of s = 1, and one step
-    # covers [0, 1] at order 24
+    # y' = y: rows y H^n / n!.  Order 16 falls short of s = 1, so the step
+    # asks for the rest through 48 at once; it stops at 24, where one step
+    # covers [0, 1], as climbing the orders does.
     asked = []
 
     def series(s, y, H):
@@ -167,26 +221,46 @@ def test_taylor_exponential():
     y, est = _ode.taylor(series, [1.0], 1e-12)
     assert y[0] == pytest.approx(math.e, rel=1e-15)
     assert est < 1e-14
-    assert asked == [16, 24]
+    assert asked == [16, 48]
+    assert (y, est) == climbing_taylor(series, [1.0], 1e-12)
     assert _ode.taylor(series, [], 1e-12) == ([], 0.0)
 
 
+def rule_stop(rows, tol, t_end):
+    """The first member of `_ode._ORDERS` through the rows' last order whose
+    last two rows pass `_ode.reach(...) >= t_end`, or 48 where the rows run
+    through 48 and none does; None where they end before either."""
+    state = rows[:, :, 0] if rows.ndim == 3 else rows  # a Jacobian's rows
+    norms = np.abs(state).sum(1).tolist()
+    for N in _ode._ORDERS:
+        if N >= len(norms):
+            return None
+        last_two = zip((N - 1, N), norms[N - 1 : N + 1])
+        if all(norm == 0.0 or _ode.reach(norm, tol, n) >= t_end for n, norm in last_two):
+            return N
+    return _ode._ORDERS[-1]
+
+
 def assert_rows_stop_by_the_rule(steps):
-    """Each recorded step (the `taylor_steps` fixture) asked for rows
-    through the members of `_ode._ORDERS` in turn and stopped at the first
-    whose last two rows pass `_ode.reach(...) >= t_end`, or at the last."""
+    """Each recorded step (the `taylor_steps` fixture) asked for rows at
+    most twice: first through the order its predecessor stopped at (16 on a
+    segment's first step, s = 0), then, only where no member of
+    `_ode._ORDERS` through that order reached t_end, through 48.  A step's
+    stop is the first member whose last two rows reach t_end, or 48."""
+    previous = None
     for s, y, H, rtol, requests in steps:
         tol = rtol * max(map(abs, y))
         t_end = (1.0 - s) / H
         asked = [N for N, _ in requests]
-        assert asked == list(_ode._ORDERS[: len(asked)])
-        for N, last in requests:
-            state = last[:, :, 0] if last.ndim == 3 else last  # a Jacobian's rows
-            norms = np.abs(state).sum(1).tolist()
-            reaches = all(
-                norm == 0.0 or _ode.reach(norm, tol, n) >= t_end for n, norm in zip((N - 1, N), norms)
-            )
-            assert reaches == (N == asked[-1]) or N == _ode._ORDERS[-1]
+        assert 1 <= len(asked) <= 2
+        assert asked[0] == (_ode._ORDERS[0] if s == 0.0 else previous)
+        first = rule_stop(requests[0][1], tol, t_end)
+        if first is None:
+            assert asked[1:] == [_ode._ORDERS[-1]]
+        else:
+            assert asked[1:] == []
+        previous = rule_stop(requests[-1][1], tol, t_end)
+        assert previous is not None
 
 
 @st.composite
@@ -204,16 +278,16 @@ def uni_segment(draw):
     return theta(), theta()
 
 
-@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    st.one_of(
-        st.tuples(st.just("uni"), uni_segment(), st.booleans()),
-        st.tuples(st.just("bi"), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)),
-    )
+SEGMENTS = st.one_of(
+    st.tuples(st.just("uni"), uni_segment(), st.booleans()),
+    st.tuples(st.just("bi"), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)),
 )
-def test_rows_stop_at_the_first_order_that_reaches_the_end_property(taylor_steps, case):
-    # univariate segments from the gamma point or from a carried state (whose
-    # rows are matrices), and bivariate ones from the product point
+
+
+def run_segment(case, reset):
+    """Transport one drawn case: a univariate segment from the gamma point
+    or from a carried state (whose rows are matrices), or a bivariate table
+    from the product point.  `reset` runs once the start is built."""
     kind, *args = case
     try:
         if kind == "uni":
@@ -222,16 +296,46 @@ def test_rows_stop_at_the_first_order_that_reaches_the_end_property(taylor_steps
             if carried:
                 start = holo_uni.state_at(src)
                 assume(start.last_transport_error > 0.0)  # not a gamma point
-            taylor_steps.clear()
+            reset()
             holo_uni.transport(start, target)
         else:
             d, seed = args
-            taylor_steps.clear()
-            holo_bi.table_at(random_theta_bi_proper(np.random.default_rng(seed), d))
+            theta = random_theta_bi_proper(np.random.default_rng(seed), d)
+            reset()
+            holo_bi.table_at(theta)
     except ExpPolyError:
         assume(False)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(SEGMENTS)
+def test_rows_stop_at_the_first_order_that_reaches_the_end_property(taylor_steps, case):
+    run_segment(case, taylor_steps.clear)
     assume(taylor_steps)  # a move to the start itself takes no step
     assert_rows_stop_by_the_rule(taylor_steps)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(SEGMENTS)
+def test_one_pass_steps_match_the_climbing_stepper_property(monkeypatch, case):
+    # every segment's (y, est) and Phi, bit for bit, against the stepper
+    # that climbs the orders one request at a time
+    segments = []
+    real = _ode.taylor
+
+    def both(series, y0, rtol, jacobian=False):
+        got = real(series, y0, rtol, jacobian)
+        want = climbing_taylor(series, y0, rtol, jacobian)
+        segments.append((got, want))
+        return got
+
+    monkeypatch.setattr(_ode, "taylor", both)
+    run_segment(case, segments.clear)
+    assume(segments)
+    for got, want in segments:
+        assert got[:2] == want[:2]
+        if len(got) == 3:
+            assert np.array_equal(got[2], want[2])
 
 
 def test_transport_order_one():
