@@ -22,6 +22,7 @@ from .domain import (
     Support,
     ThetaBi,
     ThetaUni,
+    as_support,
     classify_theta_uni,
     in_proper_bivariate_space,
     monomials_bi,
@@ -58,8 +59,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
-
-_SUPPORTS = {"halfline": Support.HALF_LINE, "realline": Support.REAL_LINE}
 
 
 def _emit(payload: dict) -> None:
@@ -101,7 +100,7 @@ def _theta_from_file(payload: object, mode: str) -> ThetaUni | ThetaBi:
         return ThetaBi(fields["d"], coeffs)
     if not (isinstance(coeffs, list) and all(type(v) in (int, float) for v in coeffs)):
         raise InputError(f"a univariate --theta-file holds {_UNI_FILE_SHAPE}")
-    return ThetaUni(coeffs, _SUPPORTS[mode])
+    return ThetaUni(coeffs, as_support(mode))
 
 
 def _theta_from_args(args: argparse.Namespace) -> ThetaUni | ThetaBi:
@@ -117,7 +116,7 @@ def _theta_from_args(args: argparse.Namespace) -> ThetaUni | ThetaBi:
         return ThetaBi.from_vector(args.d, _parse_coeff_list(args.theta))
     if args.theta is None:
         raise InputError("need --theta or --theta-file")
-    return ThetaUni(_parse_coeff_list(args.theta), _SUPPORTS[args.mode])
+    return ThetaUni(_parse_coeff_list(args.theta), as_support(args.mode))
 
 
 def _require_integrable_uni(theta: ThetaUni) -> None:
@@ -230,7 +229,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if bivariate:
         stats = suff_stats(sample, args.d, "bivariate")
     else:
-        support = _SUPPORTS[args.mode]
+        support = as_support(args.mode)
         stats = suff_stats(sample, _stats_order(args.d, support), support)
     result = fit_mle(stats, args.d)
     try:
@@ -274,7 +273,7 @@ def _test_payload(res) -> dict:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    support = _SUPPORTS[args.mode]
+    support = as_support(args.mode)
     sample = _load_sample(args.csv, bivariate=False)
     chosen, trail = select_order(sample, args.dmax, args.alpha, support)
     _emit(
@@ -309,7 +308,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.reps < 1:
         raise InputError(f"--reps must be at least 1, got {args.reps}")
-    support = _SUPPORTS[args.mode]
+    support = as_support(args.mode)
     theta_star = ThetaUni(_parse_coeff_list(args.theta), support)
     _require_integrable_uni(theta_star)
     d = theta_star.d
@@ -506,7 +505,7 @@ def cmd_chambers(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suites(args.suite or None, d=args.d, tol=args.tol, seed=args.seed)
+    results = run_suites(args.suite or None, d=args.d, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stderr.write(
@@ -590,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run built-in verification suites")
     p.add_argument("--suite", action="append", choices=suite_names(), help="repeatable")
     p.add_argument("--d", type=int, help="restrict suites to one order")
-    p.add_argument("--tol", type=float, help="override the suite tolerance")
     p.add_argument("--seed", type=int, default=20260816)
     p.set_defaults(func=cmd_verify)
 

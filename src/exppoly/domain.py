@@ -230,8 +230,10 @@ class SuffStats:
     """Sample size and raw moment averages.
 
     Univariate: ``moments[m-1]`` is the sample mean of ``x^m`` for
-    ``m = 1..order``.  Bivariate: ``moments_bi[(s, t)]`` is the sample mean of
-    ``x^s y^t`` for ``1 <= s+t <= order``.
+    ``m = 1..order``, and ``support`` is stored as the `Support` member
+    (`as_support`), the half line when none is given.  Bivariate:
+    ``moments_bi[(s, t)]`` is the sample mean of ``x^s y^t`` for
+    ``1 <= s+t <= order``, and ``support`` stays None.
     """
 
     n: int
@@ -239,6 +241,10 @@ class SuffStats:
     support: Support | None = None
     moments: tuple[float, ...] = ()
     moments_bi: Mapping[tuple[int, int], float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.moments_bi:
+            object.__setattr__(self, "support", as_support(self.support or Support.HALF_LINE))
 
     @property
     def is_bivariate(self) -> bool:
@@ -258,7 +264,8 @@ def suff_stats(sample: Iterable, order: int, support: Support | str = Support.HA
 
     ``support`` may be a :class:`Support` member or its value, or the string
     ``"bivariate"`` for two-column positive-quadrant data; anything else
-    raises `InputError`.  An order-d univariate fit reads
+    raises `InputError`, as does a univariate sample that is neither
+    one-dimensional nor a single column.  An order-d univariate fit reads
     moments 1..d for its likelihood; it starts at the score-matching
     estimate only when the statistics also carry moments through 2d-1 on the
     half line, 2d-2 on the whole line (``inference.fit_mle``).
@@ -283,6 +290,8 @@ def suff_stats(sample: Iterable, order: int, support: Support | str = Support.HA
         return SuffStats(n=arr.shape[0], order=order, support=None, moments_bi=moments)
 
     support = as_support(support)
+    if not (arr.ndim == 1 or arr.ndim == 2 and arr.shape[1] == 1):
+        raise InputError(f"a univariate sample is 1-D or one column, not {arr.shape}; is it 'bivariate'?")
     arr = arr.reshape(-1)
     if arr.size == 0:
         raise EmptySample("sample is empty")

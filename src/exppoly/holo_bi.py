@@ -553,11 +553,11 @@ class _TransportShape(NamedTuple):
     `shift` puts the base rows of dV/ds, sum_ab h_ab T[i+a, j+b], into the
     (nb, n_v) matrix D as a `_Scatter` over h.  The Taylor rows live in one
     flat buffer, a block of n_c + n_v entries per order: the carries of the
-    two axis lanes (`holo_uni._StepMap`'s c, x lane then y lane, n_c of
+    two axis maps (`holo_uni._StepMap`'s c, x axis then y axis, n_c of
     them), then V in `_LevelPlan`'s layout (axis constants, base entries,
-    levels).  `lanes` holds where each entry of the lanes' states (a, then
-    c, x lane then y lane) sits in a block, `lane_put` where the lanes'
-    step matrix goes in the per-order matrix (flat), `carried` where the
+    levels).  Row k of `lanes` holds where each entry of axis k's map state
+    (a, then c) sits in a block, row k of `lane_put` where that map's step
+    matrix goes in the per-order matrix (flat), `carried` where the
     carried entries sit (base table, then the free entries of the x- and
     y-axis states), and `scale[n]` the factor of order n+1's entries
     through the last of `_ode._ORDERS`: 1/(n+1) on axis constants and base
@@ -590,14 +590,14 @@ def _transport_shape(d: int) -> _TransportShape:
             for m, (a, b) in enumerate(monos)
         ]
     )
-    w = m_ax + 1  # entries of an axis lane, each with w + 1 carries
+    w = m_ax + 1  # entries of an axis map, each with w + 1 carries
     n_c = 2 * (w + 1)
     n_lev = n_v - t_off - nb
     n_in = 2 * n_c + n_v + t_off + nb  # a block and the next one's entries below the levels
     lanes = np.array(
-        [n_c + lane * w + i if i < w else lane * (w + 1) + i - w for lane in (0, 1) for i in range(2 * w + 1)]
+        [[n_c + ax * w + i if i < w else ax * (w + 1) + i - w for i in range(2 * w + 1)] for ax in (0, 1)]
     )
-    lane_put = ((n_lev + lanes)[:, None] * n_in + n_c + n_v + lanes).ravel()
+    lane_put = np.array([((n_lev + row)[:, None] * n_in + n_c + n_v + row).ravel() for row in lanes])
     carried = n_c + np.array([*range(t_off, t_off + nb), *range(free), *range(w, w + free)])
     order = _ode._ORDERS[-1]
     scale = np.ones((order, n_c + n_v))
@@ -634,8 +634,8 @@ def _transport_series(
     Each step forms one matrix Z, which takes (V_{n-1} with its carries,
     the carries, axis constants and base entries of V_n) to (the levels of
     V_n, the carries, axis constants and base entries of V_{n+1}): the
-    level and base rows of `_LevelPlan.composed` and the axis lanes' step
-    matrix of `holo_uni._StepMap.step`.  Block n of the flat row buffer
+    level and base rows of `_LevelPlan.composed` and the step matrix of
+    each axis's `holo_uni._StepMap`.  Block n of the flat row buffer
     holds order n, so each order is one product between contiguous slices
     and one multiply by that order's scale; `rows(N)` runs them from where
     the last call stopped.  Z and the row buffer are this thread's for the
@@ -654,19 +654,22 @@ def _transport_series(
     n_lev = n_v - first
     n_b, n_e = n_c + n_v, n_c + first  # a block, and its entries below the levels
     base = n_b - nb  # the base rows of Z
-    axis_map = holo_uni._StepMap(src_vec[shape.axes], h_vec[shape.axes], 1.0, m_ax + 1)
+    free = d - 1  # free entries of an axis state
+    axis_maps = [holo_uni._StepMap(src_vec[ax], h_vec[ax], 1.0, m_ax + 1) for ax in shape.axes]
     D = shape.shift.put(np.zeros(nb * n_v), h_vec).reshape(nb, n_v)
 
     def series(s: float, y: list[float], H: float) -> Callable[[int], np.ndarray]:
         W = plan.composed(s, H, plan.factor(s), H * D)
-        M, x0 = axis_map.step(s, y[nb:], H)
         rb = holo_uni._buffers(_RowBuffers, d, n_b, n_e)
         Z, buf = rb.Z, rb.buf
         for at, W_rows in ((slice(0, n_lev), W[:n_lev]), (slice(base, n_b), W[n_lev:])):
             Z[at, n_c:n_b] = W_rows[:, :n_v]
             Z[at, n_b + n_c :] = W_rows[:, n_v : n_v + first]
-        Z.flat[shape.lane_put] = M.ravel()
-        buf[n_b + shape.lanes] = x0
+        for k, (axis_map, put, at) in enumerate(zip(axis_maps, shape.lane_put, shape.lanes)):
+            # the two maps share one scratch: M is placed before the next step
+            M, x0 = axis_map.step(s, y[nb + k * free : nb + (k + 1) * free], H)
+            Z.flat[put] = M.ravel()
+            buf[n_b + at] = x0
         buf[n_b + n_e - nb : n_b + n_e] = y[:nb]
         Z_dot, products, blocks = Z.dot, rb.products, rb.blocks
         done = 0
@@ -714,7 +717,7 @@ def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     ODE, so the level solves always have current boundary constants.  The
     ODE steps by Taylor series (`_ode.taylor`), whose rows are built exactly
     at each step start s (`_transport_series`): the axis rows by one
-    `holo_uni._StepMap` with a lane per axis, built once per segment, the
+    `holo_uni._StepMap` per axis, built once per segment, the
     base rows from (n+1) T_{n+1}[i,j] = sum_ab H h_ab T_n[i+a, j+b], and the
     level rows window by window against one inverse of P(theta(s))
     (`_LevelPlan`), which `_factor` tests for singularity first.  All three

@@ -30,12 +30,11 @@ Where the recursion's terms sit depends only on the order d and the number
 of entries carried, so that structure is built once per shape
 (`_step_tensors`) and shared.  A segment contracts it with its direction,
 and each step with theta at the step start, into one matrix from a
-coefficient row to the next (`_StepMap`); the bivariate engine carries its
-two axis states as two lanes of one such map, whose step matrix
-(`_StepMap.step`) goes into the matrix of its own rows, while the
-univariate transport takes its rows from the map's one lane
-(`_StepMap.series`).  A step writes its matrices and rows into buffers
-that each thread keeps per shape (`_buffers`) and reuses, so a step
+coefficient row to the next (`_StepMap`).  The univariate transport takes
+its rows from the map (`_StepMap.series`); the bivariate engine carries its
+two axis states by one map each, whose step matrices (`_StepMap.step`) go
+into the matrix of its own rows.  A step writes its matrices and rows into
+buffers that each thread keeps per shape (`_buffers`) and reuses, so a step
 allocates almost nothing and threads share none of them.
 """
 
@@ -245,9 +244,9 @@ def _close(
 
 
 class _StepTensors(NamedTuple):
-    """What the Taylor rows of `width` carried entries at order d, for
-    `lanes` segments at once, do not take from theta or the direction (see
-    `_StepMap`), built once per shape.
+    """What the Taylor rows of `width` carried entries at order d do not
+    take from theta or the direction (see `_StepMap`), built once per
+    shape.
 
     The state x = (a[0..width-1], c[0..width]) holds one coefficient row
     of the entries and the carries of the closure's equations.  Closing x
@@ -263,20 +262,18 @@ class _StepTensors(NamedTuple):
     `shift` holds, for each of h_1..h_d, the flattened map from a closed
     row to the next state: a[m] gains h_k F[m+k] and c[m] gains
     k*h_k F[m+k-1]; its columns are (P | Q), the free entries placed on the
-    state's a columns, then the closed ones.  The lanes' states sit one
-    after the other and `free` picks their free entries.  `scale[n]` is
-    1/(n+1) on the a rows of one lane's order n+1 and 1 on its carries,
-    through the last order of `_ode._ORDERS`.
+    state's a columns, then the closed ones.  `scale[n]` is 1/(n+1) on the
+    a rows of order n+1 and 1 on the carries, through the last order of
+    `_ode._ORDERS`.
     """
 
     closure: np.ndarray
     shift: np.ndarray
     scale: np.ndarray
-    free: slice | np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _step_tensors(d: int, width: int, lanes: int) -> _StepTensors:
+def _step_tensors(d: int, width: int) -> _StepTensors:
     n_eq = width + 1
     n_x = width + n_eq
     closure = np.zeros((d, n_eq, n_x + n_eq))
@@ -295,20 +292,15 @@ def _step_tensors(d: int, width: int, lanes: int) -> _StepTensors:
     order = _ode._ORDERS[-1]
     scale = np.ones((order, n_x, 1))
     scale[:, :width] = (1.0 / np.arange(1.0, order + 1))[:, None, None]
-    free = slice(0, d - 1)
-    if lanes > 1:
-        free = (np.arange(lanes)[:, None] * n_x + np.arange(d - 1)).ravel()
-        free.flags.writeable = False
     closure, shift = closure.reshape(d, -1), shift.reshape(d, -1)  # one row per weight
     for arr in (closure, shift, scale):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return _StepTensors(closure, shift, scale, free)
+    return _StepTensors(closure, shift, scale)
 
 
 class _StepMap:
-    """Taylor rows of the entries F[0..width-1] along segments coeffs + s*h,
-    from the d-1 free entries at each step start; one row of `coeffs` and
-    `h` per lane, all lanes of one order d.
+    """Taylor rows of the entries F[0..width-1] along the segment
+    coeffs + s*h, from the d-1 free entries at each step start.
 
     Moving along h differentiates as dF[m]/dsigma = sum_k h_k F[m+k], so
     the coefficients a[m][n] of sigma^n obey
@@ -329,90 +321,78 @@ class _StepMap:
     theta(s), solves it by forward substitution for K (the closure is lower
     triangular, with the leading factor on its diagonal) and forms
     M = H (P + Q K), P and Q being the shift on the free entries and on the
-    closed ones.  The lanes' maps go on the diagonal of one matrix; x_0
-    holds the boundary term `inhom` as c[0][0], and row 0 is the free
-    entries closed to `width`.  `series` runs the products of a map of one
-    lane, through the orders `_ode.taylor` asks for; the bivariate transport
-    takes M and x_0 of its two lanes from `step` into a matrix of its own
-    rows.
+    closed ones.  x_0 holds the boundary term `inhom` as c[0][0], and row 0
+    is the free entries closed to `width`.  `series` runs the products
+    through the orders `_ode.taylor` asks for; the bivariate transport
+    takes M and x_0 of its two axis maps from `step` into a matrix of its
+    own rows.
     """
 
     def __init__(
         self, coeffs: np.ndarray, h: np.ndarray, inhom: float, width: int, jacobian: bool = False
     ):
-        coeffs = np.array(coeffs, dtype=float, ndmin=2)
-        h = np.array(h, dtype=float, ndmin=2)
-        self.lanes, self.d = lanes, d = coeffs.shape
+        self.coeffs = coeffs = np.array(coeffs, dtype=float)
+        self.h = h = np.array(h, dtype=float)
+        self.d = d = len(coeffs)
         self.width = width
-        self.tensors = tensors = _step_tensors(d, width, lanes)
+        self.tensors = tensors = _step_tensors(d, width)
+        self.scratch = _buffers(_StepScratch, d, width)
         n_x = 2 * width + 1
-        PQ = np.dot(h, tensors.shift).reshape(lanes, n_x, -1)
-        self.PQ = [(PQ_lane[:, :n_x], PQ_lane[:, n_x:]) for PQ_lane in PQ]
-        self.coeffs, self.h = coeffs, h
-        self.lead = [(d * c, d * v) for c, v in zip(coeffs[:, -1].tolist(), h[:, -1].tolist())]
-        if jacobian:  # one lane: the state, then a unit column per free entry
-            self.x0 = np.eye(n_x, d, 1)
-            self.x0[width, 0] = inhom
-        else:
-            self.x0 = np.zeros(lanes * n_x)
-            self.x0[width::n_x] = inhom
+        PQ = np.dot(h, tensors.shift).reshape(n_x, -1)
+        self.P, self.Q = PQ[:, :n_x], PQ[:, n_x:]
+        self.lead = (d * float(coeffs[-1]), d * float(h[-1]))
+        # with `jacobian`, the state and then a unit column per free entry
+        self.x0 = np.eye(n_x, d, 1) if jacobian else np.zeros(n_x)
+        state = self.x0[:, 0] if jacobian else self.x0
+        state[width] = inhom
+        self.free = state[: d - 1]
 
     def step(self, s: float, y: Sequence[float], H: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """The step matrix M = H (P + Q K) at the step start s, all lanes on
-        its diagonal, and x_0: the free entries y = F[0..d-2] at theta(s),
-        lane after lane, closed to `width`.  M takes x_n to x_{n+1} but for
-        the factor 1/(n+1) on the a rows (`_step_tensors`' scale); a map
-        built with `jacobian` returns x_0 as a matrix, the state and then a
-        unit column per free entry.  M lives in this thread's scratch for the
-        map's shape (`_buffers`) and holds until its next step."""
-        d, width, lanes = self.d, self.width, self.lanes
-        n_x = 2 * width + 1
-        scratch = _buffers(_StepScratch, d, width, lanes)
+        """The step matrix M = H (P + Q K) at the step start s, and x_0: the
+        free entries y = F[0..d-2] at theta(s) closed to `width`.  M takes
+        x_n to x_{n+1} but for the factor 1/(n+1) on the a rows
+        (`_step_tensors`' scale); a map built with `jacobian` returns x_0 as
+        a matrix, the state and then a unit column per free entry.  M lives
+        in the scratch for the map's shape of the thread that built it
+        (`_buffers`) and holds until the next step of that shape there."""
+        d, width, scratch = self.d, self.width, self.scratch
         weights = scratch.weights
         np.multiply(self.h, s, out=weights)
         np.add(self.coeffs, weights, out=weights)
-        weights[:, -1] = 1.0  # the weight of the closure's constant part
+        weights[-1] = 1.0  # the weight of the closure's constant part
         np.dot(weights, self.tensors.closure, out=scratch.BU)
-        x0 = self.x0.copy()
-        if x0.ndim == 1:
-            x0[self.tensors.free] = y
-        else:
-            x0[self.tensors.free, 0] = y
+        c, v = self.lead
         minus_lead = scratch.minus_lead
-        for lane, ((c, v), (P, Q), (B0, K0, subst), K, block) in enumerate(
-            zip(self.lead, self.PQ, scratch.subst, scratch.K, scratch.blocks)
-        ):
-            minus_lead[()] = -(c + s * v)  # -d*theta_d(s)
-            if minus_lead == 0.0:
-                raise SingularLeadingCoefficient(
-                    f"leading coefficient is zero at order {d}; extension undefined"
-                )
-            np.divide(B0, minus_lead, out=K0)
-            for U_dot, K_back, Bm, Km in subst:  # K[m] = (B[m] + U[m] K) / minus_lead
-                U_dot(K_back, out=Km)
-                np.add(Km, Bm, out=Km)
-                np.divide(Km, minus_lead, out=Km)
-            Q.dot(K, out=block)
-            np.add(P, block, out=block)
-            np.multiply(block, H, out=block)
-            if width >= d:
-                x0_lane = x0[lane * n_x : (lane + 1) * n_x]
-                x0_lane[d - 1 : width] = K[: width - d + 1].dot(x0_lane)
-        if lanes > 1:
-            for lane, block in enumerate(scratch.blocks):
-                scratch.M[lane * n_x : (lane + 1) * n_x, lane * n_x : (lane + 1) * n_x] = block
-        return scratch.M, x0
+        minus_lead[()] = -(c + s * v)  # -d*theta_d(s)
+        if minus_lead == 0.0:
+            raise SingularLeadingCoefficient(
+                f"leading coefficient is zero at order {d}; extension undefined"
+            )
+        np.divide(scratch.B0, minus_lead, out=scratch.K0)
+        for U_dot, K_back, Bm, Km in scratch.back:  # K[m] = (B[m] + U[m] K) / minus_lead
+            U_dot(K_back, out=Km)
+            np.add(Km, Bm, out=Km)
+            np.divide(Km, minus_lead, out=Km)
+        K, M = scratch.K, scratch.M
+        self.Q.dot(K, out=M)
+        np.add(self.P, M, out=M)
+        np.multiply(M, H, out=M)
+        self.free[:] = y
+        x0 = self.x0.copy()
+        if width >= d:
+            x0[d - 1 : width] = K[: width - d + 1].dot(x0)
+        return M, x0
 
     def series(self, s: float, y: Sequence[float], H: float = 1.0) -> Callable[[int], np.ndarray]:
         """The step's `rows(N)` for `_ode.taylor`, given the free entries
-        y = F[0..d-2] at theta(s), for a map of one lane: rows 0..N of the
-        coefficients in t of F[0..width-1] at theta(s + t H), each order
-        one product with its pre-scaled step matrix, extended from where
-        the last call stopped.  A map built with `jacobian` returns each row
-        as a matrix: the row, then its derivatives with respect to each free
-        entry.  The step matrices and rows live in this thread's workspace
-        for their shape (`_buffers`), so the rows hold until the next step
-        of that shape on the thread."""
+        y = F[0..d-2] at theta(s): rows 0..N of the coefficients in t of
+        F[0..width-1] at theta(s + t H), each order one product with its
+        pre-scaled step matrix, extended from where the last call stopped.
+        A map built with `jacobian` returns each row as a matrix: the row,
+        then its derivatives with respect to each free entry.  The step
+        matrices and rows live in this thread's workspace for their shape
+        (`_buffers`), so the rows hold until the next step of that shape on
+        the thread."""
         M, x0 = self.step(s, y, H)
         ws = _buffers(_Workspace, M.shape, x0.shape)
         np.multiply(M, self.tensors.scale, out=ws.steps)
@@ -431,36 +411,32 @@ class _StepMap:
 
 
 class _StepScratch:
-    """The buffers of `_StepMap.step` for maps of one (d, width, lanes):
-    the weights theta(s) and the closure they contract to (B | U), the
-    divisor -d*theta_d(s) (a 0-d array, which numpy takes faster than a
-    float), K and each lane's block of M, with the views of the forward
-    substitution made once: `subst[lane]` holds (B[0], K[0],
-    [(U[m, j0:m].dot, K[j0:m], B[m], K[m]) for m = 1..width]).  With more
-    than one lane, M holds the blocks on its diagonal and zeros elsewhere;
-    with one, M is the lane's block."""
+    """The buffers of `_StepMap.step` for maps of one (d, width): the
+    weights theta(s) and the closure they contract to (B | U), the divisor
+    -d*theta_d(s) (a 0-d array, which numpy takes faster than a float), K
+    and M, with the views of the forward substitution made once: B0 and K0
+    are B[0] and K[0], and `back` holds
+    [(U[m, j0:m].dot, K[j0:m], B[m], K[m]) for m = 1..width]."""
 
-    def __init__(self, d: int, width: int, lanes: int):
+    def __init__(self, d: int, width: int):
         n_eq = width + 1
         n_x = width + n_eq
-        self.weights = np.empty((lanes, d))
+        self.weights = np.empty(d)
         self.minus_lead = np.empty(())
-        self.BU = np.empty((lanes, n_eq * (n_x + n_eq)))
-        self.K = np.empty((lanes, n_eq, n_x))
-        self.blocks = np.empty((lanes, n_x, n_x))
-        self.M = self.blocks[0] if lanes == 1 else np.zeros((lanes * n_x, lanes * n_x))
-        self.subst = []
-        for BU, K in zip(self.BU.reshape(lanes, n_eq, -1), self.K):
-            B, U = BU[:, :n_x], BU[:, n_x:]
-            back = []
-            for m in range(1, n_eq):
-                j0 = max(m - d, 0)  # U is banded: equation m reaches back d rows
-                back.append((U[m, j0:m].dot, K[j0:m], B[m], K[m]))
-            self.subst.append((B[0], K[0], back))
+        self.BU = np.empty(n_eq * (n_x + n_eq))
+        self.K = K = np.empty((n_eq, n_x))
+        self.M = np.empty((n_x, n_x))
+        BU = self.BU.reshape(n_eq, -1)
+        B, U = BU[:, :n_x], BU[:, n_x:]
+        self.B0, self.K0 = B[0], K[0]
+        self.back = []
+        for m in range(1, n_eq):
+            j0 = max(m - d, 0)  # U is banded: equation m reaches back d rows
+            self.back.append((U[m, j0:m].dot, K[j0:m], B[m], K[m]))
 
 
 class _Workspace:
-    """Where `_StepMap.series` builds the rows of a one-lane map, whose M is
+    """Where `_StepMap.series` builds the rows of a map, whose M is
     (2 width + 1) square: the step matrices pre-scaled for each order,
     (order, n_x, n_x), and the rows, (order + 1,) + x0.shape, through the
     last of `_ode._ORDERS`; `products[n]`, the bound steps[n].dot with the
@@ -673,14 +649,10 @@ def _cubic_roots(dg: list[float]) -> list[complex] | None:
     return polished if all(map(cmath.isfinite, polished)) else None
 
 
-def state_at(
-    theta: ThetaUni | Sequence[float],
-    *,
-    support: Support = Support.HALF_LINE,
-    start: HoloStateUni | None = None,
-) -> HoloStateUni:
+def state_at(theta: ThetaUni | Sequence[float], *, start: HoloStateUni | None = None) -> HoloStateUni:
     """State at theta with an error estimate: in closed form at order 2, by
-    transport with an amplification-aware estimate from order 3 on.
+    transport with an amplification-aware estimate from order 3 on.  A raw
+    coefficient sequence is a half-line parameter, as in `ThetaUni`.
 
     Boundary parameters are reduced to their effective order first, so the
     returned state lives at the reduced parameter.  A request at the
@@ -701,7 +673,7 @@ def state_at(
     precision can cancel are refused rather than answered with noise.
     """
     if not isinstance(theta, ThetaUni):
-        theta = ThetaUni(theta, support)
+        theta = ThetaUni(theta)
     membership = classify_theta_uni(theta).membership
     if membership is Membership.OUTSIDE:
         raise DivergentIntegral(f"integral diverges at {theta.coeffs}")
@@ -847,13 +819,9 @@ def _moment_like(F: list[float], support: Support) -> bool:
     return all(F[m] * F[m] <= F[m - 1] * F[m + 1] for m in range(1, len(F) - 1, first))
 
 
-def norm_const_and_derivs(
-    theta: ThetaUni | Sequence[float],
-    M: int = 0,
-    *,
-    support: Support = Support.HALF_LINE,
-) -> np.ndarray:
-    """A(theta) and its theta_1-derivatives up to order M, via `state_at`.
+def norm_const_and_derivs(theta: ThetaUni | Sequence[float], M: int = 0) -> np.ndarray:
+    """A(theta) and its theta_1-derivatives up to order M, via `state_at`;
+    a raw coefficient sequence is a half-line parameter.
 
     Boundary parameters (trailing zero coefficients over an interior core)
     are reduced to their effective order first; the derivative values agree
@@ -861,5 +829,5 @@ def norm_const_and_derivs(
     Parameters follow the `state_at` policy: closed form at order 2, retry
     and refusal of ill-conditioned points from order 3 on.
     """
-    return extend_derivatives(state_at(theta, support=support), M)
+    return extend_derivatives(state_at(theta), M)
 

@@ -240,13 +240,23 @@ def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, pos: tuple[np.ndarray,
     return dmom[pos[1]] + (low[:, None] * dlow + dlow[:, None] * low)
 
 
+def _same_support(theta: ThetaUni, stats: SuffStats) -> None:
+    """Raise `InputError` unless theta and the statistics share a support."""
+    if theta.support is not stats.support:
+        found = getattr(stats.support, "value", "bivariate")
+        raise InputError(f"a {theta.support.value} parameter does not fit {found} statistics")
+
+
 def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[float, np.ndarray]:
     """Per-observation log-likelihood and score at theta.
 
     The score in coordinate m (univariate) is sample moment m minus the model
     moment of the same order; bivariate coordinates follow the canonical
-    monomial order of the parameter.
+    monomial order of the parameter.  A univariate theta must have the
+    statistics' support, else `InputError`.
     """
+    if isinstance(theta, ThetaUni):
+        _same_support(theta, stats)
     provider = provider if provider is not None else _provider_for(theta)
     derivs = provider.derivs(theta, 2 * theta.d)
     return _likelihood(theta, _sample_moments(stats, theta), derivs, _positions(theta))[:2]
@@ -381,7 +391,7 @@ def fit_mle(
     if stats.is_bivariate:
         theta: Theta = _mom_start_bi(stats, d)
     else:
-        support = stats.support if stats.support is not None else Support.HALF_LINE
+        support = stats.support
         if support is Support.REAL_LINE and d % 2 != 0:
             raise UnsupportedOrder("whole-line fits need an even order")
         theta = _mom_start_uni(stats, d, support)
@@ -488,11 +498,13 @@ def mle_existence_check(
     `theta_hat_lower` is the boundary MLE (order d-1 fit with a trailing
     zero).  The likelihood is strictly concave on every ray entering the
     domain from there, so an interior maximizer exists iff the remaining
-    score component is negative: sample moment d < model moment d.
+    score component is negative: sample moment d < model moment d.  A raw
+    coefficient sequence takes the statistics' support; a `ThetaUni` of
+    another support raises `InputError`.
     """
-    support = stats.support if stats.support is not None else Support.HALF_LINE
     if not isinstance(theta_hat_lower, ThetaUni):
-        theta_hat_lower = ThetaUni(theta_hat_lower, support)
+        theta_hat_lower = ThetaUni(theta_hat_lower, stats.support)
+    _same_support(theta_hat_lower, stats)
     d = theta_hat_lower.d
     if stats.order < d:
         raise InputError(f"need statistics of order >= {d}")
@@ -564,6 +576,8 @@ def score_test_halfline(
         raise InputError("alpha must be in (0, 1/2)")
     if stats.order < d:
         raise InputError(f"need statistics of order >= {d}")
+    if stats.support is not Support.HALF_LINE:
+        raise InputError("half-line test needs half-line statistics")
     theta_null, k, score, info = _null_information(stats, d, 1)
     cond = float(info[0, 0])
     if cond <= 0.0:
@@ -625,7 +639,7 @@ def select_order(
     sample: Sequence[float] | np.ndarray,
     d_max: int,
     alpha: float = 0.05,
-    support: Support = Support.HALF_LINE,
+    support: Support | str | None = None,
 ) -> tuple[int, list[TestResult]]:
     """Forward sequential order selection.
 
@@ -635,11 +649,16 @@ def select_order(
     statistics go through order d_max and the moments the score-matching
     start of the largest null fit reads (see `fit_mle`); given `SuffStats`
     are used as they are, so null fits whose start needs more moments
-    start at the gamma point.  Each null fit is a `fit_mle` with its fixed
-    stop rule; one that stops in the interior without converging raises
-    `NotConverged`.
+    start at the gamma point.  The support is the statistics' own, or
+    `support` for a raw sample (the half line when None); a `support` that
+    contradicts given statistics raises `InputError`.  Each null fit is a
+    `fit_mle` with its fixed stop rule; one that stops in the interior
+    without converging raises `NotConverged`.
     """
-    support = as_support(support)
+    own = sample.support if isinstance(sample, SuffStats) else None
+    support = as_support(support or own or Support.HALF_LINE)
+    if own is not None and support is not own:
+        raise InputError(f"support {support} contradicts the statistics' {own}")
     step = 2 if support is Support.REAL_LINE else 1
     d_min = 2 if support is Support.REAL_LINE else 1
     if d_max < d_min:

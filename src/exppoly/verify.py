@@ -334,18 +334,16 @@ def suite_names() -> list[str]:
 def run_suites(
     names: Sequence[str] | None = None,
     d: int | None = None,
-    tol: float | None = None,
     seed: int = 20260816,
 ) -> list[SuiteResult]:
-    """Run the named suites (all by default) and collect their reports."""
+    """Run the named suites (all by default), each against its own tolerance."""
     if names is None or not names:
         names = suite_names()
     results = []
     for name in names:
         if name not in _SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
-        func, default_tol = _SUITES[name]
-        use_tol = tol if tol is not None else default_tol
+        func, tol = _SUITES[name]
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         start = time.perf_counter()
         try:
@@ -356,7 +354,7 @@ def run_suites(
                     name=name,
                     passed=False,
                     max_residual=math.inf,
-                    tol=use_tol,
+                    tol=tol,
                     checks=0,
                     seconds=time.perf_counter() - start,
                     detail=f"{type(exc).__name__}: {exc}",
@@ -367,9 +365,9 @@ def run_suites(
         results.append(
             SuiteResult(
                 name=name,
-                passed=bool(residual <= use_tol),
+                passed=bool(residual <= tol),
                 max_residual=residual,
-                tol=use_tol,
+                tol=tol,
                 checks=checks,
                 seconds=time.perf_counter() - start,
                 detail=detail,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exppoly import cli
+from exppoly import cli, verify
 from exppoly.domain import ThetaBi, ThetaUni
 from exppoly.holo_bi import extend_table, initial_state_bi, transport_bi
 from exppoly.oracle import sample_uni
@@ -490,8 +490,11 @@ def test_verify_detp_below_degree_two_names_the_order(capsys):
     assert suite["detail"].startswith("UnsupportedOrder: bivariate engine needs degree >= 2")
 
 
-def test_verify_failing_tolerance(capsys):
-    code, out, err = run(capsys, ["verify", "--suite", "detp", "--tol", "1e-20"])
+def test_verify_failing_tolerance(capsys, monkeypatch):
+    # a suite whose residual exceeds its tolerance fails the command
+    func, _ = verify._SUITES["detp"]
+    monkeypatch.setitem(verify._SUITES, "detp", (func, 1e-20))
+    code, out, err = run(capsys, ["verify", "--suite", "detp"])
     assert code == 1
     assert out["all_passed"] is False
     assert "FAIL" in err

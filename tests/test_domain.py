@@ -7,6 +7,7 @@ import pytest
 
 from exppoly.domain import (
     Membership,
+    SuffStats,
     Support,
     ThetaBi,
     ThetaUni,
@@ -62,15 +63,16 @@ def test_theta_uni_support_is_a_support_member(support, want):
         with pytest.raises(InputError):
             ThetaUni(coeffs, support)
         with pytest.raises(InputError):
-            norm_const_and_derivs(coeffs, 2, support=support)
+            norm_const_and_derivs(ThetaUni(coeffs, support), 2)
         with pytest.raises(InputError):
             suff_stats([0.5, 1.0, 2.0], 3, support=support)
-        with pytest.raises(InputError):
-            select_order([0.5, 1.0, 2.0], 3, support=support)
+        if support is not None:  # None is select_order's default, the data's own support
+            with pytest.raises(InputError):
+                select_order([0.5, 1.0, 2.0], 3, support=support)
         return
     assert ThetaUni(coeffs, support).support is want
     assert initial_state(4, 1.5, support).F.tolist() == initial_state(4, 1.5, want).F.tolist()
-    A = norm_const_and_derivs(coeffs, 2, support=support)[0]
+    A = norm_const_and_derivs(ThetaUni(coeffs, support), 2)[0]
     assert A == pytest.approx(quad_moment_uni(ThetaUni(coeffs, want)), rel=1e-9)
 
 
@@ -200,6 +202,23 @@ def test_suff_stats_validation():
     # negative data are fine on the whole line
     st = suff_stats([1.0, -0.5], 2, Support.REAL_LINE)
     assert st.moment(1) == pytest.approx(0.25)
+
+
+def test_suff_stats_needs_bivariate_for_two_columns():
+    # a two-column array is bivariate data, not six half-line values
+    with pytest.raises(InputError, match="bivariate"):
+        suff_stats(np.array([[1.0, 2.0], [3.0, 4.0], [0.5, 0.7]]), 2)
+    column = suff_stats(np.array([[1.0], [2.0], [3.0]]), 2)
+    assert column == suff_stats([1.0, 2.0, 3.0], 2)
+
+
+def test_suff_stats_support_is_a_support_member():
+    assert SuffStats(n=2, order=1, moments=(1.0,)).support is Support.HALF_LINE
+    assert SuffStats(n=2, order=1, support="realline", moments=(1.0,)).support is Support.REAL_LINE
+    with pytest.raises(InputError):
+        SuffStats(n=2, order=1, support="x", moments=(1.0,))
+    bivariate = SuffStats(n=2, order=1, moments_bi={(1, 0): 1.0, (0, 1): 1.0})
+    assert bivariate.support is None
 
 
 def test_suff_stats_bivariate():

@@ -1153,8 +1153,8 @@ def test_cached_shapes_are_read_only():
         *_level_shape(2, 1, 2, 1)[3:],
         *_level_shape(2, 1, 5, 4)[3:],
         *_transport_shape(2),
-        *holo_uni._step_tensors(3, 2, 1),
-        *holo_uni._step_tensors(2, 2, 2),
+        *holo_uni._step_tensors(3, 2),
+        *holo_uni._step_tensors(2, 2),
     ]
     leaves = [
         a for v in arrays for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)

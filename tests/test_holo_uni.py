@@ -259,7 +259,7 @@ def test_state_at_moves_from_start():
     target = ThetaUni((-0.9, 2.8, -2.1))
     np.testing.assert_allclose(state_at(target, start=near).F, state_at(target).F, rtol=1e-9)
     # a start of another order or support is ignored
-    other = state_at((0.0, -1.0), support=Support.REAL_LINE)
+    other = state_at(ThetaUni((0.0, -1.0), Support.REAL_LINE))
     np.testing.assert_array_equal(state_at(target, start=other).F, state_at(target).F)
 
 
@@ -794,7 +794,7 @@ def test_order_two_state_at_builds_no_step_map(monkeypatch, support):
     # a carried start is ignored, a start at the requested point returned
     assert state_at(theta, start=start).F.tolist() == want.F.tolist()
     assert state_at(theta, start=want) is want
-    norm_const_and_derivs((0.5, -1.0, 0.0, 0.0), 4, support=support)  # a boundary point
+    norm_const_and_derivs(ThetaUni((0.5, -1.0, 0.0, 0.0), support), 4)  # a boundary point
 
 
 @pytest.mark.parametrize("support", list(Support))

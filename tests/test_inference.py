@@ -355,6 +355,44 @@ def test_mle_existence_triple():
     assert not mle_existence_check(null, stats_from_moments([1.0, 2.5]))
 
 
+@pytest.fixture(scope="module")
+def support_stats():
+    """Whole-line statistics of a whole-line quartic sample, and half-line
+    statistics of its absolute values."""
+    x = sample_uni(ThetaUni((1.0, 4.0, -2.0, -3.0), Support.REAL_LINE), 400, seed=3)
+    return suff_stats(x, 6, Support.REAL_LINE), suff_stats(np.abs(x), 6)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "loglik_and_grad",
+        "mle_existence_check",
+        "score_test_halfline",
+        "select_order_keyword",
+        "select_order_default",
+    ],
+)
+def test_support_has_one_owner(support_stats, case):
+    # the parameter or the statistics own the support: a conflict between
+    # them is an input error, and select_order reads given statistics' own
+    real, half = support_stats
+    if case == "select_order_default":
+        assert select_order(real, 6) == select_order(real, 6, support=Support.REAL_LINE)
+        return
+    calls = {
+        "loglik_and_grad": lambda: loglik_and_grad(ThetaUni((1.0, 4.0, -2.0, -3.0)), real),
+        "mle_existence_check": lambda: mle_existence_check(
+            ThetaUni((1.0, -1.0), Support.REAL_LINE), half
+        ),
+        "score_test_halfline": lambda: score_test_halfline(real, 4),
+        "select_order_keyword": lambda: select_order(real, 6, support=Support.HALF_LINE),
+    }
+    with pytest.raises(InputError, match="statistics") as info:
+        calls[case]()
+    assert type(info.value) is InputError
+
+
 def test_score_test_zero_statistic():
     # moments exactly at the exponential model: score for theta_2 is 0
     res = score_test_halfline(stats_from_moments([1.0, 2.0]), 2)

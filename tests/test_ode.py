@@ -109,7 +109,7 @@ MOVING_LEAD = [
 
 @pytest.mark.parametrize("support, src, dst", MOVING_LEAD, ids=str)
 def test_transport_moving_lead_matches_mpmath(support, src, dst):
-    start = holo_uni.state_at(src, support=support)
+    start = holo_uni.state_at(ThetaUni(src, support))
     moved = holo_uni.transport(start, ThetaUni(dst, support))
     ref = mp_moments(dst, support, len(moved.F))
     err = rel_error(moved.F, ref)

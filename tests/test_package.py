@@ -112,3 +112,18 @@ def test_no_option_objects():
                     with_opts.append((stem, node.name))
     assert classes == []
     assert with_opts == []
+
+
+def test_parameters_own_their_support():
+    # a `ThetaUni` carries its support, so an exported function of theta
+    # that also takes `support` holds a second one that can contradict it
+    exported = set(exppoly.__all__)
+    both = []
+    for stem, tree in _package_trees().items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in exported):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if args and args[0].arg == "theta" and any(a.arg == "support" for a in args):
+                both.append((stem, node.name))
+    assert both == []
