@@ -35,7 +35,12 @@ reaches the segment's end.  Along the segment P(theta(s)) = P0 + s P(h) is
 a pencil, and the walls it meets are its generalized eigenvalues: before any
 step they are found as -1/lambda over the eigenvalues lambda of
 P0^-1 P(h), complex ones included, so a path that meets a wall anywhere is
-refused.
+refused.  A move from a table with an error estimate of its own steps the
+unit columns of its carried entries in the same rows, so that the start's
+error is carried through the move's Jacobian into the moved table's
+estimate, and `table_at` redoes from the product point a move whose
+carried error outweighs a fresh transport's, as `holo_uni` does for the
+univariate engine.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .errors import (
     PathCrossesSingularity,
     PathSingularity,
     SingularSystem,
+    ToleranceNotMet,
     UnsupportedOrder,
 )
 from .holo_uni import (
@@ -139,6 +145,14 @@ class DerivTableBi:
     `transport_bi` from the table always reuse them, instead of transporting
     both axes again from their gamma points.  Tables from the constructor
     carry None unless given them.
+
+    `last_transport_error` is the relative error estimate of the carried
+    entries (base entries and the axis states' free entries), in units of
+    the largest of them: zero at a product point, the Taylor estimate for a
+    move from there, and for a move from a table with a nonzero estimate
+    that plus the start's error carried through the move's Jacobian
+    (`transport_bi`).  It covers the base entries only; the orders
+    `extend_table` adds carry no estimate of their own.
     """
 
     __slots__ = ("theta", "F", "max_order", "last_transport_error", "axes")
@@ -307,10 +321,12 @@ class _LevelShape(NamedTuple):
     places -P(h) on each window's own columns (h the direction, indexed
     like theta).  `asm` picks, for each level entry of V in order, the
     window row that solves it (the later window where two overlap).
-    No left-hand side is stored: each window is P (`_p_matrix`) and each
-    level row a banded product with F_a or F_b.  Entries are kept as index
-    lists, not dense tensors: a level's rows hold a few terms each among
-    n_v columns.
+    The left-hand sides L, in natural row order, are `lhs`, a `_Scatter`
+    over (F_a, F_b): each level row a banded product of its diagonal with
+    F_a or F_b, on columns that G leaves empty, since a level's right-hand
+    side reads lower orders only.  `row_starts` holds each level's first
+    row.  Entries are kept as index lists, not dense tensors: a level's
+    rows hold a few terms each among n_v columns.
     """
 
     n: int
@@ -324,6 +340,8 @@ class _LevelShape(NamedTuple):
     win_rows: np.ndarray
     x_lin: _Scatter
     asm: np.ndarray
+    lhs: _Scatter
+    row_starts: np.ndarray
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
@@ -338,7 +356,7 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
     # P = sum_c top[c] P_c: (c, row, col, factor) of every entry
     units = np.array([_p_matrix(unit) for unit in np.eye(d + 1).tolist()])
     p_entries = [(*e, units[e]) for e in zip(*np.nonzero(units))]
-    g_const, g_lin, x_lin = [], [], []
+    g_const, g_lin, x_lin, lhs = [], [], [], []
     win_rows, asm, levels = [], [], []
     row0 = 0
     for k in range(lo, hi + 1):
@@ -359,10 +377,14 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
                     g_lin.append((rx + t_off + _flat(a + i - 1, t + j), m, -i))
                 if j:
                     g_lin.append((ry + t_off + _flat(a + i, t + j - 1), m, -j))
+        col0 = t_off + _flat(k, 0)
+        for t in range(q + 1):  # F_a on the x-family rows, F_b on the y-family
+            for c in range(d):
+                lhs.append(((row0 + t) * n_v + col0 + t + c, c, 1.0))
+                lhs.append(((row0 + q + 1 + t) * n_v + col0 + t + c, d + c, 1.0))
         starts = list(range(0, k - n + 2, n))
         if starts[-1] != k - n + 1:
             starts.append(k - n + 1)
-        col0 = t_off + _flat(k, 0)
         solved_by = [0] * (k + 1)
         for t0 in starts:
             w0 = len(win_rows)
@@ -377,10 +399,12 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
         row0 += n_rows
     win_rows = np.array(win_rows, dtype=np.intp)
     asm = np.array(asm, dtype=np.intp)
-    win_rows.flags.writeable = asm.flags.writeable = top.flags.writeable = False
+    row_starts = np.array([lv.rows.start for lv in levels], dtype=np.intp)
+    for arr in (win_rows, asm, top, row_starts):
+        arr.flags.writeable = False
     return _LevelShape(
         n, t_off, n_v, top, tuple(levels), row0, _scatter(g_const), _scatter(g_lin), win_rows,
-        _scatter(x_lin), asm
+        _scatter(x_lin), asm, _scatter(lhs), row_starts
     )
 
 
@@ -489,21 +513,26 @@ class _LevelPlan:
         for lv in self.shape.levels:
             V[lv.cols] = K[lv.cols.start - first : lv.cols.stop - first].dot(V)
 
-    def lhs(self, V: np.ndarray) -> list[np.ndarray]:
-        """Each level's left-hand side at theta0, level after level, as two
-        banded products of its diagonal X with F_a and with F_b."""
+    def system(self) -> np.ndarray:
+        """The level systems at theta0 in natural row order, stacked: L - G0
+        above G0, so that one product with V gives every row's residual
+        and its right-hand side."""
+        shape = self.shape
         fa, fb = polyalg._partials(self.top0.tolist())
-        return [
-            np.concatenate((np.correlate(V[lv.cols], fa), np.correlate(V[lv.cols], fb)))
-            for lv in self.shape.levels
-        ]
+        out = np.empty((2, shape.g_rows, self.n_v))
+        np.negative(self.G0, out=out[0])
+        shape.lhs.put(out[0].reshape(-1), np.array(fa + fb))
+        out[1] = self.G0
+        return out.reshape(-1, self.n_v)
 
     def check_residuals(self, V: np.ndarray) -> None:
-        """Every equation of every level at theta0, windows' or not, must hold."""
-        for lv, lhs in zip(self.shape.levels, self.lhs(V)):
-            rhs = self.G0[lv.rows] @ V
-            resid = float(np.linalg.norm(lhs - rhs))
-            if resid > _EXTENSION_RTOL * max(1.0, float(np.linalg.norm(rhs))):
+        """Every equation of every level at theta0, windows' or not, must
+        hold: each level's residual (L - G0) V, by one product with
+        `system`, within 1e-6 of its right-hand side G0 V, both in 2-norm."""
+        both = np.square(self.system().dot(V)).reshape(2, -1)
+        norms = np.sqrt(np.add.reduceat(both, self.shape.row_starts, axis=1)).tolist()
+        for lv, resid, rhs in zip(self.shape.levels, *norms):
+            if resid > _EXTENSION_RTOL * max(1.0, rhs):
                 raise InconsistentExtension(
                     f"order-{lv.k} extension equations are inconsistent (residual {resid:.3e})"
                 )
@@ -625,7 +654,7 @@ def _refuse_walls(plan: _LevelPlan) -> None:
 
 
 def _transport_series(
-    d: int, src_vec: np.ndarray, h_vec: np.ndarray
+    d: int, src_vec: np.ndarray, h_vec: np.ndarray, jacobian: bool = False
 ) -> Callable[[float, list[float], float], Callable[[int], np.ndarray]]:
     """`transport_bi`'s series builder along src_vec + s*h_vec for
     `_ode.taylor`: the step's `rows(N)`, rows 0..N of the carried entries
@@ -643,6 +672,13 @@ def _transport_series(
     segment that meets a wall is refused (`_refuse_walls`) before the
     builder is returned, and the first step reuses the inverse of P0 that
     the wall test took.
+
+    With `jacobian` the row buffer has a trailing column axis: the state,
+    then a unit column per carried entry (base entries, then the x- and
+    y-axis free entries), which the same products step through the
+    variational equations, so each row is a matrix as `_ode.taylor` takes
+    it with its `jacobian`.  The axis maps then return x_0 with a unit
+    column per free entry, placed in that entry's column.
     """
     shape = _transport_shape(d)
     nb, n_c = shape.nb, shape.n_c
@@ -655,22 +691,37 @@ def _transport_series(
     n_b, n_e = n_c + n_v, n_c + first  # a block, and its entries below the levels
     base = n_b - nb  # the base rows of Z
     free = d - 1  # free entries of an axis state
-    axis_maps = [holo_uni._StepMap(src_vec[ax], h_vec[ax], 1.0, m_ax + 1) for ax in shape.axes]
+    axis_maps = [
+        holo_uni._StepMap(src_vec[ax], h_vec[ax], 1.0, m_ax + 1, jacobian) for ax in shape.axes
+    ]
     D = shape.shift.put(np.zeros(nb * n_v), h_vec).reshape(nb, n_v)
+    # where each axis map's x_0 goes in block 1: its rows, and with
+    # `jacobian` the state's column and its free entries' unit columns
+    n_cols = 1 + nb + 2 * free if jacobian else 0
+    places = [
+        (at[:, None], [0, *range(1 + nb + k * free, 1 + nb + (k + 1) * free)]) if jacobian else at
+        for k, at in enumerate(shape.lanes)
+    ]
+    base_at = slice(n_e - nb, n_e)  # order 0 of the base entries in block 1
+    unit = np.eye(nb)
 
     def series(s: float, y: list[float], H: float) -> Callable[[int], np.ndarray]:
         W = plan.composed(s, H, plan.factor(s), H * D)
-        rb = holo_uni._buffers(_RowBuffers, d, n_b, n_e)
-        Z, buf = rb.Z, rb.buf
+        rb = holo_uni._buffers(_RowBuffers, d, n_b, n_e, n_cols)
+        Z, order0 = rb.Z, rb.blocks[1]
         for at, W_rows in ((slice(0, n_lev), W[:n_lev]), (slice(base, n_b), W[n_lev:])):
             Z[at, n_c:n_b] = W_rows[:, :n_v]
             Z[at, n_b + n_c :] = W_rows[:, n_v : n_v + first]
-        for k, (axis_map, put, at) in enumerate(zip(axis_maps, shape.lane_put, shape.lanes)):
+        for k, (axis_map, put, at) in enumerate(zip(axis_maps, shape.lane_put, places)):
             # the two maps share one scratch: M is placed before the next step
             M, x0 = axis_map.step(s, y[nb + k * free : nb + (k + 1) * free], H)
             Z.flat[put] = M.ravel()
-            buf[n_b + at] = x0
-        buf[n_b + n_e - nb : n_b + n_e] = y[:nb]
+            order0[at] = x0
+        if jacobian:
+            order0[base_at, 0] = y[:nb]
+            order0[base_at, 1 : nb + 1] = unit
+        else:
+            order0[base_at] = y[:nb]
         Z_dot, products, blocks = Z.dot, rb.products, rb.blocks
         done = 0
 
@@ -690,17 +741,21 @@ def _transport_series(
 class _RowBuffers:
     """Where `_transport_series` builds a step's rows at degree d, with
     blocks of n_b entries of which the first n_e feed the next order: Z,
-    whose entries outside the rows each step writes stay zero; the flat row
-    buffer, block n+1 holding order n (block 0, order -1, is zero); and, per
-    order n, the views (the product's input window, its output, the scale
-    of order n+1's entries).  One per thread (`holo_uni._buffers`)."""
+    whose entries outside the rows each step writes stay zero; the row
+    buffer, block n+1 holding order n (block 0, order -1, is zero), flat
+    or with n_cols columns per entry where the rows carry a Jacobian
+    (n_cols > 0); and, per order n, the views (the product's input window,
+    its output, the scale of order n+1's entries).  One per thread and
+    shape (`holo_uni._buffers`)."""
 
-    def __init__(self, d: int, n_b: int, n_e: int):
+    def __init__(self, d: int, n_b: int, n_e: int, n_cols: int):
         scale = _transport_shape(d).scale
+        cols = (n_cols,) if n_cols else ()
+        if n_cols:
+            scale = scale[:, :, None]
         self.Z = np.zeros((n_b, n_b + n_e))
-        self.buf = np.zeros((len(scale) + 2) * n_b)
-        self.blocks = self.buf.reshape(-1, n_b)
-        buf = self.buf
+        buf = np.zeros(((len(scale) + 2) * n_b, *cols))
+        self.blocks = buf.reshape(-1, n_b, *cols)
         self.products = [
             (buf[i - n_b : i + n_e], buf[i + n_e : i + n_e + n_b], scale[n])
             for n, i in enumerate(range(n_b, (len(scale) + 1) * n_b, n_b))
@@ -728,6 +783,17 @@ def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     segment's end.  The shift D and the layout of the rows are built once
     per d (`_transport_shape`).
 
+    From a table with a nonzero estimate (any table but a product point's)
+    the move also steps the unit columns of the carried entries (the base
+    entries, then each axis state's free entries) through the same rows,
+    which gives the segment's Jacobian Phi, as `holo_uni.transport` does.
+    The moved table's estimate is then the Taylor estimate plus the start's
+    error carried through Phi: |Phi| (the largest absolute row sum) times
+    the start's estimate times its largest carried entry, over the moved
+    table's largest carried entry.  Each axis state's block of Phi carries
+    that state's own estimate the same way into its acceptance.  A move
+    from a table with estimate zero steps no Jacobian.
+
     The segment must not meet the discriminant locus: before any step, the
     zeros of D along it, the pencil's eigenvalues (`_LevelPlan.zeros`), are
     found once, and one within `_WALL_MARGIN` of [0, 1] refuses the segment
@@ -737,6 +803,12 @@ def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     (condition, moment check, retry, refusal) and ride on the result, so a
     following `extend_table` or transport needs no axis work.
     """
+    return _move(table, theta_target)[0]
+
+
+def _move(table: DerivTableBi, theta_target: ThetaBi) -> tuple[DerivTableBi, float | None]:
+    """`transport_bi`, and the part of the moved table's estimate carried
+    from the start through Phi: None where no Jacobian was stepped."""
     d = table.d
     src = table.theta
     if theta_target.d != d:
@@ -748,28 +820,41 @@ def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     src_vec = src.as_vector()
     h_vec = theta_target.as_vector() - src_vec
     if not np.any(h_vec):
-        return table
+        return table, None
 
     nb = _transport_shape(d).nb
     free = d - 1  # free entries of an axis state
-    series = _transport_series(d, src_vec, h_vec)
+    carry = table.last_transport_error > 0.0
+    series = _transport_series(d, src_vec, h_vec, carry)
     axes = _axes_for(table)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     try:
-        yf, est = _ode.taylor(series, y0, _REL_TOL)
+        yf, est, *phi = _ode.taylor(series, y0, _REL_TOL, carry)
     except SingularSystem as exc:
         raise PathCrossesSingularity(
             f"transport hit a singular level system: {exc}"
         ) from exc
 
+    carried = [None, None, None]  # the table's, the x axis's, the y axis's
+    if carry:
+        gain = np.abs(phi[0]).sum(1)  # each row of |Phi|
+        for k, (start, lo, hi) in enumerate(
+            ((table, 0, len(y0)), (axes.x, nb, nb + free), (axes.y, nb + free, len(y0)))
+        ):
+            # |Phi| times the start's absolute error, relative to the moved
+            # entries; an axis state's rows of Phi read its own columns only
+            start_error = start.last_transport_error * max(map(abs, y0[lo:hi]))
+            part = float(gain[lo:hi].max()) * start_error / max(*map(abs, yf[lo:hi]), 1e-300)
+            # a Phi that overflowed (inf or nan) carries an unbounded error
+            carried[k] = part if part <= math.inf else math.inf
     moved_axes = AxisStates(
-        _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est),
-        _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est),
+        _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est, carried[1]),
+        _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est, carried[2]),
     )
-    moved = DerivTableBi(theta_target, yf[:nb], est, moved_axes)
+    moved = DerivTableBi(theta_target, yf[:nb], est + (carried[0] or 0.0), moved_axes)
     if table.max_order > moved.max_order:
         moved = extend_table(moved, table.max_order)
-    return moved
+    return moved, carried[0]
 
 
 def table_at(theta: ThetaBi, *, start: DerivTableBi | None = None) -> DerivTableBi:
@@ -779,28 +864,55 @@ def table_at(theta: ThetaBi, *, start: DerivTableBi | None = None) -> DerivTable
     order (a request at its own parameter returns it unchanged), else from
     the product point `initial_state_bi(d, |theta_d0|, |theta_0d|)`.  A
     start in another chamber than theta is refused with
-    `PathCrossesSingularity`.  A table whose entries are not finite, or
-    whose A is not positive, lost its accuracy on the way and raises
+    `PathCrossesSingularity`.  A move from a start with a nonzero estimate
+    carries that estimate through the move's Jacobian (`transport_bi`);
+    where the carried part exceeds the per-step tolerance (1e-10), the move
+    is redone from the product point, as `state_at` redoes one from the
+    gamma point, and the carried table is kept only where that fresh
+    transport is refused.  A table whose entries are not finite, or whose A
+    is not positive, lost its accuracy on the way and raises
     `OdeDivergence`.
     """
     if start is None or start.d != theta.d:
-        top = theta.top_coeffs()
-        start = initial_state_bi(theta.d, abs(top[0]), abs(top[-1]))
-    table = transport_bi(start, theta)
+        return _checked(_from_product_point(theta))
+    table, carried = _move(start, theta)
+    if carried is not None and carried > _REL_TOL:
+        # the start's error, carried through the move, outweighs what a
+        # fresh transport commits
+        try:
+            return _checked(_from_product_point(theta))
+        except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet):
+            pass  # the product point cannot reach theta; keep the carried table
+    return _checked(table)
+
+
+def _from_product_point(theta: ThetaBi) -> DerivTableBi:
+    top = theta.top_coeffs()
+    return transport_bi(initial_state_bi(theta.d, abs(top[0]), abs(top[-1])), theta)
+
+
+def _checked(table: DerivTableBi) -> DerivTableBi:
+    """The table, unless its entries are not finite or its A is not
+    positive (`OdeDivergence`)."""
     if not (np.all(np.isfinite(table.F)) and table.norm_const > 0.0):
         raise OdeDivergence(f"transport lost accuracy (A = {table.norm_const!r})")
     return table
 
 
 def _accept_axis(
-    start: HoloStateUni, coeffs: Sequence[float], F: Sequence[float], est: float
+    start: HoloStateUni,
+    coeffs: Sequence[float],
+    F: Sequence[float],
+    est: float,
+    carried: float | None,
 ) -> HoloStateUni:
     """An axis state moved from `start` inside `transport_bi`'s ODE: its free
     entries F are re-derived at the target, as `holo_uni.transport` does,
-    then put through the `state_at` acceptance."""
+    then put through the `state_at` acceptance with the start's error
+    `carried` through the move's Jacobian (None where none was stepped)."""
     L = state_length(len(coeffs))
     theta = ThetaUni(coeffs, Support.HALF_LINE)
-    moved = HoloStateUni(theta, _extend(coeffs, Support.HALF_LINE, F, L - 1), est)
+    moved = HoloStateUni._built(theta, _extend(coeffs, Support.HALF_LINE, F, L - 1), est, carried)
     return holo_uni._accept(start, moved)
 
 

@@ -697,8 +697,9 @@ def _accept(start: HoloStateUni, moved: HoloStateUni) -> HoloStateUni:
     transporting again from the gamma point at `_RETRY_TOL`, and refusing
     the parameter.  The accepted state's estimate carries the start's own.
     `holo_bi.transport_bi` hands its axis states here too, transported
-    inside its own ODE without a Jacobian: for them the start's error is
-    scaled up where the state shrinks along the way.
+    inside its own ODE, with their blocks of its Jacobian as the carried
+    part; where it steps no Jacobian (a move from a product-point table)
+    the start's error is scaled up where the state shrinks along the way.
     """
     eff = moved.theta
     cond = _condition(moved)

@@ -66,6 +66,9 @@ _MIN_STEP_FACTOR = 2.0**-40
 # unconverged after this many Fisher-scoring steps.
 _GRAD_TOL = 1e-8
 _MAX_ITER = 200
+# What the engine raises where it refuses a point: a line search halves its
+# step there, as at the domain boundary.
+_REFUSALS = (PathCrossesSingularity, OdeDivergence, ToleranceNotMet, InconsistentExtension)
 
 
 class UniHoloProvider:
@@ -80,7 +83,6 @@ class UniHoloProvider:
     Jacobian into the new estimate, and `state_at` redoes from the gamma
     point a move whose carried error outweighs a fresh transport's, so the
     committed state's estimate bounds its error whatever path led there.
-    `refresh` therefore keeps the committed state.
     """
 
     def __init__(self):
@@ -91,9 +93,6 @@ class UniHoloProvider:
         self._state = holo_uni.state_at(theta, start=self._state)
         return extend_derivatives(self._state, M)
 
-    def refresh(self, theta: ThetaUni) -> None:
-        """Nothing to do: the committed state's estimate covers its path."""
-
     def derivative_bounds(self, M: int) -> np.ndarray:
         """Absolute error bounds of `derivs` through order M at the committed state."""
         return holo_uni.derivative_bounds(self._state, M)
@@ -101,7 +100,14 @@ class UniHoloProvider:
 
 class BiHoloProvider:
     """Bivariate analogue of UniHoloProvider: each request moves the last
-    committed derivative table to the new parameter through `holo_bi.table_at`."""
+    committed derivative table to the new parameter through `holo_bi.table_at`.
+
+    As in the univariate provider, each move carries the committed table's
+    error through its Jacobian into the new estimate, and `table_at` redoes
+    from the product point a move whose carried error outweighs a fresh
+    transport's (keeping the carried table where the product point's path
+    is refused), so the committed table's estimate covers its path.
+    """
 
     def __init__(self):
         self._table: Optional[DerivTableBi] = None
@@ -111,14 +117,6 @@ class BiHoloProvider:
         `holo_bi._flat(i, j)` is d^(i+j) A / d theta_10^i d theta_01^j."""
         self._table = holo_bi.table_at(theta, start=self._table)
         return extend_table(self._table, M).F
-
-    def refresh(self, theta: ThetaBi) -> None:
-        try:
-            self._table = holo_bi.table_at(theta)
-        except (PathCrossesSingularity, OdeDivergence):
-            # the fit wandered into a chamber the product point cannot reach
-            # (or the fresh path is numerically worse); keep the incremental state
-            pass
 
     def derivative_bounds(self, M: int) -> None:
         """None: the bivariate extension carries no error bound yet."""
@@ -240,11 +238,13 @@ def _fisher_bound(derivs: np.ndarray, bounds: np.ndarray, pos: tuple[np.ndarray,
     return dmom[pos[1]] + (low[:, None] * dlow + dlow[:, None] * low)
 
 
-def _same_support(theta: ThetaUni, stats: SuffStats) -> None:
-    """Raise `InputError` unless theta and the statistics share a support."""
-    if theta.support is not stats.support:
-        found = getattr(stats.support, "value", "bivariate")
-        raise InputError(f"a {theta.support.value} parameter does not fit {found} statistics")
+def _same_support(theta: Theta, stats: SuffStats) -> None:
+    """Raise `InputError` unless theta fits the statistics: a `ThetaBi`
+    bivariate ones, a `ThetaUni` univariate ones of its own support."""
+    kind = "bivariate" if isinstance(theta, ThetaBi) else theta.support.value
+    found = getattr(stats.support, "value", "bivariate")
+    if kind != found:
+        raise InputError(f"a {kind} parameter does not fit {found} statistics")
 
 
 def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[float, np.ndarray]:
@@ -252,11 +252,11 @@ def loglik_and_grad(theta: Theta, stats: SuffStats, provider=None) -> tuple[floa
 
     The score in coordinate m (univariate) is sample moment m minus the model
     moment of the same order; bivariate coordinates follow the canonical
-    monomial order of the parameter.  A univariate theta must have the
-    statistics' support, else `InputError`.
+    monomial order of the parameter.  Theta must fit the statistics (a
+    bivariate theta bivariate ones, a univariate one univariate ones of its
+    support), else `InputError`.
     """
-    if isinstance(theta, ThetaUni):
-        _same_support(theta, stats)
+    _same_support(theta, stats)
     provider = provider if provider is not None else _provider_for(theta)
     derivs = provider.derivs(theta, 2 * theta.d)
     return _likelihood(theta, _sample_moments(stats, theta), derivs, _positions(theta))[:2]
@@ -376,13 +376,16 @@ def fit_mle(
     max-norm is at most `_GRAD_TOL` (converged) or after `_MAX_ITER` steps
     (not converged).  Each evaluated point costs one order-2d provider
     request, whose Fisher matrix is the next step's when the point is
-    accepted.  The result is read from one
-    more request at the final iterate, after `provider.refresh`: a
-    univariate provider keeps its carried state, whose estimate already
-    covers the path, and a bivariate one transports afresh from the product
-    point.  Non-convergence and boundary outcomes are reported through the
-    result flags rather than exceptions, so callers can inspect the partial
-    fit.
+    accepted.  The result (derivatives, log-likelihood, score, Fisher
+    matrix and its bound) is read from the last accepted request: either
+    provider's committed state carries its path's error in its estimate,
+    so nothing is transported again.  Only where the last request was
+    elsewhere, after a line search that ended without acceptance, is the
+    final iterate requested once more; where the engine refuses that
+    request, the result keeps the accepted request's reading, without a
+    Fisher bound.  Non-convergence and boundary
+    outcomes are reported through the result flags rather than exceptions,
+    so callers can inspect the partial fit.
     """
     if d is None:
         d = stats.order
@@ -400,17 +403,19 @@ def fit_mle(
     pos = _positions(theta)
     sample = _sample_moments(stats, theta)
 
-    first = None
+    derivs = None
     start = None if stats.is_bivariate else _score_matching_start(stats, d, support)
     if start is not None:
         try:
-            first = _likelihood(start, sample, provider.derivs(start, 2 * d), pos)
+            derivs = provider.derivs(start, 2 * d)
+            lbar, grad, info = _likelihood(start, sample, derivs, pos)
             theta = start
         except (ToleranceNotMet, OdeDivergence):
-            pass  # the engine refuses the start; begin at the gamma point
-    if first is None:
-        first = _likelihood(theta, sample, provider.derivs(theta, 2 * d), pos)
-    lbar, grad, info = first
+            derivs = None  # the engine refuses the start; begin at the gamma point
+    if derivs is None:
+        derivs = provider.derivs(theta, 2 * d)
+        lbar, grad, info = _likelihood(theta, sample, derivs, pos)
+    current = True  # whether the provider's last request was theta
     hit_boundary = False
     converged = False
     iterations = 0
@@ -435,15 +440,17 @@ def fit_mle(
                 boundary_limited = True
                 lam *= 0.5
                 continue
+            current = False
             try:
-                l_new, g_new, i_new = _likelihood(cand, sample, provider.derivs(cand, 2 * d), pos)
-            except (PathCrossesSingularity, OdeDivergence, ToleranceNotMet, InconsistentExtension):
+                d_new = provider.derivs(cand, 2 * d)
+                l_new, g_new, i_new = _likelihood(cand, sample, d_new, pos)
+            except _REFUSALS:
                 boundary_limited = True
                 lam *= 0.5
                 continue
             if math.isfinite(l_new) and l_new >= lbar - 1e-12 * max(1.0, abs(lbar)):
-                theta, lbar, grad, info = cand, l_new, g_new, i_new
-                accepted = True
+                theta, derivs, lbar, grad, info = cand, d_new, l_new, g_new, i_new
+                accepted = current = True
                 break
             lam *= 0.5
         if not accepted:
@@ -452,10 +459,16 @@ def fit_mle(
     else:
         iterations = _MAX_ITER
 
-    provider.refresh(theta)
-    derivs = provider.derivs(theta, 2 * d)
-    lbar, grad, info = _likelihood(theta, sample, derivs, pos)
-    bounds = provider.derivative_bounds(2 * d)
+    if not current:
+        try:
+            answer = provider.derivs(theta, 2 * d)
+            lbar, grad, info = _likelihood(theta, sample, answer, pos)
+            derivs, current = answer, True
+        except _REFUSALS:
+            # the way back from the last candidate is refused: keep the
+            # accepted request's reading, whose bound the provider lost
+            pass
+    bounds = provider.derivative_bounds(2 * d) if current else None
     fisher_bound = None if bounds is None else _fisher_bound(derivs, bounds, pos)
     grad_norm = float(np.max(np.abs(grad)))
     if converged:

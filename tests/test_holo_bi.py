@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from exppoly import _ode, holo_uni
+from exppoly import _ode, holo_uni, polyalg
 from exppoly.domain import (
     Support,
     ThetaBi,
@@ -32,6 +32,7 @@ from exppoly.errors import (
     UnsupportedOrder,
 )
 from exppoly.holo_bi import (
+    AxisStates,
     DerivTableBi,
     _LevelPlan,
     _factor,
@@ -777,15 +778,11 @@ def test_transport_matches_lstsq_reference(reference_points):
         assert worst <= 1e-9, theta
 
 
-def test_transport_matches_mpmath():
-    # the tenth d=2 reference point, where an integrator at the default
-    # tolerance misses A by 2.8e-7, so the engine is held to an independent
-    # value there: A by mpmath, the y-integral in closed form
+def _mpmath_A2(theta):
+    """A at a d=2 parameter by 30-digit mpmath: the y-integral in closed
+    form, the x-integral by quadrature."""
     import mpmath
 
-    rng = np.random.default_rng(20261020)
-    for _ in range(10):
-        theta = random_theta_bi_proper(rng, 2)
     p, q, a, b, c = (mpmath.mpf(theta[ij]) for ij in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 
     def inner(x):
@@ -799,7 +796,20 @@ def test_transport_matches_mpmath():
         )
 
     with mpmath.workdps(30):
-        want = mpmath.quad(inner, [0, 1, 3, mpmath.inf])
+        return mpmath.quad(inner, [0, 1, 3, mpmath.inf])
+
+
+def test_transport_matches_mpmath():
+    # the tenth d=2 reference point, where an integrator at the default
+    # tolerance misses A by 2.8e-7, so the engine is held to an independent
+    # value there
+    import mpmath
+
+    rng = np.random.default_rng(20261020)
+    for _ in range(10):
+        theta = random_theta_bi_proper(rng, 2)
+    want = _mpmath_A2(theta)
+    with mpmath.workdps(30):
         assert abs(want - mpmath.mpf("1.1274152280382982652")) < 1e-18
     top = theta.top_coeffs()
     got = transport_bi(initial_state_bi(2, -top[0], -top[-1]), theta).norm_const
@@ -907,6 +917,130 @@ def test_table_at_refuses_lost_accuracy(bad):
     F = table_at(CLI_THETA).F
     with pytest.raises(OdeDivergence):
         table_at(CLI_THETA, start=DerivTableBi(CLI_THETA, bad(F)))
+
+
+def _nearby(rng, theta, scale):
+    """A proper parameter a random step of up to `scale` per coefficient
+    away from theta."""
+    while True:
+        vec = theta.as_vector() + scale * rng.uniform(-1.0, 1.0, theta.as_vector().size)
+        near = ThetaBi.from_vector(theta.d, vec)
+        if in_proper_bivariate_space(near):
+            return near
+
+
+def _carried_entries(table):
+    """The entries a move carries: base entries, then the x- and y-axis
+    states' free entries."""
+    nb, free = len(base_indices(table.d)), table.d - 1
+    return np.concatenate((table.F[:nb], table.axes.x.F[:free], table.axes.y.F[:free]))
+
+
+def _with_carried(table, y):
+    """The table with its carried entries replaced by y, estimates kept."""
+    nb, free = len(base_indices(table.d)), table.d - 1
+
+    def axis(state, F):
+        coeffs = state.theta.coeffs
+        F = _extend(coeffs, Support.HALF_LINE, F, state_length(len(coeffs)) - 1)
+        return holo_uni.HoloStateUni(state.theta, F, state.last_transport_error)
+
+    axes = AxisStates(axis(table.axes.x, y[nb : nb + free]), axis(table.axes.y, y[nb + free :]))
+    return DerivTableBi(table.theta, y[:nb], table.last_transport_error, axes)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_carried_move_steps_its_jacobian(d):
+    # the moved entries are affine in the start's carried entries, so the
+    # Jacobian Phi that a move from a carried start steps takes a change
+    # delta of the start to the change of the moved table, to rounding
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        start = table_at(random_theta_bi_proper(rng, d))
+        assert start.last_transport_error > 0.0
+        target = _nearby(rng, start.theta, 0.05)
+        src = start.theta.as_vector()
+        y0 = _carried_entries(start)
+        series = _transport_series(d, src, target.as_vector() - src, True)
+        _, _, phi = _ode.taylor(series, y0.tolist(), holo_uni._REL_TOL, True)
+        assert phi.shape == (y0.size, y0.size)
+        delta = 1e-3 * y0 * rng.uniform(-1.0, 1.0, y0.size)
+        moved = transport_bi(start, target)
+        nudged = transport_bi(_with_carried(start, y0 + delta), target)
+        want = phi[: len(moved.F)].dot(delta)
+        assert np.abs(nudged.F - moved.F - want).max() <= 1e-13 * np.abs(moved.F).max()
+        # the state column is the move without a Jacobian, to rounding
+        bare = transport_bi(DerivTableBi(start.theta, start.F, 0.0, start.axes), target)
+        assert np.abs(bare.F - moved.F).max() <= 1e-15 * np.abs(moved.F).max()
+        assert moved.last_transport_error > bare.last_transport_error
+
+
+@settings(max_examples=12)
+@given(st.integers(2, 3), st.integers(3, 6), st.integers(0, 2**32 - 1))
+def test_chain_of_carried_moves_keeps_its_estimate(d, moves, seed):
+    # short moves from a table transported from the product point, each
+    # carrying the last one's estimate: the end's estimate covers its error
+    rng = np.random.default_rng(seed)
+    theta = random_theta_bi_proper(rng, d)
+    table = table_at(theta)
+    for _ in range(moves):
+        theta = _nearby(rng, theta, 0.05)
+        table = table_at(theta, start=table)
+    err = abs(table.norm_const - quad_A_bi(theta))
+    assert err <= table.last_transport_error * np.abs(_carried_entries(table)).max()
+
+
+def test_chain_of_carried_moves_meets_mpmath():
+    # four short moves onto the CLI's bivariate parameter
+    theta = CLI_THETA
+    step = 0.03 * np.random.default_rng(8).uniform(-1.0, 1.0, theta.as_vector().size)
+    table = table_at(ThetaBi.from_vector(2, theta.as_vector() + 4 * step))
+    for k in (3, 2, 1, 0):
+        table = table_at(ThetaBi.from_vector(2, theta.as_vector() + k * step), start=table)
+    assert table.theta == theta
+    err = abs(table.norm_const - float(_mpmath_A2(theta)))
+    assert 0.0 < table.last_transport_error <= 1e-10
+    assert err <= table.last_transport_error * np.abs(_carried_entries(table)).max()
+
+
+def test_table_at_redoes_a_move_whose_carried_error_is_too_large(monkeypatch):
+    # a start whose estimate carried through the move passes 1e-10 is moved
+    # again from the product point: the result is table_at(theta), bit for bit
+    near = table_at(ThetaBi(2, {(1, 0): 0.3, (2, 0): -1.1, (1, 1): -0.7, (0, 2): -1.3}))
+    inflated = DerivTableBi(near.theta, near.F, 1e-6, near.axes)
+    redone, fresh = table_at(CLI_THETA, start=inflated), table_at(CLI_THETA)
+    np.testing.assert_array_equal(redone.F, fresh.F)
+    assert redone.last_transport_error == fresh.last_transport_error
+    # a start with the estimate its own transport gave keeps its move
+    kept = table_at(CLI_THETA, start=near)
+    np.testing.assert_array_equal(kept.F, transport_bi(near, CLI_THETA).F)
+    assert kept.last_transport_error > near.last_transport_error
+    # a Jacobian that overflowed carries an unbounded error, which is redone
+    real = _ode.taylor
+
+    def overflowing(series, y0, rtol, jacobian=False):
+        out = real(series, y0, rtol, jacobian)
+        if jacobian:
+            out[2][0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(_ode, "taylor", overflowing)
+    assert transport_bi(near, CLI_THETA).last_transport_error == math.inf
+    np.testing.assert_array_equal(table_at(CLI_THETA, start=near).F, fresh.F)
+
+
+def test_table_at_keeps_a_carried_move_the_product_point_cannot_redo(oracle_table):
+    # the product point lies in another chamber than the target, so the
+    # redo is refused and the carried table is kept
+    theta0 = ThetaBi(3, {(3, 0): -1.0, (2, 1): -6.0, (1, 2): -11.0, (0, 3): -6.0})
+    target = ThetaBi(3, {(3, 0): -1.0, (2, 1): -6.2, (1, 2): -11.6, (0, 3): -6.6})
+    start = oracle_table(theta0)
+    inflated = DerivTableBi(theta0, start.F, 1e-6)
+    kept = table_at(target, start=inflated)
+    np.testing.assert_array_equal(kept.F, transport_bi(inflated, target).F)
+    assert kept.last_transport_error > 1e-10
+    with pytest.raises(PathCrossesSingularity):
+        table_at(target)
 
 
 @st.composite
@@ -1030,12 +1164,64 @@ def test_level_plan_matches_per_call_builder(d, lo, hi, m_ax):
     offsets = np.cumsum([0] + [n_win * plan.n for _, _, _, n_win, _ in blocks])
     asm = np.concatenate([b[4] + o for b, o in zip(blocks, offsets)])
     np.testing.assert_array_equal(plan.shape.asm, asm)
-    # each level's banded left-hand side is the dense closed-form product
-    V = rng.uniform(-1.0, 1.0, plan.n_v)
-    for (k, _, cols), lhs in zip(levels, single.lhs(V)):
+    # the level rows of the stacked system: L - G0 above G0, with each
+    # level's left-hand side L the closed-form matrix on its own columns
+    system = single.system()
+    n_rows = len(G0)
+    np.testing.assert_array_equal(system[n_rows:], G0)
+    L = system[:n_rows] + G0
+    for (k, _, cols), lv in zip(levels, single.shape.levels):
         mat = np.array(_closed_form_level_matrix(plan.top0.tolist(), k), dtype=float)
-        size = np.abs(mat) @ np.abs(V[cols])
-        assert np.all(np.abs(lhs - mat @ V[cols]) <= 1e-14 * size), k
+        np.testing.assert_array_equal(L[lv.rows, cols], mat)
+        L[lv.rows, cols] = 0.0
+    assert not L.any()
+
+
+def _per_level_residuals(plan, V):
+    """(residual, right-hand side) 2-norms of each level at theta0, as the
+    check computed them level by level: two banded `np.correlate` products
+    of the level's diagonal with F_a and F_b, less its rows of G0 times V."""
+    fa, fb = polyalg._partials(plan.top0.tolist())
+    out = []
+    for lv in plan.shape.levels:
+        lhs = np.concatenate((np.correlate(V[lv.cols], fa), np.correlate(V[lv.cols], fb)))
+        rhs = plan.G0[lv.rows] @ V
+        out.append((float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(rhs))))
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(list(dict.fromkeys(_engine_shapes()))),
+    st.integers(0, 2**32 - 1),
+    st.floats(-14.0, -2.0),
+)
+def test_residual_check_matches_the_per_level_loop(shape, seed, log_noise):
+    # a transported table extended by the level solves, its levels then
+    # perturbed by a relative 10^log_noise: the one-product check reads
+    # every level's residual as the per-level loop did, and gives its verdict
+    d, lo, hi, m_ax = shape
+    rng = np.random.default_rng(seed)
+    table = table_at(random_theta_bi_proper(rng, d))
+    plan = _LevelPlan(d, lo, hi, m_ax, table.theta.as_vector())
+    V = np.zeros(plan.n_v)
+    V[: m_ax + 1], V[m_ax + 1 : plan.t_off] = boundary_consts(table, m_ax)
+    V[plan.t_off : plan.t_off + len(table.F)] = table.F
+    plan.solve(V)
+    levels = slice(plan.shape.levels[0].cols.start, None)
+    V[levels] *= 1.0 + 10.0**log_noise * rng.uniform(-1.0, 1.0, V[levels].size)
+    want = _per_level_residuals(plan, V)
+    both = plan.system().dot(V).reshape(2, -1)
+    for lv, (resid, rhs) in zip(plan.shape.levels, want):
+        got = np.linalg.norm(both[:, lv.rows], axis=1)
+        assert abs(got[0] - resid) <= 1e-12 * max(resid, rhs)
+        assert abs(got[1] - rhs) <= 1e-12 * rhs
+    failing = [lv.k for lv, (resid, rhs) in zip(plan.shape.levels, want) if resid > 1e-6 * max(1.0, rhs)]
+    if failing:
+        with pytest.raises(InconsistentExtension, match=f"order-{failing[0]} extension"):
+            plan.check_residuals(V)
+    else:
+        plan.check_residuals(V)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -1110,23 +1296,27 @@ def test_fused_rows_match_lane_and_level_rows(d):
 
 
 def _tables(points):
-    """`table_at` at each point, from the product point: entries and
-    estimate, or the refusal."""
+    """`table_at` at each point, from the product point, then at its
+    neighbour from that table, a move that steps its Jacobian: entries and
+    estimates, or the refusal."""
     out = []
-    for theta in points:
+    for theta, near in points:
         try:
             table = table_at(theta)
-            out.append((table.F.tolist(), table.last_transport_error))
+            moved = table_at(near, start=table)
+            out.append((table.F.tolist(), table.last_transport_error, moved.F.tolist(), moved.last_transport_error))
         except ExpPolyError as exc:
             out.append(type(exc).__name__)
     return out
 
 
 def test_threads_transport_tables_as_one_thread_does(in_threads):
-    # each thread builds its rows in its own buffers: three threads, each
-    # starting at another point, give the serial tables bit for bit
+    # each thread builds its rows in its own buffers, with and without a
+    # Jacobian: three threads, each starting at another point, give the
+    # serial tables bit for bit
     rng = np.random.default_rng(17)
     points = [random_theta_bi_proper(rng, d) for d in (2, 3) for _ in range(5)]
+    points = [(theta, _nearby(rng, theta, 0.05)) for theta in points]
     serial = _tables(points)
     results = in_threads(lambda k: _tables(points[k:] + points[:k]), [0, 3, 7])
     for k, got in results.items():

@@ -216,20 +216,15 @@ def test_bivariate_likelihood_matches_quadrature(theta):
 
 
 class CountingProvider:
-    """Forwards to a provider and records each derivative request and refresh."""
+    """Forwards to a provider and records each derivative request."""
 
     def __init__(self, inner):
         self.inner = inner
         self.requests = []
-        self.refreshes = []
 
     def derivs(self, theta, M):
         self.requests.append((inference._theta_vector(theta).tolist(), M))
         return self.inner.derivs(theta, M)
-
-    def refresh(self, theta):
-        self.refreshes.append(len(self.requests))
-        self.inner.refresh(theta)
 
     def derivative_bounds(self, M):
         return self.inner.derivative_bounds(M)
@@ -255,13 +250,13 @@ def test_fit_makes_one_request_per_point(stats, provider):
     assert res.converged and res.iterations >= 2
     d = res.theta_hat.d
     assert [M for _, M in counting.requests] == [2 * d] * len(counting.requests)
-    # the start, at least one candidate per iteration, and the refreshed estimate
-    assert len(counting.requests) >= res.iterations + 2
-    assert counting.refreshes == [len(counting.requests) - 1]
+    # the start and at least one candidate per iteration, each once: the
+    # result is read from the last accepted request, not a repeated one
+    assert len(counting.requests) >= res.iterations + 1
     points = [tuple(v) for v, _ in counting.requests]
-    assert len(set(points[:-1])) == len(points) - 1
+    assert len(set(points)) == len(points)
     theta_hat = inference._theta_vector(res.theta_hat)
-    assert points[-1] == tuple(theta_hat.tolist()) == points[-2]
+    assert points[-1] == tuple(theta_hat.tolist())
     plain = fit_mle(stats, stats.order)
     np.testing.assert_array_equal(theta_hat, inference._theta_vector(plain.theta_hat))
     np.testing.assert_array_equal(res.fisher, plain.fisher)
@@ -391,6 +386,20 @@ def test_support_has_one_owner(support_stats, case):
     with pytest.raises(InputError, match="statistics") as info:
         calls[case]()
     assert type(info.value) is InputError
+
+
+def test_loglik_needs_statistics_of_the_parameters_kind():
+    # a bivariate parameter against univariate statistics once raised a
+    # builtin KeyError from the missing mixed moments
+    bi, uni = ThetaBi.from_vector(2, [-1, -1, -1, 0.1, -1]), ThetaUni((0.5, -1.0))
+    cases = [
+        (bi, suff_stats([0.5, 1, 2, 0.7], 4), "a bivariate parameter"),
+        (uni, _bivariate_sample_stats(n=50), "a halfline parameter"),
+    ]
+    for theta, stats, kind in cases:
+        with pytest.raises(InputError, match=kind) as info:
+            loglik_and_grad(theta, stats)
+        assert type(info.value) is InputError
 
 
 def test_score_test_zero_statistic():
@@ -654,9 +663,6 @@ class QuadProvider:
     def derivs(self, theta, M):
         return np.array([quad_moment_uni(theta, m) for m in range(M + 1)])
 
-    def refresh(self, theta):
-        pass
-
     def derivative_bounds(self, M):
         return None
 
@@ -685,11 +691,78 @@ def test_quartic_fit_whose_moves_overflow_returns_a_result(seed):
     assert res.iterations > 0 and np.all(np.isfinite(res.theta_hat.as_array()))
 
 
-def test_refresh_skips_closed_form_states():
-    provider = UniHoloProvider()
-    for theta in (ThetaUni((0.5, -1.0)), ThetaUni((0.0, 0.0, -2.0))):
-        derivs = provider.derivs(theta, 4)
-        state = provider._state
-        provider.refresh(theta)
-        assert provider._state is state
-        np.testing.assert_array_equal(provider.derivs(theta, 4), derivs)
+@pytest.mark.parametrize(
+    "stats",
+    [stats_from_moments([1.0 / SQRT_PI, 0.5]), stats_from_moments([2.0]), _bivariate_sample_stats()],
+    ids=["gaussian", "exponential", "bivariate"],
+)
+def test_fit_result_reads_the_committed_state(stats):
+    # no request after convergence: the result is the kernel's reading of
+    # the provider's committed state at the estimate (closed-form states
+    # for the univariate fits, a carried table for the bivariate one)
+    inner = (BiHoloProvider if stats.is_bivariate else UniHoloProvider)()
+    counting = CountingProvider(inner)
+    res = fit_mle(stats, provider=counting)
+    assert res.converged
+    theta = res.theta_hat
+    assert counting.requests[-1][0] == inference._theta_vector(theta).tolist()
+    if stats.is_bivariate:
+        assert inner._table.theta == theta and inner._table.last_transport_error > 0.0
+        derivs = extend_table(inner._table, 2 * theta.d).F
+    else:
+        assert inner._state.theta == theta
+        derivs = extend_derivatives(inner._state, 2 * theta.d)
+    lbar, grad, info = inference._likelihood(
+        theta, inference._sample_moments(stats, theta), derivs, inference._positions(theta)
+    )
+    assert res.loglik_bar == lbar and res.grad_norm == float(np.max(np.abs(grad)))
+    np.testing.assert_array_equal(res.fisher, info)
+
+
+class RefusingProvider(CountingProvider):
+    """Refuses every request once it has answered `limit`, as an engine
+    refuses the points past a wall, but for points it answered before when
+    `again` is set; `answers` maps each answered point to its answer."""
+
+    def __init__(self, inner, limit, again):
+        super().__init__(inner)
+        self.limit, self.again = limit, again
+        self.answers = {}
+
+    def derivs(self, theta, M):
+        point = tuple(inference._theta_vector(theta).tolist())
+        if len(self.answers) >= self.limit and not (self.again and point in self.answers):
+            self.requests.append((list(point), M))
+            raise ToleranceNotMet("refused")
+        self.answers[point] = super().derivs(theta, M)
+        return self.answers[point]
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [suff_stats(sample_uni(ThetaUni((-1.0, 3.0, -2.0)), 1000, seed=3), 3), _bivariate_sample_stats()],
+    ids=["univariate", "bivariate"],
+)
+@pytest.mark.parametrize("again", [True, False], ids=["answered", "refused"])
+def test_fit_requests_its_estimate_again_after_a_failed_line_search(stats, again):
+    # every candidate of the third step is refused: the line search ends
+    # without acceptance, away from the estimate, which is requested once
+    # more; where that request is refused too, the result is read from the
+    # accepted request at the estimate, without a Fisher bound
+    inner = (BiHoloProvider if stats.is_bivariate else UniHoloProvider)()
+    provider = RefusingProvider(inner, 3, again)
+    res = fit_mle(stats, provider=provider)
+    assert res.hit_boundary and not res.converged and res.iterations == 3
+    theta_hat = inference._theta_vector(res.theta_hat).tolist()
+    points = [v for v, _ in provider.requests]
+    assert points.count(theta_hat) == 2 and points[-1] == theta_hat
+    assert points[-2] != theta_hat
+    theta = res.theta_hat
+    pos = inference._positions(theta)
+    lbar, _, info = inference._likelihood(
+        theta, inference._sample_moments(stats, theta), provider.answers[tuple(theta_hat)], pos
+    )
+    assert res.loglik_bar == lbar
+    np.testing.assert_array_equal(res.fisher, info)
+    if not again:
+        assert res.fisher_bound is None
