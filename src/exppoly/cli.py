@@ -328,8 +328,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         columns = [f"p{i}" for i in range(1, d + 1)]
     else:
         columns = ["T"]
-        if support is Support.REAL_LINE and d % 2 != 0:
-            raise InputError("whole-line theta-star must have even length")
 
     rows: list[list[float]] = []
     excluded = 0

@@ -35,12 +35,12 @@ reaches the segment's end.  Along the segment P(theta(s)) = P0 + s P(h) is
 a pencil, and the walls it meets are its generalized eigenvalues: before any
 step they are found as -1/lambda over the eigenvalues lambda of
 P0^-1 P(h), complex ones included, so a path that meets a wall anywhere is
-refused.  A move from a table with an error estimate of its own steps the
-unit columns of its carried entries in the same rows, so that the start's
-error is carried through the move's Jacobian into the moved table's
-estimate, and `table_at` redoes from the product point a move whose
-carried error outweighs a fresh transport's, as `holo_uni` does for the
-univariate engine.
+refused.  A move from a table whose own estimate or either axis state's
+is nonzero steps the unit columns of its carried entries in the same rows,
+so that each start's error is carried through the move's Jacobian into the
+moved estimates (`holo_uni._carried`), and `table_at` redoes from the
+product point a move whose carried error outweighs a fresh transport's, as
+`holo_uni` does for the univariate engine.
 """
 
 from __future__ import annotations
@@ -75,11 +75,9 @@ from .errors import (
 from .holo_uni import (
     _REL_TOL,
     HoloStateUni,
-    _extend,
     _order_arg,
     _scale_arg,
     extend_derivatives,
-    state_length,
 )
 
 # Axis constants go through `holo_uni.state_at` alone; this binding is kept
@@ -149,10 +147,10 @@ class DerivTableBi:
     `last_transport_error` is the relative error estimate of the carried
     entries (base entries and the axis states' free entries), in units of
     the largest of them: zero at a product point, the Taylor estimate for a
-    move from there, and for a move from a table with a nonzero estimate
-    that plus the start's error carried through the move's Jacobian
-    (`transport_bi`).  It covers the base entries only; the orders
-    `extend_table` adds carry no estimate of their own.
+    move from there, and for a move from any other table that plus the
+    table's error carried through the move's Jacobian (`transport_bi`),
+    zero where the table's own estimate is.  It covers the base entries
+    only; the orders `extend_table` adds carry no estimate of their own.
     """
 
     __slots__ = ("theta", "F", "max_order", "last_transport_error", "axes")
@@ -317,10 +315,9 @@ class _LevelShape(NamedTuple):
     `_Scatter` over the vector [1]) and entries linear in the full
     coefficient vector, `g_lin`; every entry gets one term at most.
     `win_rows` lists, window after window and level after level, the
-    natural row behind each window row.  In window row order, `x_lin`
-    places -P(h) on each window's own columns (h the direction, indexed
-    like theta).  `asm` picks, for each level entry of V in order, the
-    window row that solves it (the later window where two overlap).
+    natural row behind each window row.  `asm` picks, for each level entry
+    of V in order, the window row that solves it (the later window where
+    two overlap).
     The left-hand sides L, in natural row order, are `lhs`, a `_Scatter`
     over (F_a, F_b): each level row a banded product of its diagonal with
     F_a or F_b, on columns that G leaves empty, since a level's right-hand
@@ -338,7 +335,6 @@ class _LevelShape(NamedTuple):
     g_const: _Scatter
     g_lin: _Scatter
     win_rows: np.ndarray
-    x_lin: _Scatter
     asm: np.ndarray
     lhs: _Scatter
     row_starts: np.ndarray
@@ -353,10 +349,7 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
     n = 2 * d - 2
     t_off = 2 * (m_ax + 1)
     n_v = t_off + _flat(0, hi) + 1
-    # P = sum_c top[c] P_c: (c, row, col, factor) of every entry
-    units = np.array([_p_matrix(unit) for unit in np.eye(d + 1).tolist()])
-    p_entries = [(*e, units[e]) for e in zip(*np.nonzero(units))]
-    g_const, g_lin, x_lin, lhs = [], [], [], []
+    g_const, g_lin, lhs = [], [], []
     win_rows, asm, levels = [], [], []
     row0 = 0
     for k in range(lo, hi + 1):
@@ -389,8 +382,6 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
         for t0 in starts:
             w0 = len(win_rows)
             win_rows += [row0 + r for r in (*range(t0, t0 + d - 1), *range(q + 1 + t0, q + d + t0))]
-            for c, r, col, f in p_entries:
-                x_lin.append(((w0 + r) * n_v + col0 + t0 + col, top[c], -f))
             solved_by[t0 : t0 + n] = range(w0, w0 + n)
         asm += solved_by
         n_rows = 2 * (q + 1)
@@ -404,7 +395,7 @@ def _level_shape(d: int, lo: int, hi: int, m_ax: int) -> _LevelShape:
         arr.flags.writeable = False
     return _LevelShape(
         n, t_off, n_v, top, tuple(levels), row0, _scatter(g_const), _scatter(g_lin), win_rows,
-        _scatter(x_lin), asm, _scatter(lhs), row_starts
+        asm, _scatter(lhs), row_starts
     )
 
 
@@ -450,9 +441,12 @@ class _LevelPlan:
             self.Ph = self.Ghw = self.Gx = None
             return
         self.Ph = _p_matrix(h[shape.top].tolist())
-        Gh = shape.g_lin.put(np.zeros(shape.g_rows * self.n_v), h).reshape(shape.g_rows, self.n_v)
-        self.Ghw = Gh[shape.win_rows]
-        self.Gx = shape.x_lin.put(self.Ghw.copy().ravel(), h).reshape(self.Ghw.shape)
+        Gh = shape.g_lin.put(np.zeros(shape.g_rows * self.n_v), h)
+        self.Ghw = Gh.reshape(shape.g_rows, self.n_v)[shape.win_rows]
+        # Gh - L(h): the level rows of h's top form go on columns Gh leaves empty
+        fa, fb = polyalg._partials(h[shape.top].tolist())
+        Gx = shape.lhs.put(Gh, -np.array(fa + fb)).reshape(shape.g_rows, self.n_v)
+        self.Gx = Gx[shape.win_rows]
 
     def factor(self, s: float) -> np.ndarray:
         """Inverse of P(theta(s)), after the singularity test.  The inverse
@@ -783,16 +777,17 @@ def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     segment's end.  The shift D and the layout of the rows are built once
     per d (`_transport_shape`).
 
-    From a table with a nonzero estimate (any table but a product point's)
-    the move also steps the unit columns of the carried entries (the base
-    entries, then each axis state's free entries) through the same rows,
-    which gives the segment's Jacobian Phi, as `holo_uni.transport` does.
-    The moved table's estimate is then the Taylor estimate plus the start's
-    error carried through Phi: |Phi| (the largest absolute row sum) times
-    the start's estimate times its largest carried entry, over the moved
-    table's largest carried entry.  Each axis state's block of Phi carries
-    that state's own estimate the same way into its acceptance.  A move
-    from a table with estimate zero steps no Jacobian.
+    From a table whose own estimate or either axis state's is nonzero (any
+    table but a product point's) the move also steps the unit columns of
+    the carried entries (the base entries, then each axis state's free
+    entries) through the same rows, which gives the segment's Jacobian Phi,
+    as `holo_uni.transport` does.  The moved table's estimate is then the
+    Taylor estimate plus the table's error carried through Phi
+    (`holo_uni._carried`: |Phi| times the table's estimate times its
+    largest carried entry, over the moved table's largest carried entry).
+    Each axis state's block of Phi carries that state's own estimate the
+    same way into its acceptance.  A move from a table and axis states
+    whose estimates are all zero steps no Jacobian and carries nothing.
 
     The segment must not meet the discriminant locus: before any step, the
     zeros of D along it, the pencil's eigenvalues (`_LevelPlan.zeros`), are
@@ -806,9 +801,9 @@ def transport_bi(table: DerivTableBi, theta_target: ThetaBi) -> DerivTableBi:
     return _move(table, theta_target)[0]
 
 
-def _move(table: DerivTableBi, theta_target: ThetaBi) -> tuple[DerivTableBi, float | None]:
+def _move(table: DerivTableBi, theta_target: ThetaBi) -> tuple[DerivTableBi, float]:
     """`transport_bi`, and the part of the moved table's estimate carried
-    from the start through Phi: None where no Jacobian was stepped."""
+    from the start through Phi (0.0 where nothing was carried)."""
     d = table.d
     src = table.theta
     if theta_target.d != d:
@@ -820,13 +815,14 @@ def _move(table: DerivTableBi, theta_target: ThetaBi) -> tuple[DerivTableBi, flo
     src_vec = src.as_vector()
     h_vec = theta_target.as_vector() - src_vec
     if not np.any(h_vec):
-        return table, None
+        return table, 0.0
 
     nb = _transport_shape(d).nb
     free = d - 1  # free entries of an axis state
-    carry = table.last_transport_error > 0.0
-    series = _transport_series(d, src_vec, h_vec, carry)
     axes = _axes_for(table)
+    starts = (table, *axes)
+    carry = any(start.last_transport_error > 0.0 for start in starts)
+    series = _transport_series(d, src_vec, h_vec, carry)
     y0 = table.F[:nb].tolist() + axes.x.F[:free].tolist() + axes.y.F[:free].tolist()
     try:
         yf, est, *phi = _ode.taylor(series, y0, _REL_TOL, carry)
@@ -835,23 +831,24 @@ def _move(table: DerivTableBi, theta_target: ThetaBi) -> tuple[DerivTableBi, flo
             f"transport hit a singular level system: {exc}"
         ) from exc
 
-    carried = [None, None, None]  # the table's, the x axis's, the y axis's
-    if carry:
-        gain = np.abs(phi[0]).sum(1)  # each row of |Phi|
-        for k, (start, lo, hi) in enumerate(
-            ((table, 0, len(y0)), (axes.x, nb, nb + free), (axes.y, nb + free, len(y0)))
-        ):
-            # |Phi| times the start's absolute error, relative to the moved
-            # entries; an axis state's rows of Phi read its own columns only
-            start_error = start.last_transport_error * max(map(abs, y0[lo:hi]))
-            part = float(gain[lo:hi].max()) * start_error / max(*map(abs, yf[lo:hi]), 1e-300)
-            # a Phi that overflowed (inf or nan) carries an unbounded error
-            carried[k] = part if part <= math.inf else math.inf
+    # the table's entries are all of y, an axis state's its own free entries
+    # (whose rows of Phi read its own columns only)
+    blocks = (slice(0, len(y0)), slice(nb, nb + free), slice(nb + free, len(y0)))
+    carried = [
+        holo_uni._carried(phi[0][at], start.last_transport_error, y0[at], yf[at]) if carry else 0.0
+        for start, at in zip(starts, blocks)
+    ]
     moved_axes = AxisStates(
-        _accept_axis(axes.x, theta_target.x_axis_coeffs(), yf[nb : nb + free], est, carried[1]),
-        _accept_axis(axes.y, theta_target.y_axis_coeffs(), yf[nb + free :], est, carried[2]),
+        *(
+            holo_uni._accept(HoloStateUni._moved(ThetaUni(coeffs), yf[at], est, part))
+            for coeffs, at, part in zip(
+                (theta_target.x_axis_coeffs(), theta_target.y_axis_coeffs()),
+                blocks[1:],
+                carried[1:],
+            )
+        )
     )
-    moved = DerivTableBi(theta_target, yf[:nb], est + (carried[0] or 0.0), moved_axes)
+    moved = DerivTableBi(theta_target, yf[:nb], est + carried[0], moved_axes)
     if table.max_order > moved.max_order:
         moved = extend_table(moved, table.max_order)
     return moved, carried[0]
@@ -876,7 +873,7 @@ def table_at(theta: ThetaBi, *, start: DerivTableBi | None = None) -> DerivTable
     if start is None or start.d != theta.d:
         return _checked(_from_product_point(theta))
     table, carried = _move(start, theta)
-    if carried is not None and carried > _REL_TOL:
+    if carried > _REL_TOL:
         # the start's error, carried through the move, outweighs what a
         # fresh transport commits
         try:
@@ -897,23 +894,6 @@ def _checked(table: DerivTableBi) -> DerivTableBi:
     if not (np.all(np.isfinite(table.F)) and table.norm_const > 0.0):
         raise OdeDivergence(f"transport lost accuracy (A = {table.norm_const!r})")
     return table
-
-
-def _accept_axis(
-    start: HoloStateUni,
-    coeffs: Sequence[float],
-    F: Sequence[float],
-    est: float,
-    carried: float | None,
-) -> HoloStateUni:
-    """An axis state moved from `start` inside `transport_bi`'s ODE: its free
-    entries F are re-derived at the target, as `holo_uni.transport` does,
-    then put through the `state_at` acceptance with the start's error
-    `carried` through the move's Jacobian (None where none was stepped)."""
-    L = state_length(len(coeffs))
-    theta = ThetaUni(coeffs, Support.HALF_LINE)
-    moved = HoloStateUni._built(theta, _extend(coeffs, Support.HALF_LINE, F, L - 1), est, carried)
-    return holo_uni._accept(start, moved)
 
 
 def _axes_for(source: ThetaBi | DerivTableBi) -> AxisStates:

@@ -105,11 +105,10 @@ class HoloStateUni:
     `state_at` retries), the full `state_at` estimate for a state from there,
     the closed form's own rounding bound for an order-2 state from
     `state_at`, and zero for freshly initialized states.  The full estimate
-    of a move from a carried start (one whose own estimate is not zero) is
-    the integrator's times the target's condition, plus the start's
-    absolute error carried through the move's Jacobian Phi: |Phi| (the
-    largest absolute row sum) times the start's estimate times its largest
-    free entry, over the moved state's largest free entry.
+    of a move is the integrator's times the target's condition, plus the
+    start's error carried through the move's Jacobian Phi (`_carried`),
+    which a move from a start with a nonzero estimate steps and one from a
+    start with estimate zero neither steps nor needs.
     """
 
     __slots__ = ("theta", "F", "last_transport_error", "_carried")
@@ -120,21 +119,31 @@ class HoloStateUni:
             raise InputError(
                 f"state for order {theta.d} must have {state_length(theta.d)} entries"
             )
-        self._fill(theta, arr, float(last_transport_error), None)
+        self._fill(theta, arr, float(last_transport_error), 0.0)
 
     @classmethod
     def _built(
-        cls, theta: ThetaUni, F: Sequence[float], error: float, carried: float | None = None
+        cls, theta: ThetaUni, F: Sequence[float], error: float, carried: float = 0.0
     ) -> HoloStateUni:
         """A state the engine built itself, from state_length(d) floats,
         without the constructor's checks or copy.  `carried` is the start's
-        error carried to it through the move's Jacobian (`transport`), None
-        where none was carried."""
+        error carried to it through the move's Jacobian (`_carried`)."""
         state = object.__new__(cls)
         state._fill(theta, np.asarray(F, dtype=float), error, carried)
         return state
 
-    def _fill(self, theta: ThetaUni, F: np.ndarray, error: float, carried: float | None) -> None:
+    @classmethod
+    def _moved(
+        cls, theta: ThetaUni, free: Sequence[float], error: float, carried: float
+    ) -> HoloStateUni:
+        """A state moved to theta, from its d-1 free entries: the redundant
+        tail entries (d < 3) are re-derived there, so the state satisfies
+        the recursion exactly at theta."""
+        L = state_length(theta.d)
+        F = free if L == theta.d - 1 else _extend(theta.coeffs, theta.support, free, L - 1)
+        return cls._built(theta, F, error, carried)
+
+    def _fill(self, theta: ThetaUni, F: np.ndarray, error: float, carried: float) -> None:
         F.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "F", F)
@@ -532,9 +541,10 @@ def transport(state: HoloStateUni, target: ThetaUni, *, rel_tol: float = _REL_TO
     leading coefficient is linear along the segment, the whole path is then
     interior as well.  The d-1 free entries step by Taylor series
     (`_ode.taylor`).  At d = 1 nothing is free, and the state follows from the
-    recursion at the target.  From a state with a nonzero estimate the
-    move also steps the free entries' unit columns, so that `state_at` can
-    carry that estimate through the move's Jacobian.
+    recursion at the target.  A state already at `target` is returned as
+    it is.  From a state with a nonzero estimate the move also steps the
+    free entries' unit columns, so that `state_at` can carry that estimate
+    through the move's Jacobian (`_carried`).
     """
     src = state.theta
     if target.support is not src.support or target.d != src.d:
@@ -545,25 +555,30 @@ def transport(state: HoloStateUni, target: ThetaUni, *, rel_tol: float = _REL_TO
                 f"{name} parameter {point.coeffs} is not interior; transport undefined"
             )
     if target.coeffs == src.coeffs:
-        return HoloStateUni._built(target, state.F, 0.0)
+        return state
 
     d = src.d
-    L = state_length(d)
     h = np.subtract(target.coeffs, src.coeffs)
     y0 = state.F[: d - 1].tolist()
-    carry = d > 1 and state.last_transport_error > 0.0
+    error = state.last_transport_error
+    carry = d > 1 and error > 0.0
     step_map = _StepMap(src.coeffs, h, _inhom(src.support), d - 1, carry)
     F, est, *phi = _ode.taylor(step_map.series, y0, rel_tol, carry)
+    carried = _carried(phi[0], error, y0, F) if carry else 0.0
+    return HoloStateUni._moved(target, F, est, carried)
 
-    # Re-derive the redundant tail entries (d < 3) so the final state
-    # satisfies the recursion exactly at the target point.
-    vals = F if L == d - 1 else _extend(target.coeffs, target.support, F, L - 1)
-    carried = None
-    if carry:
-        # |Phi| times the start's absolute error, relative to the moved state
-        start_error = state.last_transport_error * max(map(abs, y0))
-        carried = max(map(sum, np.abs(phi[0]).tolist())) * start_error / max(*map(abs, F), 1e-300)
-    return HoloStateUni._built(target, vals, est, carried)
+
+def _carried(
+    phi: np.ndarray, error: float, start: Sequence[float], moved: Sequence[float]
+) -> float:
+    """The part of a moved estimate carried from its start: the start's
+    absolute error, `error` times its largest entry, through rows `phi` of
+    the move's Jacobian, relative to the largest moved entry.  |phi| is the
+    largest absolute row sum.  A Jacobian that overflowed (inf or nan)
+    carries an unbounded error."""
+    gain = float(np.abs(phi).sum(1).max())
+    part = gain * (error * max(map(abs, start))) / max(*map(abs, moved), 1e-300)
+    return part if part <= math.inf else math.inf
 
 
 def transport_condition(coeffs: Sequence[float], A: float) -> float:
@@ -684,38 +699,35 @@ def state_at(theta: ThetaUni | Sequence[float], *, start: HoloStateUni | None = 
         return _gaussian_state(eff) if any(eff.coeffs[:-1]) else _gamma_state(eff)
     if start is None or start.d != eff.d or start.support is not eff.support:
         start = _gamma_state(eff)
-    return _accept(start, transport(start, eff))
+    return _accept(transport(start, eff))
 
 
-def _accept(start: HoloStateUni, moved: HoloStateUni) -> HoloStateUni:
-    """The `state_at` verdict on `moved`, a transport of `start` at the
-    per-step tolerance `_REL_TOL`.
+def _accept(moved: HoloStateUni) -> HoloStateUni:
+    """The `state_at` verdict on `moved`, a transport at the per-step
+    tolerance `_REL_TOL`.
 
     The carried part of the estimate (the start's error through the move's
-    Jacobian) may send the move back to the gamma point first; then the
-    state's condition and moment check decide between keeping it,
+    Jacobian, `_carried`) may send the move back to the gamma point first;
+    then the state's condition and moment check decide between keeping it,
     transporting again from the gamma point at `_RETRY_TOL`, and refusing
-    the parameter.  The accepted state's estimate carries the start's own.
-    `holo_bi.transport_bi` hands its axis states here too, transported
-    inside its own ODE, with their blocks of its Jacobian as the carried
-    part; where it steps no Jacobian (a move from a product-point table)
-    the start's error is scaled up where the state shrinks along the way.
+    the parameter.  The accepted state's estimate is the move's times the
+    condition, plus its carried part.  `holo_bi.transport_bi` hands its
+    axis states here too, transported inside its own ODE, with their blocks
+    of its Jacobian as the carried part.
     """
     eff = moved.theta
     cond = _condition(moved)
     carried = moved._carried
-    if carried is not None and carried > _REL_TOL * cond:
+    if carried > _REL_TOL * cond:
         # the start's error, carried through the move, outweighs what a
         # fresh transport would commit
-        start = _gamma_state(eff)
-        moved = transport(start, eff)
+        moved = transport(_gamma_state(eff), eff)
         cond = _condition(moved)
-        carried = None
+        carried = 0.0
     if cond > _COND_DIRECT:
-        start = _gamma_state(eff)
-        moved = transport(start, eff, rel_tol=_RETRY_TOL)
+        moved = transport(_gamma_state(eff), eff, rel_tol=_RETRY_TOL)
         cond = _condition(moved)
-        carried = None
+        carried = 0.0
     if cond > _COND_LIMIT:
         detail = (
             "the transported value lost all significant digits"
@@ -727,13 +739,8 @@ def _accept(start: HoloStateUni, moved: HoloStateUni) -> HoloStateUni:
             f"double-precision transport ({detail}); evaluate this point by "
             "quadrature instead"
         )
-    if carried is None:
-        # without the move's Jacobian the start's own error rides along,
-        # growing as the state shrinks
-        size = max(map(abs, start.F.tolist())) / max(map(abs, moved.F.tolist()))
-        carried = start.last_transport_error * max(1.0, size)
     est = (moved.last_transport_error + _EPS) * cond + carried
-    return HoloStateUni._built(moved.theta, moved.F, est)
+    return HoloStateUni._built(eff, moved.F, est)
 
 
 def _closed_form(eff: ThetaUni) -> bool:

@@ -471,9 +471,7 @@ def fit_mle(
     bounds = provider.derivative_bounds(2 * d) if current else None
     fisher_bound = None if bounds is None else _fisher_bound(derivs, bounds, pos)
     grad_norm = float(np.max(np.abs(grad)))
-    if converged:
-        converged = grad_norm <= 10 * _GRAD_TOL
-    elif not hit_boundary:
+    if not (converged or hit_boundary):
         # distinguish slow interior progress from an ascent pressing into the
         # boundary, where the supremum is not attained: the full scoring step
         # from the final iterate then leaves the domain.  A Fisher matrix that

@@ -38,6 +38,7 @@ from exppoly.holo_bi import (
     _factor,
     _flat,
     _level_shape,
+    _move,
     _p_matrix,
     _refuse_walls,
     _transport_series,
@@ -970,9 +971,49 @@ def test_carried_move_steps_its_jacobian(d):
         want = phi[: len(moved.F)].dot(delta)
         assert np.abs(nudged.F - moved.F - want).max() <= 1e-13 * np.abs(moved.F).max()
         # the state column is the move without a Jacobian, to rounding
-        bare = transport_bi(DerivTableBi(start.theta, start.F, 0.0, start.axes), target)
+        bare_axes = AxisStates(*(holo_uni.HoloStateUni(a.theta, a.F) for a in start.axes))
+        bare = transport_bi(DerivTableBi(start.theta, start.F, 0.0, bare_axes), target)
         assert np.abs(bare.F - moved.F).max() <= 1e-15 * np.abs(moved.F).max()
         assert moved.last_transport_error > bare.last_transport_error
+
+
+def test_move_carries_axis_states_of_a_table_without_estimate(monkeypatch):
+    # the table's own estimate is zero but its axis states' are not: the
+    # move steps its Jacobian, and the table's carried part is zero
+    near = table_at(ThetaBi(2, {(1, 0): 0.3, (2, 0): -1.1, (1, 1): -0.7, (0, 2): -1.3}))
+    assert min(axis.last_transport_error for axis in near.axes) > 0.0
+    start = DerivTableBi(near.theta, near.F, 0.0, near.axes)
+    asked = []
+    real = _ode.taylor
+
+    def spy(series, y0, rtol, jacobian=False):
+        asked.append(jacobian)
+        return real(series, y0, rtol, jacobian)
+
+    monkeypatch.setattr(_ode, "taylor", spy)
+    moved, carried = _move(start, CLI_THETA)
+    assert asked[0] is True
+    assert carried == 0.0
+    for axis in moved.axes:
+        assert axis.last_transport_error > 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_move_from_an_extended_table_is_the_extended_move(d):
+    # a move reads the base entries only, and extends the moved table to
+    # its start's order: bit for bit the extension of the base table's move
+    rng = np.random.default_rng(70 + d)
+    start = table_at(random_theta_bi_proper(rng, d))
+    target = _nearby(rng, start.theta, 0.05)
+    M = 2 * d + 1
+    moved = transport_bi(extend_table(start, M), target)
+    want = extend_table(transport_bi(start, target), M)
+    assert moved.max_order == M
+    np.testing.assert_array_equal(moved.F, want.F)
+    assert moved.last_transport_error == want.last_transport_error
+    for got, axis in zip(moved.axes, want.axes):
+        np.testing.assert_array_equal(got.F, axis.F)
+        assert got.last_transport_error == axis.last_transport_error
 
 
 @settings(max_examples=12)

@@ -272,7 +272,7 @@ def test_state_at_retries_state_that_is_not_moment_like():
     # closed form, so the verdict is asked of `_accept` directly)
     via = state_at((0.0, 0.0, 0.0, -2.0, -0.5))
     target = ThetaUni((0.0, 0.0, 0.0, 0.0, -1.0))
-    st = _accept(via, transport(via, target))
+    st = _accept(transport(via, target))
     want = [quad_moment_uni(st.theta, m) for m in range(4)]
     np.testing.assert_allclose(st.F, want, rtol=1e-10)
 
@@ -710,6 +710,14 @@ def test_series_overflow_is_ode_divergence(target):
         warnings.simplefilter("error")
         with pytest.raises(OdeDivergence, match="non-finite Taylor coefficients"):
             transport(start, theta)
+
+
+def test_zero_length_transport_returns_its_state():
+    # a move to the state's own parameter keeps the state, estimate
+    # included, so that a later move from it still carries that estimate
+    start = state_at((0.5, -1.0, -1.0))
+    assert start.last_transport_error > 0.0
+    assert transport(start, ThetaUni((0.5, -1.0, -1.0))) is start
 
 
 def test_carried_move_with_overflowing_sum_is_ode_divergence():

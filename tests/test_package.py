@@ -1,6 +1,7 @@
 """The package namespace and its modules' imports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,31 @@ def test_private_module_names_are_read():
             private = [name for name in names if name.startswith("_") and not name.startswith("__")]
             defined.update((stem, name) for name in private)
     assert sorted(name for name in defined if name[1] not in read) == []
+
+
+def test_exports_are_read():
+    # an exported name that only tests read is dead weight in the public
+    # namespace: each must be read by the README, a demo, or a package
+    # module (`__init__` only re-exports, so it does not count)
+    repo = Path(exppoly.__file__).parent.parent.parent
+    trees = _package_trees()
+    (exports,) = [
+        ast.literal_eval(node.value)
+        for node in trees.pop("__init__").body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    demos = [ast.parse(path.read_text(encoding="utf-8")) for path in (repo / "demos").glob("*.py")]
+    read = _names_read([*trees.values(), *demos])
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    unread = [
+        name
+        for name in exports
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unread == []
 
 
 def test_tracer_stubs_are_unread_and_raise():
